@@ -18,7 +18,7 @@ Core layers:
 
 from .scalars import I, ONE, ZERO, Scalar, sc
 from .elements import Element, TensorElement, flip, tensor
-from .linalg import LinearMap, Matrix, linear_solve
+from .linalg import LinearMap, linear_solve
 from .algebras import Algebra, Multiplier, multiplier_product
 from .mha import Functional, RegularMHA, cover, find_local_units, verify_mha_axioms
 from .sweedler import ConstLeg, DeltaLeg, SweedlerExpr, sweedler_eval
@@ -31,7 +31,6 @@ __all__ = [
     "Functional",
     "I",
     "LinearMap",
-    "Matrix",
     "Multiplier",
     "ONE",
     "RegularMHA",

@@ -23,11 +23,11 @@ from .algebras import Algebra, Multiplier, multiplier_product, multiplier_space
 from .elements import Element, add_into
 from .errors import (
     AlgebraMismatch,
-    InfiniteDimensionalNoOracle,
+    InfiniteDimensional,
     NotHopf,
     NotUnitalHomomorphism,
 )
-from .linalg import Matrix, linear_solve
+from .linalg import linear_solve, nullspace
 from .mha import RegularMHA
 from .reports import Report
 
@@ -227,16 +227,12 @@ def verify_module_algebra(
 
     if s.is_finite() and h.algebra.is_finite:
         # non-degeneracy: act(a_i, x) = 0 for all i forces x = 0
-        rows = []
-        ridx = {k: i for i, k in enumerate(rkeys)}
-        mat = Matrix.zeros(len(akeys) * len(rkeys), len(rkeys))
-        for i, ka in enumerate(akeys):
+        rows: dict = {}  # (a-key, out-key) -> {j: coefficient of the unknown x_j}
+        for ka in akeys:
             for j, kx in enumerate(rkeys):
-                img = s.act(abasis(ka), rbasis(kx))
-                for k2, c in img.coeffs.items():
-                    r = i * len(rkeys) + ridx[k2]
-                    mat.rows[r][j] = mat.rows[r][j] + c
-        rep.add("nondegenerate", not mat.nullspace(), "pass", None)
+                for k2, c in s.act(abasis(ka), rbasis(kx)).coeffs.items():
+                    add_into(rows.setdefault((ka, k2), {}), j, c)
+        rep.add("nondegenerate", not nullspace(rows.values(), len(rkeys)), "pass", None)
     else:
         rep.skip("nondegenerate", "infinite-dimensional")
 
@@ -285,7 +281,7 @@ def _counit_one_element(h: RegularMHA) -> Element:
         c = h.counit_key(k)
         if c:
             return Element.basis(h.domain, k).scale(c.inverse())
-    raise InfiniteDimensionalNoOracle(f"{h.name}: no basis key with eps != 0 in window")
+    raise InfiniteDimensional(f"{h.name}: no basis key with eps != 0 in window")
 
 
 def trivial_action(h: RegularMHA, ralg: Algebra) -> ActionSpec:
@@ -333,7 +329,7 @@ def adjoint_action(h: RegularMHA) -> ActionSpec:
                     labels.append((ka, kx))
             sol = linear_solve(gens, v)
             if sol is None:
-                raise InfiniteDimensionalNoOracle("adjoint witness window too small")
+                raise InfiniteDimensional("adjoint witness window too small")
             return [
                 (Element.basis(h.domain, ka), Element.basis(h.domain, kx).scale(c))
                 for (ka, kx), c in zip(labels, sol)
@@ -476,26 +472,24 @@ def fixed_points(s: ActionSpec, where: str = "in_R") -> list:
     h = s.mha
     alg = s.ralg
     if not (s.is_finite() and h.algebra.is_finite):
-        raise InfiniteDimensionalNoOracle(s.name)
+        raise InfiniteDimensional(s.name)
     akeys = h.algebra.basis
     rkeys = s.space_basis
 
     if where == "in_R" or (where == "in_M_R" and alg.identity is not None):
-        ridx = {k: i for i, k in enumerate(rkeys)}
-        mat = Matrix.zeros(len(akeys) * len(rkeys), len(rkeys))
-        for i, ka in enumerate(akeys):
+        rows: dict = {}  # (a-key, out-key) -> {j: coefficient of the unknown x_j}
+        for ka in akeys:
             a = Element.basis(h.domain, ka)
             eps = h.counit(a)
             for j, kx in enumerate(rkeys):
                 img = s.act(a, Element.basis(s.space_domain, kx))
                 for k2, c in img.coeffs.items():
-                    r = i * len(rkeys) + ridx[k2]
-                    mat.rows[r][j] = mat.rows[r][j] + c
+                    add_into(rows.setdefault((ka, k2), {}), j, c)
                 if eps:
-                    r = i * len(rkeys) + ridx[kx]
-                    mat.rows[r][j] = mat.rows[r][j] - eps
+                    add_into(rows.setdefault((ka, kx), {}), j, -eps)
         basis = [
-            Element(s.space_domain, dict(zip(rkeys, v))) for v in mat.nullspace()
+            Element(s.space_domain, dict(zip(rkeys, v)))
+            for v in nullspace(rows.values(), len(rkeys))
         ]
         if where == "in_M_R":
             out = [Multiplier.from_element(alg, e) for e in basis]
@@ -518,17 +512,13 @@ def fixed_points(s: ActionSpec, where: str = "in_R") -> list:
                 am_minus.append(diff.right(x))
         rvecs.append(am_minus)
     # solve sum_j c_j rvecs[j] = 0 componentwise
-    ridx = {k: i for i, k in enumerate(rkeys)}
-    ncomp = len(rvecs[0]) if rvecs else 0
-    mat = Matrix.zeros(ncomp * len(rkeys), len(mspace))
+    rows: dict = {}  # (component, out-key) -> {j: coefficient of c_j}
     for j, vec in enumerate(rvecs):
         for ci, el in enumerate(vec):
             for k2, c in el.coeffs.items():
-                mat.rows[ci * len(rkeys) + ridx[k2]][j] = (
-                    mat.rows[ci * len(rkeys) + ridx[k2]][j] + c
-                )
+                add_into(rows.setdefault((ci, k2), {}), j, c)
     out = []
-    for v in mat.nullspace():
+    for v in nullspace(rows.values(), len(mspace)):
         m = None
         for c, mm in zip(v, mspace):
             if c:
@@ -686,7 +676,7 @@ def tensor_module(m1: ModuleSpec, m2: ModuleSpec) -> ModuleSpec:
                     labels.append((a, w))
         sol = linear_solve(gens, v)
         if sol is None:
-            raise InfiniteDimensionalNoOracle("tensor witness window too small")
+            raise InfiniteDimensional("tensor witness window too small")
         return [(a, w.scale(c)) for (a, w), c in zip(labels, sol) if c]
 
     return ModuleSpec(

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from .elements import Element, add_into
 from .errors import DomainMismatch, InfiniteDimensional, NoIdentity
-from .linalg import Matrix
+from .linalg import nullspace
 from .scalars import Scalar
 
 
@@ -198,20 +198,17 @@ def radicals(alg: Algebra) -> tuple[list[Element], list[Element]]:
     keys = alg.basis
     if keys is None:
         raise InfiniteDimensional(alg.name)
-    n = len(keys)
-    out_idx = {k: i for i, k in enumerate(keys)}
-    mat_l = Matrix.zeros(n * n, n)  # rows: (i, out-coordinate); cols: unknown x_j
-    mat_r = Matrix.zeros(n * n, n)
+    rows_l: dict = {}  # (i, out-key) -> {j: coefficient of the unknown x_j}
+    rows_r: dict = {}
     for i, ki in enumerate(keys):
         for j, kj in enumerate(keys):
             for k, c in alg.mul_basis(ki, kj).coeffs.items():
-                r = i * n + out_idx[k]
-                mat_l.rows[r][j] = mat_l.rows[r][j] + c
+                add_into(rows_l.setdefault((i, k), {}), j, c)
             for k, c in alg.mul_basis(kj, ki).coeffs.items():
-                r = i * n + out_idx[k]
-                mat_r.rows[r][j] = mat_r.rows[r][j] + c
-    left_killed = [Element(alg.domain, dict(zip(keys, v))) for v in mat_l.nullspace()]
-    right_killed = [Element(alg.domain, dict(zip(keys, v))) for v in mat_r.nullspace()]
+                add_into(rows_r.setdefault((i, k), {}), j, c)
+    n = len(keys)
+    left_killed = [Element(alg.domain, dict(zip(keys, v))) for v in nullspace(rows_l.values(), n)]
+    right_killed = [Element(alg.domain, dict(zip(keys, v))) for v in nullspace(rows_r.values(), n)]
     return left_killed, right_killed
 
 
@@ -268,15 +265,9 @@ def multiplier_space(alg: Algebra) -> list[Multiplier]:
                 for k, c in alg.mul_basis(ka, ki).coeffs.items():
                     per_out.setdefault(kidx[k], {})
                     add_into(per_out[kidx[k]], lvar(i, kidx[kb]), -c)
-            for out in sorted(per_out):
-                if per_out[out]:
-                    row_entries.append(per_out[out])
-    mat = Matrix.zeros(len(row_entries), 2 * n * n)
-    for r, entries in enumerate(row_entries):
-        for var, c in entries.items():
-            mat.rows[r][var] = c
+            row_entries.extend(per_out.values())
     out = []
-    for v in mat.nullspace():
+    for v in nullspace(row_entries, 2 * n * n):
         ltab = {
             keys[j]: Element(alg.domain, {keys[i]: v[lvar(i, j)] for i in range(n)})
             for j in range(n)
@@ -297,18 +288,6 @@ def multiplier_space(alg: Algebra) -> list[Multiplier]:
 
         out.append(Multiplier(alg, mk(ltab), mk(rtab)))
     return out
-
-
-def operator_matrix(alg: Algebra, op: Callable) -> Matrix:
-    """Matrix of a linear operator on a finite-dimensional algebra."""
-    keys = alg.basis
-    idx = {k: i for i, k in enumerate(keys)}
-    m = Matrix.zeros(len(keys), len(keys))
-    for j, k in enumerate(keys):
-        img = op(alg.basis_element(k))
-        for k2, c in img.coeffs.items():
-            m.rows[idx[k2]][j] = c
-    return m
 
 
 def operator_element(alg: Algebra, op: Callable, domain: str) -> Element:

@@ -19,15 +19,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .algebras import Algebra
-from .elements import Element, TensorElement, add_into, weight_leg
-from .errors import (
-    InfiniteDimensional,
-    InfiniteDimensionalNoOracle,
-    NotFiniteDimensional,
-    Singular,
-    Undecidable,
-)
-from .linalg import LinearMap, Matrix
+from .elements import Element, TensorElement, add_into, map_leg, weight_leg
+from .errors import InfiniteDimensional, Singular, Undecidable
+from .linalg import LinearMap, nullspace, span_rank
 from .mha import Functional, RegularMHA
 from .reports import Report
 from .scalars import Scalar
@@ -80,14 +74,8 @@ def _integral_solutions(h: RegularMHA, side: str) -> list[Element]:
             for out, coeff in b.coeffs.items():
                 per_out.setdefault(out, {})
                 add_into(per_out[out], kidx[ka], -coeff)
-            for out in sorted(per_out):
-                if per_out[out]:
-                    rows.append(per_out[out])
-    mat = Matrix.zeros(len(rows), n)
-    for r, entries in enumerate(rows):
-        for j, c in entries.items():
-            mat.rows[r][j] = c
-    return [Element(f"{h.domain}'", dict(zip(keys, v))) for v in mat.nullspace()]
+            rows.extend(per_out.values())
+    return [Element(f"{h.domain}'", dict(zip(keys, v))) for v in nullspace(rows, n)]
 
 
 def _normalize_vector(e: Element) -> Element:
@@ -102,7 +90,7 @@ def find_integral(h: RegularMHA, side: str = "left") -> tuple[Functional, int]:
     oracle = h.integral_oracle if side == "left" else h.right_integral_oracle
     if not h.algebra.is_finite:
         if oracle is None:
-            raise InfiniteDimensionalNoOracle(f"{h.name}: no {side} integral oracle")
+            raise InfiniteDimensional(f"{h.name}: no {side} integral oracle")
         return oracle, 1
     sols = _integral_solutions(h, side)
     if not sols:
@@ -114,14 +102,25 @@ def find_integral(h: RegularMHA, side: str = "left") -> tuple[Functional, int]:
     )
 
 
-def integral_matrix(h: RegularMHA, phi: Functional) -> Matrix:
-    """The bilinear form (a, b) -> phi(a b) on the basis."""
+def integral_matrix(h: RegularMHA, phi: Functional) -> list[Element]:
+    """The bilinear form (a, b) -> phi(a b), one sparse column per basis key b:
+    the values of the functional phi(. b) on the basis."""
     keys = h.algebra.basis
-    m = Matrix.zeros(len(keys), len(keys))
-    for i, ki in enumerate(keys):
-        for j, kj in enumerate(keys):
-            m.rows[i][j] = phi(h.algebra.mul_basis(ki, kj))
-    return m
+    return [
+        Element(f"{h.domain}'", {ka: phi(h.algebra.mul_basis(ka, kb)) for ka in keys})
+        for kb in keys
+    ]
+
+
+def _values_to_coords(h: RegularMHA, phi: Functional, domain: str) -> LinearMap:
+    """F^-1 for F[i][j] = phi(a_i a_j): the values on the basis of a functional
+    w -> the coordinates c over ``domain`` with w = sum_j c_j phi(. a_j)."""
+    keys = h.algebra.basis
+    F = LinearMap(domain, f"{h.domain}'", dict(zip(keys, integral_matrix(h, phi))))
+    F_inv = F.inverse_on(keys, keys)
+    if F_inv is None:
+        raise Singular(f"{h.name}: left integral is not faithful")
+    return F_inv
 
 
 def make_aqg(h: RegularMHA) -> AlgebraicQuantumGroup:
@@ -188,7 +187,7 @@ def verify_integral(
     if alg.is_finite:
         rep.add(
             "faithful",
-            integral_matrix(h, phi).rank() == alg.dim,
+            span_rank(integral_matrix(h, phi)) == alg.dim,
             "pass",
             None,
         )
@@ -218,7 +217,6 @@ def verify_integral(
 def _cointegral_solutions(h: RegularMHA, side: str) -> list[Element]:
     alg = h.algebra
     keys = alg.basis
-    kidx = {k: i for i, k in enumerate(keys)}
     rows: list[dict] = []
     for ka in keys:
         eps_a = h.counit_key(ka)
@@ -233,14 +231,8 @@ def _cointegral_solutions(h: RegularMHA, side: str) -> list[Element]:
             if eps_a:
                 per_out.setdefault(kj, {})
                 add_into(per_out[kj], j, -eps_a)
-        for out in sorted(per_out):
-            if per_out[out]:
-                rows.append(per_out[out])
-    mat = Matrix.zeros(len(rows), len(keys))
-    for r, entries in enumerate(rows):
-        for j, c in entries.items():
-            mat.rows[r][j] = c
-    return [Element(h.domain, dict(zip(keys, v))) for v in mat.nullspace()]
+        rows.extend(per_out.values())
+    return [Element(h.domain, dict(zip(keys, v))) for v in nullspace(rows, len(keys))]
 
 
 def find_cointegral(h: RegularMHA, side: str = "left") -> Cointegral | None:
@@ -251,7 +243,7 @@ def find_cointegral(h: RegularMHA, side: str = "left") -> Cointegral | None:
     alg = h.algebra
     if not alg.is_finite:
         if h.cointegral_oracle is None:
-            raise InfiniteDimensionalNoOracle(f"{h.name}: no cointegral oracle")
+            raise InfiniteDimensional(f"{h.name}: no cointegral oracle")
         value = _normalize_vector(h.cointegral_oracle)
         sided = value
         # oracle values are verified on a sample window
@@ -313,16 +305,12 @@ def compute_modular_automorphism(g: AlgebraicQuantumGroup) -> LinearMap:
         raise InfiniteDimensional(h.name)
     phi = g.left_integral
     keys = alg.basis
-    F = integral_matrix(h, phi)  # F[i][j] = phi(a_i a_j)
-    F_inv = F.inverse()
-    if F_inv is None:
-        raise Singular(f"{h.name}: left integral is not faithful")
+    F_inv = _values_to_coords(h, phi, h.domain)
     table = {}
     for ka in keys:
         a = Element.basis(h.domain, ka)
-        w = Matrix([[phi(alg.mul(a, Element.basis(h.domain, kb)))] for kb in keys])
-        v = F_inv.mul(w)
-        table[ka] = Element(h.domain, {keys[i]: v.rows[i][0] for i in range(len(keys))})
+        w = {kb: phi(alg.mul(a, Element.basis(h.domain, kb))) for kb in keys}
+        table[ka] = F_inv(Element(F_inv.src_domain, w))
     sigma = LinearMap(h.domain, h.domain, table)
     for ka in keys:
         for kb in keys:
@@ -330,7 +318,7 @@ def compute_modular_automorphism(g: AlgebraicQuantumGroup) -> LinearMap:
             rhs = alg.mul(sigma(Element.basis(h.domain, ka)), sigma(Element.basis(h.domain, kb)))
             if lhs != rhs:
                 raise Singular(f"{h.name}: sigma fails multiplicativity at {(ka, kb)}")
-    if sigma.matrix(keys, keys).inverse() is None:
+    if span_rank(list(table.values())) != len(keys):
         raise Singular(f"{h.name}: sigma not bijective")
     return sigma
 
@@ -344,8 +332,7 @@ class DualBridge:
 
     base: AlgebraicQuantumGroup
     dual: "AlgebraicQuantumGroup"
-    F: Matrix  # F[i][j] = phi(a_i a_j)
-    F_inv: Matrix
+    F_inv: LinearMap  # values of a functional on the basis of A -> dual coordinates
 
     def __post_init__(self):
         self._sigma_inv = None
@@ -359,6 +346,10 @@ class DualBridge:
         for kj, c in omega.coeffs.items():
             total = total + c * phi(h.algebra.mul(x, Element.basis(h.domain, kj)))
         return total
+
+    def from_values(self, values: dict) -> Element:
+        """The dual element whose values on the basis of A are ``values``."""
+        return self.F_inv(Element(self.F_inv.src_domain, values))
 
     def from_right_slot(self, a: Element) -> Element:
         """phi(. a) as a dual element (the defining basis identification)."""
@@ -375,13 +366,8 @@ class DualBridge:
             if hit is None:
                 phi = self.base.left_integral
                 e = Element.basis(h.domain, k)
-                w = Matrix(
-                    [[phi(h.algebra.mul(e, Element.basis(h.domain, kb)))] for kb in keys]
-                )
-                v = self.F_inv.mul(w)
-                hit = Element(
-                    self.dual.base.domain,
-                    {keys[i]: v.rows[i][0] for i in range(len(keys))},
+                hit = self.from_values(
+                    {kb: phi(h.algebra.mul(e, Element.basis(h.domain, kb))) for kb in keys}
                 )
                 self._left_slot_cache[k] = hit
             out = out + hit.scale(coeff)
@@ -404,22 +390,16 @@ def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:
     h = g.base
     alg = h.algebra
     if not alg.is_finite:
-        raise NotFiniteDimensional(h.name)
+        raise InfiniteDimensional(h.name)
     if not h.has_identity:
-        raise NotFiniteDimensional(f"{h.name}: finite instances must be unital")
+        raise InfiniteDimensional(f"{h.name}: finite instances must be unital")
     keys = alg.basis
-    n = len(keys)
-    kidx = {k: i for i, k in enumerate(keys)}
     phi = g.left_integral
-    F = integral_matrix(h, phi)
-    F_inv = F.inverse()
-    if F_inv is None:
-        raise Singular(f"{h.name}: integral not faithful")
     dd = f"dual({h.domain})"
+    F_inv = _values_to_coords(h, phi, dd)
 
     def to_coords(values: list[Scalar]) -> Element:
-        v = F_inv.mul(Matrix([[x] for x in values]))
-        return Element(dd, {keys[i]: v.rows[i][0] for i in range(n)})
+        return F_inv(Element(F_inv.src_domain, dict(zip(keys, values))))
 
     # product table: (w_i w_j)(a_k) = w_i( (id (x) phi)(t1(a_k, a_j)) )
     def dual_mul(ki, kj):
@@ -441,24 +421,19 @@ def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:
         name=dd,
     )
 
-    # coproduct: solve F C F^T = M with M[i][j] = w_m(a_i a_j)
-    F_inv_T = F_inv.transpose()
+    # coproduct: solve F C F^T = M with M[i][j] = w_m(a_i a_j), i.e. apply
+    # F^-1 to both legs of M
+    values = F_inv.src_domain
 
     def dual_delta(km) -> TensorElement:
         am = Element.basis(h.domain, km)
-        M = Matrix.zeros(n, n)
-        for i, ki in enumerate(keys):
-            for j, kj in enumerate(keys):
-                M.rows[i][j] = phi(
-                    alg.mul(alg.mul_basis(ki, kj), am)
-                )
-        C = F_inv.mul(M).mul(F_inv_T)
-        acc = {}
-        for i in range(n):
-            for j in range(n):
-                if C.rows[i][j]:
-                    acc[(keys[i], keys[j])] = C.rows[i][j]
-        return TensorElement((dd, dd), acc)
+        M = {
+            (ki, kj): phi(alg.mul(alg.mul_basis(ki, kj), am)) for ki in keys for kj in keys
+        }
+        C = TensorElement((values, values), M)
+        for leg in (0, 1):
+            C = map_leg(C, leg, F_inv.table.__getitem__, dd)
+        return C
 
     def dual_counit(km) -> Scalar:
         return phi(alg.mul(alg.one(), Element.basis(h.domain, km)))
@@ -496,7 +471,7 @@ def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:
     dual_g = make_aqg(dual_h)
     dual_g.meta["dual_of"] = h.name
     dual_g.meta["integral_normalization"] = "first-nonzero-coordinate=1"
-    bridge = DualBridge(g, dual_g, F, F_inv)
+    bridge = DualBridge(g, dual_g, F_inv)
     dual_g.bridge = bridge
     return dual_g
 
@@ -583,7 +558,7 @@ def verify_mha_isomorphism(
         skeys is not None
         and dkeys is not None
         and len(skeys) == len(dkeys)
-        and iso.matrix(skeys, dkeys).inverse() is not None,
+        and span_rank([iso.table[k] for k in skeys]) == len(dkeys),
         "pass",
     )
 
@@ -641,13 +616,10 @@ def double_dual_matching(g: AlgebraicQuantumGroup) -> tuple:
     h = g.base
     keys = h.algebra.basis
     dkeys = gd.base.algebra.basis
-    F_hat_inv = bridge2.F_inv
     table = {}
     for ka in keys:
         a = Element.basis(h.domain, ka)
-        vals = [bridge.eval_dual(Element.basis(gd.base.domain, kj), a) for kj in dkeys]
-        v = F_hat_inv.mul(Matrix([[x] for x in vals]))
-        table[ka] = Element(
-            gdd.base.domain, {dkeys[i]: v.rows[i][0] for i in range(len(dkeys))}
+        table[ka] = bridge2.from_values(
+            {kj: bridge.eval_dual(Element.basis(gd.base.domain, kj), a) for kj in dkeys}
         )
     return gdd, LinearMap(h.domain, gdd.base.domain, table)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 
 from .actions import (
     adjoint_action,
@@ -441,15 +441,14 @@ def _confluence_report(h: RegularMHA, seed: int) -> Report:
 
 
 def run_suite(suite: str, args) -> tuple[Report, int]:
-    checks = build_suite(suite, args)
-    results: list[Report | None] = [None] * len(checks)
-
-    def run_one(item):
-        idx, name, thunk = item
+    results = []
+    for _, name, thunk in build_suite(suite, args):
         t0 = time.perf_counter()
         try:
             rep = thunk()
-        except MHopfError as ex:
+        except Exception as ex:  # a bug in one check must not abort the run
+            if not isinstance(ex, MHopfError):
+                traceback.print_exc(file=sys.stderr)
             rep = Report(instance=name)
             rep.entries.append(
                 CheckResult(name, type(ex).__name__, "fail", str(ex))
@@ -458,16 +457,7 @@ def run_suite(suite: str, args) -> tuple[Report, int]:
         for e in rep.entries:
             if e.elapsed is None:
                 e.elapsed = elapsed
-        return idx, name, rep
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for idx, name, rep in pool.map(run_one, checks):
-                results[idx] = (name, rep)
-    else:
-        for item in checks:
-            idx, name, rep = run_one(item)
-            results[idx] = (name, rep)
+        results.append((name, rep))
 
     merged = Report()
     for name, rep in results:
@@ -494,7 +484,6 @@ def main(argv=None) -> int:
     run.add_argument("--json", action="store_true")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--timing", action="store_true")
-    run.add_argument("--jobs", type=int, default=1)
     run.add_argument(
         "--recheck-certificates",
         action="store_true",

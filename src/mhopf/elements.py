@@ -255,32 +255,6 @@ def tensor(*factors: Element) -> TensorElement:
     return TensorElement(domains, acc, _canon=True)
 
 
-def tensor_mixed(parts: list) -> TensorElement:
-    """Tensor a list whose entries are Elements or TensorElements."""
-    domains: list = []
-    for p in parts:
-        if isinstance(p, TensorElement):
-            domains.extend(p.domains)
-        else:
-            domains.append(p.domain)
-    acc: dict = {}
-
-    def rec(i, keys, coeff):
-        if i == len(parts):
-            add_into(acc, tuple(keys), coeff)
-            return
-        p = parts[i]
-        if isinstance(p, TensorElement):
-            for k, c in p.coeffs.items():
-                rec(i + 1, keys + list(k), coeff * c)
-        else:
-            for k, c in p.coeffs.items():
-                rec(i + 1, keys + [k], coeff * c)
-
-    rec(0, [], ONE)
-    return TensorElement(tuple(domains), acc, _canon=True)
-
-
 def flip(t: TensorElement, i: int, j: int) -> TensorElement:
     """Exchange legs ``i`` and ``j`` (0-based); involutive."""
     n = t.arity

@@ -30,15 +30,7 @@ class NoIdentity(MHopfError):
 
 
 class InfiniteDimensional(MHopfError):
-    """Operation requires a finite-dimensional instance."""
-
-
-class InfiniteDimensionalNoOracle(InfiniteDimensional):
-    """Infinite-dimensional instance without the needed oracle."""
-
-
-class NotFiniteDimensional(InfiniteDimensional):
-    """Alias used by the duality layer."""
+    """Operation requires a finite-dimensional instance, or an oracle it lacks."""
 
 
 class Undecidable(MHopfError):

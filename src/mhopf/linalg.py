@@ -1,133 +1,145 @@
-"""Dense exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals: one sparse elimination engine.
 
-Everything here is deterministic: Gaussian elimination always takes the
-first row with a nonzero entry in the current column, and Element-level
-solvers order their rows by sorted basis keys.  Failures are therefore
-reproducible bit for bit.
+Rows are dicts key -> nonzero Scalar over orderable keys.  :class:`SparseEliminator`
+pivots on the least key of each row, and its Gauss-Jordan back-substitution
+brings the rows to the reduced row echelon form, which is unique for the
+span and the key order.  Every rank, span test, nullspace, solve and inverse
+is read off that form, so results do not depend on the order in which rows
+arrive, and failures are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable, Sequence
 
-from .elements import Element
+from .elements import Element, add_into
 from .errors import DomainMismatch
 from .scalars import ONE, ZERO, Scalar
 
 
-class Matrix:
-    """Mutable dense matrix of Scalars; rows of equal length."""
+class SparseEliminator:
+    """Incremental sparse row reduction keyed by sorted basis keys.
 
-    __slots__ = ("rows", "m", "n")
+    Each accepted pivot row is normalised to 1 on its least key (its lead)
+    and holds no lead of an earlier pivot row.
+    """
 
-    def __init__(self, rows: list, ncols: int | None = None):
-        self.rows = [list(r) for r in rows]
-        self.m = len(self.rows)
-        self.n = len(self.rows[0]) if self.rows else (ncols or 0)
+    def __init__(self):
+        self.pivots: dict = {}  # lead key -> row
 
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "Matrix":
-        return cls([[ZERO] * n for _ in range(m)], ncols=n)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        rows = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = ONE
-        return cls(rows)
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.m)] for j in range(self.n)])
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        assert self.n == other.m
-        out = Matrix.zeros(self.m, other.n)
-        for i in range(self.m):
-            row = self.rows[i]
-            orow = out.rows[i]
-            for k in range(self.n):
-                c = row[k]
-                if not c:
-                    continue
-                brow = other.rows[k]
-                for j in range(other.n):
-                    if brow[j]:
-                        orow[j] = orow[j] + c * brow[j]
-        return out
-
-    def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and its pivot columns (first-nonzero pivoting)."""
-        a = self.copy()
-        pivots: list[int] = []
-        r = 0
-        for c in range(a.n):
-            pivot = None
-            for i in range(r, a.m):
-                if a.rows[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
+    def reduce(self, row: dict) -> dict:
+        """``row`` minus the multiples of pivot rows that clear every lead in it."""
+        pivots = self.pivots
+        row = dict(row)
+        # a pivot row holds only keys above its lead, so clearing leads in
+        # ascending order never brings back a lead already cleared
+        todo = [k for k in row if k in pivots]
+        heapify(todo)
+        while todo:
+            lead = heappop(todo)
+            c = row.get(lead)
+            if c is None:  # queued twice and already cleared
                 continue
-            a.rows[r], a.rows[pivot] = a.rows[pivot], a.rows[r]
-            inv = a.rows[r][c].inverse()
-            a.rows[r] = [x * inv for x in a.rows[r]]
-            for i in range(a.m):
-                if i != r and a.rows[i][c]:
-                    f = a.rows[i][c]
-                    a.rows[i] = [
-                        x - f * y for x, y in zip(a.rows[i], a.rows[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == a.m:
-                break
-        return a, pivots
+            for k, v in pivots[lead].items():
+                cur = row.get(k)
+                if cur is None:
+                    row[k] = -c * v
+                    if k in pivots:
+                        heappush(todo, k)
+                else:
+                    nv = cur - c * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+        return row
 
+    def add(self, row: dict) -> bool:
+        """Reduce and keep the row; True if it enlarged the span."""
+        red = self.reduce(row)
+        if not red:
+            return False
+        lead = min(red)
+        inv = red[lead].inverse()
+        self.pivots[lead] = {k: v * inv for k, v in red.items()}
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
+
+    @property
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.pivots)
 
-    def solve(self, rhs: "Matrix") -> "Matrix | None":
-        """One exact solution of ``self @ X = rhs`` (free variables 0), or None."""
-        assert rhs.m == self.m
-        aug = Matrix([self.rows[i] + rhs.rows[i] for i in range(self.m)])
-        red, pivots = aug.rref()
-        piv_in_lhs = [p for p in pivots if p < self.n]
-        # inconsistent iff a pivot lands in the rhs block
-        if len(piv_in_lhs) != len(pivots):
-            return None
-        x = Matrix.zeros(self.n, rhs.n)
-        for r, p in enumerate(piv_in_lhs):
-            for j in range(rhs.n):
-                x.rows[p][j] = red.rows[r][self.n + j]
-        return x
+    def back_substitute(self) -> dict:
+        """Gauss-Jordan step: clear every lead from the other pivot rows.
 
-    def nullspace(self) -> list[list[Scalar]]:
-        """Deterministic basis of the right kernel."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.n) if c not in pivset]
-        basis = []
-        for f in free:
-            v = [ZERO] * self.n
-            v[f] = ONE
-            for r, p in enumerate(pivots):
-                v[p] = -red.rows[r][f]
-            basis.append(v)
-        return basis
+        Returns ``pivots`` in reduced row echelon form: each row has 1 at its
+        lead and 0 at every other lead.
+        """
+        pivots = self.pivots
+        for lead, row in pivots.items():
+            tail = self.reduce({k: v for k, v in row.items() if k != lead})
+            tail[lead] = row[lead]
+            pivots[lead] = tail
+        return pivots
 
-    def inverse(self) -> "Matrix | None":
-        if self.m != self.n:
-            return None
-        sol = self.solve(Matrix.identity(self.n))
-        if sol is None:
-            return None
-        # solve() returns garbage-free only if rank is full; verify
-        if self.mul(sol).rows != Matrix.identity(self.n).rows:
-            return None
-        return sol
+
+def _eliminate(rows: Iterable[dict]) -> SparseEliminator:
+    elim = SparseEliminator()
+    for row in rows:
+        elim.add(row)
+    return elim
+
+
+def nullspace(rows: Iterable[dict], ncols: int) -> list[list[Scalar]]:
+    """Basis of the right kernel of the matrix with the given sparse rows.
+
+    Rows map column indices in ``range(ncols)`` to Scalars.  There is one
+    vector per free column: 1 there and 0 at every other free column.
+    """
+    red = _eliminate(rows).back_substitute()
+    basis = []
+    for f in range(ncols):
+        if f in red:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for p, row in red.items():
+            c = row.get(f)
+            if c is not None:
+                v[p] = -c
+        basis.append(v)
+    return basis
+
+
+def solve(rows: Iterable[dict], ncols: int) -> list[Scalar] | None:
+    """One x with A x = b, free variables 0, or None if b is not in the column span of A.
+
+    ``rows`` are the sparse rows of the augmented matrix [A | b]: column
+    indices ``0..ncols-1`` hold A and index ``ncols`` holds b.
+    """
+    elim = _eliminate(rows)
+    if ncols in elim.pivots:
+        return None
+    x = [ZERO] * ncols
+    for p, row in elim.back_substitute().items():
+        x[p] = row.get(ncols, ZERO)
+    return x
+
+
+def inverse(rows: Sequence[dict], n: int) -> list[dict] | None:
+    """Sparse rows of the inverse of the n x n matrix with the given rows, or None if singular.
+
+    Reduces [A | I]: A is invertible exactly when every lead lies in A, and
+    then the reduced form is [I | A^-1].
+    """
+    elim = _eliminate({**row, n + i: ONE} for i, row in enumerate(rows))
+    if elim.rank != n or any(p >= n for p in elim.pivots):
+        return None
+    red = elim.back_substitute()
+    return [{j - n: c for j, c in sorted(red[i].items()) if j >= n} for i in range(n)]
 
 
 # -- Element-level helpers -------------------------------------------------
@@ -140,134 +152,38 @@ def _common_domain(elements: Sequence[Element]) -> str:
     return domains.pop()
 
 
-def elements_to_matrix(elements: Sequence[Element], keys: Sequence) -> Matrix:
-    """Column matrix of the elements' coefficients over the given row keys."""
-    idx = {k: i for i, k in enumerate(keys)}
-    mat = Matrix.zeros(len(keys), len(elements))
-    for j, e in enumerate(elements):
-        for k, c in e.coeffs.items():
-            mat.rows[idx[k]][j] = c
-    return mat
-
-
-def union_support(elements: Sequence[Element]) -> list:
-    keys = set()
-    for e in elements:
-        keys.update(e.coeffs)
-    return sorted(keys)
-
-
 def linear_solve(generators: Sequence[Element], target: Element):
     """Exact coefficients c with sum(c_i * g_i) = target, or None.
 
-    Deterministic: rows are the sorted union support, elimination pivots on
-    the first nonzero entry.
+    Deterministic: the coefficients of generators outside the pivot columns
+    of the reduced echelon form are 0.
     """
     _common_domain(list(generators) + [target])
-    keys = union_support(list(generators) + [target])
-    a = elements_to_matrix(generators, keys)
-    b = elements_to_matrix([target], keys)
-    sol = a.solve(b)
-    if sol is None:
-        return None
-    coeffs = [sol.rows[i][0] for i in range(len(generators))]
-    # solve() guarantees consistency of the augmented system exactly
-    return coeffs
-
-
-class SparseEliminator:
-    """Incremental sparse row reduction keyed by sorted basis keys.
-
-    Rows are dicts key -> Scalar; each accepted pivot row is normalised on
-    its least key.  Scales to large sparse operator families where a dense
-    rref would not.
-    """
-
-    def __init__(self):
-        self.pivots: dict = {}  # lead key -> reduced row
-
-    @staticmethod
-    def _lead(row: dict):
-        return min(row)
-
-    def reduce(self, row: dict) -> dict:
-        row = dict(row)
-        while row:
-            lead = self._lead(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return row
-            c = row[lead]
-            for k, v in piv.items():
-                cur = row.get(k)
-                nv = (cur - c * v) if cur is not None else -c * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-        return row
-
-    def add(self, row: dict) -> bool:
-        """Reduce and keep the row; True if it enlarged the span."""
-        red = self.reduce(row)
-        if not red:
-            return False
-        lead = self._lead(red)
-        inv = red[lead].inverse()
-        self.pivots[lead] = {k: v * inv for k, v in red.items()}
-        return True
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    n = len(generators)
+    rows: dict = {k: {n: c} for k, c in target.coeffs.items()}
+    for j, g in enumerate(generators):
+        for k, c in g.coeffs.items():
+            rows.setdefault(k, {})[j] = c
+    return solve(rows.values(), n)
 
 
 def span_rank(elements: Sequence[Element]) -> int:
-    elim = SparseEliminator()
-    for e in elements:
-        elim.add(e.coeffs)
-    return elim.rank
+    return _eliminate(e.coeffs for e in elements).rank
 
 
 def in_span(generators: Sequence[Element], target: Element) -> bool:
-    elim = SparseEliminator()
-    for e in generators:
-        elim.add(e.coeffs)
-    return elim.contains(target.coeffs)
+    return _eliminate(e.coeffs for e in generators).contains(target.coeffs)
 
 
 def spans_same(a: Sequence[Element], b: Sequence[Element]) -> bool:
     """Exact subspace equality: equal ranks and mutual containment."""
-    ea, eb = SparseEliminator(), SparseEliminator()
-    for e in a:
-        ea.add(e.coeffs)
-    for e in b:
-        eb.add(e.coeffs)
+    ea = _eliminate(e.coeffs for e in a)
+    eb = _eliminate(e.coeffs for e in b)
     if ea.rank != eb.rank:
         return False
     return all(ea.contains(e.coeffs) for e in b) and all(
         eb.contains(e.coeffs) for e in a
     )
-
-
-def kernel_elements(
-    rows: Sequence[Element], unknowns_domain: str, unknown_keys: Sequence
-) -> list[Element]:
-    """Kernel of the map sending the unknown vector to the stacked rows.
-
-    ``rows[i]`` is interpreted as the linear constraint whose coefficient on
-    unknown ``unknown_keys[j]`` is ``rows[i].coeff(unknown_keys[j])``.
-    """
-    mat = Matrix(
-        [[r.coeff(k) for k in unknown_keys] for r in rows]
-    )
-    return [
-        Element(unknowns_domain, dict(zip(unknown_keys, v)))
-        for v in mat.nullspace()
-    ]
 
 
 class LinearMap:
@@ -283,10 +199,11 @@ class LinearMap:
     def __call__(self, x: Element) -> Element:
         if x.domain != self.src_domain:
             raise DomainMismatch(f"{x.domain!r} vs {self.src_domain!r}")
-        out = Element.zero(self.dst_domain)
+        acc: dict = {}
         for k, c in x.coeffs.items():
-            out = out + self.table[k].scale(c)
-        return out
+            for k2, c2 in self.table[k].coeffs.items():
+                add_into(acc, k2, c2 * c)
+        return Element(self.dst_domain, acc, _canon=True)
 
     @classmethod
     def from_function(cls, src_domain, dst_domain, keys, fn: Callable) -> "LinearMap":
@@ -299,22 +216,19 @@ class LinearMap:
             {k: self(v) for k, v in inner.table.items()},
         )
 
-    def matrix(self, src_keys: Sequence, dst_keys: Sequence) -> Matrix:
-        idx = {k: i for i, k in enumerate(dst_keys)}
-        mat = Matrix.zeros(len(dst_keys), len(src_keys))
-        for j, k in enumerate(src_keys):
-            for k2, c in self.table[k].coeffs.items():
-                mat.rows[idx[k2]][j] = c
-        return mat
-
     def inverse_on(self, src_keys: Sequence, dst_keys: Sequence) -> "LinearMap | None":
-        inv = self.matrix(src_keys, dst_keys).inverse()
+        """The inverse, or None unless the map is a bijection span(src_keys) -> span(dst_keys)."""
+        didx = {k: i for i, k in enumerate(dst_keys)}
+        # the transpose has the image of src_keys[j] as row j, and the
+        # inverse of the transpose has the preimage of dst_keys[i] as row i
+        rows = [
+            {didx[k]: c for k, c in self.table[ks].coeffs.items()} for ks in src_keys
+        ]
+        inv = inverse(rows, len(dst_keys))
         if inv is None:
             return None
-        table = {}
-        for j, k in enumerate(dst_keys):
-            table[k] = Element(
-                self.src_domain,
-                {src_keys[i]: inv.rows[i][j] for i in range(len(src_keys))},
-            )
+        table = {
+            kd: Element(self.src_domain, {src_keys[j]: c for j, c in row.items()}, _canon=True)
+            for kd, row in zip(dst_keys, inv)
+        }
         return LinearMap(self.dst_domain, self.src_domain, table)

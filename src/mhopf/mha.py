@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 from .algebras import Algebra, Multiplier
 from .elements import Element, TensorElement, add_into, flip, map_leg, merge_legs, tensor, weight_leg
 from .errors import DomainMismatch, LocalUnitsNotFound, NoIdentity
-from .linalg import Matrix, union_support
+from .linalg import linear_solve
 from .reports import Report
 from .scalars import Scalar
 
@@ -420,28 +420,17 @@ def _stack_solve(products: list[list[Element]], targets: list[Element]):
     """Solve sum_j c_j * products[j][i] = targets[i] for all i, exactly.
 
     products[j] is the stacked column for candidate j.  Returns the c_j list
-    or None.  Rows are ordered by (item index, sorted support key).
+    or None.
     """
-    n_items = len(targets)
-    keys = []
-    for i in range(n_items):
-        cols = [p[i] for p in products] + [targets[i]]
-        for k in union_support(cols):
-            keys.append((i, k))
-    mat = Matrix.zeros(len(keys), len(products))
-    rhs = Matrix.zeros(len(keys), 1)
-    kidx = {k: r for r, k in enumerate(keys)}
-    for j, col in enumerate(products):
-        for i in range(n_items):
-            for k, c in col[i].coeffs.items():
-                mat.rows[kidx[(i, k)]][j] = c
-    for i in range(n_items):
-        for k, c in targets[i].coeffs.items():
-            rhs.rows[kidx[(i, k)]][0] = c
-    sol = mat.solve(rhs)
-    if sol is None:
-        return None
-    return [sol.rows[j][0] for j in range(len(products))]
+
+    def stack(parts: list[Element]) -> Element:
+        return Element(
+            "stack",
+            {(i, k): c for i, part in enumerate(parts) for k, c in part.coeffs.items()},
+            _canon=True,
+        )
+
+    return linear_solve([stack(col) for col in products], stack(targets))
 
 
 def find_local_units(

@@ -26,8 +26,8 @@ from .actions import ActionSpec, fixed_points, verify_module_algebra
 from .algebras import Algebra, Multiplier, operator_element
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
 from .elements import Element, add_into, weight_leg
-from .errors import NotFiniteDimensional, Singular
-from .linalg import Matrix, span_rank
+from .errors import InfiniteDimensional, Singular
+from .linalg import span_rank
 from .mha import RegularMHA
 from .reports import Report
 from .scalars import ONE, Scalar
@@ -63,17 +63,24 @@ class DualPair:
         return self.B.algebra.one()
 
 
+def _pairing_full_rank(p: DualPair, akeys: Sequence, bkeys: Sequence) -> bool:
+    """Whether the pairing matrix <a_i, b_j> on the given keys has full rank."""
+    rows = [
+        Element(
+            p.B.domain,
+            {kb: p.pair(Element.basis(p.A.domain, ka), Element.basis(p.B.domain, kb))
+             for kb in bkeys},
+        )
+        for ka in akeys
+    ]
+    return span_rank(rows) == min(len(akeys), len(bkeys))
+
+
 def assert_nondegenerate(p: DualPair, window: int = 3) -> DualPair:
     """Reject degenerate pairings at construction (sampled window rank)."""
     akeys = p.A.algebra.sample_keys(window)
     bkeys = p.B.algebra.sample_keys(window)
-    mat = Matrix.zeros(len(akeys), len(bkeys))
-    for i, ka in enumerate(akeys):
-        for j, kb in enumerate(bkeys):
-            mat.rows[i][j] = p.pair(
-                Element.basis(p.A.domain, ka), Element.basis(p.B.domain, kb)
-            )
-    if mat.rank() != min(len(akeys), len(bkeys)):
+    if not _pairing_full_rank(p, akeys, bkeys):
         raise Singular(f"{p.name}: degenerate pairing")
     return p
 
@@ -161,13 +168,7 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
     status = "pass" if exhaustive else "sampled-pass"
 
     # non-degeneracy as full rank of the pairing matrix on the sample
-    mat = Matrix.zeros(len(akeys), len(bkeys))
-    for i, ka in enumerate(akeys):
-        for j, kb in enumerate(bkeys):
-            mat.rows[i][j] = p.pair(
-                Element.basis(A.domain, ka), Element.basis(B.domain, kb)
-            )
-    rep.add("nondegenerate", mat.rank() == min(len(akeys), len(bkeys)), status)
+    rep.add("nondegenerate", _pairing_full_rank(p, akeys, bkeys), status)
 
     def apair(k):
         return Element.basis(A.domain, k)
@@ -623,7 +624,7 @@ def anti_isomorphism(p: DualPair, sample_range: int = 4) -> tuple:
 def diamond_algebra(p: DualPair) -> Algebra:
     """A <> B with (a<>b)(a'<>b') = <a', b> (a<>b'); finite pairs only."""
     if not (p.A.algebra.is_finite and p.B.algebra.is_finite):
-        raise NotFiniteDimensional(p.name)
+        raise InfiniteDimensional(p.name)
     domain = f"diamond({p.A.domain},{p.B.domain})"
     basis = [(ka, kb) for ka in p.A.algebra.basis for kb in p.B.algebra.basis]
 
@@ -641,36 +642,31 @@ def diamond_matrix_units(p: DualPair) -> tuple:
     """Change of basis making the diamond algebra literally matrix units.
 
     Returns (map basis-key -> Element over (i, j) matrix keys, n); the dual
-    basis b^j with <a_i, b^j> = delta_ij is computed from the pairing
-    matrix, after which (a_i <> b^j)(a_k <> b^l) = [j=k](a_i <> b^l).
+    basis b^j with <a_i, b^j> = delta_ij exists because the pairing matrix
+    is invertible, after which (a_i <> b^j)(a_k <> b^l) = [j=k](a_i <> b^l).
     """
     akeys = p.A.algebra.basis
     bkeys = p.B.algebra.basis
     n = len(akeys)
-    P = Matrix.zeros(n, n)
-    for i, ka in enumerate(akeys):
-        for j, kb in enumerate(bkeys):
-            P.rows[i][j] = p.pair(
-                Element.basis(p.A.domain, ka), Element.basis(p.B.domain, kb)
-            )
-    P_inv = P.inverse()
-    if P_inv is None:
-        raise Singular(f"{p.name}: degenerate pairing")
-    # b^j = sum_l P_inv[j][l]... solve P c_j = e_j: c_j = column j of P^-1
     mdomain = f"matrix({n})"
+    # column kb of the pairing matrix: b_kb = sum_j <a_j, b_kb> b^j
+    cols = {
+        kb: Element(
+            mdomain,
+            {j: p.pair(Element.basis(p.A.domain, ka), Element.basis(p.B.domain, kb))
+             for j, ka in enumerate(akeys)},
+        )
+        for kb in bkeys
+    }
+    if len(bkeys) != n or span_rank(list(cols.values())) != n:
+        raise Singular(f"{p.name}: degenerate pairing")
 
     def to_matrix_units(key) -> Element:
         ka, kb = key
         i = akeys.index(ka)
-        # express b_kb in the dual basis: b_kb = sum_j <a_j, b_kb> b^j
-        out = {}
-        for j in range(n):
-            w = P.rows[j][bkeys.index(kb)]
-            if w:
-                out[(i, j)] = w
-        return Element(mdomain, out)
+        return Element(mdomain, {(i, j): w for j, w in cols[kb].coeffs.items()}, _canon=True)
 
-    return to_matrix_units, n, P, P_inv
+    return to_matrix_units, n
 
 
 def rank_one_gamma(p: DualPair, sab: SmashProduct, dia: Algebra):
@@ -703,10 +699,10 @@ def rank_one_realization(p: DualPair) -> Report:
     """
     bridge: DualBridge | None = getattr(p, "bridge", None)
     if bridge is None:
-        raise NotFiniteDimensional(f"{p.name}: needs the (A, A^) bridge")
+        raise InfiniteDimensional(f"{p.name}: needs the (A, A^) bridge")
     A = p.A
     if not A.algebra.is_finite:
-        raise NotFiniteDimensional(p.name)
+        raise InfiniteDimensional(p.name)
     rep = Report(instance=f"rankone({p.name})")
     sab = pairing_smash(p, "AB")  # A # A^ (A acted on by A^ from b |> a)
     dia = diamond_algebra(p)
@@ -751,7 +747,7 @@ def rank_one_realization(p: DualPair) -> Report:
 
     # the diamond algebra is the full matrix algebra: transport to matrix
     # units and compare structure constants exactly
-    to_mu, n, P, P_inv = diamond_matrix_units(p)
+    to_mu, n = diamond_matrix_units(p)
     witness = None
     mdomain = f"matrix({n})"
     for k1 in dia.basis:

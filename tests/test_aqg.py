@@ -122,6 +122,13 @@ class TestFiniteDual:
         rep = verify_mha_isomorphism(cz2, d.base, iso)
         assert rep.ok, rep.summary()
 
+    def test_rank_deficient_map_is_not_bijective(self, kz2_aqg, cz2):
+        d = finite_dual(kz2_aqg)
+        table = {k: Element.basis(d.base.domain, 0) for k in cz2.algebra.basis}
+        iso = LinearMap(cz2.domain, d.base.domain, table)
+        rep = verify_mha_isomorphism(cz2, d.base, iso)
+        assert rep.status_of("bijective") == "fail"
+
     def test_double_dual_canonical_isomorphism(self, cz2_aqg, cs3_aqg, kz2_aqg):
         for g in (cz2_aqg, cs3_aqg, kz2_aqg):
             gdd, match = double_dual_matching(g)

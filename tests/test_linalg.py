@@ -1,15 +1,20 @@
+from fractions import Fraction
+
 from hypothesis import given, strategies as st
 
+from mhopf.algebras import Algebra, radicals, verify_algebra
 from mhopf.elements import Element
 from mhopf.linalg import (
-    Matrix,
     SparseEliminator,
     in_span,
+    inverse,
     linear_solve,
+    nullspace,
+    solve,
     span_rank,
     spans_same,
 )
-from mhopf.scalars import ONE, Scalar, sc
+from mhopf.scalars import ONE, ZERO, Scalar, sc
 
 
 def el(domain, **kw):
@@ -86,18 +91,114 @@ def test_solve_round_trip(gens, td):
         assert not in_span(gens, target)
 
 
+def _sparse(dense):
+    return [{j: c for j, c in enumerate(row) if c} for row in dense]
+
+
+def _apply(dense, x):
+    """A x for a dense matrix A (list of rows) and a dense vector x."""
+    out = []
+    for row in dense:
+        total = ZERO
+        for a, b in zip(row, x):
+            total = total + a * b
+        out.append(total)
+    return out
+
+
+def _identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def _densify(rows, n):
+    return [[row.get(j, ZERO) for j in range(n)] for row in rows]
+
+
 def test_matrix_inverse_and_nullspace():
-    m = Matrix([[sc(2), sc(1)], [sc(1), sc(1)]])
-    inv = m.inverse()
-    assert m.mul(inv).rows == Matrix.identity(2).rows
-    singular = Matrix([[sc(1), sc(2)], [sc(2), sc(4)]])
-    assert singular.inverse() is None
-    ns = singular.nullspace()
+    m = [[sc(2), sc(1)], [sc(1), sc(1)]]
+    inv = _densify(inverse(_sparse(m), 2), 2)
+    assert [_apply(m, col) for col in zip(*inv)] == _identity(2)
+    singular = [[sc(1), sc(2)], [sc(2), sc(4)]]
+    assert inverse(_sparse(singular), 2) is None
+    ns = nullspace(_sparse(singular), 2)
     assert len(ns) == 1 and ns[0] == [sc(-2), sc(1)]
 
 
 def test_empty_constraint_system_has_full_nullspace():
-    assert len(Matrix.zeros(0, 3).nullspace()) == 3
+    assert len(nullspace([], 3)) == 3
+
+
+entries = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        Scalar,
+        st.fractions(min_value=-2, max_value=2, max_denominator=2),
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]),
+    ),
+)
+
+
+@st.composite
+def systems(draw, square=False):
+    """(ncols, dense rows) of a small system over Q(i)."""
+    ncols = draw(st.integers(1, 4))
+    nrows = ncols if square else draw(st.integers(0, 5))
+    return ncols, [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _column_elements(dense, ncols):
+    return [
+        Element("rows", {i: row[j] for i, row in enumerate(dense)}) for j in range(ncols)
+    ]
+
+
+@given(systems(), st.data())
+def test_engine_output_is_the_reduced_echelon_form(system, data):
+    ncols, dense = system
+    cols = _column_elements(dense, ncols)
+    # column j is a pivot column exactly when it is outside the span of the earlier ones
+    pivots = [j for j in range(ncols) if not in_span(cols[:j], cols[j])]
+    free = [j for j in range(ncols) if j not in pivots]
+    rank = span_rank([Element("cols", row) for row in _sparse(dense)])
+    assert rank == len(pivots)
+
+    ns = nullspace(_sparse(dense), ncols)
+    assert len(ns) == ncols - rank
+    for f, v in zip(free, ns):
+        assert all(c == ZERO for c in _apply(dense, v))
+        assert [v[g] for g in free] == [ONE if g == f else ZERO for g in free]
+
+    b = [data.draw(entries) for _ in dense]
+    x = solve([{**row, ncols: c} if c else row for row, c in zip(_sparse(dense), b)], ncols)
+    target = Element("rows", dict(enumerate(b)))
+    assert (x is None) == (not in_span(cols, target))
+    if x is not None:
+        assert _apply(dense, x) == b
+        assert all(x[f] == ZERO for f in free)
+
+
+@given(systems(square=True))
+def test_inverse_exactly_for_full_rank(system):
+    n, dense = system
+    inv = inverse(_sparse(dense), n)
+    assert (inv is None) == (span_rank([Element("cols", row) for row in _sparse(dense)]) < n)
+    if inv is not None:
+        assert [_apply(dense, col) for col in zip(*_densify(inv, n))] == _identity(n)
+
+
+def test_zeroed_basis_element_is_a_radical():
+    # C[Z2] plus a basis element 2 whose products are all zero
+    def mul_basis(a, b):
+        if 2 in (a, b):
+            return Element.zero("D")
+        return Element.basis("D", (a + b) % 2)
+
+    alg = Algebra("D", mul_basis, basis=[0, 1, 2])
+    left, right = radicals(alg)
+    e2 = Element.basis("D", 2)
+    assert left == [e2] and right == [e2]
+    results = {check: (ok, w) for check, ok, w in verify_algebra(alg)}
+    assert results["nondegenerate-left"] == (False, [e2])
 
 
 def test_sparse_eliminator_matches_dense_rank():

@@ -194,7 +194,7 @@ class TestRankOneRealization:
 
     def test_diamond_matrix_units(self, dual_pair_cz2, dual_pair_cs3):
         for p, n in ((dual_pair_cz2, 2), (dual_pair_cs3, 6)):
-            to_mu, n2, P, P_inv = diamond_matrix_units(p)
+            to_mu, n2 = diamond_matrix_units(p)
             assert n2 == n
             dia = diamond_algebra(p)
             images = [to_mu(k) for k in dia.basis]
