@@ -451,12 +451,8 @@ def run_suite(suite: str, args) -> tuple[Report, int]:
                 traceback.print_exc(file=sys.stderr)
             rep = Report(instance=name)
             rep.entries.append(
-                CheckResult(name, type(ex).__name__, "fail", str(ex))
+                CheckResult(name, type(ex).__name__, "fail", str(ex), time.perf_counter() - t0)
             )
-        elapsed = time.perf_counter() - t0
-        for e in rep.entries:
-            if e.elapsed is None:
-                e.elapsed = elapsed
         results.append((name, rep))
 
     merged = Report()

@@ -6,13 +6,15 @@ named checks with status ``pass`` / ``sampled-pass`` / ``fail`` /
 serialised elements) sufficient to reproduce the failure.
 
 Reports serialise to JSON lines, one check per line, in deterministic
-order.  Timing is attached only on request so that default output is
-byte-stable across runs.
+order.  Each check is stamped with the time since the report's previous
+entry (or its creation); the stamp is printed only on request so that
+default output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -71,21 +73,23 @@ class Report:
 
     instance: str = ""
     entries: list[CheckResult] = field(default_factory=list)
+    _mark: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
+
+    def _record(self, check: str, status: str, witness) -> None:
+        now = time.perf_counter()
+        self.entries.append(CheckResult(self.instance, check, status, witness, now - self._mark))
+        self._mark = now
 
     def add(self, check: str, ok: bool, status_ok: str = "pass", witness=None) -> None:
-        status = status_ok if ok else "fail"
-        self.entries.append(
-            CheckResult(self.instance, check, status, witness if not ok else None)
-        )
-
-    def add_entry(self, entry: CheckResult) -> None:
-        self.entries.append(entry)
+        self._record(check, status_ok if ok else "fail", witness if not ok else None)
 
     def skip(self, check: str, reason: str = "") -> None:
-        self.entries.append(CheckResult(self.instance, check, "skipped", reason or None))
+        self._record(check, "skipped", reason or None)
 
     def extend(self, other: "Report") -> None:
+        """Append another report's entries; they keep their own stamps."""
         self.entries.extend(other.entries)
+        self._mark = time.perf_counter()
 
     @property
     def ok(self) -> bool:

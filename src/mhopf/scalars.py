@@ -1,88 +1,142 @@
 """Exact ground-field scalars: Gaussian rationals a + b*i.
 
 Every verification in this library is an exact identity, so the scalar type
-is a field with decidable, canonical equality.  Python's ``Fraction`` keeps
-numerator/denominator reduced, which makes structural equality of elements
-coincide with mathematical equality.
+is a field with decidable, canonical equality.  A scalar is stored as three
+ints ``(a + b*i) / d`` with ``d > 0`` and ``gcd(a, b, d) == 1``; that form is
+unique, so structural equality coincides with mathematical equality, and the
+arithmetic runs on Python ints with one ``gcd`` per result whose denominator
+is not 1.  ``Fraction`` appears only at the boundary: the constructor, the
+``re``/``im`` parts, and the serialized, hashed and printed forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from math import gcd, lcm
 
 RationalLike = int | Fraction
+
+_alloc = object.__new__
+
+
+def _new(a: int, b: int, d: int) -> "Scalar":
+    """Scalar from an already canonical triple."""
+    s = _alloc(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _make(a: int, b: int, d: int) -> "Scalar":
+    """Scalar from a triple with ``d > 0``, reduced to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    s = _alloc(Scalar)  # _new inlined: every arithmetic result passes here
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _part(n: int, d: int) -> RationalLike:
+    """n/d as an int when integral, else as a Fraction."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 class Scalar:
     """Immutable Gaussian rational ``re + im*i``."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # with both parts in lowest terms, gcd(a, b, lcm) is already 1
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> RationalLike:
+        return _part(self._a, self._d)
+
+    @property
+    def im(self) -> RationalLike:
+        return _part(self._b, self._d)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        b, d = self.im, other.im
-        if not b and not d:  # real fast path; most desk scalars are real
-            return Scalar(self.re * other.re)
-        a, c = self.re, other.re
-        return Scalar(a * c - b * d, a * d + b * c)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b and not e:  # real fast path; most desk scalars are real
+            return _make(a * c, 0, self._d * other._d)
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
 
     def inverse(self) -> "Scalar":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.re / n, -self.im / n)
+        # d / (a + b*i) = d * (a - b*i) / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero scalar")
+            # gcd(a, d) == 1 already
+            return _new(d, 0, a) if a > 0 else _new(-d, 0, -a)
+        return _make(d * a, -d * b, a * a + b * b)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return _new(self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
 
     def __repr__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
 
     def to_tuple(self) -> tuple[int, int, int, int]:
         """(re_num, re_den, im_num, im_den), the canonical serialized form."""
-        return (
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        )
+        a, b, d = self._a, self._b, self._d
+        ga, gb = gcd(a, d), gcd(b, d)
+        return (a // ga, d // ga, b // gb, d // gb)
 
     @classmethod
     def from_tuple(cls, t) -> "Scalar":

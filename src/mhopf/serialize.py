@@ -12,7 +12,6 @@ how deliberately corrupted instances enter the verification suites.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .algebras import Algebra
 from .elements import Element, TensorElement
@@ -46,8 +45,8 @@ def element_from_json(obj) -> Element:
         terms = []
         for t in obj["terms"]:
             key = key_from_json(t[0])
-            terms.append((key, Scalar(Fraction(t[1], t[2]), Fraction(t[3], t[4]))))
-    except (KeyError, IndexError, TypeError) as ex:
+            terms.append((key, Scalar.from_tuple(t[1:5])))
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise MalformedSpec(f"bad element: {ex}", field="terms") from None
     return Element.from_terms(domain, terms)
 
@@ -66,7 +65,7 @@ def tensor_from_json(obj) -> TensorElement:
     acc = {}
     for t in obj["terms"]:
         keys = tuple(key_from_json(k) for k in t[0])
-        acc[keys] = Scalar(Fraction(t[1], t[2]), Fraction(t[3], t[4]))
+        acc[keys] = Scalar.from_tuple(t[1:5])
     return TensorElement(domains, acc)
 
 
@@ -188,11 +187,10 @@ def instance_from_json(obj) -> RegularMHA:
         }
         coproduct = {key_from_json(k): tensor_from_json(t) for k, t in obj["coproduct"]}
         counit = {
-            key_from_json(k): Scalar(Fraction(t[0], t[1]), Fraction(t[2], t[3]))
-            for k, t in obj["counit"]
+            key_from_json(k): Scalar.from_tuple(t[:4]) for k, t in obj["counit"]
         }
         antipode = {key_from_json(k): element_from_json(e) for k, e in obj["antipode"]}
-    except (KeyError, IndexError, TypeError) as ex:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise MalformedSpec(f"bad instance description: {ex}") from None
 
     identity = None

@@ -16,6 +16,7 @@ from mhopf.instances import (
     trivial_group,
 )
 from mhopf.pairing import pair_of_aqg
+from mhopf.serialize import instance_to_json
 from mhopf.smash import smash
 
 
@@ -165,3 +166,22 @@ def smash_translation_z2(translation_z2):
 @pytest.fixture(scope="session")
 def smash_adjoint_cs3(adjoint_cs3):
     return smash(adjoint_cs3)
+
+
+def _zero_re_denominator(term, at):
+    term[at] = 0
+
+
+_ZERO_DENOMINATOR_SITES = {
+    "element-term": lambda blob: _zero_re_denominator(blob["product"][0][2]["terms"][0], 2),
+    "coproduct-term": lambda blob: _zero_re_denominator(blob["coproduct"][0][1]["terms"][0], 2),
+    "counit-entry": lambda blob: _zero_re_denominator(blob["counit"][0][1], 1),
+}
+
+
+@pytest.fixture(params=sorted(_ZERO_DENOMINATOR_SITES))
+def zero_denominator_blob(request, cz2):
+    """C[Z2] as explicit tables with one scalar's real denominator set to 0."""
+    blob = instance_to_json(cz2)
+    _ZERO_DENOMINATOR_SITES[request.param](blob)
+    return blob

@@ -2,11 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from mhopf.cli import main
-from mhopf.serialize import element_to_json, instance_to_json
+from mhopf.mha import verify_mha_axioms
+from mhopf.serialize import element_to_json, instance_from_json, instance_to_json
 
 
 def run_cli(*argv):
@@ -70,6 +72,13 @@ def test_malformed_instance_file(tmp_path):
     assert code == 2
 
 
+def test_zero_denominator_instance_is_malformed(tmp_path, zero_denominator_blob):
+    path = tmp_path / "zero-denominator.json"
+    path.write_text(json.dumps(zero_denominator_blob))
+    code, out = run_cli("run", "axioms", "--instance", str(path))
+    assert code == 2 and out == ""
+
+
 def test_unknown_instance_id():
     code, _ = run_cli("run", "axioms", "--instance", "Q(8)")
     assert code == 2
@@ -128,6 +137,74 @@ def test_run_all_output_is_byte_identical(group, sha1):
     assert hashlib.sha1(proc.stdout).hexdigest() == sha1
 
 
+def _wire(re, im=0):
+    re, im = Fraction(re), Fraction(im)
+    return [re.numerator, re.denominator, im.numerator, im.denominator]
+
+
+def gaussian_cz3():
+    """C[Z3] in the basis b0 = e0, b1 = e1 + u*e0, b2 = e2 with u = 1/2 + i.
+
+    The tables are transported by hand, so the instance is isomorphic to
+    C[Z3] while its structure constants are Gaussian rationals:
+    2u = 1 + 2i, -u^2 = 3/4 - i, u^2 + u = -1/4 + 2i, 1 + u = 3/2 + i.
+    """
+    D = "uC[Z3]"
+    F = Fraction
+    u, minus_u = (F(1, 2), 1), (F(-1, 2), -1)
+
+    def elem(terms):
+        return {"domain": D, "terms": [[k, *_wire(*c)] for k, c in terms.items()]}
+
+    product = {
+        (0, 0): {0: (1, 0)},
+        (0, 1): {1: (1, 0)},
+        (0, 2): {2: (1, 0)},
+        (1, 1): {2: (1, 0), 1: (1, 2), 0: (F(3, 4), -1)},
+        (1, 2): {0: (1, 0), 2: u},
+        (2, 2): {1: (1, 0), 0: minus_u},
+    }
+    product.update({(k2, k1): t for (k1, k2), t in list(product.items())})
+    coproduct = {
+        0: {(0, 0): (1, 0)},
+        1: {(1, 1): (1, 0), (1, 0): minus_u, (0, 1): minus_u, (0, 0): (F(-1, 4), 2)},
+        2: {(2, 2): (1, 0)},
+    }
+    return {
+        "domain": D,
+        "basis": [0, 1, 2],
+        "product": [[k1, k2, elem(t)] for (k1, k2), t in sorted(product.items())],
+        "coproduct": [
+            [k, {"domains": [D, D], "terms": [[list(ks), *_wire(*c)] for ks, c in t.items()]}]
+            for k, t in coproduct.items()
+        ],
+        "counit": [[0, _wire(1)], [1, _wire(F(3, 2), 1)], [2, _wire(1)]],
+        "antipode": [[0, elem({0: (1, 0)})], [1, elem({2: (1, 0), 0: u})], [2, elem({1: (1, 0), 0: minus_u})]],
+    }
+
+
+def test_gaussian_instance_output_is_byte_identical(tmp_path):
+    # golden digest of the axiom suite on Gaussian-rational structure constants
+    path = tmp_path / "gaussian-cz3.json"
+    path.write_text(json.dumps(gaussian_cz3()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhopf.cli", "run", "all", "--instance", str(path), "--json"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha1(proc.stdout).hexdigest() == "4b9baa1c8312ffb331c4ad65f196a0cf00e2a029"
+
+
+def test_perturbed_gaussian_instance_fails_with_witness():
+    blob = gaussian_cz3()
+    b1b2 = next(e for k1, k2, e in blob["product"] if (k1, k2) == (1, 2))
+    term = next(t for t in b1b2["terms"] if t[0] == 0)
+    term[1:] = _wire(Fraction(*term[1:3]) + Fraction(1, 2), Fraction(*term[3:5]) + Fraction(1, 3))
+    rep = verify_mha_axioms(instance_from_json(blob))
+    assert rep.status_of("counit-homomorphism") == "fail"
+    assert all(e.witness is not None for e in rep.failures())
+
+
 def test_unexpected_exception_becomes_fail_line(monkeypatch):
     from mhopf import cli
     from mhopf.reports import Report
@@ -160,6 +237,33 @@ def test_timing_flag_adds_elapsed_field():
     _, out2 = run_cli("run", "sweedler", "--group", "Z2", "--json")
     lines2 = [json.loads(l) for l in out2.strip().splitlines()]
     assert all("elapsed_s" not in l for l in lines2)
+
+
+def test_timing_is_stamped_per_check(monkeypatch):
+    import time
+
+    from mhopf import cli
+    from mhopf.reports import Report
+
+    def slow_first():
+        inner = Report(instance="inner")
+        inner.add("merged", True)
+        rep = Report(instance="slow")
+        time.sleep(0.2)
+        rep.add("first", True)
+        rep.extend(inner)
+        rep.add("second", True)
+        return rep
+
+    monkeypatch.setattr(cli, "build_suite", lambda suite, args: [(0, "slow", slow_first)])
+    _, out = run_cli("run", "all", "--json", "--timing")
+    lines = [json.loads(l) for l in out.splitlines()]
+    elapsed = {l["check"]: l.pop("elapsed_s") for l in lines}
+    assert elapsed["slow:first"] >= 0.2
+    assert elapsed["slow:merged"] < 0.1 and elapsed["slow:second"] < 0.1
+    # without --timing the output is the same lines minus the stamps
+    _, plain = run_cli("run", "all", "--json")
+    assert plain.splitlines() == [json.dumps(l, sort_keys=True) for l in lines]
 
 
 def test_console_entry_point_runs():

@@ -35,6 +35,13 @@ def test_tuple_keys_round_trip():
 def test_malformed_element():
     with pytest.raises(MalformedSpec):
         element_from_json({"domain": "D", "terms": [[0, 1]]})
+    with pytest.raises(MalformedSpec):
+        element_from_json({"domain": "D", "terms": [[0, 1, 0, 0, 1]]})
+
+
+def test_zero_denominator_is_malformed(zero_denominator_blob):
+    with pytest.raises(MalformedSpec):
+        instance_from_json(zero_denominator_blob)
 
 
 def test_builtin_instance_ids(kz2, cz2):
