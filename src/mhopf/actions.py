@@ -100,6 +100,7 @@ class ActionSpec(ModuleSpec):
     ralg: Algebra = None
     rule: str = "explicit"
     verified: bool = False
+    exhaustive: bool = False  # verified on every basis triple, not a sample
 
     @classmethod
     def build(cls, mha, ralg, act, witness=None, rule="explicit", name=None):
@@ -267,6 +268,7 @@ def verify_module_algebra(
         rep.add(label, witness is None, status, witness)
 
     s.verified = rep.ok
+    s.exhaustive = rep.ok and exhaustive
     return rep
 
 

@@ -8,15 +8,21 @@ required to be non-degenerate (checked for finite instances by
 A :class:`Multiplier` is the left/right multiplication pair representing an
 element of the multiplier algebra M(A): maps ``x -> m*x`` and ``x -> x*m``
 subject to the compatibility relation ``(x*m)*y = x*(m*y)``.
+
+The certificate kernel at the end (:func:`algebra_generators`,
+:func:`certify_associative`, :func:`certify_algebra_map`) is the one place
+where associativity and "phi is an algebra map" are checked exhaustively.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Sequence
 
 from .elements import Element, add_into
 from .errors import DomainMismatch, InfiniteDimensional, NoIdentity
-from .linalg import nullspace
+from .linalg import LinearMap, SparseEliminator, nullspace
 from .scalars import Scalar
 
 
@@ -32,6 +38,8 @@ class Algebra:
         local_unit_oracle: Callable | None = None,
         key_window: Callable | None = None,
         name: str | None = None,
+        candidates: Callable | None = None,
+        structure: tuple | None = None,
     ):
         self.domain = domain
         self._mul_basis = mul_basis
@@ -43,6 +51,14 @@ class Algebra:
         self.key_window = key_window
         self.name = name or domain
         self._mul_cache: dict = {}
+        # candidates() lists the elements algebra_generators picks from
+        # (default: the basis); structure = (rule, factors) names a
+        # construction that is associative whenever its factors are
+        self._candidates = candidates
+        self.structure = structure
+        # (how, premises) once associativity is certified exhaustively
+        self.associativity: tuple | None = None
+        self._generators: tuple | None = None
 
     @property
     def is_finite(self) -> bool:
@@ -61,6 +77,9 @@ class Algebra:
         if self.basis is None:
             raise InfiniteDimensional(self.name)
         return [Element.basis(self.domain, k) for k in self.basis]
+
+    def candidates(self) -> list[Element]:
+        return self._candidates() if self._candidates is not None else self.basis_elements()
 
     def sample_keys(self, n: int) -> list:
         """Finite deterministic key sample; the full basis when finite."""
@@ -176,20 +195,6 @@ def multiplier_product(m1: Multiplier, m2: Multiplier) -> Multiplier:
 # -- verification helpers ---------------------------------------------------
 
 
-def associativity_witness(alg: Algebra, keys: Sequence) -> tuple | None:
-    """First basis triple with (ab)c != a(bc), or None."""
-    basis = {k: alg.basis_element(k) for k in keys}
-    for k1 in keys:
-        a = basis[k1]
-        for k2 in keys:
-            ab = alg.mul(a, basis[k2])
-            for k3 in keys:
-                c = basis[k3]
-                if alg.mul(ab, c) != alg.mul(a, alg.mul(basis[k2], c)):
-                    return (k1, k2, k3)
-    return None
-
-
 def radicals(alg: Algebra) -> tuple[list[Element], list[Element]]:
     """(vectors killed by left multiplication, by right multiplication).
 
@@ -216,8 +221,9 @@ def verify_algebra(alg: Algebra, sample_keys: Sequence | None = None) -> list[tu
     """[(check, ok, witness)] for associativity, non-degeneracy, identity."""
     keys = sample_keys if sample_keys is not None else alg.sample_keys(4)
     results = []
-    w = associativity_witness(alg, keys)
-    results.append(("associativity", w is None, w))
+    triples = None if keys == alg.basis else [(a, b, c) for a in keys for b in keys for c in keys]
+    cert = certify_associative(alg, triples=triples)
+    results.append(("associativity", cert.ok, cert.witness))
     if alg.is_finite:
         lk, rk = radicals(alg)
         results.append(("nondegenerate-left", not lk, lk[:1] or None))
@@ -301,3 +307,233 @@ def operator_element(alg: Algebra, op: Callable, domain: str) -> Element:
         for k2, c in img.coeffs.items():
             acc[(k2, k)] = c
     return Element(domain, acc)
+
+
+# -- the certificate kernel ---------------------------------------------------
+#
+# ``pairs`` mode checks an identity on every basis pair (basis triple for
+# associativity).  ``generators`` mode checks it only with a left factor from
+# a set Gen whose monomials are certified to span the algebra.  The left
+# factors a for which the identity holds against every basis element form a
+# subspace that contains Gen and is closed under products -- for
+# associativity unconditionally, for an algebra map when its source and
+# target are associative -- so it holds for every monomial, hence everywhere.
+
+
+@dataclass
+class Certificate:
+    """Verdict of one kernel run and how it was reached."""
+
+    ok: bool
+    witness: Any = None
+    mode: str = "pairs"  # pairs | generators | sampled
+    cases: str = ""
+    relies_on: tuple = ()
+
+
+class _Images(dict):
+    """basis key -> phi(basis element), computed on first use."""
+
+    def __init__(self, phi: Callable, src: Algebra):
+        super().__init__()
+        self._phi = phi
+        self._src = src
+
+    def __missing__(self, key):
+        img = self[key] = self._phi(self._src.basis_element(key))
+        return img
+
+
+def algebra_generators(alg: Algebra, candidates: Sequence[Element] | None = None) -> tuple:
+    """(Gen, rank): a greedy generating set and the rank of its monomials' span.
+
+    Candidates (default ``alg.candidates()``, whose result is cached on the
+    algebra) are taken densest first, the identity last.  One is kept when it
+    lies outside the span so far; the span is then closed under left
+    multiplication by every kept generator, so it is the span of all
+    monomials g1 (g2 (... gk)) in Gen.  Left multiplication touches the same
+    structure constants g * e_k as the generator-mode checks, so the two share
+    the product cache.  rank == dim certifies that Gen generates the algebra.
+    Deterministic for a fixed candidate list.
+    """
+    if candidates is None:
+        if alg._generators is None:
+            alg._generators = algebra_generators(alg, alg.candidates())
+        return alg._generators
+    index = {k: i for i, k in enumerate(alg.basis)}
+    n = len(index)
+    elim = SparseEliminator()
+
+    def enlarges(x: Element) -> bool:
+        return elim.add({index[k]: c for k, c in x.coeffs.items()})
+
+    gens: list = []
+    monomials: list = []
+    todo: deque = deque()  # (g, m) pairs whose product g*m is still to span
+    # denser candidates tend to generate more; the identity is needed only
+    # when the other monomials miss it
+    for cand in sorted(candidates, key=lambda c: (c == alg.identity, -len(c.coeffs))):
+        if elim.rank == n:
+            break
+        if not enlarges(cand):
+            continue
+        gens.append(cand)
+        todo.extend((cand, m) for m in monomials)
+        monomials.append(cand)
+        todo.extend((g, cand) for g in gens)
+        while todo and elim.rank < n:
+            g, m = todo.popleft()
+            p = alg.mul(g, m)
+            if enlarges(p):
+                monomials.append(p)
+                todo.extend((h, p) for h in gens)
+    return gens, elim.rank
+
+
+def _spanning_generators(alg: Algebra, candidates) -> list | None:
+    gens, rank = algebra_generators(alg, candidates)
+    return gens if rank == alg.dim else None
+
+
+def _assoc_pairs(alg: Algebra, triples: Iterable[tuple]) -> tuple | None:
+    """First triple with (ab)c != a(bc), or None."""
+    for k1, k2, k3 in triples:
+        lhs = alg.mul(alg.mul_basis(k1, k2), alg.basis_element(k3))
+        if lhs != alg.mul(alg.basis_element(k1), alg.mul_basis(k2, k3)):
+            return (k1, k2, k3)
+    return None
+
+
+def _assoc_generators(alg: Algebra, gens: Sequence[Element]) -> bool:
+    """(g y) z == g (y z) for g in Gen and basis elements y, z."""
+    keys = alg.basis
+    basis = alg.basis_elements()
+    for g in gens:
+        left = LinearMap(alg.domain, alg.domain, {k: alg.mul(g, e) for k, e in zip(keys, basis)})
+        for k2 in keys:
+            gy = left.table[k2]
+            for k3, e3 in zip(keys, basis):
+                if alg.mul(gy, e3) != left(alg.mul_basis(k2, k3)):
+                    return False
+    return True
+
+
+def certify_associative(
+    alg: Algebra,
+    mode: str = "generators",
+    triples: Sequence[tuple] | None = None,
+) -> Certificate:
+    """(ab)c == a(bc) on the given key triples, or exhaustively when None.
+
+    The exhaustive check runs in ``generators`` mode (Gen x basis x basis)
+    when asked for and the candidates' monomials span the algebra, and in
+    ``pairs`` mode (every basis triple) otherwise.  A failure is always
+    re-found in ``pairs`` mode, so the witness is the first failing basis
+    triple either way.  A passing exhaustive check is recorded on the
+    algebra for :func:`certify_algebra_map`.
+    """
+    if triples is not None:
+        w = _assoc_pairs(alg, triples)
+        return Certificate(w is None, w, "sampled", f"{len(triples)} triples")
+    keys = alg.basis
+    n = len(keys)
+    gens = _spanning_generators(alg, None) if mode == "generators" else None
+    w = None
+    if gens is None or not _assoc_generators(alg, gens):
+        # a failing generator check implies a failing basis triple, since the
+        # product is trilinear in (g, y, z); the first one is the witness
+        w = _assoc_pairs(alg, ((a, b, c) for a in keys for b in keys for c in keys))
+    if gens is None:
+        cert = Certificate(w is None, w, "pairs", f"{n ** 3} triples")
+    else:
+        cert = Certificate(w is None, w, "generators", f"{len(gens)}x{n}x{n} of {n ** 3} triples")
+    if cert.ok:
+        alg.associativity = (f"{cert.mode} {cert.cases}", ())
+    return cert
+
+
+def associativity_certificates(alg: Algebra, max_dim: int) -> list | None:
+    """Exhaustive associativity certificates of ``alg`` and of what they rest on.
+
+    Returns ["name: how", ...] (the algebra's own first), or None when there
+    is none.  A structural certificate holds when every factor of
+    ``alg.structure`` has one; an uncertified finite algebra of dimension at
+    most ``max_dim`` is certified directly.
+    """
+    if alg.associativity is None and alg.is_finite:
+        if alg.structure is not None:
+            rule, factors = alg.structure
+            if all(associativity_certificates(f, max_dim) is not None for f in factors):
+                alg.associativity = (f"structural {rule}", tuple(factors))
+        if alg.associativity is None and alg.dim <= max_dim:
+            certify_associative(alg)
+    if alg.associativity is None:
+        return None
+    how, premises = alg.associativity
+    out = [f"{alg.name}: {how}"]
+    for f in premises:
+        out.extend(associativity_certificates(f, max_dim))
+    return out
+
+
+def certify_algebra_map(
+    phi: Callable,
+    src: Algebra,
+    dst: Algebra,
+    mode: str = "generators",
+    anti: bool = False,
+    keys: Sequence | None = None,
+    candidates: Sequence[Element] | None = None,
+) -> Certificate:
+    """phi(x y) == phi(x) phi(y) (phi(y) phi(x) when ``anti``) for linear phi.
+
+    ``keys`` restricts ``pairs`` mode to a (sampled) key window; without it
+    the check is exhaustive.  ``generators`` mode checks phi(g y) on Gen x
+    basis and runs only when Gen spans ``src`` and both ``src`` and ``dst``
+    have exhaustive associativity certificates (``dst`` stands for its
+    opposite algebra when ``anti``); otherwise the kernel runs ``pairs``.
+    Missing certificates are made directly only for algebras no larger than
+    ``src``, whose generator-mode associativity costs about what ``pairs``
+    would.  Any failure is re-found in ``pairs`` mode, so the witness is the
+    first failing basis pair (k1, k2) either way.
+    """
+    img = _Images(phi, src)
+    lin = LinearMap(src.domain, dst.domain, img)
+
+    def product(x: Element, y: Element) -> Element:
+        return dst.mul(y, x) if anti else dst.mul(x, y)
+
+    def holds_on_generators(gens) -> bool:
+        basis = list(zip(src.basis, src.basis_elements()))
+        for g in gens:
+            pg = lin(g)
+            for k, e in basis:
+                if lin(src.mul(g, e)) != product(pg, img[k]):
+                    return False
+        return True
+
+    label = "sampled" if keys is not None else "pairs"
+    keys = src.basis if keys is None else keys
+    n = len(keys)
+    gens = relies = None
+    if mode == "generators" and label == "pairs":
+        gens = _spanning_generators(src, candidates)
+        if gens is not None:
+            cs = associativity_certificates(src, n)
+            cd = associativity_certificates(dst, n)
+            if cs is not None and cd is not None:
+                relies = tuple(cs + (["opposite of " + cd[0]] + cd[1:] if anti else cd))
+    if relies is None:
+        cases = f"{n * n} pairs"
+    else:
+        label, cases = "generators", f"{len(gens)}x{n} of {n * n} pairs"
+        if holds_on_generators(gens):
+            return Certificate(True, None, label, cases, relies)
+    # phi is extended linearly from the basis images, so a failing generator
+    # check implies a failing basis pair; the first one is the witness
+    witness = next(
+        ((k1, k2) for k1 in keys for k2 in keys
+         if lin(src.mul_basis(k1, k2)) != product(img[k1], img[k2])),
+        None,
+    )
+    return Certificate(witness is None, witness, label, cases, relies or ())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .actions import ActionSpec, verify_module_algebra
-from .algebras import Algebra, Multiplier, operator_element
+from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
 from .aqg import DualBridge
 from .elements import Element, add_into
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     InfiniteDimensional,
     UnverifiedAction,
 )
-from .linalg import SparseEliminator, span_rank, spans_same
+from .linalg import LinearMap, SparseEliminator, span_rank, spans_same
 from .mha import RegularMHA
 from .pairing import (
     DualPair,
@@ -432,18 +432,9 @@ def duality_isomorphism(d: DualAction, check_matrix_form: bool = True) -> Dualit
                 break
     rep.add("bijective", witness is None, "pass", witness)
 
-    witness = None
-    for k1 in bis.algebra.basis:
-        t1 = theta_basis(k1)
-        for k2 in bis.algebra.basis:
-            lhs = theta(bis.algebra.mul_basis(k1, k2))
-            rhs = target.mul(t1, theta_basis(k2))
-            if lhs != rhs:
-                witness = (k1, k2)
-                break
-        if witness:
-            break
-    rep.add("multiplicative", witness is None, "pass", witness)
+    rep.add_certificate(
+        "multiplicative", certify_algebra_map(theta, bis.algebra, target)
+    )
 
     if check_matrix_form and R.identity is not None:
         from .instances import matrix_algebra
@@ -458,22 +449,14 @@ def duality_isomorphism(d: DualAction, check_matrix_form: bool = True) -> Dualit
                     add_into(acc, (i, j, kr), c * cc)
             return Element(mn_r.domain, acc, _canon=True)
 
-        witness = None
-        images = []
-        for k1 in bis.algebra.basis:
-            images.append(to_matrix(theta_basis(k1)))
-        for k1 in bis.algebra.basis:
-            m1 = to_matrix(theta_basis(k1))
-            for k2 in bis.algebra.basis:
-                lhs = to_matrix(theta(bis.algebra.mul_basis(k1, k2)))
-                rhs = mn_r.mul(m1, to_matrix(theta_basis(k2)))
-                if lhs != rhs:
-                    witness = (k1, k2)
-                    break
-            if witness:
-                break
-        rep.add("matrix-form-multiplicative", witness is None, "pass", witness)
-        rep.add("matrix-form-bijective", span_rank(images) == mn_r.dim, "pass")
+        images = {k: to_matrix(theta_basis(k)) for k in bis.algebra.basis}
+        rep.add_certificate(
+            "matrix-form-multiplicative",
+            certify_algebra_map(
+                LinearMap(bis.algebra.domain, mn_r.domain, images), bis.algebra, mn_r
+            ),
+        )
+        rep.add("matrix-form-bijective", span_rank(list(images.values())) == mn_r.dim, "pass")
     elif check_matrix_form:
         rep.skip("matrix-form-multiplicative", "R has no identity")
     return DualityIso(rep, theta, theta_inv, bis, target, dia)
@@ -676,7 +659,6 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec) -> Report:
     """
     from .aqg import make_aqg, verify_mha_isomorphism
     from .instances import tensor_algebra
-    from .linalg import LinearMap
     from .pairing import pair_of_aqg, rank_one_gamma
 
     rep = Report(instance=f"empirical-duality({p.name})")
@@ -705,7 +687,7 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec) -> Report:
     )
     J_inv = J.inverse_on(B.algebra.basis, pd.B.algebra.basis)
 
-    s = smash(r_spec) if not hasattr(r_spec, "_smash") else r_spec._smash
+    s = smash(r_spec)
     d_b = dual_action(p, s)
     bis_b = bismash(d_b)
     d_hat = dual_action(pd, s)
@@ -735,20 +717,13 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec) -> Report:
                     add_into(acc, (kr, (ka2, kb2)), c * c2 * c3)
         return Element(target.domain, acc, _canon=True)
 
-    witness = None
-    images = {}
-    for k in bis_b.algebra.basis:
-        images[k] = composite(bis_b.algebra.basis_element(k))
-    for k1 in bis_b.algebra.basis:
-        for k2 in bis_b.algebra.basis:
-            lhs = composite(bis_b.algebra.mul_basis(k1, k2))
-            rhs = target.mul(images[k1], images[k2])
-            if lhs != rhs:
-                witness = (k1, k2)
-                break
-        if witness:
-            break
-    rep.add("bismash-iso-R-tensor-A#B", witness is None, "pass", witness)
+    images = {k: composite(bis_b.algebra.basis_element(k)) for k in bis_b.algebra.basis}
+    rep.add_certificate(
+        "bismash-iso-R-tensor-A#B",
+        certify_algebra_map(
+            LinearMap(bis_b.algebra.domain, target.domain, images), bis_b.algebra, target
+        ),
+    )
     rep.add(
         "bismash-iso-bijective",
         span_rank(list(images.values())) == bis_b.algebra.dim,

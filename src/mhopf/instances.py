@@ -335,7 +335,10 @@ def matrix_algebra(n: int, coeff: Algebra) -> Algebra:
                 acc[(i, i, k)] = c
         identity = Element(domain, acc)
 
-    return Algebra(domain, mul_basis, basis=basis, identity=identity, name=domain)
+    return Algebra(
+        domain, mul_basis, basis=basis, identity=identity, name=domain,
+        structure=("matrix", (coeff,)),
+    )
 
 
 def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
@@ -377,6 +380,7 @@ def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
         identity=identity,
         key_window=window,
         name=domain,
+        structure=("tensor", (r, a)),
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, fixed_points, verify_module_algebra
-from .algebras import Algebra, Multiplier, operator_element
+from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
 from .elements import Element, add_into, weight_leg
 from .errors import InfiniteDimensional, Singular
@@ -594,25 +594,14 @@ def anti_isomorphism(p: DualPair, sample_range: int = 4) -> tuple:
                     add_into(acc, (k1, k2), c * c1 * c2)
         return Element(sab.algebra.domain, acc, _canon=True)
 
-    skeys = sba.algebra.sample_keys(sample_range)
-    witness = None
-    for k1 in skeys:
-        for k2 in skeys:
-            u = sba.algebra.basis_element(k1)
-            v = sba.algebra.basis_element(k2)
-            if phi(sba.algebra.mul(u, v)) != sab.algebra.mul(phi(v), phi(u)):
-                witness = (k1, k2)
-                break
-        if witness:
-            break
-    rep = Report(instance=f"anti({p.name})")
-    rep.add(
-        "anti-multiplicative",
-        witness is None,
-        "pass" if sba.algebra.is_finite else "sampled-pass",
-        witness,
+    finite = sba.algebra.is_finite
+    cert = certify_algebra_map(
+        phi, sba.algebra, sab.algebra, anti=True,
+        keys=None if finite else sba.algebra.sample_keys(sample_range),
     )
-    if sba.algebra.is_finite:
+    rep = Report(instance=f"anti({p.name})")
+    rep.add_certificate("anti-multiplicative", cert, "pass" if finite else "sampled-pass")
+    if finite:
         imgs = [phi(sba.algebra.basis_element(k)) for k in sba.algebra.basis]
         rep.add("bijective", span_rank(imgs) == sba.algebra.dim, "pass")
     return phi, sba, sab, rep
@@ -707,23 +696,9 @@ def rank_one_realization(p: DualPair) -> Report:
     sab = pairing_smash(p, "AB")  # A # A^ (A acted on by A^ from b |> a)
     dia = diamond_algebra(p)
     gmap = rank_one_gamma(p, sab, dia)
-    gamma = gmap.__call__
-
-    def gamma_basis(ka, kb):
-        return gmap.table[(ka, kb)]
-
     keys = sab.algebra.basis
-    witness = None
-    for k1 in keys:
-        for k2 in keys:
-            u, v = sab.algebra.basis_element(k1), sab.algebra.basis_element(k2)
-            if gamma(sab.algebra.mul(u, v)) != dia.mul(gamma(u), gamma(v)):
-                witness = (k1, k2)
-                break
-        if witness:
-            break
-    rep.add("gamma-multiplicative", witness is None, "pass", witness)
-    imgs = [gamma(sab.algebra.basis_element(k)) for k in keys]
+    rep.add_certificate("gamma-multiplicative", certify_algebra_map(gmap, sab.algebra, dia))
+    imgs = [gmap.table[k] for k in keys]
     rep.add("gamma-bijective", span_rank(imgs) == sab.algebra.dim, "pass")
 
     # standard action of A#A^ on A: (a#b)a' = a (b |> a'); full rank (dim A)^2

@@ -7,8 +7,10 @@ serialised elements) sufficient to reproduce the failure.
 
 Reports serialise to JSON lines, one check per line, in deterministic
 order.  Each check is stamped with the time since the report's previous
-entry (or its creation); the stamp is printed only on request so that
-default output is byte-stable across runs.
+entry (or its creation), and a check made by the certificate kernel keeps
+its mode, the cases it covered and the associativity certificates it relied
+on; these are printed only on request so that default output is byte-stable
+across runs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ class CheckResult:
     status: str  # pass | sampled-pass | fail | skipped
     witness: Any = None
     elapsed: float | None = None
+    mode: str | None = None  # pairs | generators | sampled (kernel checks)
+    cases: str | None = None
+    relies_on: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -64,6 +69,11 @@ class CheckResult:
             payload["witness"] = _jsonable(self.witness)
         if timing and self.elapsed is not None:
             payload["elapsed_s"] = round(self.elapsed, 6)
+        if timing and self.mode is not None:
+            payload["mode"] = self.mode
+            payload["cases"] = self.cases
+            if self.relies_on:
+                payload["relies_on"] = list(self.relies_on)
         return json.dumps(payload, sort_keys=True)
 
 
@@ -82,6 +92,12 @@ class Report:
 
     def add(self, check: str, ok: bool, status_ok: str = "pass", witness=None) -> None:
         self._record(check, status_ok if ok else "fail", witness if not ok else None)
+
+    def add_certificate(self, check: str, cert, status_ok: str = "pass") -> None:
+        """Record a certificate-kernel result together with its provenance."""
+        self.add(check, cert.ok, status_ok, cert.witness)
+        entry = self.entries[-1]
+        entry.mode, entry.cases, entry.relies_on = cert.mode, cert.cases, cert.relies_on
 
     def skip(self, check: str, reason: str = "") -> None:
         self._record(check, "skipped", reason or None)

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .actions import ActionSpec, extend_action_to_multipliers
-from .algebras import Algebra, Multiplier, multiplier_product, radicals
+from .algebras import (
+    Algebra,
+    Multiplier,
+    certify_associative,
+    multiplier_product,
+    radicals,
+)
 from .elements import Element, add_into
 from .errors import (
     AlgebraMismatch,
@@ -92,12 +98,18 @@ def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProdu
     if R.is_finite and h.algebra.is_finite:
         basis = [(kx, ka) for kx in R.basis for ka in h.algebra.basis]
     identity = None
+    candidates = None
     if R.identity is not None and h.has_identity:
-        acc = {}
-        for kx, cx in R.identity.coeffs.items():
-            for ka, ca in h.algebra.one().coeffs.items():
-                acc[(kx, ka)] = cx * ca
-        identity = Element(domain, acc)
+        one_a = h.algebra.one()
+        identity = _tensor(domain, R.identity, one_a)
+
+        def candidates():
+            # x#1 and 1#a; x runs over R's own candidates, so a bismash
+            # (R#A)#B starts from (x#1)#1, (1#a)#1 and 1#b
+            return [_tensor(domain, R.identity, a) for a in h.algebra.basis_elements()] + [
+                _tensor(domain, x, one_a) for x in R.candidates()
+            ]
+
     window = None
     if basis is None:
 
@@ -115,10 +127,23 @@ def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProdu
         identity=identity,
         key_window=window,
         name=domain,
+        candidates=candidates,
+        # R#A is associative when R is an A-module algebra (checked on every
+        # basis triple) and R and A are associative
+        structure=("smash", (R, h.algebra)) if action.exhaustive else None,
     )
     s = SmashProduct(action, alg)
     s.certificates = _certify(s, verify, seed)
     return s
+
+
+def _tensor(domain: str, x: Element, a: Element) -> Element:
+    """x # a over pair keys (kx, ka)."""
+    return Element(
+        domain,
+        {(kx, ka): cx * ca for kx, cx in x.coeffs.items() for ka, ca in a.coeffs.items()},
+        _canon=True,
+    )
 
 
 def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
@@ -128,12 +153,7 @@ def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
     status = "pass" if exhaustive else "sampled-pass"
 
     if exhaustive:
-        triples = [
-            (k1, k2, k3)
-            for k1 in alg.basis
-            for k2 in alg.basis
-            for k3 in alg.basis
-        ]
+        cert = certify_associative(alg)
     else:
         keys = alg.sample_keys(4)
         rng = random.Random(seed)
@@ -141,15 +161,8 @@ def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
             (rng.choice(keys), rng.choice(keys), rng.choice(keys))
             for _ in range(200)
         ]
-    witness = None
-    for k1, k2, k3 in triples:
-        a = alg.basis_element(k1)
-        b = alg.basis_element(k2)
-        c = alg.basis_element(k3)
-        if alg.mul(alg.mul(a, b), c) != alg.mul(a, alg.mul(b, c)):
-            witness = (k1, k2, k3)
-            break
-    rep.add("associativity", witness is None, status, witness)
+        cert = certify_associative(alg, triples=triples)
+    rep.add_certificate("associativity", cert, status)
 
     if exhaustive:
         lk, rk = radicals(alg)

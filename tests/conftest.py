@@ -1,5 +1,7 @@
 """Shared instances: building the S3-sized structures once keeps the suite fast."""
 
+from fractions import Fraction
+
 import pytest
 
 from mhopf.actions import adjoint_action, trivial_action, verify_module_algebra
@@ -185,3 +187,50 @@ def zero_denominator_blob(request, cz2):
     blob = instance_to_json(cz2)
     _ZERO_DENOMINATOR_SITES[request.param](blob)
     return blob
+
+
+def _wire(re, im=0):
+    re, im = Fraction(re), Fraction(im)
+    return [re.numerator, re.denominator, im.numerator, im.denominator]
+
+
+@pytest.fixture
+def gaussian_cz3():
+    """C[Z3] in the basis b0 = e0, b1 = e1 + u*e0, b2 = e2 with u = 1/2 + i.
+
+    The tables are transported by hand, so the instance is isomorphic to
+    C[Z3] while its structure constants are Gaussian rationals:
+    2u = 1 + 2i, -u^2 = 3/4 - i, u^2 + u = -1/4 + 2i, 1 + u = 3/2 + i.
+    """
+    D = "uC[Z3]"
+    F = Fraction
+    u, minus_u = (F(1, 2), 1), (F(-1, 2), -1)
+
+    def elem(terms):
+        return {"domain": D, "terms": [[k, *_wire(*c)] for k, c in terms.items()]}
+
+    product = {
+        (0, 0): {0: (1, 0)},
+        (0, 1): {1: (1, 0)},
+        (0, 2): {2: (1, 0)},
+        (1, 1): {2: (1, 0), 1: (1, 2), 0: (F(3, 4), -1)},
+        (1, 2): {0: (1, 0), 2: u},
+        (2, 2): {1: (1, 0), 0: minus_u},
+    }
+    product.update({(k2, k1): t for (k1, k2), t in list(product.items())})
+    coproduct = {
+        0: {(0, 0): (1, 0)},
+        1: {(1, 1): (1, 0), (1, 0): minus_u, (0, 1): minus_u, (0, 0): (F(-1, 4), 2)},
+        2: {(2, 2): (1, 0)},
+    }
+    return {
+        "domain": D,
+        "basis": [0, 1, 2],
+        "product": [[k1, k2, elem(t)] for (k1, k2), t in sorted(product.items())],
+        "coproduct": [
+            [k, {"domains": [D, D], "terms": [[list(ks), *_wire(*c)] for ks, c in t.items()]}]
+            for k, t in coproduct.items()
+        ],
+        "counit": [[0, _wire(1)], [1, _wire(F(3, 2), 1)], [2, _wire(1)]],
+        "antipode": [[0, elem({0: (1, 0)})], [1, elem({2: (1, 0), 0: u})], [2, elem({1: (1, 0), 0: minus_u})]],
+    }

@@ -137,56 +137,32 @@ def test_run_all_output_is_byte_identical(group, sha1):
     assert hashlib.sha1(proc.stdout).hexdigest() == sha1
 
 
+@pytest.mark.parametrize(
+    "suite, sha1",
+    [
+        ("smash", "06fd8d982baa07617d0270c6a5b44fbf7d5f886c"),
+        ("pairing", "9526bdeacf827f2accbcd1b29c80f5c2651ace65"),
+    ],
+)
+def test_s3_suite_output_is_byte_identical(suite, sha1):
+    # golden digests of the S3 suites whose checks run through the certificate kernel
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhopf.cli", "run", suite, "--group", "S3", "--json"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha1(proc.stdout).hexdigest() == sha1
+
+
 def _wire(re, im=0):
     re, im = Fraction(re), Fraction(im)
     return [re.numerator, re.denominator, im.numerator, im.denominator]
 
 
-def gaussian_cz3():
-    """C[Z3] in the basis b0 = e0, b1 = e1 + u*e0, b2 = e2 with u = 1/2 + i.
-
-    The tables are transported by hand, so the instance is isomorphic to
-    C[Z3] while its structure constants are Gaussian rationals:
-    2u = 1 + 2i, -u^2 = 3/4 - i, u^2 + u = -1/4 + 2i, 1 + u = 3/2 + i.
-    """
-    D = "uC[Z3]"
-    F = Fraction
-    u, minus_u = (F(1, 2), 1), (F(-1, 2), -1)
-
-    def elem(terms):
-        return {"domain": D, "terms": [[k, *_wire(*c)] for k, c in terms.items()]}
-
-    product = {
-        (0, 0): {0: (1, 0)},
-        (0, 1): {1: (1, 0)},
-        (0, 2): {2: (1, 0)},
-        (1, 1): {2: (1, 0), 1: (1, 2), 0: (F(3, 4), -1)},
-        (1, 2): {0: (1, 0), 2: u},
-        (2, 2): {1: (1, 0), 0: minus_u},
-    }
-    product.update({(k2, k1): t for (k1, k2), t in list(product.items())})
-    coproduct = {
-        0: {(0, 0): (1, 0)},
-        1: {(1, 1): (1, 0), (1, 0): minus_u, (0, 1): minus_u, (0, 0): (F(-1, 4), 2)},
-        2: {(2, 2): (1, 0)},
-    }
-    return {
-        "domain": D,
-        "basis": [0, 1, 2],
-        "product": [[k1, k2, elem(t)] for (k1, k2), t in sorted(product.items())],
-        "coproduct": [
-            [k, {"domains": [D, D], "terms": [[list(ks), *_wire(*c)] for ks, c in t.items()]}]
-            for k, t in coproduct.items()
-        ],
-        "counit": [[0, _wire(1)], [1, _wire(F(3, 2), 1)], [2, _wire(1)]],
-        "antipode": [[0, elem({0: (1, 0)})], [1, elem({2: (1, 0), 0: u})], [2, elem({1: (1, 0), 0: minus_u})]],
-    }
-
-
-def test_gaussian_instance_output_is_byte_identical(tmp_path):
+def test_gaussian_instance_output_is_byte_identical(tmp_path, gaussian_cz3):
     # golden digest of the axiom suite on Gaussian-rational structure constants
     path = tmp_path / "gaussian-cz3.json"
-    path.write_text(json.dumps(gaussian_cz3()))
+    path.write_text(json.dumps(gaussian_cz3))
     proc = subprocess.run(
         [sys.executable, "-m", "mhopf.cli", "run", "all", "--instance", str(path), "--json"],
         capture_output=True,
@@ -195,8 +171,8 @@ def test_gaussian_instance_output_is_byte_identical(tmp_path):
     assert hashlib.sha1(proc.stdout).hexdigest() == "4b9baa1c8312ffb331c4ad65f196a0cf00e2a029"
 
 
-def test_perturbed_gaussian_instance_fails_with_witness():
-    blob = gaussian_cz3()
+def test_perturbed_gaussian_instance_fails_with_witness(gaussian_cz3):
+    blob = gaussian_cz3
     b1b2 = next(e for k1, k2, e in blob["product"] if (k1, k2) == (1, 2))
     term = next(t for t in b1b2["terms"] if t[0] == 0)
     term[1:] = _wire(Fraction(*term[1:3]) + Fraction(1, 2), Fraction(*term[3:5]) + Fraction(1, 3))
@@ -264,6 +240,18 @@ def test_timing_is_stamped_per_check(monkeypatch):
     # without --timing the output is the same lines minus the stamps
     _, plain = run_cli("run", "all", "--json")
     assert plain.splitlines() == [json.dumps(l, sort_keys=True) for l in lines]
+
+
+def test_timing_shows_certificate_provenance():
+    _, out = run_cli("run", "duality", "--group", "Z2", "--json", "--timing")
+    lines = {l["check"]: l for l in map(json.loads, out.splitlines())}
+    mult = lines["duality[K(Z2),C[Z2]]:multiplicative"]
+    assert mult["mode"] == "generators"
+    assert mult["cases"] == "3x8 of 64 pairs"
+    assert any("structural tensor" in r for r in mult["relies_on"])
+    assert "mode" not in lines["duality[K(Z2),C[Z2]]:bijective"]
+    _, plain = run_cli("run", "duality", "--group", "Z2", "--json")
+    assert all("mode" not in json.loads(l) for l in plain.splitlines())
 
 
 def test_console_entry_point_runs():
