@@ -52,11 +52,12 @@ class Algebra:
         self.name = name or domain
         self._mul_cache: dict = {}
         # candidates() lists the elements algebra_generators picks from
-        # (default: the basis); structure = (rule, factors) names a
-        # construction that is associative whenever its factors are
+        # (default: the basis); structure = (rule, factors, premises) names a
+        # construction that is associative whenever its factors are and each
+        # premise() returns a certificate line instead of None
         self._candidates = candidates
         self.structure = structure
-        # (how, premises) once associativity is certified exhaustively
+        # (how, factors, lines) once associativity is certified exhaustively
         self.associativity: tuple | None = None
         self._generators: tuple | None = None
 
@@ -331,19 +332,6 @@ class Certificate:
     relies_on: tuple = ()
 
 
-class _Images(dict):
-    """basis key -> phi(basis element), computed on first use."""
-
-    def __init__(self, phi: Callable, src: Algebra):
-        super().__init__()
-        self._phi = phi
-        self._src = src
-
-    def __missing__(self, key):
-        img = self[key] = self._phi(self._src.basis_element(key))
-        return img
-
-
 def algebra_generators(alg: Algebra, candidates: Sequence[Element] | None = None) -> tuple:
     """(Gen, rank): a greedy generating set and the rank of its monomials' span.
 
@@ -390,8 +378,8 @@ def algebra_generators(alg: Algebra, candidates: Sequence[Element] | None = None
     return gens, elim.rank
 
 
-def _spanning_generators(alg: Algebra, candidates) -> list | None:
-    gens, rank = algebra_generators(alg, candidates)
+def _spanning_generators(alg: Algebra) -> list | None:
+    gens, rank = algebra_generators(alg)
     return gens if rank == alg.dim else None
 
 
@@ -437,7 +425,7 @@ def certify_associative(
         return Certificate(w is None, w, "sampled", f"{len(triples)} triples")
     keys = alg.basis
     n = len(keys)
-    gens = _spanning_generators(alg, None) if mode == "generators" else None
+    gens = _spanning_generators(alg) if mode == "generators" else None
     w = None
     if gens is None or not _assoc_generators(alg, gens):
         # a failing generator check implies a failing basis triple, since the
@@ -448,31 +436,35 @@ def certify_associative(
     else:
         cert = Certificate(w is None, w, "generators", f"{len(gens)}x{n}x{n} of {n ** 3} triples")
     if cert.ok:
-        alg.associativity = (f"{cert.mode} {cert.cases}", ())
+        alg.associativity = (f"{cert.mode} {cert.cases}", (), ())
     return cert
 
 
-def associativity_certificates(alg: Algebra, max_dim: int) -> list | None:
+def associativity_certificates(alg: Algebra, max_triples: int) -> list | None:
     """Exhaustive associativity certificates of ``alg`` and of what they rest on.
 
     Returns ["name: how", ...] (the algebra's own first), or None when there
     is none.  A structural certificate holds when every factor of
-    ``alg.structure`` has one; an uncertified finite algebra of dimension at
-    most ``max_dim`` is certified directly.
+    ``alg.structure`` has one and every premise returns its line.  An
+    uncertified finite algebra is certified directly when it has at most
+    ``max_triples`` basis triples, so that even in ``pairs`` mode the direct
+    check costs no more products than the check that asked for it.
     """
     if alg.associativity is None and alg.is_finite:
         if alg.structure is not None:
-            rule, factors = alg.structure
-            if all(associativity_certificates(f, max_dim) is not None for f in factors):
-                alg.associativity = (f"structural {rule}", tuple(factors))
-        if alg.associativity is None and alg.dim <= max_dim:
+            rule, factors, premises = alg.structure
+            if all(associativity_certificates(f, max_triples) is not None for f in factors):
+                lines = [premise() for premise in premises]
+                if None not in lines:
+                    alg.associativity = (f"structural {rule}", tuple(factors), tuple(lines))
+        if alg.associativity is None and alg.dim ** 3 <= max_triples:
             certify_associative(alg)
     if alg.associativity is None:
         return None
-    how, premises = alg.associativity
-    out = [f"{alg.name}: {how}"]
-    for f in premises:
-        out.extend(associativity_certificates(f, max_dim))
+    how, factors, lines = alg.associativity
+    out = [f"{alg.name}: {how}", *lines]
+    for f in factors:
+        out.extend(associativity_certificates(f, max_triples))
     return out
 
 
@@ -483,7 +475,6 @@ def certify_algebra_map(
     mode: str = "generators",
     anti: bool = False,
     keys: Sequence | None = None,
-    candidates: Sequence[Element] | None = None,
 ) -> Certificate:
     """phi(x y) == phi(x) phi(y) (phi(y) phi(x) when ``anti``) for linear phi.
 
@@ -492,13 +483,19 @@ def certify_algebra_map(
     basis and runs only when Gen spans ``src`` and both ``src`` and ``dst``
     have exhaustive associativity certificates (``dst`` stands for its
     opposite algebra when ``anti``); otherwise the kernel runs ``pairs``.
-    Missing certificates are made directly only for algebras no larger than
-    ``src``, whose generator-mode associativity costs about what ``pairs``
-    would.  Any failure is re-found in ``pairs`` mode, so the witness is the
-    first failing basis pair (k1, k2) either way.
+    A missing certificate is made directly only for an algebra with no more
+    basis triples than ``src`` has basis pairs.  Any failure is re-found in
+    ``pairs`` mode, so the witness is the first failing basis pair (k1, k2)
+    either way.
     """
-    img = _Images(phi, src)
-    lin = LinearMap(src.domain, dst.domain, img)
+    if keys is None and not isinstance(phi, LinearMap):
+        images = {k: phi(e) for k, e in zip(src.basis, src.basis_elements())}
+        phi = LinearMap(src.domain, dst.domain, images)
+    if isinstance(phi, LinearMap):
+        image = phi.table.__getitem__
+    else:
+        def image(k):
+            return phi(src.basis_element(k))
 
     def product(x: Element, y: Element) -> Element:
         return dst.mul(y, x) if anti else dst.mul(x, y)
@@ -506,9 +503,9 @@ def certify_algebra_map(
     def holds_on_generators(gens) -> bool:
         basis = list(zip(src.basis, src.basis_elements()))
         for g in gens:
-            pg = lin(g)
+            pg = phi(g)
             for k, e in basis:
-                if lin(src.mul(g, e)) != product(pg, img[k]):
+                if phi(src.mul(g, e)) != product(pg, image(k)):
                     return False
         return True
 
@@ -517,10 +514,10 @@ def certify_algebra_map(
     n = len(keys)
     gens = relies = None
     if mode == "generators" and label == "pairs":
-        gens = _spanning_generators(src, candidates)
+        gens = _spanning_generators(src)
         if gens is not None:
-            cs = associativity_certificates(src, n)
-            cd = associativity_certificates(dst, n)
+            cs = associativity_certificates(src, n * n)
+            cd = associativity_certificates(dst, n * n)
             if cs is not None and cd is not None:
                 relies = tuple(cs + (["opposite of " + cd[0]] + cd[1:] if anti else cd))
     if relies is None:
@@ -529,11 +526,11 @@ def certify_algebra_map(
         label, cases = "generators", f"{len(gens)}x{n} of {n * n} pairs"
         if holds_on_generators(gens):
             return Certificate(True, None, label, cases, relies)
-    # phi is extended linearly from the basis images, so a failing generator
-    # check implies a failing basis pair; the first one is the witness
+    # phi is linear, so a failing generator check implies a failing basis
+    # pair; the first one is the witness
     witness = next(
         ((k1, k2) for k1 in keys for k2 in keys
-         if lin(src.mul_basis(k1, k2)) != product(img[k1], img[k2])),
+         if phi(src.mul_basis(k1, k2)) != product(image(k1), image(k2))),
         None,
     )
     return Certificate(witness is None, witness, label, cases, relies or ())

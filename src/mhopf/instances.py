@@ -337,7 +337,7 @@ def matrix_algebra(n: int, coeff: Algebra) -> Algebra:
 
     return Algebra(
         domain, mul_basis, basis=basis, identity=identity, name=domain,
-        structure=("matrix", (coeff,)),
+        structure=("matrix", (coeff,), ()),
     )
 
 
@@ -380,7 +380,7 @@ def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
         identity=identity,
         key_window=window,
         name=domain,
-        structure=("tensor", (r, a)),
+        structure=("tensor", (r, a), ()),
     )
 
 

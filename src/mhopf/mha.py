@@ -413,6 +413,65 @@ def verify_mha_axioms(
     return rep
 
 
+def coproduct_certificate(h: RegularMHA) -> str | None:
+    """Why smash products acted on by ``h`` are associative, or None.
+
+    With delta(a) = t1(a, 1), checks on every basis element and pair that
+    t1(a, b) = delta(a)(1 (x) b) and t3(a, b) = delta(a)(b (x) 1), that delta
+    is coassociative, and that delta(ab) = delta(a) delta(b).  The smash
+    product R#A is built from t1 and the module-algebra law is checked
+    through t3, so these, with associative R and A and a module-algebra
+    action, make R#A associative.  None for an infinite or non-unital
+    instance, or when a check fails.
+    """
+    alg = h.algebra
+    if not alg.is_finite or alg.identity is None:
+        return None
+    keys = alg.basis
+    mul = alg.mul_basis
+    delta = {k: h.delta(alg.basis_element(k)).coeffs for k in keys}
+
+    def covered(ka, kb, leg: int) -> dict:
+        # delta(a)(1 (x) b) for leg 1, delta(a)(b (x) 1) for leg 0
+        acc: dict = {}
+        for (u, v), c in delta[ka].items():
+            for w, cw in mul((u, v)[leg], kb).coeffs.items():
+                add_into(acc, (u, w) if leg else (w, v), c * cw)
+        return acc
+
+    for ka, kb in _basis_pairs(keys):
+        a, b = alg.basis_element(ka), alg.basis_element(kb)
+        if h.t1(a, b).coeffs != covered(ka, kb, 1) or h.t3(a, b).coeffs != covered(ka, kb, 0):
+            return None
+
+    for ka in keys:
+        lhs: dict = {}
+        rhs: dict = {}
+        for (u, v), c in delta[ka].items():
+            for (p, q), cp in delta[u].items():
+                add_into(lhs, (p, q, v), c * cp)
+            for (p, q), cq in delta[v].items():
+                add_into(rhs, (u, p, q), c * cq)
+        if lhs != rhs:
+            return None
+
+    for ka, kb in _basis_pairs(keys):
+        lhs = {}
+        for k, c in mul(ka, kb).coeffs.items():
+            for uv, cd in delta[k].items():
+                add_into(lhs, uv, c * cd)
+        rhs = {}
+        for (u, v), c in delta[ka].items():
+            for (u2, v2), c2 in delta[kb].items():
+                for p, cp in mul(u, u2).coeffs.items():
+                    for q, cq in mul(v, v2).coeffs.items():
+                        add_into(rhs, (p, q), c * c2 * cp * cq)
+        if lhs != rhs:
+            return None
+    n = len(keys)
+    return f"{h.name}: t1, t3 from one coassociative multiplicative coproduct, {n * n} pairs"
+
+
 # -- local units ------------------------------------------------------------
 
 

@@ -39,7 +39,7 @@ from .errors import (
     UnverifiedAction,
 )
 from .linalg import span_rank
-from .mha import RegularMHA
+from .mha import RegularMHA, coproduct_certificate
 from .reports import Report
 
 
@@ -128,9 +128,17 @@ def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProdu
         key_window=window,
         name=domain,
         candidates=candidates,
-        # R#A is associative when R is an A-module algebra (checked on every
-        # basis triple) and R and A are associative
-        structure=("smash", (R, h.algebra)) if action.exhaustive else None,
+        # R#A is associative when R and A are, R is an A-module algebra
+        # (checked on every basis triple) and A's coproduct is coassociative
+        # and multiplicative
+        structure=(
+            ("smash", (R, h.algebra), (
+                lambda: f"{action.name}: module algebra on every basis triple",
+                lambda: coproduct_certificate(h),
+            ))
+            if action.exhaustive
+            else None
+        ),
     )
     s = SmashProduct(action, alg)
     s.certificates = _certify(s, verify, seed)

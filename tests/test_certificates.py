@@ -7,7 +7,7 @@ the failure when re-evaluated on its own.
 
 import pytest
 
-from mhopf.actions import verify_module_algebra
+from mhopf.actions import ActionSpec, verify_module_algebra
 from mhopf.algebras import (
     Algebra,
     algebra_generators,
@@ -17,9 +17,10 @@ from mhopf.algebras import (
 )
 from mhopf.aqg import make_aqg
 from mhopf.duality import dual_action, duality_isomorphism
-from mhopf.elements import Element
+from mhopf.elements import Element, TensorElement, add_into
 from mhopf.instances import cyclic_group, group_algebra, translation_action
 from mhopf.linalg import LinearMap
+from mhopf.mha import RegularMHA, coproduct_certificate
 from mhopf.pairing import diamond_algebra, pair_of_aqg, pairing_smash, rank_one_gamma
 from mhopf.scalars import sc
 from mhopf.serialize import instance_from_json
@@ -43,6 +44,9 @@ def smash_s3(s3):
 def rank_one_s3(dual_pair_cs3):
     sab = pairing_smash(dual_pair_cs3, "AB")
     dia = diamond_algebra(dual_pair_cs3)
+    # the 36-dim diamond has more basis triples than A#A^ has pairs, so the
+    # kernel would not certify it on the map's behalf
+    assert certify_associative(dia).ok
     return rank_one_gamma(dual_pair_cs3, sab, dia), sab, dia
 
 
@@ -111,6 +115,9 @@ def test_crossed_product_oracle_map_agrees(n, s3):
     def swap(u):
         return Element(s.algebra.domain, {(kr, q): c for (q, kr), c in u.coeffs.items()})
 
+    # the oracle follows no construction rule, and it has more basis triples
+    # than pairs, so the kernel would not certify it on the map's behalf
+    assert certify_associative(oracle).ok
     certs = {mode: certify_algebra_map(swap, oracle, s.algebra, mode) for mode in MODES}
     assert all(c.ok for c in certs.values())
     assert certs["generators"].mode == "generators"
@@ -173,7 +180,7 @@ def test_structural_smash_certificate_needs_an_exhaustive_action(z3):
     s = smash(sampled_action, verify="sampled")
     assert s.algebra.structure is None and s.algebra.associativity is None
     # with no structural rule the only certificate is a direct one
-    certs = associativity_certificates(s.algebra, s.algebra.dim)
+    certs = associativity_certificates(s.algebra, s.algebra.dim ** 3)
     assert certs[0].startswith(f"{s.algebra.name}: generators")
 
 
@@ -237,13 +244,89 @@ def test_non_associative_target_fails(rank_one_s3):
 
 def test_non_spanning_candidates_fall_back_to_pairs(rank_one_s3):
     gmap, sab, dia = rank_one_s3
-    src = sab.algebra
-    few = src.candidates()[:1]
-    assert algebra_generators(src, few)[1] < src.dim
-    cert = certify_algebra_map(gmap, src, dia, "generators", candidates=few)
+    full = sab.algebra
+    src = Algebra(
+        full.domain, full.mul_basis, basis=full.basis, identity=full.identity,
+        name=f"one-candidate({full.name})", candidates=lambda: full.candidates()[:1],
+        structure=full.structure,
+    )
+    assert algebra_generators(src)[1] < src.dim
+    assert associativity_certificates(src, src.dim ** 2) is not None
+    cert = certify_algebra_map(gmap, src, dia, "generators")
     assert cert.ok and cert.mode == "pairs"
     bad = _corrupted(gmap, src.basis[-1], Element.basis(dia.domain, dia.basis[0], sc(1)))
-    fallback = certify_algebra_map(bad, src, dia, "generators", candidates=few)
+    fallback = certify_algebra_map(bad, src, dia, "generators")
     pairs = certify_algebra_map(bad, src, dia, "pairs")
     assert not fallback.ok and fallback.mode == "pairs"
     assert fallback.witness == pairs.witness
+
+
+def test_structural_smash_certificate_needs_a_certified_coproduct(z2):
+    # t1 is corrupted at one pair while t3 and t4, through which the action
+    # is verified, are not: the action passes on every basis triple, but the
+    # smash product, built from t1, is not associative
+    tr = translation_action(z2)
+    h = tr.mha
+    unit, g = h.algebra.basis
+    D = h.domain
+
+    def t1(ka, kb):
+        if (ka, kb) == (g, g):
+            return TensorElement.basis((D, D), (unit, unit))
+        return h.t1(Element.basis(D, ka), Element.basis(D, kb))
+
+    def cover(variant):
+        return lambda ka, kb: h.cover(variant, Element.basis(D, ka), Element.basis(D, kb))
+
+    broken = RegularMHA(
+        h.algebra, t1, cover(2), cover(3), cover(4),
+        h.counit_key, h.antipode_key, h.antipode_inv_key, name="broken-t1",
+    )
+    assert coproduct_certificate(h) is not None
+    assert coproduct_certificate(broken) is None
+    action = ActionSpec.build(broken, tr.ralg, tr.act, rule="translation")
+    rep = verify_module_algebra(action)
+    assert rep.ok and action.exhaustive
+    s = smash(action)
+    assert s.certificates.status_of("associativity") == "fail"
+    assert associativity_certificates(s.algebra, s.algebra.dim ** 3) is None
+    ident = certify_algebra_map(lambda u: u, s.algebra, s.algebra, "generators")
+    assert ident.ok and ident.mode == "pairs"
+
+
+def _with_coproduct(h, delta: dict) -> RegularMHA:
+    """``h`` with t1 and t3 built from ``delta``: key -> {(u, v): coefficient}."""
+    alg, D = h.algebra, h.domain
+
+    def covered(leg):
+        def t(ka, kb):
+            acc: dict = {}
+            for (u, v), c in delta[ka].items():
+                for w, cw in alg.mul_basis((u, v)[leg], kb).coeffs.items():
+                    add_into(acc, (u, w) if leg else (w, v), c * cw)
+            return TensorElement((D, D), acc)
+
+        return t
+
+    def kept(variant):
+        return lambda ka, kb: h.cover(variant, Element.basis(D, ka), Element.basis(D, kb))
+
+    return RegularMHA(
+        alg, covered(1), kept(2), covered(0), kept(4),
+        h.counit_key, h.antipode_key, h.antipode_inv_key, name=f"recovered({h.name})",
+    )
+
+
+@pytest.mark.parametrize("broken", ["not-coassociative", "not-multiplicative"])
+def test_coproduct_certificate_rejects_a_broken_coproduct(broken, kz2):
+    keys = kz2.algebra.basis
+    true = {k: kz2.delta(kz2.algebra.basis_element(k)).coeffs for k in keys}
+    assert coproduct_certificate(_with_coproduct(kz2, true)) is not None
+    if broken == "not-multiplicative":
+        # 2 delta is coassociative but 2 delta(ab) != 4 delta(a) delta(b)
+        delta = {k: {uv: c + c for uv, c in t.items()} for k, t in true.items()}
+    else:
+        # pulled back along the non-associative x * y = 1 - x on {0, 1}: an
+        # algebra map K(Z2) -> K(Z2) (x) K(Z2) that is not coassociative
+        delta = {z: {(x, y): sc(1) for x in keys for y in keys if 1 - x == z} for z in keys}
+    assert coproduct_certificate(_with_coproduct(kz2, delta)) is None

@@ -8,6 +8,7 @@ import pytest
 
 from mhopf.cli import main
 from mhopf.mha import verify_mha_axioms
+from mhopf.scalars import Scalar
 from mhopf.serialize import element_to_json, instance_from_json, instance_to_json
 
 
@@ -154,11 +155,6 @@ def test_s3_suite_output_is_byte_identical(suite, sha1):
     assert hashlib.sha1(proc.stdout).hexdigest() == sha1
 
 
-def _wire(re, im=0):
-    re, im = Fraction(re), Fraction(im)
-    return [re.numerator, re.denominator, im.numerator, im.denominator]
-
-
 def test_gaussian_instance_output_is_byte_identical(tmp_path, gaussian_cz3):
     # golden digest of the axiom suite on Gaussian-rational structure constants
     path = tmp_path / "gaussian-cz3.json"
@@ -175,7 +171,8 @@ def test_perturbed_gaussian_instance_fails_with_witness(gaussian_cz3):
     blob = gaussian_cz3
     b1b2 = next(e for k1, k2, e in blob["product"] if (k1, k2) == (1, 2))
     term = next(t for t in b1b2["terms"] if t[0] == 0)
-    term[1:] = _wire(Fraction(*term[1:3]) + Fraction(1, 2), Fraction(*term[3:5]) + Fraction(1, 3))
+    shift = Scalar(Fraction(1, 2), Fraction(1, 3))
+    term[1:] = (Scalar.from_tuple(term[1:5]) + shift).to_tuple()
     rep = verify_mha_axioms(instance_from_json(blob))
     assert rep.status_of("counit-homomorphism") == "fail"
     assert all(e.witness is not None for e in rep.failures())
