@@ -20,38 +20,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebras import Algebra, Multiplier, multiplier_product, multiplier_space
-from .elements import Element, add_into
+from .elements import Element, add_into, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
     InfiniteDimensional,
     NotHopf,
     NotUnitalHomomorphism,
 )
-from .linalg import linear_solve, nullspace
+from .linalg import BilinearMap, linear_solve, nullspace
 from .mha import RegularMHA
 from .reports import Report
-
-
-def _memo_bilinear_action(fn: Callable, adomain: str, vdomain: str) -> Callable:
-    """Cache a bilinear action on basis-key pairs; the workhorse loops all
-    reduce to basis pairs, so this turns repeated covered evaluation into
-    table lookups."""
-    cache: dict = {}
-
-    def wrapped(a: Element, v: Element) -> Element:
-        acc: dict = {}
-        for ka, ca in a.coeffs.items():
-            for kv, cv in v.coeffs.items():
-                hit = cache.get((ka, kv))
-                if hit is None:
-                    hit = fn(Element.basis(adomain, ka), Element.basis(vdomain, kv))
-                    cache[(ka, kv)] = hit
-                c = ca * cv
-                for k, w in hit.coeffs.items():
-                    add_into(acc, k, c * w)
-        return Element(vdomain, acc, _canon=True)
-
-    return wrapped
 
 
 @dataclass
@@ -60,7 +38,9 @@ class ModuleSpec:
 
     ``act(a, v)`` is bilinear; ``witness(v)`` returns pairs (a_i, v_i) with
     sum act(a_i, v_i) = v.  ``space_basis`` is None for infinite spaces (a
-    ``space_window`` sampler must then be provided).
+    ``space_window`` sampler must then be provided).  The action is kept as
+    a :class:`BilinearMap`: a given one is used as it is, any other callable
+    is evaluated on basis pairs and extended bilinearly.
     """
 
     mha: RegularMHA
@@ -77,17 +57,19 @@ class ModuleSpec:
                 raise ValueError(f"{self.name}: witnesses required without identity")
             one = self.mha.algebra.one()
             self.witness = lambda v: [(one, v)]
-        self.act = _memo_bilinear_action(
-            self.act, self.mha.domain, self.space_domain
-        )
+        if not isinstance(self.act, BilinearMap):
+            act, adomain, vdomain = self.act, self.mha.domain, self.space_domain
+            self.act = BilinearMap(
+                adomain,
+                vdomain,
+                vdomain,
+                lambda ka, kv: act(Element.basis(adomain, ka), Element.basis(vdomain, kv)),
+            )
 
     def sample_space_keys(self, n: int = 4) -> list:
         if self.space_basis is not None:
             return list(self.space_basis)
         return self.space_window(n)
-
-    def basis_vector(self, key) -> Element:
-        return Element.basis(self.space_domain, key)
 
     def is_finite(self) -> bool:
         return self.space_basis is not None
@@ -120,30 +102,21 @@ class ActionSpec(ModuleSpec):
 # -- covered evaluation helpers ----------------------------------------------
 
 
-def act_cov_1x(s: ModuleSpec, a: Element, x: Element, then: Callable) -> Element:
-    """sum over Delta(a): contract leg 1 via act(. , x), feed leg 2 to then.
-
-    Computes sum then(a_(1) x, a_(2) ?) style expressions where `then`
-    receives (acted-element, second-leg-key-element) and returns an Element
-    accumulated linearly.  Leg 1 is grounded through the witnesses of x.
-    """
-    h = s.mha
-    out = None
-    for b, z in s.witness(x):
-        t = h.t3(a, b)  # sum a_(1) b (x) a_(2)
-        for (u, v), c in t.coeffs.items():
-            ue = Element.basis(h.domain, u)
-            ve = Element.basis(h.domain, v)
-            term = then(s.act(ue, z), ve).scale(c)
-            out = term if out is None else out + term
-    if out is None:
-        raise ValueError("empty witness decomposition")
-    return out
-
-
 def module_algebra_product_action(s: ActionSpec, a: Element, x: Element, y: Element) -> Element:
     """sum (a_(1) x)(a_(2) y), grounded through the witnesses of x."""
-    return act_cov_1x(s, a, x, lambda ax, v: s.ralg.mul(ax, s.act(v, y)))
+    h = s.mha
+    terms = [
+        # sum a_(1) b (x) a_(2), with a_(1) b acting on z and a_(2) on y
+        merge_legs(
+            h.t3(a, b), 0, 1,
+            lambda u, v: s.ralg.mul(s.act(_basis(h, u), z), s.act(_basis(h, v), y)),
+            s.space_domain,
+        )
+        for b, z in s.witness(x)
+    ]
+    if not terms:
+        raise ValueError("empty witness decomposition")
+    return sum(terms[1:], terms[0])
 
 
 def lemma_left_form(s: ActionSpec, a: Element, x: Element, y: Element) -> Element:
@@ -153,11 +126,11 @@ def lemma_left_form(s: ActionSpec, a: Element, x: Element, y: Element) -> Elemen
     for b, z in s.witness(y):
         # S(a_(2)) b = S(S_inv(b) a_(2)): ground leg 2 with inner left cover
         t = h.t4(a, h.antipode_inv(b))  # a_(1) (x) S_inv(b) a_(2)
-        for (u, w), c in t.coeffs.items():
-            inner = s.act(h.antipode(Element.basis(h.domain, w)), z)
-            out = out + s.act(
-                Element.basis(h.domain, u), s.ralg.mul(x, inner)
-            ).scale(c)
+        out = out + merge_legs(
+            t, 0, 1,
+            lambda u, w: s.act(_basis(h, u), s.ralg.mul(x, s.act(h.antipode_key(w), z))),
+            s.space_domain,
+        )
     return out
 
 
@@ -168,12 +141,16 @@ def lemma_right_form(s: ActionSpec, a: Element, x: Element, y: Element) -> Eleme
     for b, z in s.witness(x):
         # S_inv(a_(1)) b = S_inv(a_(1) S(b)): inner right cover on leg 1
         t = h.t3(a, h.antipode(b))  # a_(1) S(b) (x) a_(2)
-        for (w, v), c in t.coeffs.items():
-            inner = s.act(h.antipode_inv(Element.basis(h.domain, w)), z)
-            out = out + s.act(
-                Element.basis(h.domain, v), s.ralg.mul(inner, y)
-            ).scale(c)
+        out = out + merge_legs(
+            t, 0, 1,
+            lambda w, v: s.act(_basis(h, v), s.ralg.mul(s.act(h.antipode_inv_key(w), z), y)),
+            s.space_domain,
+        )
     return out
+
+
+def _basis(h: RegularMHA, k) -> Element:
+    return Element.basis(h.domain, k)
 
 
 # -- verification ---------------------------------------------------------------
@@ -306,14 +283,11 @@ def adjoint_action(h: RegularMHA) -> ActionSpec:
     """A acting on itself by a . x = sum a_(1) x S(a_(2))."""
 
     def act(a: Element, x: Element) -> Element:
-        out = Element.zero(h.domain)
-        t = h.t3(a, x)  # sum a_(1) x (x) a_(2)
-        for (u, v), c in t.coeffs.items():
-            out = out + h.algebra.mul(
-                Element.basis(h.domain, u),
-                h.antipode(Element.basis(h.domain, v)),
-            ).scale(c)
-        return out
+        # sum a_(1) x (x) a_(2), multiplied out as a_(1) x S(a_(2))
+        t = h.t3(a, x)
+        return merge_legs(
+            t, 0, 1, lambda u, v: h.algebra.mul(_basis(h, u), h.antipode_key(v)), h.domain
+        )
 
     witness = None
     if not h.has_identity:
@@ -374,12 +348,13 @@ def inner_action_from(
         for b, z in gamma_witness(x):
             # x = gamma(b) z, so gamma(a_(1)) x = gamma(a_(1) b) z
             t = h.t3(a, b)  # a_(1) b (x) a_(2)
-            for (u, v), c in t.coeffs.items():
-                left = _gamma_apply(h, ralg, gamma, Element.basis(h.domain, u)).left(z)
-                gs = _gamma_apply(
-                    h, ralg, gamma, h.antipode(Element.basis(h.domain, v))
-                )
-                out = out + gs.right(left).scale(c)
+            out = out + merge_legs(
+                t, 0, 1,
+                lambda u, v: _gamma_apply(h, ralg, gamma, h.antipode_key(v)).right(
+                    _gamma_apply(h, ralg, gamma, _basis(h, u)).left(z)
+                ),
+                ralg.domain,
+            )
         return out
 
     spec = ActionSpec.build(h, ralg, act, rule="inner", name=f"inner({h.name} on {ralg.name})")
@@ -423,25 +398,18 @@ def extend_action_to_multipliers(s: ActionSpec, a: Element, m: Multiplier) -> Mu
     h = s.mha
     alg = s.ralg
 
-    def left(x: Element) -> Element:
-        out = Element.zero(alg.domain)
-        for b, z in s.witness(x):
-            t = h.t4(a, h.antipode_inv(b))  # a_(1) (x) S_inv(b) a_(2)
-            for (u, w), c in t.coeffs.items():
-                inner = m.left(s.act(h.antipode(Element.basis(h.domain, w)), z))
-                out = out + s.act(Element.basis(h.domain, u), inner).scale(c)
-        return out
-
     def right(x: Element) -> Element:
         out = Element.zero(alg.domain)
         for b, z in s.witness(x):
             t = h.t3(a, h.antipode(b))  # a_(1) S(b) (x) a_(2)
-            for (w, v), c in t.coeffs.items():
-                inner = m.right(s.act(h.antipode_inv(Element.basis(h.domain, w)), z))
-                out = out + s.act(Element.basis(h.domain, v), inner).scale(c)
+            out = out + merge_legs(
+                t, 0, 1,
+                lambda w, v: s.act(_basis(h, v), m.right(s.act(h.antipode_inv_key(w), z))),
+                alg.domain,
+            )
         return out
 
-    return Multiplier(alg, left, right)
+    return Multiplier(alg, action_on_linear_map(s, a, m.left), right)
 
 
 def action_on_linear_map(s: ActionSpec, a: Element, op: Callable) -> Callable:
@@ -451,10 +419,12 @@ def action_on_linear_map(s: ActionSpec, a: Element, op: Callable) -> Callable:
     def out(x: Element) -> Element:
         acc = Element.zero(s.space_domain)
         for b, z in s.witness(x):
-            t = h.t4(a, h.antipode_inv(b))
-            for (u, w), c in t.coeffs.items():
-                inner = op(s.act(h.antipode(Element.basis(h.domain, w)), z))
-                acc = acc + s.act(Element.basis(h.domain, u), inner).scale(c)
+            t = h.t4(a, h.antipode_inv(b))  # a_(1) (x) S_inv(b) a_(2)
+            acc = acc + merge_legs(
+                t, 0, 1,
+                lambda u, w: s.act(_basis(h, u), op(s.act(h.antipode_key(w), z))),
+                s.space_domain,
+            )
         return acc
 
     return out
@@ -609,12 +579,16 @@ def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report
         da = h.delta(a)
         for kx in rkeys:
             x = Element.basis(alg.domain, kx)
-            lhs = Element.zero(alg.domain)
-            rhs = Element.zero(alg.domain)
-            for (u, v), cc in da.coeffs.items():
-                ue, ve = Element.basis(h.domain, u), Element.basis(h.domain, v)
-                lhs = lhs + c.apply(h, alg, ve).right(act2.act(ue, x)).scale(cc)
-                rhs = rhs + c.apply(h, alg, ue).left(act1.act(ve, x)).scale(cc)
+            lhs = merge_legs(
+                da, 0, 1,
+                lambda u, v: c.apply(h, alg, _basis(h, v)).right(act2.act(_basis(h, u), x)),
+                alg.domain,
+            )
+            rhs = merge_legs(
+                da, 0, 1,
+                lambda u, v: c.apply(h, alg, _basis(h, u)).left(act1.act(_basis(h, v), x)),
+                alg.domain,
+            )
             if lhs != rhs:
                 witness = (ka, kx)
                 break
@@ -645,20 +619,18 @@ def tensor_module(m1: ModuleSpec, m2: ModuleSpec) -> ModuleSpec:
     if m1.space_basis is not None and m2.space_basis is not None:
         basis = [(k1, k2) for k1 in m1.space_basis for k2 in m2.space_basis]
 
-    def act(a: Element, v: Element) -> Element:
-        acc: dict = {}
-        for (k1, k2), cv in v.coeffs.items():
-            x = Element.basis(m1.space_domain, k1)
-            y = Element.basis(m2.space_domain, k2)
-            for b, z in m1.witness(x):
-                t = h.t3(a, b)
-                for (u, w), c in t.coeffs.items():
-                    ex = m1.act(Element.basis(h.domain, u), z)
-                    ey = m2.act(Element.basis(h.domain, w), y)
-                    for kx, cx in ex.coeffs.items():
-                        for ky, cy in ey.coeffs.items():
-                            add_into(acc, (kx, ky), cv * c * cx * cy)
-        return Element(domain, acc, _canon=True)
+    def act_basis(ka, kv) -> Element:
+        # a (x (x) y) = sum (a_(1) x) (x) (a_(2) y), grounded through the witnesses of x
+        a, (k1, k2) = _basis(h, ka), kv
+        y = Element.basis(m2.space_domain, k2)
+        out = Element.zero(domain)
+        for b, z in m1.witness(Element.basis(m1.space_domain, k1)):
+            t = map_leg(h.t3(a, b), 0, lambda u: m1.act(_basis(h, u), z), m1.space_domain)
+            t = map_leg(t, 1, lambda w: m2.act(_basis(h, w), y), m2.space_domain)
+            out = out + Element(domain, t.coeffs, _canon=True)
+        return out
+
+    act = BilinearMap(h.domain, domain, domain, act_basis)
 
     # delta(A)(A (x) 1) = A (x) A makes the diagonal action unital; without
     # an identity, decompositions are found by solving over a sample window

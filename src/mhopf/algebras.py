@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .elements import Element, add_into
-from .errors import DomainMismatch, InfiniteDimensional, NoIdentity
-from .linalg import LinearMap, SparseEliminator, nullspace
+from .errors import InfiniteDimensional, NoIdentity
+from .linalg import BilinearMap, LinearMap, SparseEliminator, nullspace
 from .scalars import Scalar
 
 
@@ -42,7 +42,7 @@ class Algebra:
         structure: tuple | None = None,
     ):
         self.domain = domain
-        self._mul_basis = mul_basis
+        self.product = BilinearMap(domain, domain, domain, mul_basis)
         self.basis = list(basis) if basis is not None else None
         self.identity = identity
         self.local_unit_oracle = local_unit_oracle
@@ -50,7 +50,6 @@ class Algebra:
         # keys for infinite domains (e.g. {-n..n} for functions on Z)
         self.key_window = key_window
         self.name = name or domain
-        self._mul_cache: dict = {}
         # candidates() lists the elements algebra_generators picks from
         # (default: the basis); structure = (rule, factors, premises) names a
         # construction that is associative whenever its factors are and each
@@ -91,36 +90,15 @@ class Algebra:
         return self.key_window(n)
 
     def mul_basis(self, k1, k2) -> Element:
-        key = (k1, k2)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            hit = self._mul_basis(k1, k2)
-            self._mul_cache[key] = hit
-        return hit
+        return self.product.table[k1, k2]
 
     def mul(self, x: Element, y: Element) -> Element:
-        if x.domain != self.domain or y.domain != self.domain:
-            raise DomainMismatch(f"product in {self.domain!r}")
-        acc: dict = {}
-        for k1, c1 in x.coeffs.items():
-            for k2, c2 in y.coeffs.items():
-                c = c1 * c2
-                for k, v in self.mul_basis(k1, k2).coeffs.items():
-                    add_into(acc, k, c * v)
-        return Element(self.domain, acc, _canon=True)
+        return self.product(x, y)
 
     def one(self) -> Element:
         if self.identity is None:
             raise NoIdentity(self.name)
         return self.identity
-
-    def structure_table(self) -> dict:
-        """Full (k1, k2) -> product table; finite instances only."""
-        out = {}
-        for k1 in self.basis:
-            for k2 in self.basis:
-                out[(k1, k2)] = self.mul_basis(k1, k2)
-        return out
 
 
 class Multiplier:
@@ -273,28 +251,16 @@ def multiplier_space(alg: Algebra) -> list[Multiplier]:
                     per_out.setdefault(kidx[k], {})
                     add_into(per_out[kidx[k]], lvar(i, kidx[kb]), -c)
             row_entries.extend(per_out.values())
-    out = []
-    for v in nullspace(row_entries, 2 * n * n):
-        ltab = {
-            keys[j]: Element(alg.domain, {keys[i]: v[lvar(i, j)] for i in range(n)})
+    def side(v, var) -> LinearMap:
+        table = {
+            keys[j]: Element(alg.domain, {keys[i]: v[var(i, j)] for i in range(n)})
             for j in range(n)
         }
-        rtab = {
-            keys[j]: Element(alg.domain, {keys[i]: v[rvar(i, j)] for i in range(n)})
-            for j in range(n)
-        }
+        return LinearMap(alg.domain, alg.domain, table)
 
-        def mk(tab):
-            def apply(x: Element) -> Element:
-                img = Element.zero(alg.domain)
-                for k, c in x.coeffs.items():
-                    img = img + tab[k].scale(c)
-                return img
-
-            return apply
-
-        out.append(Multiplier(alg, mk(ltab), mk(rtab)))
-    return out
+    return [
+        Multiplier(alg, side(v, lvar), side(v, rvar)) for v in nullspace(row_entries, 2 * n * n)
+    ]
 
 
 def operator_element(alg: Algebra, op: Callable, domain: str) -> Element:

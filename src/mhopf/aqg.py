@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algebras import Algebra
+from .algebras import Algebra, certify_algebra_map
 from .elements import Element, TensorElement, add_into, map_leg, weight_leg
 from .errors import InfiniteDimensional, Singular, Undecidable
 from .linalg import LinearMap, nullspace, span_rank
@@ -312,12 +312,9 @@ def compute_modular_automorphism(g: AlgebraicQuantumGroup) -> LinearMap:
         w = {kb: phi(alg.mul(a, Element.basis(h.domain, kb))) for kb in keys}
         table[ka] = F_inv(Element(F_inv.src_domain, w))
     sigma = LinearMap(h.domain, h.domain, table)
-    for ka in keys:
-        for kb in keys:
-            lhs = sigma(alg.mul_basis(ka, kb))
-            rhs = alg.mul(sigma(Element.basis(h.domain, ka)), sigma(Element.basis(h.domain, kb)))
-            if lhs != rhs:
-                raise Singular(f"{h.name}: sigma fails multiplicativity at {(ka, kb)}")
+    cert = certify_algebra_map(sigma, alg, alg, mode="pairs")
+    if not cert.ok:
+        raise Singular(f"{h.name}: sigma fails multiplicativity at {cert.witness}")
     if span_rank(list(table.values())) != len(keys):
         raise Singular(f"{h.name}: sigma not bijective")
     return sigma
@@ -336,42 +333,27 @@ class DualBridge:
 
     def __post_init__(self):
         self._sigma_inv = None
-        self._left_slot_cache: dict = {}
-
-    def eval_dual(self, omega: Element, x: Element) -> Scalar:
-        """<x, omega>: evaluate a dual element as a functional on A."""
         h = self.base.base
         phi = self.base.left_integral
-        total = Scalar(0)
-        for kj, c in omega.coeffs.items():
-            total = total + c * phi(h.algebra.mul(x, Element.basis(h.domain, kj)))
-        return total
+
+        def left_slot(k) -> Element:
+            e = Element.basis(h.domain, k)
+            return self.from_values(
+                {kb: phi(h.algebra.mul(e, Element.basis(h.domain, kb))) for kb in h.algebra.basis}
+            )
+
+        # phi(c .) as a dual element, via the faithfulness of phi
+        self.from_left_slot = LinearMap(h.domain, self.dual.base.domain, left_slot)
+
+    def eval_dual(self, omega: Element, x: Element) -> Scalar:
+        """<x, omega> = phi(x a) for omega = phi(. a): a dual element as a functional on A."""
+        h = self.base.base
+        a = Element(h.domain, omega.coeffs, _canon=True)
+        return self.base.left_integral(h.algebra.mul(x, a))
 
     def from_values(self, values: dict) -> Element:
         """The dual element whose values on the basis of A are ``values``."""
         return self.F_inv(Element(self.F_inv.src_domain, values))
-
-    def from_right_slot(self, a: Element) -> Element:
-        """phi(. a) as a dual element (the defining basis identification)."""
-        dd = self.dual.base.domain
-        return Element(dd, dict(a.coeffs))
-
-    def from_left_slot(self, c: Element) -> Element:
-        """phi(c .) as a dual element, via the faithfulness of phi."""
-        h = self.base.base
-        keys = h.algebra.basis
-        out = Element.zero(self.dual.base.domain)
-        for k, coeff in c.coeffs.items():
-            hit = self._left_slot_cache.get(k)
-            if hit is None:
-                phi = self.base.left_integral
-                e = Element.basis(h.domain, k)
-                hit = self.from_values(
-                    {kb: phi(h.algebra.mul(e, Element.basis(h.domain, kb))) for kb in keys}
-                )
-                self._left_slot_cache[k] = hit
-            out = out + hit.scale(coeff)
-        return out
 
     def to_left_slot(self, omega: Element) -> Element:
         """The c with phi(c .) = omega; c = sigma^-1 of the right-slot rep."""
@@ -492,27 +474,14 @@ def from_hopf_data(
     """
     if alg.identity is None:
         raise Singular(f"{alg.name}: Hopf data requires an identity")
-    dd = (alg.domain, alg.domain)
-    cache: dict = {}
+    D = alg.domain
+    delta = LinearMap(D, (D, D), delta_basis).table
 
-    def delta(k) -> TensorElement:
-        hit = cache.get(k)
-        if hit is None:
-            hit = delta_basis(k)
-            cache[k] = hit
-        return hit
+    def times(kb):  # x -> x b on one leg
+        return lambda k: alg.mul_basis(k, kb)
 
-    def mul_into(t: TensorElement, leg: int, by_key, side: str) -> TensorElement:
-        acc: dict = {}
-        by = Element.basis(alg.domain, by_key)
-        for kk, c in t.coeffs.items():
-            e = Element.basis(alg.domain, kk[leg])
-            prod = alg.mul(e, by) if side == "right" else alg.mul(by, e)
-            for k2, c2 in prod.coeffs.items():
-                ks = list(kk)
-                ks[leg] = k2
-                add_into(acc, tuple(ks), c * c2)
-        return TensorElement(dd, acc, _canon=True)
+    def by(ka):  # x -> a x on one leg
+        return lambda k: alg.mul_basis(ka, k)
 
     if antipode_inv_basis is None:
         smap = LinearMap(alg.domain, alg.domain, {k: antipode_basis(k) for k in alg.basis})
@@ -526,10 +495,10 @@ def from_hopf_data(
 
     return RegularMHA(
         alg,
-        lambda ka, kb: mul_into(delta(ka), 1, kb, "right"),
-        lambda ka, kb: mul_into(delta(kb), 0, ka, "left"),
-        lambda ka, kb: mul_into(delta(ka), 0, kb, "right"),
-        lambda ka, kb: mul_into(delta(ka), 1, kb, "left"),
+        lambda ka, kb: map_leg(delta[ka], 1, times(kb), D),
+        lambda ka, kb: map_leg(delta[kb], 0, by(ka), D),
+        lambda ka, kb: map_leg(delta[ka], 0, times(kb), D),
+        lambda ka, kb: map_leg(delta[ka], 1, by(kb), D),
         counit_basis,
         antipode_basis,
         antipode_inv_basis,
@@ -562,29 +531,14 @@ def verify_mha_isomorphism(
         "pass",
     )
 
-    witness = None
-    for ka in skeys:
-        for kb in skeys:
-            a, b = Element.basis(src.domain, ka), Element.basis(src.domain, kb)
-            if iso(src.algebra.mul(a, b)) != dst.algebra.mul(iso(a), iso(b)):
-                witness = (ka, kb)
-                break
-        if witness:
-            break
-    rep.add("multiplicative", witness is None, "pass", witness)
+    rep.add_certificate("multiplicative", certify_algebra_map(iso, src.algebra, dst.algebra))
 
     witness = None
+    image = iso.table.__getitem__
     for ka in skeys:
         a = Element.basis(src.domain, ka)
-        lhs = src.delta(a)
-        mapped: dict = {}
-        for (u, v), c in lhs.coeffs.items():
-            iu = iso(Element.basis(src.domain, u))
-            iv = iso(Element.basis(src.domain, v))
-            for k1, c1 in iu.coeffs.items():
-                for k2, c2 in iv.coeffs.items():
-                    add_into(mapped, (k1, k2), c * c1 * c2)
-        if TensorElement((dst.domain, dst.domain), mapped) != dst.delta(iso(a)):
+        mapped = map_leg(map_leg(src.delta(a), 0, image), 1, image)
+        if mapped.coeffs != dst.delta(iso(a)).coeffs:
             witness = ka
             break
     rep.add("comultiplicative", witness is None, "pass", witness)

@@ -42,7 +42,7 @@ from .duality import (
     verify_coaction,
     w_conjugation,
 )
-from .elements import Element
+from .elements import Element, map_leg
 from .errors import MHopfError, UnknownInstance
 from .instances import (
     canonical_pair,
@@ -357,14 +357,8 @@ def _w_sampled_report(g, args) -> Report:
     from .actions import ActionSpec
 
     def act(b, u):
-        from .elements import add_into
-
-        acc = {}
-        for (kx, ka), c in u.coeffs.items():
-            img = p.act_BonA(b, Element.basis(p.A.domain, ka))
-            for kq, cq in img.coeffs.items():
-                add_into(acc, (kx, kq), c * cq)
-        return Element(s.algebra.domain, acc, _canon=True)
+        acted = map_leg(s.legs(u), 1, lambda ka: p.act_BonA(b, Element.basis(p.A.domain, ka)))
+        return s.join(acted)
 
     def witness(v):
         alegs = sorted({ka for (_, ka) in v.coeffs})

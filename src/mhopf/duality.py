@@ -23,8 +23,7 @@ from typing import Callable
 
 from .actions import ActionSpec, verify_module_algebra
 from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
-from .aqg import DualBridge
-from .elements import Element, add_into
+from .elements import Element, TensorElement, map_leg, merge_legs, tensor, weight_leg
 from .errors import (
     AlgebraMismatch,
     CoactionInvalid,
@@ -64,12 +63,8 @@ def dual_action(p: DualPair, s: SmashProduct) -> DualAction:
     B = p.B
 
     def act(b: Element, u: Element) -> Element:
-        acc: dict = {}
-        for (kx, ka), c in u.coeffs.items():
-            img = p.act_BonA(b, Element.basis(p.A.domain, ka))
-            for kq, cq in img.coeffs.items():
-                add_into(acc, (kx, kq), c * cq)
-        return Element(s.algebra.domain, acc, _canon=True)
+        acted = map_leg(s.legs(u), 1, lambda ka: p.act_BonA(b, Element.basis(p.A.domain, ka)))
+        return s.join(acted)
 
     witness = None
     if not B.has_identity:
@@ -150,13 +145,13 @@ def bismash_standard_module(d: DualAction) -> PlainModule:
     bis_domain = f"smash({s.algebra.domain},{d.pair.B.domain})"
 
     def act(u: Element, v: Element) -> Element:
-        out = Element.zero(s.algebra.domain)
-        for (ksm, kb), c in u.coeffs.items():
-            inner = d.act(Element.basis(d.pair.B.domain, kb), v)
-            out = out + s.algebra.mul(
-                s.algebra.basis_element(ksm), inner
-            ).scale(c)
-        return out
+        return merge_legs(
+            TensorElement((s.algebra.domain, d.pair.B.domain), u.coeffs, _canon=True), 0, 1,
+            lambda ksm, kb: s.algebra.mul(
+                s.algebra.basis_element(ksm), d.act(Element.basis(d.pair.B.domain, kb), v)
+            ),
+            s.algebra.domain,
+        )
 
     basis = None
     if s.algebra.is_finite and d.pair.B.algebra.is_finite:
@@ -207,12 +202,11 @@ def w_conjugation(d: DualAction, sample_range: int = 4) -> Report:
             x = Element.basis(R.domain, kx)
             a = Element.basis(h.domain, ka)
             u = s.element(x, a)
-            wi = w_inv_map(s, u)
-            back = Element.zero(s.algebra.domain)
-            for (kr, kA), c in wi.coeffs.items():
-                back = back + w_map(
-                    s, Element.basis(R.domain, kr), Element.basis(h.domain, kA)
-                ).scale(c)
+            back = merge_legs(
+                s.legs(w_inv_map(s, u)), 0, 1,
+                lambda kr, kA: w_map(s, Element.basis(R.domain, kr), Element.basis(h.domain, kA)),
+                s.algebra.domain,
+            )
             if back != u:
                 witness = (kx, ka)
                 break
@@ -253,11 +247,7 @@ def w_conjugation(d: DualAction, sample_range: int = 4) -> Report:
                 x2 = Element.basis(R.domain, kx2)
                 a2 = Element.basis(h.domain, ka2)
                 lhs = w_inv_map(s, d.act(b, w_map(s, x2, a2)))
-                acted = p.act_BonA(b, a2)
-                rhs_acc: dict = {}
-                for kq, cq in acted.coeffs.items():
-                    add_into(rhs_acc, (kx2, kq), cq)
-                if lhs != Element(lhs.domain, rhs_acc):
+                if lhs.coeffs != s.element(x2, p.act_BonA(b, a2)).coeffs:
                     witness = (kb, kx2, ka2)
                     break
             if witness:
@@ -270,21 +260,16 @@ def w_conjugation(d: DualAction, sample_range: int = 4) -> Report:
 
 def _conjugation_formula(s: SmashProduct, x, a, x2, a2) -> Element:
     """sum ((S^-1 a'_(1))(S^-1 a_(1)) x) x' (x) a_(2) a'_(2) in covered form."""
+    R, A = s.ralg, s.mha.algebra
     first = w_inv_map(s, s.element(x, a))  # sum S^-1(a_(1)) x (x) a_(2)
-    acc: dict = {}
-    for (kr, kv), c in first.coeffs.items():
-        second = w_inv_map(s, s.element(Element.basis(s.ralg.domain, kr), a2))
-        for (kr2, kv2), c2 in second.coeffs.items():
-            left = s.ralg.mul(
-                Element.basis(s.ralg.domain, kr2), x2
-            )
-            right = s.mha.algebra.mul(
-                Element.basis(s.mha.domain, kv), Element.basis(s.mha.domain, kv2)
-            )
-            for kk, cc in left.coeffs.items():
-                for kq, cq in right.coeffs.items():
-                    add_into(acc, (kk, kq), c * c2 * cc * cq)
-    return Element(first.domain, acc, _canon=True)
+
+    def image(kr, kv) -> TensorElement:
+        # sum (S^-1(a'_(1)) y) x' (x) v a'_(2) for y (x) v = kr (x) kv
+        second = s.legs(w_inv_map(s, s.element(Element.basis(R.domain, kr), a2)))
+        second = map_leg(second, 0, lambda kr2: R.mul(Element.basis(R.domain, kr2), x2))
+        return map_leg(second, 1, lambda kv2: A.mul_basis(kv, kv2))
+
+    return merge_legs(s.legs(first), 0, 1, image, first.domain)
 
 
 # -- the duality isomorphism --------------------------------------------------------
@@ -330,7 +315,7 @@ def duality_isomorphism(d: DualAction, check_matrix_form: bool = True) -> Dualit
     M_n(R), n = dim A.
     """
     p = d.pair
-    bridge: DualBridge | None = getattr(p, "bridge", None)
+    bridge = p.bridge
     if bridge is None:
         raise InfiniteDimensional(f"{p.name}: duality needs the (A, A^) pair")
     s = d.smash
@@ -355,79 +340,55 @@ def duality_isomorphism(d: DualAction, check_matrix_form: bool = True) -> Dualit
         (bis.algebra.dim, R.dim, n),
     )
 
-    theta_table: dict = {}
+    def basis(k) -> Element:
+        return Element.basis(A.domain, k)
+
+    omega = bridge.from_left_slot.table.__getitem__  # d -> phi(d .)
 
     def theta_basis(key) -> Element:
-        hit = theta_table.get(key)
-        if hit is not None:
-            return hit
         (kx, ka), kb = key
-        c = bridge.to_left_slot(Element.basis(p.B.domain, kb))
-        acc: dict = {}
         x = Element.basis(R.domain, kx)
-        for (a1, a2), ca in A.delta(Element.basis(A.domain, ka)).coeffs.items():
-            xs = s.action.act(A.antipode_inv(Element.basis(A.domain, a1)), x)
-            for (k1, k2, k3), cc in A.delta_n(c, 3).coeffs.items():
-                y = s.action.act(Element.basis(A.domain, k2), xs)
-                asc = A.algebra.mul(
-                    Element.basis(A.domain, a2),
-                    A.antipode(Element.basis(A.domain, k1)),
-                )
-                om = bridge.from_left_slot(Element.basis(A.domain, k3))
-                for ky, cy in y.coeffs.items():
-                    for kA, cA in asc.coeffs.items():
-                        for kw, cw in om.coeffs.items():
-                            add_into(acc, (ky, (kA, kw)), ca * cc * cy * cA * cw)
-        hit = Element(target.domain, acc, _canon=True)
-        theta_table[key] = hit
-        return hit
+        c3 = A.delta_n(bridge.to_left_slot(Element.basis(p.B.domain, kb)), 3)
 
-    def theta(u: Element) -> Element:
-        out = Element.zero(target.domain)
-        for k, c in u.coeffs.items():
-            out = out + theta_basis(k).scale(c)
-        return out
+        def image(a1, a2) -> Element:
+            # sum c_(2) (S^-1(a_(1)) x) (x) (a_(2) S(c_(1)) <> phi(c_(3) .))
+            xs = s.action.act(A.antipode_inv_key(a1), x)
+            t = map_leg(c3, 0, lambda k1: A.algebra.mul(basis(a2), A.antipode_key(k1)))
+            t = map_leg(t, 1, lambda k2: s.action.act(basis(k2), xs))
+            t = map_leg(t, 2, omega)
+            coeffs = {(ky, (kA, kw)): c for (kA, ky, kw), c in t.coeffs.items()}
+            return Element(target.domain, coeffs, _canon=True)
 
-    theta_inv_table: dict = {}
+        return merge_legs(A.delta(basis(ka)), 0, 1, image, target.domain)
 
     def theta_inv_basis(key) -> Element:
-        hit = theta_inv_table.get(key)
-        if hit is not None:
-            return hit
         ky, (kA, kw) = key
-        dsl = bridge.to_left_slot(Element.basis(p.B.domain, kw))
-        acc: dict = {}
+        # sum (u_(1) (S^-1(d_(2)) y) # u_(2)) # phi(d_(3) .) with u = a d_(1)
+        t = A.delta_n(bridge.to_left_slot(Element.basis(p.B.domain, kw)), 3)
+        t = map_leg(
+            t, 0, lambda d1: A.delta(A.algebra.mul(basis(kA), basis(d1))), (A.domain, A.domain)
+        )
         y = Element.basis(R.domain, ky)
-        for (d1, d2, d3), cd in A.delta_n(dsl, 3).coeffs.items():
-            z = s.action.act(A.antipode_inv(Element.basis(A.domain, d2)), y)
-            u = A.algebra.mul(
-                Element.basis(A.domain, kA), Element.basis(A.domain, d1)
-            )
-            om = bridge.from_left_slot(Element.basis(A.domain, d3))
-            for ku, cu in u.coeffs.items():
-                for (n1, n2), cn in A.delta(Element.basis(A.domain, ku)).coeffs.items():
-                    zz = s.action.act(Element.basis(A.domain, n1), z)
-                    for kz, cz in zz.coeffs.items():
-                        for kb2, cb2 in om.coeffs.items():
-                            add_into(acc, ((kz, n2), kb2), cd * cu * cn * cz * cb2)
-        hit = Element(bis.algebra.domain, acc, _canon=True)
-        theta_inv_table[key] = hit
-        return hit
+        t = merge_legs(
+            t, 0, 2,
+            lambda n1, d2: s.action.act(basis(n1), s.action.act(A.antipode_inv_key(d2), y)),
+            R.domain,
+        )
+        t = map_leg(t, 2, omega)
+        coeffs = {((kz, n2), kb2): c for (kz, n2, kb2), c in t.coeffs.items()}
+        return Element(bis.algebra.domain, coeffs, _canon=True)
 
-    def theta_inv(u: Element) -> Element:
-        out = Element.zero(bis.algebra.domain)
-        for k, c in u.coeffs.items():
-            out = out + theta_inv_basis(k).scale(c)
-        return out
+    theta = LinearMap(bis.algebra.domain, target.domain, theta_basis)
+    theta_inv = LinearMap(target.domain, bis.algebra.domain, theta_inv_basis)
 
     witness = None
     for k in bis.algebra.basis:
-        if theta_inv(theta_basis(k)) != bis.algebra.basis_element(k):
+        if theta_inv(theta.table[k]) != bis.algebra.basis_element(k):
             witness = ("theta_inv . theta", k)
             break
     if witness is None:
         for k in target.basis:
-            if theta(theta_inv_basis(k)) != target.basis_element(k):
+            if theta(theta_inv.table[k]) != target.basis_element(k):
                 witness = ("theta . theta_inv", k)
                 break
     rep.add("bijective", witness is None, "pass", witness)
@@ -439,17 +400,16 @@ def duality_isomorphism(d: DualAction, check_matrix_form: bool = True) -> Dualit
     if check_matrix_form and R.identity is not None:
         from .instances import matrix_algebra
 
-        to_mu, n2 = diamond_matrix_units(p)
+        to_mu, _ = diamond_matrix_units(p)
         mn_r = matrix_algebra(n, R)
-
-        def to_matrix(u: Element) -> Element:
-            acc: dict = {}
-            for (kr, kdia), c in u.coeffs.items():
-                for (i, j), cc in to_mu(kdia).coeffs.items():
-                    add_into(acc, (i, j, kr), c * cc)
-            return Element(mn_r.domain, acc, _canon=True)
-
-        images = {k: to_matrix(theta_basis(k)) for k in bis.algebra.basis}
+        # y (x) e_ij -> the matrix y e_ij over the keys (i, j, y)
+        to_matrix = LinearMap(target.domain, mn_r.domain, {
+            (kr, kd): Element(
+                mn_r.domain, {(i, j, kr): c for (i, j), c in to_mu(kd).coeffs.items()}, _canon=True
+            )
+            for kr, kd in target.basis
+        })
+        images = {k: to_matrix(theta.table[k]) for k in bis.algebra.basis}
         rep.add_certificate(
             "matrix-form-multiplicative",
             certify_algebra_map(
@@ -542,33 +502,20 @@ def verify_coaction(c: Coaction, sample_range: int = 4) -> Report:
         raise InfiniteDimensional(f"{c.name}: only materialisable coactions")
 
     one_b = B.algebra.one()
-    pair_domain = c.t1(
-        Element.basis(c.ralg.domain, rkeys[0]), one_b
-    ).domain
 
-    def gamma(x: Element) -> Element:
-        return c.t1(x, one_b)
-
-    def tensor_mul(u: Element, v: Element) -> Element:
-        acc: dict = {}
-        for (kr1, kb1), c1 in u.coeffs.items():
-            for (kr2, kb2), c2 in v.coeffs.items():
-                pr = c.ralg.mul_basis(kr1, kr2)
-                pb = B.algebra.mul_basis(kb1, kb2)
-                for kk, cc in pr.coeffs.items():
-                    for kq, cq in pb.coeffs.items():
-                        add_into(acc, (kk, kq), c1 * c2 * cc * cq)
-        return Element(pair_domain, acc, _canon=True)
+    def gamma(x: Element) -> TensorElement:
+        # Gamma(x) = Gamma(x)(1 (x) 1) as a tensor over R (x) B
+        return TensorElement((c.ralg.domain, B.domain), c.t1(x, one_b).coeffs, _canon=True)
 
     witness = None
     for k1 in rkeys:
         for k2 in rkeys:
             x1 = Element.basis(c.ralg.domain, k1)
             x2 = Element.basis(c.ralg.domain, k2)
-            g = Element.zero(pair_domain)
-            for kk, cc in c.ralg.mul_basis(k1, k2).coeffs.items():
-                g = g + gamma(Element.basis(c.ralg.domain, kk)).scale(cc)
-            if g != tensor_mul(gamma(x1), gamma(x2)):
+            # Gamma(x1) Gamma(x2) in R (x) B: multiply legs 0, 2 and then 1, 2
+            prod = merge_legs(tensor(gamma(x1), gamma(x2)), 0, 2, c.ralg.mul_basis, c.ralg.domain)
+            prod = merge_legs(prod, 1, 2, B.algebra.mul_basis, B.domain)
+            if gamma(c.ralg.mul_basis(k1, k2)) != prod:
                 witness = (k1, k2)
                 break
         if witness:
@@ -582,17 +529,12 @@ def verify_coaction(c: Coaction, sample_range: int = 4) -> Report:
         g = gamma(x)
         for kb in bkeys:
             b = Element.basis(B.domain, kb)
-            right: dict = {}
-            left: dict = {}
-            for (kr, kv), cc in g.coeffs.items():
-                for kq, cq in B.algebra.mul(Element.basis(B.domain, kv), b).coeffs.items():
-                    add_into(right, (kr, kq), cc * cq)
-                for kq, cq in B.algebra.mul(b, Element.basis(B.domain, kv)).coeffs.items():
-                    add_into(left, (kr, kq), cc * cq)
-            if c.t1(x, b) != Element(pair_domain, right):
+            right = map_leg(g, 1, lambda kv: B.algebra.mul(Element.basis(B.domain, kv), b))
+            if c.t1(x, b).coeffs != right.coeffs:
                 witness = ("t1", kx, kb)
                 break
-            if c.t4(x, b) != Element(pair_domain, left):
+            left = map_leg(g, 1, lambda kv: B.algebra.mul(b, Element.basis(B.domain, kv)))
+            if c.t4(x, b).coeffs != left.coeffs:
                 witness = ("t4", kx, kb)
                 break
         if witness:
@@ -605,14 +547,9 @@ def verify_coaction(c: Coaction, sample_range: int = 4) -> Report:
     for kx in rkeys:
         x = Element.basis(c.ralg.domain, kx)
         g = gamma(x)
-        lhs: dict = {}
-        rhs: dict = {}
-        for (kr, kv), cc in g.coeffs.items():
-            for (kr2, kv2), c2 in gamma(Element.basis(c.ralg.domain, kr)).coeffs.items():
-                add_into(lhs, (kr2, kv2, kv), cc * c2)
-            for (kv2, kv3), c2 in B.delta(Element.basis(B.domain, kv)).coeffs.items():
-                add_into(rhs, (kr, kv2, kv3), cc * c2)
-        if lhs != rhs:
+        lhs = map_leg(g, 0, lambda kr: gamma(Element.basis(c.ralg.domain, kr)))
+        rhs = map_leg(g, 1, lambda kv: B.delta(Element.basis(B.domain, kv)))
+        if lhs.coeffs != rhs.coeffs:
             witness = kx
             break
     rep.add("coassociativity", witness is None, status, witness)
@@ -633,13 +570,8 @@ def coaction_to_action(c: Coaction, p: DualPair) -> ActionSpec:
     one_b = p.B.algebra.one()
 
     def act(a: Element, x: Element) -> Element:
-        img = c.t1(x, one_b)
-        out = Element.zero(c.ralg.domain)
-        for (kr, kv), cc in img.coeffs.items():
-            w = p.pair(a, Element.basis(p.B.domain, kv))
-            if w:
-                out = out + Element.basis(c.ralg.domain, kr).scale(cc * w)
-        return out
+        gx = TensorElement((c.ralg.domain, p.B.domain), c.t1(x, one_b).coeffs, _canon=True)
+        return weight_leg(gx, 1, lambda kv: p.pair(a, Element.basis(p.B.domain, kv)))
 
     return ActionSpec.build(
         p.A, c.ralg, act, rule="coaction", name=f"action({c.name})"
@@ -701,21 +633,18 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec) -> Report:
     sab_b = pairing_smash(p, "AB")
     target = tensor_algebra(s.ralg, sab_b.algebra)
 
+    # gamma^-1 into A#A^, then un-identify the A^ leg through J^-1
+    undo = {
+        kd: sab_b.join(map_leg(sab_hat.legs(g), 1, J_inv.table.__getitem__))
+        for kd, g in gmap_inv.table.items()
+    }
+
     def composite(u: Element) -> Element:
-        # ((x#a)#b)  ->  ((x#a)#J(b))  ->  Theta  ->  id (x) gamma^-1
-        #   ->  un-identify the A^ leg through J^-1  ->  R (x) (A#B)
-        routed: dict = {}
-        for ((kx, ka), kb), c in u.coeffs.items():
-            for kw, cw in J.table[kb].coeffs.items():
-                add_into(routed, ((kx, ka), kw), c * cw)
-        th = iso.theta(Element(iso.bismash.algebra.domain, routed))
-        acc: dict = {}
-        for (kr, kdia), c in th.coeffs.items():
-            back = gmap_inv.table[kdia]  # element of A#A^
-            for (ka2, kw2), c2 in back.coeffs.items():
-                for kb2, c3 in J_inv.table[kw2].coeffs.items():
-                    add_into(acc, (kr, (ka2, kb2)), c * c2 * c3)
-        return Element(target.domain, acc, _canon=True)
+        # ((x#a)#b) -> ((x#a)#J(b)) -> Theta -> id (x) undo -> R (x) (A#B)
+        th = iso.theta(iso.bismash.join(map_leg(bis_b.legs(u), 1, J.table.__getitem__)))
+        th = TensorElement((s.ralg.domain, iso.diamond.domain), th.coeffs, _canon=True)
+        th = map_leg(th, 1, undo.__getitem__)
+        return Element(target.domain, th.coeffs, _canon=True)
 
     images = {k: composite(bis_b.algebra.basis_element(k)) for k in bis_b.algebra.basis}
     rep.add_certificate(

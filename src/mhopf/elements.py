@@ -96,6 +96,8 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
+        if not self.coeffs:  # values are immutable: 0 + y is y itself
+            return other
         acc = dict(self.coeffs)
         for k, v in other.coeffs.items():
             add_into(acc, k, v)
@@ -151,6 +153,11 @@ class TensorElement:
     @property
     def arity(self) -> int:
         return len(self.domains)
+
+    @property
+    def domain(self) -> tuple:
+        """The leg domains, as a tuple source domain of a LinearMap."""
+        return self.domains
 
     @classmethod
     def zero(cls, domains) -> "TensorElement":
@@ -239,20 +246,19 @@ class TensorElement:
 # -- constructors and leg operations -------------------------------------
 
 
-def tensor(*factors: Element) -> TensorElement:
-    """Pure tensor of elements; distributes over the factors' supports."""
-    domains = tuple(f.domain for f in factors)
-    acc: dict = {}
-
-    def rec(i, keys, coeff):
-        if i == len(factors):
-            add_into(acc, tuple(keys), coeff)
-            return
-        for k, c in factors[i].coeffs.items():
-            rec(i + 1, keys + [k], coeff * c)
-
-    rec(0, [], ONE)
-    return TensorElement(domains, acc, _canon=True)
+def tensor(*factors) -> TensorElement:
+    """Pure tensor of the factors; a TensorElement factor brings all its legs."""
+    domains: tuple = ()
+    coeffs: dict = {(): ONE}
+    for f in factors:
+        if isinstance(f, TensorElement):
+            legs, terms = f.domains, f.coeffs
+        else:
+            legs, terms = (f.domain,), {(k,): c for k, c in f.coeffs.items()}
+        domains += legs
+        # distinct key tuples and nonzero products: already canonical
+        coeffs = {keys + ks: c * cf for keys, c in coeffs.items() for ks, cf in terms.items()}
+    return TensorElement(domains, coeffs, _canon=True)
 
 
 def flip(t: TensorElement, i: int, j: int) -> TensorElement:
@@ -273,10 +279,14 @@ def flip(t: TensorElement, i: int, j: int) -> TensorElement:
 
 
 def map_leg(
-    t: TensorElement, i: int, fn: Callable, domain: str | None = None
+    t: TensorElement, i: int, fn: Callable, domain: str | tuple | None = None
 ) -> TensorElement:
-    """Apply the linear map ``fn: key -> Element`` to leg ``i``."""
-    if not 0 <= i < t.arity:
+    """Apply the linear map ``fn: key -> Element`` to leg ``i``.
+
+    When ``fn`` returns TensorElements, leg ``i`` is split into their legs
+    (``domain`` is then their tuple of leg domains).
+    """
+    if not 0 <= i < len(t.domains):
         raise PositionOutOfRange(f"leg {i} of arity-{t.arity} tensor")
     out_domain = domain
     acc: dict = {}
@@ -284,15 +294,18 @@ def map_leg(
         img = fn(keys[i])
         if out_domain is None:
             out_domain = img.domain
-        for k2, c2 in img.coeffs.items():
-            ks = list(keys)
-            ks[i] = k2
-            add_into(acc, tuple(ks), c * c2)
+        pre, post = keys[:i], keys[i + 1 :]
+        if isinstance(img, TensorElement):
+            for k2, c2 in img.coeffs.items():
+                add_into(acc, pre + k2 + post, c * c2)
+        else:
+            for k2, c2 in img.coeffs.items():
+                add_into(acc, pre + (k2,) + post, c * c2)
     if out_domain is None:
         out_domain = t.domains[i]
-    domains = list(t.domains)
-    domains[i] = out_domain
-    return TensorElement(tuple(domains), acc, _canon=True)
+    if not isinstance(out_domain, tuple):
+        out_domain = (out_domain,)
+    return TensorElement(t.domains[:i] + out_domain + t.domains[i + 1 :], acc, _canon=True)
 
 
 def weight_leg(t: TensorElement, i: int, fn: Callable):
@@ -323,20 +336,23 @@ def weight_leg(t: TensorElement, i: int, fn: Callable):
 def merge_legs(t: TensorElement, i: int, j: int, fn: Callable, domain: str):
     """Replace legs ``i < j`` by ``fn(key_i, key_j) -> Element`` at position ``i``.
 
-    Used for multiplying two tensor legs together, e.g. m(S (x) id).
-    Returns an Element when the result has one leg.
+    Used for multiplying two tensor legs together, e.g. m(S (x) id), and
+    for the bilinear extension of ``fn`` over a 2-tensor.  Returns an
+    Element when the result has one leg.
     """
-    if not 0 <= i < j < t.arity:
-        raise PositionOutOfRange(f"merge_legs({i},{j}) on arity-{t.arity} tensor")
+    n = len(t.domains)
+    if not 0 <= i < j < n:
+        raise PositionOutOfRange(f"merge_legs({i},{j}) on arity-{n} tensor")
     acc: dict = {}
+    if n == 2:
+        for (ki, kj), c in t.coeffs.items():
+            for k2, c2 in fn(ki, kj).coeffs.items():
+                add_into(acc, k2, c * c2)
+        return Element(domain, acc, _canon=True)
     for keys, c in t.coeffs.items():
         img = fn(keys[i], keys[j])
         rest = keys[:i] + keys[i + 1 : j] + keys[j + 1 :]
         for k2, c2 in img.coeffs.items():
             add_into(acc, rest[:i] + (k2,) + rest[i:], c * c2)
-    domains = list(t.domains[:i]) + [domain] + list(t.domains[i + 1 : j]) + list(
-        t.domains[j + 1 :]
-    )
-    if len(domains) == 1:
-        return Element(domains[0], {k[0]: v for k, v in acc.items()}, _canon=True)
-    return TensorElement(tuple(domains), acc, _canon=True)
+    domains = t.domains[:i] + (domain,) + t.domains[i + 1 : j] + t.domains[j + 1 :]
+    return TensorElement(domains, acc, _canon=True)

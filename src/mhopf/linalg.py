@@ -6,6 +6,10 @@ brings the rows to the reduced row echelon form, which is unique for the
 span and the key order.  Every rank, span test, nullspace, solve and inverse
 is read off that form, so results do not depend on the order in which rows
 arrive, and failures are reproducible bit for bit.
+
+The basis maps live here too: :class:`LinearMap` and :class:`BilinearMap`
+extend a map given on basis keys (or key pairs) to elements, and
+:class:`BasisMemo` is the one memo that keeps their basis images.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
-from .elements import Element, add_into
+from .elements import Element, TensorElement, add_into
 from .errors import DomainMismatch
 from .scalars import ONE, ZERO, Scalar
 
@@ -186,35 +190,62 @@ def spans_same(a: Sequence[Element], b: Sequence[Element]) -> bool:
     )
 
 
+class BasisMemo(dict):
+    """Images of basis keys, each computed by ``fn`` on its first lookup and kept.
+
+    The one memo behind every basis map: a hit is a plain dict lookup.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class LinearMap:
-    """Basis-indexed linear map between element domains."""
+    """Linear extension of a map on basis keys.
 
-    __slots__ = ("src_domain", "dst_domain", "table")
+    ``table`` holds the basis images: a dict, or a function key -> image
+    whose values are kept in a :class:`BasisMemo`.  Images are Elements when
+    ``dst_domain`` is a domain name, TensorElements when it is a tuple of
+    domain names, and Scalars when it is None.  A tuple ``src_domain`` makes
+    the map act on TensorElements over key tuples.
+    """
 
-    def __init__(self, src_domain: str, dst_domain: str, table: dict):
+    __slots__ = ("src_domain", "dst_domain", "table", "_out")
+
+    def __init__(self, src_domain, dst_domain, table):
         self.src_domain = src_domain
         self.dst_domain = dst_domain
-        self.table = table  # key -> Element over dst_domain
+        self.table = table if isinstance(table, dict) else BasisMemo(table)
+        self._out = TensorElement if isinstance(dst_domain, tuple) else Element
 
-    def __call__(self, x: Element) -> Element:
+    def __call__(self, x):
         if x.domain != self.src_domain:
             raise DomainMismatch(f"{x.domain!r} vs {self.src_domain!r}")
+        table = self.table
+        if len(x.coeffs) == 1:  # one basis term: its image, scaled
+            ((k, c),) = x.coeffs.items()
+            img = table[k]
+            if self.dst_domain is None:
+                return c * img
+            if img.domain == self.dst_domain:
+                return img if c is ONE else img.scale(c)
+        if self.dst_domain is None:
+            total = ZERO
+            for k, c in x.coeffs.items():
+                total = total + c * table[k]
+            return total
         acc: dict = {}
         for k, c in x.coeffs.items():
-            for k2, c2 in self.table[k].coeffs.items():
-                add_into(acc, k2, c2 * c)
-        return Element(self.dst_domain, acc, _canon=True)
-
-    @classmethod
-    def from_function(cls, src_domain, dst_domain, keys, fn: Callable) -> "LinearMap":
-        return cls(src_domain, dst_domain, {k: fn(k) for k in keys})
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        return LinearMap(
-            inner.src_domain,
-            self.dst_domain,
-            {k: self(v) for k, v in inner.table.items()},
-        )
+            for k2, c2 in table[k].coeffs.items():
+                add_into(acc, k2, c * c2)
+        return self._out(self.dst_domain, acc, _canon=True)
 
     def inverse_on(self, src_keys: Sequence, dst_keys: Sequence) -> "LinearMap | None":
         """The inverse, or None unless the map is a bijection span(src_keys) -> span(dst_keys)."""
@@ -232,3 +263,51 @@ class LinearMap:
             for kd, row in zip(dst_keys, inv)
         }
         return LinearMap(self.dst_domain, self.src_domain, table)
+
+
+class BilinearMap(LinearMap):
+    """Bilinear extension of a map on basis-key pairs (k1, k2).
+
+    A function ``table`` takes the two keys.  ``bmap(x, y)`` extends over
+    both arguments; ``bmap.linear(t)`` is the same map on 2-tensors.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, left_domain, right_domain, dst_domain, table):
+        if not isinstance(table, dict):
+            table = _on_pairs(table)
+        super().__init__((left_domain, right_domain), dst_domain, table)
+
+    linear = LinearMap.__call__
+
+    def __call__(self, x, y):
+        left, right = self.src_domain
+        if x.domain != left or y.domain != right:
+            raise DomainMismatch(f"{(x.domain, y.domain)!r} vs {self.src_domain!r}")
+        table = self.table
+        xc, yc = x.coeffs, y.coeffs
+        if len(xc) == 1 == len(yc):  # two basis terms: their image, scaled
+            ((k1, c1),), ((k2, c2),) = xc.items(), yc.items()
+            img = table[k1, k2]
+            if self.dst_domain is None:
+                return c1 * c2 * img
+            if img.domain == self.dst_domain:
+                return img if c1 is ONE and c2 is ONE else img.scale(c1 * c2)
+        if self.dst_domain is None:
+            total = ZERO
+            for k1, c1 in x.coeffs.items():
+                for k2, c2 in y.coeffs.items():
+                    total = total + c1 * c2 * table[k1, k2]
+            return total
+        acc: dict = {}
+        for k1, c1 in x.coeffs.items():
+            for k2, c2 in y.coeffs.items():
+                c = c1 * c2
+                for k, v in table[k1, k2].coeffs.items():
+                    add_into(acc, k, c * v)
+        return self._out(self.dst_domain, acc, _canon=True)
+
+
+def _on_pairs(fn: Callable) -> Callable:
+    return lambda keys: fn(*keys)

@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .algebras import Algebra, Multiplier
-from .elements import Element, TensorElement, add_into, flip, map_leg, merge_legs, tensor, weight_leg
+from .elements import Element, TensorElement, flip, map_leg, merge_legs, tensor, weight_leg
 from .errors import DomainMismatch, LocalUnitsNotFound, NoIdentity
-from .linalg import linear_solve
+from .linalg import BilinearMap, LinearMap, linear_solve
 from .reports import Report
 from .scalars import Scalar
 
@@ -82,10 +82,18 @@ class RegularMHA:
         meta: dict | None = None,
     ):
         self.algebra = algebra
-        self._t = {1: t1_basis, 2: t2_basis, 3: t3_basis, 4: t4_basis}
-        self._counit = counit_basis
-        self._antipode = antipode_basis
-        self._antipode_inv = antipode_inv_basis
+        self.domain = D = algebra.domain
+        self._covers = {
+            v: BilinearMap(D, D, (D, D), t)
+            for v, t in enumerate((t1_basis, t2_basis, t3_basis, t4_basis), 1)
+        }
+        self.counit = LinearMap(D, None, counit_basis)
+        self.antipode = LinearMap(D, D, antipode_basis)
+        self.antipode_inv = LinearMap(D, D, antipode_inv_basis)
+        # key -> image, for map_leg / weight_leg and for building instances
+        self.counit_key = self.counit.table.__getitem__
+        self.antipode_key = self.antipode.table.__getitem__
+        self.antipode_inv_key = self.antipode_inv.table.__getitem__
         self._t1_inv = t1_inv_basis
         self._t2_inv = t2_inv_basis
         self.name = name or algebra.name
@@ -93,85 +101,21 @@ class RegularMHA:
         self.right_integral_oracle = right_integral_oracle
         self.cointegral_oracle = cointegral_oracle
         self.meta = meta or {}
-        self._tcache: dict = {}
-        self._scache: dict = {}
-        self._sinvcache: dict = {}
-        self._ecache: dict = {}
 
     # -- structure accessors ----------------------------------------------
-
-    @property
-    def domain(self) -> str:
-        return self.algebra.domain
 
     @property
     def has_identity(self) -> bool:
         return self.algebra.identity is not None
 
-    def counit_key(self, k) -> Scalar:
-        hit = self._ecache.get(k)
-        if hit is None:
-            hit = self._counit(k)
-            self._ecache[k] = hit
-        return hit
-
-    def counit(self, a: Element) -> Scalar:
-        total = Scalar(0)
-        for k, c in a.coeffs.items():
-            total = total + c * self.counit_key(k)
-        return total
-
-    def counit_functional(self) -> Functional:
-        return Functional(self.domain, self.counit_key, "counit")
-
-    def antipode_key(self, k) -> Element:
-        hit = self._scache.get(k)
-        if hit is None:
-            hit = self._antipode(k)
-            self._scache[k] = hit
-        return hit
-
-    def antipode_inv_key(self, k) -> Element:
-        hit = self._sinvcache.get(k)
-        if hit is None:
-            hit = self._antipode_inv(k)
-            self._sinvcache[k] = hit
-        return hit
-
-    def _linear(self, table_fn: Callable, a: Element) -> Element:
-        out: dict = {}
-        for k, c in a.coeffs.items():
-            for k2, c2 in table_fn(k).coeffs.items():
-                add_into(out, k2, c * c2)
-        return Element(self.domain, out, _canon=True)
-
-    def antipode(self, a: Element) -> Element:
-        return self._linear(self.antipode_key, a)
-
-    def antipode_inv(self, a: Element) -> Element:
-        return self._linear(self.antipode_inv_key, a)
-
     # -- covering maps ------------------------------------------------------
 
     def _t_pair(self, variant: int, ka, kb) -> TensorElement:
-        key = (variant, ka, kb)
-        hit = self._tcache.get(key)
-        if hit is None:
-            hit = self._t[variant](ka, kb)
-            self._tcache[key] = hit
-        return hit
+        return self._covers[variant].table[ka, kb]
 
     def cover(self, variant: int, a: Element, b: Element) -> TensorElement:
         """The covered coproduct t<variant>(a, b) as a concrete 2-tensor."""
-        if a.domain != self.domain or b.domain != self.domain:
-            raise DomainMismatch(f"cover in {self.domain!r}")
-        acc: dict = {}
-        for ka, ca in a.coeffs.items():
-            for kb, cb in b.coeffs.items():
-                c = ca * cb
-                for keys, v in self._t_pair(variant, ka, kb).coeffs.items():
-                    add_into(acc, keys, c * v)
-        return TensorElement((self.domain, self.domain), acc, _canon=True)
+        return self._covers[variant](a, b)
 
     def t1(self, a, b):
         return self.cover(1, a, b)
@@ -187,46 +131,21 @@ class RegularMHA:
 
     def apply_t(self, variant: int, t: TensorElement) -> TensorElement:
         """Linear extension of the covering map to tensors in A (x) A."""
-        acc: dict = {}
-        for (ka, kb), c in t.coeffs.items():
-            for keys, v in self._t_pair(variant, ka, kb).coeffs.items():
-                add_into(acc, keys, c * v)
-        return TensorElement((self.domain, self.domain), acc, _canon=True)
+        return self._covers[variant].linear(t)
 
     def t1_inv(self, t: TensorElement) -> TensorElement:
         if self._t1_inv is not None:
-            return self._apply_pair_table(self._t1_inv, t)
+            return BilinearMap(self.domain, self.domain, t.domains, self._t1_inv).linear(t)
         # t1_inv(a (x) b) = (id (x) S) t4(a, S_inv(b))
-        acc: dict = {}
-        for (ka, kb), c in t.coeffs.items():
-            inner = self.t4(
-                Element.basis(self.domain, ka),
-                self.antipode_inv(Element.basis(self.domain, kb)),
-            )
-            for keys, v in map_leg(inner, 1, self.antipode_key).coeffs.items():
-                add_into(acc, keys, c * v)
-        return TensorElement((self.domain, self.domain), acc, _canon=True)
+        inner = self.apply_t(4, map_leg(t, 1, self.antipode_inv_key))
+        return map_leg(inner, 1, self.antipode_key)
 
     def t2_inv(self, t: TensorElement) -> TensorElement:
         if self._t2_inv is not None:
-            return self._apply_pair_table(self._t2_inv, t)
+            return BilinearMap(self.domain, self.domain, t.domains, self._t2_inv).linear(t)
         # t2_inv(a (x) b) = (S (x) id) t3(b, S_inv(a))
-        acc: dict = {}
-        for (ka, kb), c in t.coeffs.items():
-            inner = self.t3(
-                Element.basis(self.domain, kb),
-                self.antipode_inv(Element.basis(self.domain, ka)),
-            )
-            for keys, v in map_leg(inner, 0, self.antipode_key).coeffs.items():
-                add_into(acc, keys, c * v)
-        return TensorElement((self.domain, self.domain), acc, _canon=True)
-
-    def _apply_pair_table(self, fn: Callable, t: TensorElement) -> TensorElement:
-        acc: dict = {}
-        for (ka, kb), c in t.coeffs.items():
-            for keys, v in fn(ka, kb).coeffs.items():
-                add_into(acc, keys, c * v)
-        return TensorElement((self.domain, self.domain), acc, _canon=True)
+        inner = self.apply_t(3, flip(map_leg(t, 0, self.antipode_inv_key), 0, 1))
+        return map_leg(inner, 0, self.antipode_key)
 
     # -- materialisation (identity present only) ----------------------------
 
@@ -240,18 +159,12 @@ class RegularMHA:
         """Iterated coproduct with ``legs`` output legs (identity required)."""
         t = self.delta(a)
         while t.arity < legs:
-            acc: dict = {}
-            for keys, c in t.coeffs.items():
-                last = self.delta(Element.basis(self.domain, keys[-1]))
-                for k2, v in last.coeffs.items():
-                    add_into(acc, keys[:-1] + k2, c * v)
-            t = TensorElement((self.domain,) * (t.arity + 1), acc, _canon=True)
+            t = map_leg(
+                t, t.arity - 1, lambda k: self.delta(Element.basis(self.domain, k)), t.domains[:2]
+            )
         return t
 
     # -- convenience --------------------------------------------------------
-
-    def sample_elements(self, n: int = 4) -> list[Element]:
-        return [Element.basis(self.domain, k) for k in self.algebra.sample_keys(n)]
 
     def as_multiplier(self, a: Element) -> Multiplier:
         return Multiplier.from_element(self.algebra, a)
@@ -334,16 +247,8 @@ def verify_mha_axioms(
             t2ab = h.t2(a, b)
             for kc in keys:
                 c = basis(kc)
-                lhs_inner = h.t1(b, c)
-                lacc: dict = {}
-                for (u, v), cv in lhs_inner.coeffs.items():
-                    for (p, q), cw in h.t2(a, basis(u)).coeffs.items():
-                        add_into(lacc, (p, q, v), cv * cw)
-                racc: dict = {}
-                for (u, v), cv in t2ab.coeffs.items():
-                    for (p, q), cw in h.t1(basis(v), c).coeffs.items():
-                        add_into(racc, (u, p, q), cv * cw)
-                if lacc != racc:
+                lhs = map_leg(h.t1(b, c), 0, lambda u: h.t2(a, basis(u)))
+                if lhs.coeffs != map_leg(t2ab, 1, lambda v: h.t1(basis(v), c)).coeffs:
                     witness = (ka, kb, kc)
                     break
             if witness:
@@ -429,44 +334,27 @@ def coproduct_certificate(h: RegularMHA) -> str | None:
         return None
     keys = alg.basis
     mul = alg.mul_basis
-    delta = {k: h.delta(alg.basis_element(k)).coeffs for k in keys}
-
-    def covered(ka, kb, leg: int) -> dict:
-        # delta(a)(1 (x) b) for leg 1, delta(a)(b (x) 1) for leg 0
-        acc: dict = {}
-        for (u, v), c in delta[ka].items():
-            for w, cw in mul((u, v)[leg], kb).coeffs.items():
-                add_into(acc, (u, w) if leg else (w, v), c * cw)
-        return acc
+    delta = LinearMap(
+        h.domain, (h.domain, h.domain), {k: h.delta(alg.basis_element(k)) for k in keys}
+    )
+    image = delta.table
 
     for ka, kb in _basis_pairs(keys):
         a, b = alg.basis_element(ka), alg.basis_element(kb)
-        if h.t1(a, b).coeffs != covered(ka, kb, 1) or h.t3(a, b).coeffs != covered(ka, kb, 0):
+        # delta(a)(1 (x) b) and delta(a)(b (x) 1)
+        if h.t1(a, b).coeffs != map_leg(image[ka], 1, lambda v: mul(v, kb)).coeffs:
+            return None
+        if h.t3(a, b).coeffs != map_leg(image[ka], 0, lambda u: mul(u, kb)).coeffs:
             return None
 
     for ka in keys:
-        lhs: dict = {}
-        rhs: dict = {}
-        for (u, v), c in delta[ka].items():
-            for (p, q), cp in delta[u].items():
-                add_into(lhs, (p, q, v), c * cp)
-            for (p, q), cq in delta[v].items():
-                add_into(rhs, (u, p, q), c * cq)
-        if lhs != rhs:
+        if map_leg(image[ka], 0, image.get).coeffs != map_leg(image[ka], 1, image.get).coeffs:
             return None
 
     for ka, kb in _basis_pairs(keys):
-        lhs = {}
-        for k, c in mul(ka, kb).coeffs.items():
-            for uv, cd in delta[k].items():
-                add_into(lhs, uv, c * cd)
-        rhs = {}
-        for (u, v), c in delta[ka].items():
-            for (u2, v2), c2 in delta[kb].items():
-                for p, cp in mul(u, u2).coeffs.items():
-                    for q, cq in mul(v, v2).coeffs.items():
-                        add_into(rhs, (p, q), c * c2 * cp * cq)
-        if lhs != rhs:
+        # delta(a) delta(b) in A (x) A: multiply legs 0, 2 and then 1, 2 of delta(a) (x) delta(b)
+        rhs = merge_legs(tensor(image[ka], image[kb]), 0, 2, mul, h.domain)
+        if delta(mul(ka, kb)).coeffs != merge_legs(rhs, 1, 2, mul, h.domain).coeffs:
             return None
     n = len(keys)
     return f"{h.name}: t1, t3 from one coassociative multiplicative coproduct, {n * n} pairs"
@@ -560,9 +448,7 @@ def find_local_units(
         flat_targets = [a for a in items for _ in range(n_sides)]
         sol = _stack_solve(flat_products, flat_targets)
         if sol is not None:
-            e = Element.zero(alg.domain)
-            for c, b in zip(sol, cands):
-                e = e + b.scale(c)
+            e = Element(alg.domain, dict(zip(cand_keys, sol)))
             if satisfies(e):
                 return e
         window *= 2

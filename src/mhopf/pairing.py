@@ -19,18 +19,18 @@ quantum group and its dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, fixed_points, verify_module_algebra
 from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
-from .elements import Element, add_into, weight_leg
+from .elements import Element, TensorElement, add_into, flip, map_leg, merge_legs, weight_leg
 from .errors import InfiniteDimensional, Singular
-from .linalg import span_rank
+from .linalg import BilinearMap, LinearMap, span_rank
 from .mha import RegularMHA
 from .reports import Report
-from .scalars import ONE, Scalar
+from .scalars import ONE
 from .smash import SmashProduct, smash
 
 
@@ -50,6 +50,11 @@ class DualPair:
     # unitality helper: e in B with e |> a = a for the listed elements
     b_action_unit: Callable | None = None
     a_action_unit: Callable | None = None
+    # the (A, A^) bridge, set by pair_of_aqg
+    bridge: DualBridge | None = None
+    # pairing_action and pairing_smash results, by their arguments
+    _action_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _smash_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def a_unit_for(self, elements: Sequence[Element]) -> Element:
         """e in A with e |> b = b for the given b's."""
@@ -91,52 +96,25 @@ def pair_of_aqg(g: AlgebraicQuantumGroup) -> DualPair:
     gd = finite_dual(g)
     bridge = gd.bridge
     A, B = g.base, gd.base
-    _pair_cache: dict = {}
+    pair = BilinearMap(
+        A.domain,
+        B.domain,
+        None,
+        lambda ka, kw: bridge.eval_dual(Element.basis(B.domain, kw), Element.basis(A.domain, ka)),
+    )
 
-    def pair(a: Element, w: Element) -> Scalar:
-        total = Scalar(0)
-        for ka, ca in a.coeffs.items():
-            for kw, cw in w.coeffs.items():
-                hit = _pair_cache.get((ka, kw))
-                if hit is None:
-                    hit = bridge.eval_dual(
-                        Element.basis(B.domain, kw), Element.basis(A.domain, ka)
-                    )
-                    _pair_cache[(ka, kw)] = hit
-                total = total + ca * cw * hit
-        return total
-
+    # each action contracts one leg of a coproduct against the pairing
     def act_AonB(a: Element, w: Element) -> Element:
-        out = Element.zero(B.domain)
-        for (k1, k2), c in B.delta(w).coeffs.items():
-            out = out + Element.basis(B.domain, k1).scale(
-                c * pair(a, Element.basis(B.domain, k2))
-            )
-        return out
+        return weight_leg(B.delta(w), 1, lambda k: pair(a, Element.basis(B.domain, k)))
 
     def act_BonA(w: Element, a: Element) -> Element:
-        out = Element.zero(A.domain)
-        for (k1, k2), c in A.delta(a).coeffs.items():
-            out = out + Element.basis(A.domain, k1).scale(
-                c * pair(Element.basis(A.domain, k2), w)
-            )
-        return out
+        return weight_leg(A.delta(a), 1, lambda k: pair(Element.basis(A.domain, k), w))
 
     def ract_AonB(w: Element, a: Element) -> Element:
-        out = Element.zero(B.domain)
-        for (k1, k2), c in B.delta(w).coeffs.items():
-            out = out + Element.basis(B.domain, k2).scale(
-                c * pair(a, Element.basis(B.domain, k1))
-            )
-        return out
+        return weight_leg(B.delta(w), 0, lambda k: pair(a, Element.basis(B.domain, k)))
 
     def ract_BonA(a: Element, w: Element) -> Element:
-        out = Element.zero(A.domain)
-        for (k1, k2), c in A.delta(a).coeffs.items():
-            out = out + Element.basis(A.domain, k2).scale(
-                c * pair(Element.basis(A.domain, k1), w)
-            )
-        return out
+        return weight_leg(A.delta(a), 0, lambda k: pair(Element.basis(A.domain, k), w))
 
     p = DualPair(
         A,
@@ -147,10 +125,8 @@ def pair_of_aqg(g: AlgebraicQuantumGroup) -> DualPair:
         ract_AonB,
         ract_BonA,
         name=f"pair({A.name},{B.name})",
+        bridge=bridge,
     )
-    p.bridge = bridge
-    p.base_aqg = g
-    p.dual_aqg = gd
     return assert_nondegenerate(p)
 
 
@@ -338,9 +314,7 @@ def _as_element(x):
 
 def pairing_action(p: DualPair, which: str) -> ActionSpec:
     """The left action of one side on the other, as an ActionSpec (cached)."""
-    cache = getattr(p, "_action_cache", None)
-    if cache is None:
-        cache = p._action_cache = {}
+    cache = p._action_cache
     if which in cache:
         return cache[which]
     if which == "AonB":
@@ -373,9 +347,7 @@ def pairing_smash(p: DualPair, order: str = "BA", verify: str = "full") -> Smash
     (b#a)(b'#a') = sum <a_(1), b'_(2)> b b'_(1) # a_(2) a'
     against the generic twisted product on basis pairs.
     """
-    cache = getattr(p, "_smash_cache", None)
-    if cache is None:
-        cache = p._smash_cache = {}
+    cache = p._smash_cache
     if (order, verify) in cache:
         return cache[(order, verify)]
     action = pairing_action(p, "AonB" if order == "BA" else "BonA")
@@ -410,38 +382,17 @@ def _pair_smash_display(p: DualPair, s: SmashProduct, order: str, k1, k2) -> Ele
     (the generic product expands delta(a) instead, so agreement is a real
     cross-check of the covering machinery).
     """
-    A, B = p.A, p.B
-    acc: dict = {}
-    if order == "BA":
-        (kb, ka), (kb2, ka2) = k1, k2
-        a = Element.basis(A.domain, ka)
-        b = Element.basis(B.domain, kb)
-        b2 = Element.basis(B.domain, kb2)
-        # cover b'_(1) with a right unit e for b, so b (e b'_(1)) = b b'_(1)
-        e = _left_mult_unit(B, [b], side="right")
-        t = B.t2(e, b2)  # e b'_(1) (x) b'_(2)
-        for (u, v), c in t.coeffs.items():
-            av = p.ract_BonA(a, Element.basis(B.domain, v))  # <a_(1), v> a_(2)
-            left = B.algebra.mul(b, Element.basis(B.domain, u))
-            right = A.algebra.mul(av, Element.basis(A.domain, ka2))
-            for kk, cc in left.coeffs.items():
-                for kq, cq in right.coeffs.items():
-                    add_into(acc, (kk, kq), c * cc * cq)
-    else:
-        (ka, kb), (ka2, kb2) = k1, k2
-        b = Element.basis(B.domain, kb)
-        a = Element.basis(A.domain, ka)
-        a2 = Element.basis(A.domain, ka2)
-        e = _left_mult_unit(A, [a], side="right")
-        t = A.t2(e, a2)  # e a'_(1) (x) a'_(2)
-        for (u, v), c in t.coeffs.items():
-            bv = p.ract_AonB(b, Element.basis(A.domain, v))  # <a'_(2), b_(1)> b_(2)
-            left = A.algebra.mul(a, Element.basis(A.domain, u))
-            right = B.algebra.mul(bv, Element.basis(B.domain, kb2))
-            for kk, cc in left.coeffs.items():
-                for kq, cq in right.coeffs.items():
-                    add_into(acc, (kk, kq), c * cc * cq)
-    return Element(s.algebra.domain, acc, _canon=True)
+    # for B#A: cover b'_(1) with a right unit e for b, so b (e b'_(1)) = b b'_(1),
+    # and pair b'_(2) into a <| b'_(2) = sum <a_(1), b'_(2)> a_(2); A#B likewise
+    (kx, ky), (kx2, ky2) = k1, k2
+    X, Y, ract = (p.B, p.A, p.ract_BonA) if order == "BA" else (p.A, p.B, p.ract_AonB)
+    x, y = Element.basis(X.domain, kx), Element.basis(Y.domain, ky)
+    e = _left_mult_unit(X, [x], side="right")
+    t = X.t2(e, Element.basis(X.domain, kx2))  # e x'_(1) (x) x'_(2)
+    t = map_leg(t, 0, lambda u: X.algebra.mul(x, Element.basis(X.domain, u)))
+    y2 = Element.basis(Y.domain, ky2)
+    t = map_leg(t, 1, lambda v: Y.algebra.mul(ract(y, Element.basis(X.domain, v)), y2))
+    return s.join(t)
 
 
 # -- standard modules ----------------------------------------------------------------
@@ -456,13 +407,13 @@ def standard_module(p: DualPair, which: str = "B_on_left"):
         s = pairing_smash(p)
 
         def act(u: Element, b2: Element) -> Element:
-            out = Element.zero(p.B.domain)
-            for (kb, ka), c in u.coeffs.items():
-                out = out + p.B.algebra.mul(
-                    Element.basis(p.B.domain, kb),
-                    p.act_AonB(Element.basis(p.A.domain, ka), b2),
-                ).scale(c)
-            return out
+            return merge_legs(
+                s.legs(u), 0, 1,
+                lambda kb, ka: p.B.algebra.mul(
+                    Element.basis(p.B.domain, kb), p.act_AonB(Element.basis(p.A.domain, ka), b2)
+                ),
+                p.B.domain,
+            )
 
         return PlainModule(
             s.algebra, p.B.domain, p.B.algebra.basis, act, name=f"std({p.name})"
@@ -471,13 +422,13 @@ def standard_module(p: DualPair, which: str = "B_on_left"):
     s = pairing_smash(p)
 
     def ract(a2: Element, u: Element) -> Element:
-        out = Element.zero(p.A.domain)
-        for (kb, ka), c in u.coeffs.items():
-            out = out + p.A.algebra.mul(
-                p.ract_BonA(a2, Element.basis(p.B.domain, kb)),
-                Element.basis(p.A.domain, ka),
-            ).scale(c)
-        return out
+        return merge_legs(
+            s.legs(u), 0, 1,
+            lambda kb, ka: p.A.algebra.mul(
+                p.ract_BonA(a2, Element.basis(p.B.domain, kb)), Element.basis(p.A.domain, ka)
+            ),
+            p.A.domain,
+        )
 
     return ract, s
 
@@ -516,12 +467,14 @@ def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
                 # sum <a_(1), b_(2)> pi(b_(1)) pi(a_(2)) applied to b2; the
                 # pairing contracts to (a_(1) |> b), grounded through
                 # delta(a) which is a finite tensor for unital A
-                rhs = Element.zero(B.domain)
-                for (u, v), c in _delta_a(p, a).coeffs.items():
-                    rhs = rhs + B.algebra.mul(
+                rhs = merge_legs(
+                    _delta_a(p, a), 0, 1,
+                    lambda u, v: B.algebra.mul(
                         p.act_AonB(Element.basis(A.domain, u), b),
                         p.act_AonB(Element.basis(A.domain, v), b2),
-                    ).scale(c)
+                    ),
+                    B.domain,
+                )
                 if lhs != rhs:
                     witness = (ka, kb, kb2)
                     break
@@ -536,11 +489,10 @@ def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
     for ka in akeys:
         for kb in bkeys:
             fwd = _heisenberg_map(p, ka, kb, inverse=False)
-            back: dict = {}
-            for (ka2, kb2), c in fwd.items():
-                for kk, cc in _heisenberg_map(p, ka2, kb2, inverse=True).items():
-                    add_into(back, kk, c * cc)
-            if back != {(ka, kb): ONE}:
+            back = merge_legs(
+                fwd, 0, 1, lambda ka2, kb2: _heisenberg_map(p, ka2, kb2, inverse=True), "AxB"
+            )
+            if back.coeffs != {(ka, kb): ONE}:
                 witness = (ka, kb)
                 break
         if witness:
@@ -556,24 +508,18 @@ def _delta_a(p: DualPair, a: Element):
     return A.t1(a, _left_mult_unit(A, [a], side="right"))
 
 
-def _heisenberg_map(p: DualPair, ka, kb, inverse: bool) -> dict:
+def _heisenberg_map(p: DualPair, ka, kb, inverse: bool) -> TensorElement:
     """a (x) b -> sum <(S^-1?) a_(1), b_(2)> a_(2) (x) b_(1) on basis keys.
 
     The pairing contraction is (S^-1? a_(1)) |> b, so the expression
     grounds through delta(a); support-local even for the infinite pairs.
     """
     A, B = p.A, p.B
-    a = Element.basis(A.domain, ka)
     b = Element.basis(B.domain, kb)
-    out: dict = {}
-    for (u, v), c in _delta_a(p, a).coeffs.items():
-        ue = Element.basis(A.domain, u)
-        if inverse:
-            ue = A.antipode_inv(ue)
-        acted = p.act_AonB(ue, b)
-        for kk, cc in acted.coeffs.items():
-            add_into(out, (v, kk), c * cc)
-    return out
+    first = A.antipode_inv_key if inverse else (lambda u: Element.basis(A.domain, u))
+    d = _delta_a(p, Element.basis(A.domain, ka))
+    t = map_leg(d, 0, lambda u: p.act_AonB(first(u), b), B.domain)
+    return flip(t, 0, 1)
 
 
 # -- anti-isomorphism B#A -> A#B ---------------------------------------------------------
@@ -585,14 +531,8 @@ def anti_isomorphism(p: DualPair, sample_range: int = 4) -> tuple:
     sab = pairing_smash(p, "AB")
 
     def phi(u: Element) -> Element:
-        acc: dict = {}
-        for (kb, ka), c in u.coeffs.items():
-            sa = p.A.antipode_inv(Element.basis(p.A.domain, ka))
-            sb = p.B.antipode(Element.basis(p.B.domain, kb))
-            for k1, c1 in sa.coeffs.items():
-                for k2, c2 in sb.coeffs.items():
-                    add_into(acc, (k1, k2), c * c1 * c2)
-        return Element(sab.algebra.domain, acc, _canon=True)
+        t = map_leg(map_leg(sba.legs(u), 0, p.B.antipode_key), 1, p.A.antipode_inv_key)
+        return sab.join(flip(t, 0, 1))
 
     finite = sba.algebra.is_finite
     cert = certify_algebra_map(
@@ -661,23 +601,15 @@ def diamond_matrix_units(p: DualPair) -> tuple:
 def rank_one_gamma(p: DualPair, sab: SmashProduct, dia: Algebra):
     """gamma: A#A^ -> A <> A^, gamma(a # phi(c.)) = sum a S(c_(1)) <> phi(c_(2) .),
     as a table-backed LinearMap."""
-    from .linalg import LinearMap
-
     bridge: DualBridge = p.bridge
     A = p.A
     table: dict = {}
     for ka, kb in sab.algebra.basis:
-        acc: dict = {}
-        c = bridge.to_left_slot(Element.basis(p.B.domain, kb))
-        d = A.delta(c)
         a = Element.basis(A.domain, ka)
-        for (k1, k2), cc in d.coeffs.items():
-            asc = A.algebra.mul(a, A.antipode(Element.basis(A.domain, k1)))
-            om = bridge.from_left_slot(Element.basis(A.domain, k2))
-            for kx, cx in asc.coeffs.items():
-                for ky, cy in om.coeffs.items():
-                    add_into(acc, (kx, ky), cc * cx * cy)
-        table[(ka, kb)] = Element(dia.domain, acc, _canon=True)
+        d = A.delta(bridge.to_left_slot(Element.basis(p.B.domain, kb)))  # c_(1) (x) c_(2)
+        d = map_leg(d, 0, lambda k1: A.algebra.mul(a, A.antipode_key(k1)))
+        d = map_leg(d, 1, bridge.from_left_slot.table.__getitem__)
+        table[(ka, kb)] = Element(dia.domain, d.coeffs, _canon=True)
     return LinearMap(sab.algebra.domain, dia.domain, table)
 
 
@@ -686,7 +618,7 @@ def rank_one_realization(p: DualPair) -> Report:
     is an algebra isomorphism A#A^ -> A <> A^, and the standard action of
     A#A^ on A has full operator rank (dim A)^2.
     """
-    bridge: DualBridge | None = getattr(p, "bridge", None)
+    bridge = p.bridge
     if bridge is None:
         raise InfiniteDimensional(f"{p.name}: needs the (A, A^) bridge")
     A = p.A
@@ -725,12 +657,10 @@ def rank_one_realization(p: DualPair) -> Report:
     to_mu, n = diamond_matrix_units(p)
     witness = None
     mdomain = f"matrix({n})"
+    transport = LinearMap(dia.domain, mdomain, {k: to_mu(k) for k in dia.basis})
     for k1 in dia.basis:
         for k2 in dia.basis:
-            lhs_raw = dia.mul_basis(k1, k2)
-            lhs = Element.zero(mdomain)
-            for kk, c in lhs_raw.coeffs.items():
-                lhs = lhs + to_mu(kk).scale(c)
+            lhs = transport(dia.mul_basis(k1, k2))
             # matrix-unit product of the transported factors
             rhs = _matrix_unit_product(to_mu(k1), to_mu(k2), mdomain)
             if lhs != rhs:

@@ -15,6 +15,7 @@ import json
 
 from .algebras import Algebra
 from .elements import Element, TensorElement
+from .linalg import BilinearMap
 from .errors import MalformedSpec, UnknownInstance
 from .mha import RegularMHA
 from .scalars import Scalar
@@ -304,14 +305,7 @@ def action_from_json(obj):
             (key_from_json(ka), key_from_json(kx)): element_from_json(e)
             for ka, kx, e in obj["entries"]
         }
-
-        def act(a, x):
-            out = Element.zero(space.domain)
-            for ka, ca in a.coeffs.items():
-                for kx, cx in x.coeffs.items():
-                    out = out + table[(ka, kx)].scale(ca * cx)
-            return out
-
+        act = BilinearMap(h.domain, space.domain, space.domain, table)
         return ActionSpec.build(h, space, act, rule="table")
     raise MalformedSpec(f"unknown action rule {rule!r}", field="rule")
 

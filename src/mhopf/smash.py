@@ -25,11 +25,12 @@ from .actions import ActionSpec, extend_action_to_multipliers
 from .algebras import (
     Algebra,
     Multiplier,
+    certify_algebra_map,
     certify_associative,
     multiplier_product,
     radicals,
 )
-from .elements import Element, add_into
+from .elements import Element, TensorElement, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
     CocycleInvalid,
@@ -38,7 +39,7 @@ from .errors import (
     NotInner,
     UnverifiedAction,
 )
-from .linalg import span_rank
+from .linalg import LinearMap, span_rank
 from .mha import RegularMHA, coproduct_certificate
 from .reports import Report
 
@@ -59,14 +60,16 @@ class SmashProduct:
 
     def element(self, x: Element, a: Element) -> Element:
         """x # a as an element of the smash algebra."""
-        acc = {}
-        for kx, cx in x.coeffs.items():
-            for ka, ca in a.coeffs.items():
-                acc[(kx, ka)] = cx * ca
-        return Element(self.algebra.domain, acc)
+        return _tensor(self.algebra.domain, x, a)
 
-    def basis_key(self, kx, ka):
-        return (kx, ka)
+    def legs(self, u: Element) -> TensorElement:
+        """sum x#a as the tensor sum x (x) a, for maps on one leg."""
+        legs = (self.action.ralg.domain, self.action.mha.domain)
+        return TensorElement(legs, u.coeffs, _canon=True)
+
+    def join(self, t: TensorElement) -> Element:
+        """sum x (x) a as the smash element sum x#a."""
+        return Element(self.algebra.domain, t.coeffs, _canon=True)
 
 
 def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProduct:
@@ -82,17 +85,12 @@ def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProdu
     domain = f"smash({R.domain},{h.domain})"
 
     def mul_basis(k1, k2):
-        kx, ka = k1
-        kx2, ka2 = k2
-        t = h.t1(Element.basis(h.domain, ka), Element.basis(h.domain, ka2))
-        acc: dict = {}
+        (kx, ka), (kx2, ka2) = k1, k2
         x = Element.basis(R.domain, kx)
-        x2 = Element.basis(R.domain, kx2)
-        for (p, q), c in t.coeffs.items():
-            left = R.mul(x, action.act(Element.basis(h.domain, p), x2))
-            for kk, cc in left.coeffs.items():
-                add_into(acc, (kk, q), c * cc)
-        return Element(domain, acc, _canon=True)
+        # t1(a, a2) = sum a_(1) (x) a_(2) a2; the first leg acts on x2
+        t = h.t1(Element.basis(h.domain, ka), Element.basis(h.domain, ka2))
+        t = map_leg(t, 0, lambda p: R.mul(x, action.act.table[p, kx2]), R.domain)
+        return Element(domain, t.coeffs, _canon=True)
 
     basis = None
     if R.is_finite and h.algebra.is_finite:
@@ -187,19 +185,15 @@ def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
         if exhaustive
         else [(rng.choice(keys), rng.choice(keys)) for _ in range(100)]
     )
+    R, A = s.ralg, s.mha.algebra
     for k1, k2 in pairs:
         (kx, ka), (kx2, ka2) = k1, k2
-        direct = alg.mul_basis(k1, k2)
-        tw = twist(s.action, Element.basis(s.mha.domain, ka), Element.basis(s.ralg.domain, kx2))
-        acc: dict = {}
-        x = Element.basis(s.ralg.domain, kx)
-        for (kr, kA), c in tw.coeffs.items():
-            left = s.ralg.mul(x, Element.basis(s.ralg.domain, kr))
-            right = s.mha.algebra.mul_basis(kA, ka2)
-            for kk, cc in left.coeffs.items():
-                for kq, cq in right.coeffs.items():
-                    add_into(acc, (kk, kq), c * cc * cq)
-        if Element(alg.domain, acc) != direct:
+        x = Element.basis(R.domain, kx)
+        # Gamma(a (x) x2) = sum a_(1) x2 (x) a_(2), then x (.) and (.) a2 on the legs
+        tw = s.legs(w_map(s, Element.basis(R.domain, kx2), Element.basis(A.domain, ka)))
+        tw = map_leg(tw, 0, lambda kr: R.mul(x, Element.basis(R.domain, kr)), R.domain)
+        tw = map_leg(tw, 1, lambda kA: A.mul_basis(kA, ka2), A.domain)
+        if s.join(tw) != alg.mul_basis(k1, k2):
             witness = (k1, k2)
             break
     rep.add("twist-map-product", witness is None, status, witness)
@@ -212,54 +206,34 @@ def recertify(s: SmashProduct, verify: str = "full", seed: int = 0) -> Report:
     return s.certificates
 
 
-def twist(action: ActionSpec, a: Element, x: Element):
-    """Gamma(a (x) x) = sum a_(1) x (x) a_(2), grounded through witnesses.
-
-    Returned with legs (R, A) as a tensor-like Element over pair keys.
-    """
-    h = action.mha
-    acc: dict = {}
-    for b, z in action.witness(x):
-        t = h.t3(a, b)
-        for (u, v), c in t.coeffs.items():
-            img = action.act(Element.basis(h.domain, u), z)
-            for kr, cr in img.coeffs.items():
-                add_into(acc, (kr, v), c * cr)
-    return Element(f"twist({action.ralg.domain},{h.domain})", acc, _canon=True)
-
-
 # -- the W bijection of R (x) A onto R#A --------------------------------------
 
 
 def w_map(s: SmashProduct, x: Element, a: Element) -> Element:
-    """W(x (x) a) = sum a_(1) x # a_(2)."""
+    """W(x (x) a) = sum a_(1) x # a_(2), grounded through the witnesses of x."""
     h = s.mha
-    acc: dict = {}
+    out = Element.zero(s.algebra.domain)
     for b, z in s.action.witness(x):
-        t = h.t3(a, b)
-        for (u, v), c in t.coeffs.items():
-            img = s.action.act(Element.basis(h.domain, u), z)
-            for kr, cr in img.coeffs.items():
-                add_into(acc, (kr, v), c * cr)
-    return Element(s.algebra.domain, acc, _canon=True)
+        t = h.t3(a, b)  # a_(1) b (x) a_(2)
+        out = out + s.join(map_leg(t, 0, lambda u: s.action.act(Element.basis(h.domain, u), z)))
+    return out
 
 
 def w_inv_map(s: SmashProduct, u: Element) -> Element:
     """W^-1(x # a) = sum S^-1(a_(1)) x (x) a_(2), over pair keys (r, a)."""
     h = s.mha
-    act = s.action.act
-    acc: dict = {}
-    for (kx, ka), c in u.coeffs.items():
-        x = Element.basis(s.ralg.domain, kx)
-        a = Element.basis(h.domain, ka)
-        for b, z in s.action.witness(x):
+
+    def basis_image(kx, ka) -> Element:
+        out = Element.zero(domain)
+        for b, z in s.action.witness(Element.basis(s.ralg.domain, kx)):
             # S_inv(a_(1)) b = S_inv(a_(1) S(b)): inner right cover on leg 1
-            t = h.t3(a, h.antipode(b))
-            for (w, v), cc in t.coeffs.items():
-                img = act(h.antipode_inv(Element.basis(h.domain, w)), z)
-                for kr, cr in img.coeffs.items():
-                    add_into(acc, (kr, v), c * cc * cr)
-    return Element(f"twist({s.ralg.domain},{h.domain})", acc, _canon=True)
+            t = h.t3(Element.basis(h.domain, ka), h.antipode(b))
+            t = map_leg(t, 0, lambda w: s.action.act(h.antipode_inv_key(w), z), s.ralg.domain)
+            out = out + Element(domain, t.coeffs, _canon=True)
+        return out
+
+    domain = f"twist({s.ralg.domain},{h.domain})"
+    return merge_legs(s.legs(u), 0, 1, basis_image, domain)
 
 
 # -- multiplier embeddings ------------------------------------------------------
@@ -268,86 +242,74 @@ def w_inv_map(s: SmashProduct, u: Element) -> Element:
 def pi_A(s: SmashProduct, a: Element) -> Multiplier:
     """pi(a)(x'#a') = sum a_(1) x' # a_(2) a';  (x'#a') pi(a) = x' # a' a."""
     h = s.mha
-    alg = s.algebra
-    act = s.action.act
+    act = s.action.act.table  # (a-key, x-key) -> a x
 
     def left(u: Element) -> Element:
-        acc: dict = {}
-        for (kx, ka2), c in u.coeffs.items():
-            t = h.t1(a, Element.basis(h.domain, ka2))
-            x2 = Element.basis(s.ralg.domain, kx)
-            for (p, q), cc in t.coeffs.items():
-                img = act(Element.basis(h.domain, p), x2)
-                for kr, cr in img.coeffs.items():
-                    add_into(acc, (kr, q), c * cc * cr)
-        return Element(alg.domain, acc, _canon=True)
+        # t1(a, a') = sum a_(1) (x) a_(2) a' splits the A leg; a_(1) then acts on x'
+        t = map_leg(
+            s.legs(u), 1, lambda ka2: h.t1(a, Element.basis(h.domain, ka2)), (h.domain, h.domain)
+        )
+        return s.join(merge_legs(t, 0, 1, lambda kx, p: act[p, kx], s.ralg.domain))
 
     def right(u: Element) -> Element:
-        acc: dict = {}
-        for (kx, ka2), c in u.coeffs.items():
-            prod = h.algebra.mul(Element.basis(h.domain, ka2), a)
-            for kq, cq in prod.coeffs.items():
-                add_into(acc, (kx, kq), c * cq)
-        return Element(alg.domain, acc, _canon=True)
+        return s.join(
+            map_leg(s.legs(u), 1, lambda ka2: h.algebra.mul(Element.basis(h.domain, ka2), a))
+        )
 
-    return Multiplier(alg, left, right)
+    return Multiplier(s.algebra, left, right)
 
 
 def pi_R(s: SmashProduct, x) -> Multiplier:
     """Embedding of R (or of M(R), given a Multiplier) into M(R#A)."""
     if isinstance(x, Multiplier):
         return _pi_R_multiplier(s, x)
-    alg = s.algebra
     h = s.mha
-    act = s.action.act
+    R = s.ralg
 
     def left(u: Element) -> Element:
-        acc: dict = {}
-        for (kx2, ka2), c in u.coeffs.items():
-            prod = s.ralg.mul(x, Element.basis(s.ralg.domain, kx2))
-            for kr, cr in prod.coeffs.items():
-                add_into(acc, (kr, ka2), c * cr)
-        return Element(alg.domain, acc, _canon=True)
+        return s.join(map_leg(s.legs(u), 0, lambda kx2: R.mul(x, Element.basis(R.domain, kx2))))
 
     def right(u: Element) -> Element:
-        # (x'#a') pi(x) = sum x'(a'_(1) x) # a'_(2)
-        acc: dict = {}
-        for (kx2, ka2), c in u.coeffs.items():
-            x2 = Element.basis(s.ralg.domain, kx2)
-            a2 = Element.basis(h.domain, ka2)
-            for b, z in s.action.witness(x):
-                t = h.t3(a2, b)
-                for (p, q), cc in t.coeffs.items():
-                    img = s.ralg.mul(x2, act(Element.basis(h.domain, p), z))
-                    for kr, cr in img.coeffs.items():
-                        add_into(acc, (kr, q), c * cc * cr)
-        return Element(alg.domain, acc, _canon=True)
+        # (x'#a') pi(x) = sum x'(a'_(1) x) # a'_(2), grounded through the witnesses of x
+        out = Element.zero(s.algebra.domain)
+        for b, z in s.action.witness(x):
+            # t3(a', b) = sum a'_(1) b (x) a'_(2) splits the A leg
+            t = map_leg(
+                s.legs(u), 1, lambda ka2: h.t3(Element.basis(h.domain, ka2), b),
+                (h.domain, h.domain),
+            )
+            t = merge_legs(
+                t, 0, 1,
+                lambda kx2, p: R.mul(
+                    Element.basis(R.domain, kx2), s.action.act(Element.basis(h.domain, p), z)
+                ),
+                R.domain,
+            )
+            out = out + s.join(t)
+        return out
 
-    return Multiplier(alg, left, right)
+    return Multiplier(s.algebra, left, right)
 
 
 def _pi_R_multiplier(s: SmashProduct, m: Multiplier) -> Multiplier:
     """pi(m) for m in M(R): pi(m)(x#a) = m x # a, and on the right through
     the W-parametrisation pi(a)pi(x) = W(x (x) a)."""
-    alg = s.algebra
+    R, h = s.ralg, s.mha
 
     def left(u: Element) -> Element:
-        acc: dict = {}
-        for (kx, ka), c in u.coeffs.items():
-            img = m.left(Element.basis(s.ralg.domain, kx))
-            for kr, cr in img.coeffs.items():
-                add_into(acc, (kr, ka), c * cr)
-        return Element(alg.domain, acc, _canon=True)
+        return s.join(map_leg(s.legs(u), 0, lambda kx: m.left(Element.basis(R.domain, kx))))
 
     def right(u: Element) -> Element:
-        pairs = w_inv_map(s, u)  # u = sum pi(a_i) pi(x_i) with (x_i, a_i) here
-        out = Element.zero(alg.domain)
-        for (kr, ka), c in pairs.coeffs.items():
-            xm = m.right(Element.basis(s.ralg.domain, kr))
-            out = out + w_map(s, xm, Element.basis(s.mha.domain, ka)).scale(c)
-        return out
+        # u = sum pi(a_i) pi(x_i) with (x_i, a_i) the terms of W^-1(u)
+        return merge_legs(
+            s.legs(w_inv_map(s, u)), 0, 1,
+            lambda kr, ka: w_map(
+                s, m.right(Element.basis(R.domain, kr)), Element.basis(h.domain, ka)
+            ),
+            s.algebra.domain,
+        )
 
-    return Multiplier(alg, left, right)
+    return Multiplier(s.algebra, left, right)
 
 
 def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
@@ -557,12 +519,14 @@ def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
                 lhs = c.a_act(a, c.r_act(x, v))
                 rhs = Element.zero(c.space_domain)
                 for b, z in s.witness(x):
-                    t = h.t3(a, b)
-                    for (u, w), cc in t.coeffs.items():
-                        rhs = rhs + c.r_act(
+                    rhs = rhs + merge_legs(
+                        h.t3(a, b), 0, 1,
+                        lambda u, w: c.r_act(
                             s.act(Element.basis(h.domain, u), z),
                             c.a_act(Element.basis(h.domain, w), v),
-                        ).scale(cc)
+                        ),
+                        c.space_domain,
+                    )
                 if lhs != rhs:
                     witness = (ka, kx, kv)
                     break
@@ -584,14 +548,14 @@ def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
                     rhs = Element.zero(c.space_domain)
                     for b, z in c.v_witness(v):
                         # S(a_(2)) b = S(S_inv(b) a_(2))
-                        t = h.t4(a, h.antipode_inv(b))
-                        for (u, w), cc in t.coeffs.items():
-                            inner = c.a_act(
-                                h.antipode(Element.basis(h.domain, w)), z
-                            )
-                            rhs = rhs + c.a_act(
-                                Element.basis(h.domain, u), c.r_act(x, inner)
-                            ).scale(cc)
+                        rhs = rhs + merge_legs(
+                            h.t4(a, h.antipode_inv(b)), 0, 1,
+                            lambda u, w: c.a_act(
+                                Element.basis(h.domain, u),
+                                c.r_act(x, c.a_act(h.antipode_key(w), z)),
+                            ),
+                            c.space_domain,
+                        )
                     if lhs != rhs:
                         witness = (ka, kx, kv)
                         break
@@ -609,13 +573,13 @@ def covariant_to_module(c: CovariantModule, s: SmashProduct) -> PlainModule:
         raise AlgebraMismatch("covariant data built over a different action")
 
     def act(u: Element, v: Element) -> Element:
-        out = Element.zero(c.space_domain)
-        for (kx, ka), cc in u.coeffs.items():
-            out = out + c.r_act(
-                Element.basis(s.ralg.domain, kx),
-                c.a_act(Element.basis(s.mha.domain, ka), v),
-            ).scale(cc)
-        return out
+        return merge_legs(
+            s.legs(u), 0, 1,
+            lambda kx, ka: c.r_act(
+                Element.basis(s.ralg.domain, kx), c.a_act(Element.basis(s.mha.domain, ka), v)
+            ),
+            c.space_domain,
+        )
 
     witness = None
     if s.algebra.identity is not None:
@@ -712,27 +676,20 @@ def inner_trivialization(s: SmashProduct, gamma: Callable) -> tuple:
             out = m if out is None else out.add(m)
         return out
 
-    def phi(u: Element) -> Element:
-        acc: dict = {}
-        for (kx, ka), c in u.coeffs.items():
+    def trivialize(u: Element, twisted: Callable, domain: str) -> Element:
+        # x # a -> sum x gamma(twisted(a_(1))) (x) a_(2)
+        def image(kx, ka) -> TensorElement:
             x = Element.basis(R.domain, kx)
             d = h.delta(Element.basis(h.domain, ka))
-            for (p, q), cc in d.coeffs.items():
-                img = gamma_el(Element.basis(h.domain, p)).right(x)
-                for kr, cr in img.coeffs.items():
-                    add_into(acc, (kr, q), c * cc * cr)
-        return Element(target.domain, acc, _canon=True)
+            return map_leg(d, 0, lambda p: gamma_el(twisted(p)).right(x), R.domain)
+
+        return merge_legs(s.legs(u), 0, 1, image, domain)
+
+    def phi(u: Element) -> Element:
+        return trivialize(u, lambda p: Element.basis(h.domain, p), target.domain)
 
     def psi(u: Element) -> Element:
-        acc: dict = {}
-        for (kx, ka), c in u.coeffs.items():
-            x = Element.basis(R.domain, kx)
-            d = h.delta(Element.basis(h.domain, ka))
-            for (p, q), cc in d.coeffs.items():
-                img = gamma_el(h.antipode(Element.basis(h.domain, p))).right(x)
-                for kr, cr in img.coeffs.items():
-                    add_into(acc, (kr, q), c * cc * cr)
-        return Element(s.algebra.domain, acc, _canon=True)
+        return trivialize(u, h.antipode_key, s.algebra.domain)
 
     return phi, psi, target
 
@@ -754,34 +711,29 @@ def cocycle_isomorphism(cocycle, act1: ActionSpec, act2: ActionSpec) -> tuple:
     def gamma_el(a: Element) -> Multiplier:
         return cocycle.apply(h, R, a)
 
-    def phi(u: Element) -> Element:
+    def phi_basis(kx, ka) -> TensorElement:
         # phi(x #2 a) = sum x gamma(a_(1)) #1 a_(2)
-        acc: dict = {}
-        for (kx, ka), c in u.coeffs.items():
-            x = Element.basis(R.domain, kx)
-            d = h.delta(Element.basis(h.domain, ka))
-            for (p, q), cc in d.coeffs.items():
-                img = gamma_el(Element.basis(h.domain, p)).right(x)
-                for kr, cr in img.coeffs.items():
-                    add_into(acc, (kr, q), c * cc * cr)
-        return Element(s1.algebra.domain, acc, _canon=True)
+        x = Element.basis(R.domain, kx)
+        d = h.delta(Element.basis(h.domain, ka))
+        return map_leg(d, 0, lambda p: gamma_el(Element.basis(h.domain, p)).right(x), R.domain)
+
+    def psi_basis(kx, ka) -> TensorElement:
+        # psi(x #1 a) = sum x (a_(1) |>1 gamma(S(a_(2)))) #2 a_(3)
+        x = Element.basis(R.domain, kx)
+        d3 = h.delta_n(Element.basis(h.domain, ka), 3)
+        return merge_legs(
+            d3, 0, 1,
+            lambda p, q: extend_action_to_multipliers(
+                act1, Element.basis(h.domain, p), gamma_el(h.antipode_key(q))
+            ).right(x),
+            R.domain,
+        )
+
+    def phi(u: Element) -> Element:
+        return merge_legs(s2.legs(u), 0, 1, phi_basis, s1.algebra.domain)
 
     def psi(u: Element) -> Element:
-        # psi(x #1 a) = sum x (a_(1) |>1 gamma(S(a_(2)))) #2 a_(3)
-        acc: dict = {}
-        for (kx, ka), c in u.coeffs.items():
-            x = Element.basis(R.domain, kx)
-            d3 = h.delta_n(Element.basis(h.domain, ka), 3)
-            for (p, q, r), cc in d3.coeffs.items():
-                m = extend_action_to_multipliers(
-                    act1,
-                    Element.basis(h.domain, p),
-                    gamma_el(h.antipode(Element.basis(h.domain, q))),
-                )
-                img = m.right(x)
-                for kr, cr in img.coeffs.items():
-                    add_into(acc, (kr, r), c * cc * cr)
-        return Element(s2.algebra.domain, acc, _canon=True)
+        return merge_legs(s1.legs(u), 0, 1, psi_basis, s2.algebra.domain)
 
     return phi, psi, s1, s2
 
@@ -815,13 +767,9 @@ def group_crossed_product_oracle(g, ralg: Algebra, alpha: Callable) -> Algebra:
 def algebras_match(a: Algebra, b: Algebra, key_map: Callable) -> tuple | None:
     """First basis pair where structure constants disagree under the
     bijection ``key_map``: a-keys -> b-keys; None when all agree."""
-    for k1 in a.basis:
-        for k2 in a.basis:
-            pa = a.mul_basis(k1, k2)
-            mapped = Element(
-                b.domain, {key_map(k): c for k, c in pa.coeffs.items()}
-            )
-            pb = b.mul_basis(key_map(k1), key_map(k2))
-            if mapped != pb:
-                return (k1, k2)
-    return None
+    relabel = LinearMap(
+        a.domain, b.domain, {k: Element.basis(b.domain, key_map(k)) for k in a.basis}
+    )
+    # pairs: generators mode would need an associativity certificate of a,
+    # which a hand-built oracle does not carry
+    return certify_algebra_map(relabel, a, b, mode="pairs").witness

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .elements import Element, TensorElement, add_into
+from .elements import Element, TensorElement, map_leg
 from .errors import UncoveredLeg
 from .mha import RegularMHA
 
@@ -123,141 +123,78 @@ def sweedler_eval(h: RegularMHA, expr: SweedlerExpr, strategy: str = "lr"):
             if i != survivor:
                 covers[i] = (None, alg.one())
 
-    # 2. ground the tower; terms: (prefix keys, mid key, suffix keys) -> coeff
-    n = len(delta_positions)
-    terms: dict = {}
-    for k, c in expr.source.coeffs.items():
-        add_into(terms, ((), k, ()), c)
-
-    def ground_left(pos: int, state: dict) -> dict:
+    # 2. ground the tower: one leg per grounded coproduct leg, with the
+    # survivor, still to be split, at position ``mid``
+    def split_left(pos: int) -> Callable:
         il, ir = covers[pos]
-        out: dict = {}
-        for (pre, mid, suf), c in state.items():
-            midel = Element.basis(D, mid)
-            if il is not None:
-                split = h.t2(il, midel)  # (il * w_(1)) (x) w_(2)
-                if ir is not None:
-                    split = _mul_leg_right(h, split, 0, ir)
-            else:
-                split = h.t3(midel, ir)  # (w_(1) * ir) (x) w_(2)
-            for (u, v), cv in split.coeffs.items():
-                add_into(out, (pre + (u,), v, suf), c * cv)
-        return out
 
-    def ground_right(pos: int, state: dict) -> dict:
+        def split(k) -> TensorElement:
+            w = Element.basis(D, k)
+            if il is None:
+                return h.t3(w, ir)  # (w_(1) * ir) (x) w_(2)
+            t = h.t2(il, w)  # (il * w_(1)) (x) w_(2)
+            return t if ir is None else map_leg(t, 0, lambda u: alg.mul(Element.basis(D, u), ir))
+
+        return split
+
+    def split_right(pos: int) -> Callable:
         il, ir = covers[pos]
-        out: dict = {}
-        for (pre, mid, suf), c in state.items():
-            midel = Element.basis(D, mid)
-            if ir is not None:
-                split = h.t1(midel, ir)  # w_(1) (x) (w_(2) * ir)
-                if il is not None:
-                    split = _mul_leg_left(h, split, 1, il)
-            else:
-                split = h.t4(midel, il)  # w_(1) (x) (il * w_(2))
-            for (u, v), cv in split.coeffs.items():
-                add_into(out, (pre, u, (v,) + suf), c * cv)
-        return out
 
-    remaining = list(range(n))
+        def split(k) -> TensorElement:
+            w = Element.basis(D, k)
+            if ir is None:
+                return h.t4(w, il)  # w_(1) (x) (il * w_(2))
+            t = h.t1(w, ir)  # w_(1) (x) (w_(2) * ir)
+            return t if il is None else map_leg(t, 1, lambda v: alg.mul(il, Element.basis(D, v)))
+
+        return split
+
+    tower = TensorElement((D,), {(k,): c for k, c in expr.source.coeffs.items()}, _canon=True)
+    mid = 0
+    remaining = list(range(len(delta_positions)))
     while len(remaining) > 1:
-        first, last = remaining[0], remaining[-1]
-        first_cov = covers[delta_positions[first]] != (None, None)
-        last_cov = covers[delta_positions[last]] != (None, None)
-        if strategy == "lr":
-            if first_cov:
-                terms = ground_left(delta_positions[first], terms)
-                remaining.pop(0)
-            elif last_cov:
-                terms = ground_right(delta_positions[last], terms)
-                remaining.pop()
-            else:
-                raise UncoveredLeg("two uncovered legs remain")
-        else:
-            if last_cov:
-                terms = ground_right(delta_positions[last], terms)
-                remaining.pop()
-            elif first_cov:
-                terms = ground_left(delta_positions[first], terms)
-                remaining.pop(0)
-            else:
-                raise UncoveredLeg("two uncovered legs remain")
+        first_cov = covers[delta_positions[remaining[0]]] != (None, None)
+        last_cov = covers[delta_positions[remaining[-1]]] != (None, None)
+        if not (first_cov or last_cov):
+            raise UncoveredLeg("two uncovered legs remain")
+        # lr grounds from the left end when it can, rl from the right end
+        left = first_cov if strategy == "lr" else not last_cov
+        pos = delta_positions[remaining.pop(0 if left else -1)]
+        tower = map_leg(tower, mid, (split_left if left else split_right)(pos), (D, D))
+        mid += left
 
     # 3. fold the remaining leg's covers in concretely
-    lastpos = delta_positions[remaining[0]]
-    il, ir = covers[lastpos]
-    folded: dict = {}
-    for (pre, mid, suf), c in terms.items():
-        v = Element.basis(D, mid)
+    il, ir = covers[delta_positions[remaining[0]]]
+
+    def fold(k) -> Element:
+        v = Element.basis(D, k)
         if il is not None:
             v = alg.mul(il, v)
         if ir is not None:
             v = alg.mul(v, ir)
-        for k, cv in v.coeffs.items():
-            add_into(folded, pre + (k,) + suf, c * cv)
-    # reorder: grounded prefix legs, survivor, suffix legs are already in
-    # tower order because ground_left/right append to the correct side
+        return v
+
+    out = map_leg(tower, mid, fold, D)
 
     # 4. apply unaries and post maps leg by leg, weave in the constants
-    leg_values: dict = folded
-    out_domains: list = []
     for i, leg in enumerate(legs):
         if isinstance(leg, ConstLeg):
-            out_domains.append(leg.value.domain)
-        else:
-            dom = D
-            if leg.post is not None:
-                dom = leg.post_domain or D
-            out_domains.append(dom)
-
-    acc: dict = {}
-    delta_index = {pos: j for j, pos in enumerate(delta_positions)}
-
-    def expand(i: int, keys: tuple, coeff, tower_keys: tuple, out: dict):
-        if i == len(legs):
-            add_into(out, keys, coeff)
-            return
-        leg = legs[i]
-        if isinstance(leg, ConstLeg):
-            for k, c in leg.value.coeffs.items():
-                expand(i + 1, keys + (k,), coeff * c, tower_keys, out)
-            return
-        raw = Element.basis(D, tower_keys[delta_index[i]])
+            out = _insert_leg(out, i, leg.value)
+            continue
         if leg.unary == "S":
-            raw = h.antipode(raw)
+            out = map_leg(out, i, h.antipode_key)
         elif leg.unary == "Sinv":
-            raw = h.antipode_inv(raw)
+            out = map_leg(out, i, h.antipode_inv_key)
         if leg.post is not None:
-            img = Element.zero(leg.post_domain or D)
-            for k, c in raw.coeffs.items():
-                img = img + leg.post(k).scale(c)
-            raw = img
-        for k, c in raw.coeffs.items():
-            expand(i + 1, keys + (k,), coeff * c, tower_keys, out)
-
-    for tkeys, c in leg_values.items():
-        expand(0, (), c, tkeys, acc)
-
-    return TensorElement(tuple(out_domains), acc, _canon=True)
+            out = map_leg(out, i, leg.post, leg.post_domain or D)
+    return out
 
 
-def _mul_leg_right(h: RegularMHA, t: TensorElement, i: int, by: Element):
-    out: dict = {}
-    for keys, c in t.coeffs.items():
-        prod = h.algebra.mul(Element.basis(h.domain, keys[i]), by)
-        for k, cv in prod.coeffs.items():
-            ks = list(keys)
-            ks[i] = k
-            add_into(out, tuple(ks), c * cv)
-    return TensorElement(t.domains, out, _canon=True)
-
-
-def _mul_leg_left(h: RegularMHA, t: TensorElement, i: int, by: Element):
-    out: dict = {}
-    for keys, c in t.coeffs.items():
-        prod = h.algebra.mul(by, Element.basis(h.domain, keys[i]))
-        for k, cv in prod.coeffs.items():
-            ks = list(keys)
-            ks[i] = k
-            add_into(out, tuple(ks), c * cv)
-    return TensorElement(t.domains, out, _canon=True)
+def _insert_leg(t: TensorElement, i: int, value: Element) -> TensorElement:
+    """``t`` with the constant ``value`` as a new leg at position ``i``."""
+    coeffs = {
+        keys[:i] + (k,) + keys[i:]: c * cv
+        for keys, c in t.coeffs.items()
+        for k, cv in value.coeffs.items()
+    }
+    return TensorElement(t.domains[:i] + (value.domain,) + t.domains[i:], coeffs, _canon=True)

@@ -126,6 +126,8 @@ def test_duality_command_with_action_file(tmp_path):
     [
         ("Z2", "deb3bb3bb8da97c21ab28be9f40075d537918b3b"),
         ("Z3", "96c801358cac9a596b4092e3e8c04801cfce2f7b"),
+        # K(Z) and C[Z]: the infinite-domain path, checked on sampled key windows
+        ("Z", "5dc544e568f0cbac0a8e01436f333c2689ff466d"),
     ],
 )
 def test_run_all_output_is_byte_identical(group, sha1):

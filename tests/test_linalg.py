@@ -1,10 +1,15 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhopf.algebras import Algebra, radicals, verify_algebra
-from mhopf.elements import Element
+from mhopf.elements import Element, TensorElement, tensor
+from mhopf.errors import DomainMismatch
 from mhopf.linalg import (
+    BasisMemo,
+    BilinearMap,
+    LinearMap,
     SparseEliminator,
     in_span,
     inverse,
@@ -220,3 +225,124 @@ def test_spans_same():
     b = [Element("D", {0: sc(1), 1: sc(1)}), Element("D", {0: sc(1), 1: sc(-1)})]
     assert spans_same(a, b)
     assert not spans_same(a, [Element("D", {0: sc(1)})])
+
+
+# -- basis maps: linear and bilinear extension over basis keys ------------------
+
+gaussian = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+KEYS = range(3)
+
+
+def sparse(domain):
+    return st.dictionaries(st.sampled_from(KEYS), gaussian, max_size=3).map(
+        lambda d: Element(domain, d)
+    )
+
+
+# one image of each kind per basis key: an Element, a Scalar, a TensorElement
+images = st.tuples(
+    sparse("Y"),
+    gaussian,
+    st.dictionaries(st.tuples(st.sampled_from(KEYS), st.sampled_from(KEYS)), gaussian, max_size=2).map(
+        lambda d: TensorElement(("Y", "Z"), d)
+    ),
+)
+DSTS = ("Y", None, ("Y", "Z"))
+
+
+def reference_sum(terms, dst):
+    """sum c * image over (c, image) pairs, one term at a time."""
+    if dst is None:
+        total = ZERO
+        for c, img in terms:
+            total = total + c * img
+        return total
+    total = TensorElement.zero(dst) if isinstance(dst, tuple) else Element.zero(dst)
+    for c, img in terms:
+        total = total + img.scale(c)
+    return total
+
+
+@settings(max_examples=50)
+@given(sparse("X"), st.lists(images, min_size=len(KEYS), max_size=len(KEYS)))
+def test_linear_extension_matches_reference_sum(x, table):
+    for kind, dst in enumerate(DSTS):
+        expected = reference_sum([(c, table[k][kind]) for k, c in x.coeffs.items()], dst)
+        assert LinearMap("X", dst, lambda k: table[k][kind])(x) == expected
+        assert LinearMap("X", dst, {k: table[k][kind] for k in KEYS})(x) == expected
+        for k in KEYS:
+            assert LinearMap("X", dst, lambda k: table[k][kind])(Element.basis("X", k)) == table[k][kind]
+
+
+@settings(max_examples=30)
+@given(
+    sparse("X"),
+    sparse("W"),
+    st.lists(images, min_size=len(KEYS) ** 2, max_size=len(KEYS) ** 2),
+)
+def test_bilinear_extension_matches_reference_sum(x, y, flat):
+    table = {(k1, k2): flat[k1 * len(KEYS) + k2] for k1 in KEYS for k2 in KEYS}
+    for kind, dst in enumerate(DSTS):
+        terms = [
+            (c1 * c2, table[k1, k2][kind])
+            for k1, c1 in x.coeffs.items()
+            for k2, c2 in y.coeffs.items()
+        ]
+        expected = reference_sum(terms, dst)
+        bmap = BilinearMap("X", "W", dst, lambda k1, k2: table[k1, k2][kind])
+        assert bmap(x, y) == expected
+        assert bmap.linear(tensor(x, y)) == expected
+
+
+def test_memo_calls_the_basis_function_once_per_key():
+    calls = []
+
+    def image(k):
+        calls.append(k)
+        return Element.basis("Y", k, sc(2))
+
+    f = LinearMap("X", "Y", image)
+    x = Element("X", {0: sc(1), 1: sc(3)})
+    assert f(x) == f(x) == Element("Y", {0: sc(2), 1: sc(6)})
+    f(Element.basis("X", 1))
+    f(x + Element.basis("X", 2))
+    assert sorted(calls) == [0, 1, 2]
+    assert isinstance(f.table, BasisMemo) and sorted(f.table) == [0, 1, 2]
+
+    pairs = []
+
+    def product(k1, k2):
+        pairs.append((k1, k2))
+        return Element.basis("Y", k1 + k2)
+
+    g = BilinearMap("X", "X", "Y", product)
+    g(x, x)
+    g(x, Element.basis("X", 0))
+    g.linear(tensor(x, x))
+    assert sorted(pairs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_dict_table_is_used_as_given():
+    table = {0: Element.basis("Y", 1)}
+    f = LinearMap("X", "Y", table)
+    assert f.table is table and not isinstance(f.table, BasisMemo)
+    with pytest.raises(KeyError):
+        f(Element.basis("X", 1))
+
+
+def test_wrong_domain_raises_domain_mismatch():
+    f = LinearMap("X", "Y", lambda k: Element.basis("Y", k))
+    g = BilinearMap("X", "W", None, lambda k1, k2: sc(1))
+    with pytest.raises(DomainMismatch):
+        f(Element.basis("W", 0))
+    with pytest.raises(DomainMismatch):
+        g(Element.basis("W", 0), Element.basis("W", 0))
+    with pytest.raises(DomainMismatch):
+        g(Element.basis("X", 0), Element.basis("X", 0))
+    with pytest.raises(DomainMismatch):
+        g.linear(TensorElement.basis(("W", "X"), (0, 0)))
+    assert not f.table and not g.table  # nothing was computed
