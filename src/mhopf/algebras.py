@@ -17,12 +17,14 @@ where associativity and "phi is an algebra map" are checked exhaustively.
 from __future__ import annotations
 
 from collections import deque
+from itertools import product
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .elements import Element, add_into
 from .errors import InfiniteDimensional, NoIdentity
 from .linalg import BilinearMap, LinearMap, SparseEliminator, nullspace
+from .reports import first_failure
 from .scalars import Scalar
 
 
@@ -208,12 +210,11 @@ def verify_algebra(alg: Algebra, sample_keys: Sequence | None = None) -> list[tu
         results.append(("nondegenerate-left", not lk, lk[:1] or None))
         results.append(("nondegenerate-right", not rk, rk[:1] or None))
     if alg.identity is not None:
-        bad = None
-        for k in keys:
+        def unit_on(k) -> bool:
             e = alg.basis_element(k)
-            if alg.mul(alg.identity, e) != e or alg.mul(e, alg.identity) != e:
-                bad = k
-                break
+            return alg.mul(alg.identity, e) == e and alg.mul(e, alg.identity) == e
+
+        bad, _ = first_failure(product(keys), unit_on)
         results.append(("identity", bad is None, bad))
     return results
 
@@ -351,11 +352,11 @@ def _spanning_generators(alg: Algebra) -> list | None:
 
 def _assoc_pairs(alg: Algebra, triples: Iterable[tuple]) -> tuple | None:
     """First triple with (ab)c != a(bc), or None."""
-    for k1, k2, k3 in triples:
-        lhs = alg.mul(alg.mul_basis(k1, k2), alg.basis_element(k3))
-        if lhs != alg.mul(alg.basis_element(k1), alg.mul_basis(k2, k3)):
-            return (k1, k2, k3)
-    return None
+    return first_failure(
+        triples,
+        lambda k1, k2, k3: alg.mul(alg.mul_basis(k1, k2), alg.basis_element(k3))
+        == alg.mul(alg.basis_element(k1), alg.mul_basis(k2, k3)),
+    )[0]
 
 
 def _assoc_generators(alg: Algebra, gens: Sequence[Element]) -> bool:
@@ -396,7 +397,7 @@ def certify_associative(
     if gens is None or not _assoc_generators(alg, gens):
         # a failing generator check implies a failing basis triple, since the
         # product is trilinear in (g, y, z); the first one is the witness
-        w = _assoc_pairs(alg, ((a, b, c) for a in keys for b in keys for c in keys))
+        w = _assoc_pairs(alg, product(keys, keys, keys))
     if gens is None:
         cert = Certificate(w is None, w, "pairs", f"{n ** 3} triples")
     else:
@@ -463,7 +464,7 @@ def certify_algebra_map(
         def image(k):
             return phi(src.basis_element(k))
 
-    def product(x: Element, y: Element) -> Element:
+    def times(x: Element, y: Element) -> Element:
         return dst.mul(y, x) if anti else dst.mul(x, y)
 
     def holds_on_generators(gens) -> bool:
@@ -471,7 +472,7 @@ def certify_algebra_map(
         for g in gens:
             pg = phi(g)
             for k, e in basis:
-                if phi(src.mul(g, e)) != product(pg, image(k)):
+                if phi(src.mul(g, e)) != times(pg, image(k)):
                     return False
         return True
 
@@ -494,9 +495,8 @@ def certify_algebra_map(
             return Certificate(True, None, label, cases, relies)
     # phi is linear, so a failing generator check implies a failing basis
     # pair; the first one is the witness
-    witness = next(
-        ((k1, k2) for k1 in keys for k2 in keys
-         if phi(src.mul_basis(k1, k2)) != product(image(k1), image(k2))),
-        None,
+    witness, _ = first_failure(
+        product(keys, keys),
+        lambda k1, k2: phi(src.mul_basis(k1, k2)) == times(image(k1), image(k2)),
     )
     return Certificate(witness is None, witness, label, cases, relies or ())

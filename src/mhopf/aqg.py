@@ -16,12 +16,13 @@ antipode is precomposition with S.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable
 
 from .algebras import Algebra, certify_algebra_map
 from .elements import Element, TensorElement, add_into, map_leg, weight_leg
 from .errors import InfiniteDimensional, Singular, Undecidable
-from .linalg import LinearMap, nullspace, span_rank
+from .linalg import BasisMemo, LinearMap, nullspace, span_rank
 from .mha import Functional, RegularMHA
 from .reports import Report
 from .scalars import Scalar
@@ -145,44 +146,29 @@ def verify_integral(
     rep = Report(instance=h.name)
     phi, psi = g.left_integral, g.right_integral
 
-    witness = None
-    for ka in keys:
-        a = Element.basis(h.domain, ka)
-        for kb in keys:
-            b = Element.basis(h.domain, kb)
-            if weight_leg(h.t2(b, a), 1, phi.eval_basis) != b.scale(phi(a)):
-                witness = (ka, kb)
-                break
-        if witness:
-            break
-    rep.add("left-invariance", witness is None, ok_status, witness)
-
-    witness = None
-    for ka in keys:
-        a = Element.basis(h.domain, ka)
-        for kb in keys:
-            b = Element.basis(h.domain, kb)
-            if weight_leg(h.t1(a, b), 0, psi.eval_basis) != b.scale(psi(a)):
-                witness = (ka, kb)
-                break
-        if witness:
-            break
-    rep.add("right-invariance", witness is None, ok_status, witness)
-
+    E = {k: Element.basis(h.domain, k) for k in keys}
+    rep.check(
+        "left-invariance",
+        product(keys, keys),
+        lambda ka, kb: weight_leg(h.t2(E[kb], E[ka]), 1, phi.eval_basis)
+        == E[kb].scale(phi(E[ka])),
+        ok_status,
+    )
+    rep.check(
+        "right-invariance",
+        product(keys, keys),
+        lambda ka, kb: weight_leg(h.t1(E[ka], E[kb]), 0, psi.eval_basis)
+        == E[kb].scale(psi(E[ka])),
+        ok_status,
+    )
     # the antipode converts the left integral into a right one
-    witness = None
-    for ka in keys:
-        a = Element.basis(h.domain, ka)
-        sa = phi(h.antipode(a))
-        for kb in keys:
-            b = Element.basis(h.domain, kb)
-            val = weight_leg(h.t1(a, b), 0, lambda k: phi(h.antipode(Element.basis(h.domain, k))))
-            if val != b.scale(sa):
-                witness = (ka, kb)
-                break
-        if witness:
-            break
-    rep.add("antipode-converts-integral", witness is None, ok_status, witness)
+    phi_s = BasisMemo(lambda k: phi(h.antipode(Element.basis(h.domain, k)))).__getitem__
+    rep.check(
+        "antipode-converts-integral",
+        product(keys, keys),
+        lambda ka, kb: weight_leg(h.t1(E[ka], E[kb]), 0, phi_s) == E[kb].scale(phi_s(ka)),
+        ok_status,
+    )
 
     if alg.is_finite:
         rep.add(
@@ -193,18 +179,12 @@ def verify_integral(
         )
         rep.add("uniqueness-dim-1", len(_integral_solutions(h, "left")) == 1, "pass")
         if g.modular is not None:
-            witness = None
-            for ka in keys:
-                a = Element.basis(h.domain, ka)
-                sa = g.modular(a)
-                for kb in keys:
-                    b = Element.basis(h.domain, kb)
-                    if phi(alg.mul(a, b)) != phi(alg.mul(b, sa)):
-                        witness = (ka, kb)
-                        break
-                if witness:
-                    break
-            rep.add("kms-identity", witness is None, "pass", witness)
+            rep.check(
+                "kms-identity",
+                product(keys, keys),
+                lambda ka, kb: phi(alg.mul_basis(ka, kb))
+                == phi(alg.mul(E[kb], g.modular(E[ka]))),
+            )
     else:
         rep.skip("faithful", "infinite-dimensional")
         rep.skip("uniqueness-dim-1", "infinite-dimensional")
@@ -533,31 +513,22 @@ def verify_mha_isomorphism(
 
     rep.add_certificate("multiplicative", certify_algebra_map(iso, src.algebra, dst.algebra))
 
-    witness = None
     image = iso.table.__getitem__
-    for ka in skeys:
+
+    def comultiplicative(ka) -> bool:
         a = Element.basis(src.domain, ka)
         mapped = map_leg(map_leg(src.delta(a), 0, image), 1, image)
-        if mapped.coeffs != dst.delta(iso(a)).coeffs:
-            witness = ka
-            break
-    rep.add("comultiplicative", witness is None, "pass", witness)
+        return mapped.coeffs == dst.delta(image(ka)).coeffs
 
-    witness = None
-    for ka in skeys:
-        a = Element.basis(src.domain, ka)
-        if src.counit(a) != dst.counit(iso(a)):
-            witness = ka
-            break
-    rep.add("counit-compatible", witness is None, "pass", witness)
-
-    witness = None
-    for ka in skeys:
-        a = Element.basis(src.domain, ka)
-        if iso(src.antipode(a)) != dst.antipode(iso(a)):
-            witness = ka
-            break
-    rep.add("antipode-compatible", witness is None, "pass", witness)
+    rep.check("comultiplicative", product(skeys), comultiplicative)
+    rep.check(
+        "counit-compatible", product(skeys), lambda ka: src.counit_key(ka) == dst.counit(image(ka))
+    )
+    rep.check(
+        "antipode-compatible",
+        product(skeys),
+        lambda ka: iso(src.antipode_key(ka)) == dst.antipode(image(ka)),
+    )
     return rep
 
 

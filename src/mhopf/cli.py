@@ -9,10 +9,12 @@ check failed.  Sampled checks over infinite instances always report
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
 import traceback
+from itertools import product
 
 from .actions import (
     adjoint_action,
@@ -39,10 +41,11 @@ from .duality import (
     fixed_point_theorem_check,
     coaction_to_action,
     rl_condition_check,
+    unverified_dual_action,
     verify_coaction,
     w_conjugation,
 )
-from .elements import Element, map_leg
+from .elements import Element
 from .errors import MHopfError, UnknownInstance
 from .instances import (
     canonical_pair,
@@ -58,6 +61,7 @@ from .pairing import (
     anti_isomorphism,
     heisenberg_check,
     pair_of_aqg,
+    pairing_action,
     rank_one_realization,
     scalar_fixed_points_check,
     verify_pairing,
@@ -244,12 +248,12 @@ def _cointegral_report(h: RegularMHA) -> Report:
     rep.add("cointegral-exists", co is not None, "pass")
     rep.add("cointegral-unique", cointegral_solution_dim(h, "left") == 1, "pass")
     if co is not None:
-        ok = all(
-            h.algebra.mul(h.algebra.basis_element(k), co.value)
-            == co.value.scale(h.counit_key(k))
-            for k in h.algebra.basis
+        rep.check(
+            "cointegral-defining-identity",
+            product(h.algebra.basis),
+            lambda k: h.algebra.mul(h.algebra.basis_element(k), co.value)
+            == co.value.scale(h.counit_key(k)),
         )
-        rep.add("cointegral-defining-identity", ok, "pass")
     return rep
 
 
@@ -326,20 +330,12 @@ def _coaction_report(g) -> Report:
     co = delta_coaction(p.B)
     rep.extend(verify_coaction(co))
     induced = coaction_to_action(co, p)
-    witness = None
-    from .pairing import pairing_action
-
     pa = pairing_action(p, "AonB")
-    for ka in p.A.algebra.basis:
-        for kb in p.B.algebra.basis:
-            a = Element.basis(p.A.domain, ka)
-            b = Element.basis(p.B.domain, kb)
-            if induced.act(a, b) != pa.act(a, b):
-                witness = (ka, kb)
-                break
-        if witness:
-            break
-    rep.add("induced-action-is-pairing-action", witness is None, "pass", witness)
+    rep.check(
+        "induced-action-is-pairing-action",
+        product(p.A.algebra.basis, p.B.algebra.basis),
+        lambda ka, kb: induced.act.table[ka, kb] == pa.act.table[ka, kb],
+    )
     rep.extend(rl_condition_check(p))
     verify_module_algebra(induced)
     rep.extend(empirical_duality_check(p, induced))
@@ -353,23 +349,7 @@ def _w_sampled_report(g, args) -> Report:
     p = canonical_pair(g)
     rep = Report(instance=f"w[{g.name}]")
     rep.extend(s.certificates)
-    from .duality import DualAction
-    from .actions import ActionSpec
-
-    def act(b, u):
-        acted = map_leg(s.legs(u), 1, lambda ka: p.act_BonA(b, Element.basis(p.A.domain, ka)))
-        return s.join(acted)
-
-    def witness(v):
-        alegs = sorted({ka for (_, ka) in v.coeffs})
-        e = p.b_unit_for([Element.basis(p.A.domain, k) for k in alegs])
-        return [(e, v)]
-
-    spec = ActionSpec.build(
-        p.B, s.algebra, act, witness=witness, rule="dual-action",
-        name=f"dual({s.algebra.name})",
-    )
-    d = DualAction(p, s, spec)
+    d = unverified_dual_action(p, s)
     rep.extend(w_conjugation(d, sample_range=args.sample_range))
     return rep
 
@@ -436,7 +416,11 @@ def _confluence_report(h: RegularMHA, seed: int) -> Report:
 
 def run_suite(suite: str, args) -> tuple[Report, int]:
     results = []
-    for _, name, thunk in build_suite(suite, args):
+    checks = build_suite(suite, args)
+    # what exists before the first check (modules, instances, the suite)
+    # outlives the run, so the collections below need not walk it
+    gc.freeze()
+    for _, name, thunk in checks:
         t0 = time.perf_counter()
         try:
             rep = thunk()
@@ -448,6 +432,10 @@ def run_suite(suite: str, args) -> tuple[Report, int]:
                 CheckResult(name, type(ex).__name__, "fail", str(ex), time.perf_counter() - t0)
             )
         results.append((name, rep))
+        # each group leaves cyclic garbage (memo tables whose basis functions
+        # close over their owners); free it before the next group peaks
+        gc.collect()
+    gc.unfreeze()
 
     merged = Report()
     for name, rep in results:

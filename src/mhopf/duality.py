@@ -19,6 +19,7 @@ empirically on concrete instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Callable
 
 from .actions import ActionSpec, verify_module_algebra
@@ -30,7 +31,7 @@ from .errors import (
     InfiniteDimensional,
     UnverifiedAction,
 )
-from .linalg import LinearMap, SparseEliminator, span_rank, spans_same
+from .linalg import BasisMemo, LinearMap, SparseEliminator, span_rank, spans_same
 from .mha import RegularMHA
 from .pairing import (
     DualPair,
@@ -55,9 +56,8 @@ class DualAction:
         return self.spec.act
 
 
-def dual_action(p: DualPair, s: SmashProduct) -> DualAction:
-    """Construct and certify the dual action (Prop-7.2-style certificate:
-    it makes R#A a B-module algebra)."""
+def unverified_dual_action(p: DualPair, s: SmashProduct) -> DualAction:
+    """The dual action b(x#a) = x # (b |> a) of B on R#A, not yet certified."""
     if s.mha.domain != p.A.domain:
         raise AlgebraMismatch("smash product is not over the pair's A")
     B = p.B
@@ -79,10 +79,17 @@ def dual_action(p: DualPair, s: SmashProduct) -> DualAction:
         B, s.algebra, act, witness=witness, rule="dual-action",
         name=f"dual({s.algebra.name})",
     )
-    rep = verify_module_algebra(spec)
+    return DualAction(p, s, spec)
+
+
+def dual_action(p: DualPair, s: SmashProduct) -> DualAction:
+    """Construct and certify the dual action (Prop-7.2-style certificate:
+    it makes R#A a B-module algebra)."""
+    d = unverified_dual_action(p, s)
+    rep = verify_module_algebra(d.spec)
     if not rep.ok:
         raise UnverifiedAction(rep.summary())
-    return DualAction(p, s, spec)
+    return d
 
 
 # -- fixed points of the dual action --------------------------------------------
@@ -196,65 +203,37 @@ def w_conjugation(d: DualAction, sample_range: int = 4) -> Report:
     exhaustive = s.algebra.is_finite
     status = "pass" if exhaustive else "sampled-pass"
 
-    witness = None
-    for kx in rkeys:
-        for ka in akeys:
-            x = Element.basis(R.domain, kx)
-            a = Element.basis(h.domain, ka)
-            u = s.element(x, a)
-            back = merge_legs(
-                s.legs(w_inv_map(s, u)), 0, 1,
-                lambda kr, kA: w_map(s, Element.basis(R.domain, kr), Element.basis(h.domain, kA)),
-                s.algebra.domain,
-            )
-            if back != u:
-                witness = (kx, ka)
-                break
-        if witness:
-            break
-    rep.add("w-bijection", witness is None, status, witness)
+    X = {k: Element.basis(R.domain, k) for k in rkeys}
+    A = {k: Element.basis(h.domain, k) for k in akeys}
+    U = {(kx, ka): s.element(X[kx], A[ka]) for kx in rkeys for ka in akeys}
+    W = BasisMemo(lambda key: w_map(s, X[key[0]], A[key[1]]))
 
-    witness = None
-    for kx in rkeys:
-        for ka in akeys:
-            x = Element.basis(R.domain, kx)
-            a = Element.basis(h.domain, ka)
-            u = s.element(x, a)
-            for kx2 in rkeys:
-                for ka2 in akeys:
-                    x2 = Element.basis(R.domain, kx2)
-                    a2 = Element.basis(h.domain, ka2)
-                    # operational: W^-1( (x#a) * W(x2 (x) a2) )
-                    lhs = w_inv_map(s, s.algebra.mul(u, w_map(s, x2, a2)))
-                    rhs = _conjugation_formula(s, x, a, x2, a2)
-                    if lhs != rhs:
-                        witness = (kx, ka, kx2, ka2)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("conjugated-smash-formula", witness is None, status, witness)
+    def w_inverse(kx, ka) -> bool:
+        back = merge_legs(
+            s.legs(w_inv_map(s, U[kx, ka])), 0, 1,
+            lambda kr, kA: w_map(s, Element.basis(R.domain, kr), Element.basis(h.domain, kA)),
+            s.algebra.domain,
+        )
+        return back == U[kx, ka]
 
-    witness = None
+    rep.check("w-bijection", product(rkeys, akeys), w_inverse, status)
+    # operational: W^-1( (x#a) * W(x2 (x) a2) )
+    rep.check(
+        "conjugated-smash-formula",
+        product(rkeys, akeys, rkeys, akeys),
+        lambda kx, ka, kx2, ka2: w_inv_map(s, s.algebra.mul(U[kx, ka], W[kx2, ka2]))
+        == _conjugation_formula(s, X[kx], A[ka], X[kx2], A[ka2]),
+        status,
+    )
     bkeys = p.B.algebra.sample_keys(sample_range)
-    for kb in bkeys:
-        b = Element.basis(p.B.domain, kb)
-        for kx2 in rkeys:
-            for ka2 in akeys:
-                x2 = Element.basis(R.domain, kx2)
-                a2 = Element.basis(h.domain, ka2)
-                lhs = w_inv_map(s, d.act(b, w_map(s, x2, a2)))
-                if lhs.coeffs != s.element(x2, p.act_BonA(b, a2)).coeffs:
-                    witness = (kb, kx2, ka2)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("conjugated-dual-action", witness is None, status, witness)
+    BE = {k: Element.basis(p.B.domain, k) for k in bkeys}
+    rep.check(
+        "conjugated-dual-action",
+        product(bkeys, rkeys, akeys),
+        lambda kb, kx2, ka2: w_inv_map(s, d.act(BE[kb], W[kx2, ka2])).coeffs
+        == s.element(X[kx2], p.act_BonA(BE[kb], A[ka2])).coeffs,
+        status,
+    )
     return rep
 
 
@@ -381,17 +360,23 @@ def duality_isomorphism(d: DualAction, check_matrix_form: bool = True) -> Dualit
     theta = LinearMap(bis.algebra.domain, target.domain, theta_basis)
     theta_inv = LinearMap(target.domain, bis.algebra.domain, theta_inv_basis)
 
-    witness = None
-    for k in bis.algebra.basis:
-        if theta_inv(theta.table[k]) != bis.algebra.basis_element(k):
-            witness = ("theta_inv . theta", k)
-            break
-    if witness is None:
-        for k in target.basis:
-            if theta(theta_inv.table[k]) != target.basis_element(k):
-                witness = ("theta . theta_inv", k)
-                break
-    rep.add("bijective", witness is None, "pass", witness)
+    inverses = {
+        "theta_inv . theta": (theta, theta_inv, bis.algebra),
+        "theta . theta_inv": (theta_inv, theta, target),
+    }
+
+    def inverse_on(order, k) -> bool:
+        fwd, back, alg = inverses[order]
+        return back(fwd.table[k]) == alg.basis_element(k)
+
+    rep.check(
+        "bijective",
+        chain(
+            product(["theta_inv . theta"], bis.algebra.basis),
+            product(["theta . theta_inv"], target.basis),
+        ),
+        inverse_on,
+    )
 
     rep.add_certificate(
         "multiplicative", certify_algebra_map(theta, bis.algebra, target)
@@ -507,52 +492,36 @@ def verify_coaction(c: Coaction, sample_range: int = 4) -> Report:
         # Gamma(x) = Gamma(x)(1 (x) 1) as a tensor over R (x) B
         return TensorElement((c.ralg.domain, B.domain), c.t1(x, one_b).coeffs, _canon=True)
 
-    witness = None
-    for k1 in rkeys:
-        for k2 in rkeys:
-            x1 = Element.basis(c.ralg.domain, k1)
-            x2 = Element.basis(c.ralg.domain, k2)
-            # Gamma(x1) Gamma(x2) in R (x) B: multiply legs 0, 2 and then 1, 2
-            prod = merge_legs(tensor(gamma(x1), gamma(x2)), 0, 2, c.ralg.mul_basis, c.ralg.domain)
-            prod = merge_legs(prod, 1, 2, B.algebra.mul_basis, B.domain)
-            if gamma(c.ralg.mul_basis(k1, k2)) != prod:
-                witness = (k1, k2)
-                break
-        if witness:
-            break
-    rep.add("homomorphism", witness is None, status, witness)
+    # Gamma of each basis element of R
+    G = BasisMemo(lambda k: gamma(Element.basis(c.ralg.domain, k)))
+
+    def homomorphic(k1, k2) -> bool:
+        # Gamma(x1) Gamma(x2) in R (x) B: multiply legs 0, 2 and then 1, 2
+        prod = merge_legs(tensor(G[k1], G[k2]), 0, 2, c.ralg.mul_basis, c.ralg.domain)
+        prod = merge_legs(prod, 1, 2, B.algebra.mul_basis, B.domain)
+        return gamma(c.ralg.mul_basis(k1, k2)) == prod
+
+    rep.check("homomorphism", product(rkeys, rkeys), homomorphic, status)
 
     # cover-consistency: t1/t4 agree with multiplying the materialised form
-    witness = None
-    for kx in rkeys:
-        x = Element.basis(c.ralg.domain, kx)
-        g = gamma(x)
-        for kb in bkeys:
-            b = Element.basis(B.domain, kb)
-            right = map_leg(g, 1, lambda kv: B.algebra.mul(Element.basis(B.domain, kv), b))
-            if c.t1(x, b).coeffs != right.coeffs:
-                witness = ("t1", kx, kb)
-                break
-            left = map_leg(g, 1, lambda kv: B.algebra.mul(b, Element.basis(B.domain, kv)))
-            if c.t4(x, b).coeffs != left.coeffs:
-                witness = ("t4", kx, kb)
-                break
-        if witness:
-            break
-    rep.add("cover-consistency", witness is None, status, witness)
+    def consistent(kx, kb):
+        x, b = Element.basis(c.ralg.domain, kx), Element.basis(B.domain, kb)
+        if c.t1(x, b).coeffs != map_leg(G[kx], 1, lambda kv: B.algebra.mul_basis(kv, kb)).coeffs:
+            return "t1"
+        left = map_leg(G[kx], 1, lambda kv: B.algebra.mul_basis(kb, kv))
+        return c.t4(x, b).coeffs == left.coeffs or "t4"
+
+    rep.check("cover-consistency", product(rkeys, bkeys), consistent, status)
 
     # coassociativity on materialised tensors:
     # (Gamma (x) id) Gamma(x) == (id (x) Delta) Gamma(x)
-    witness = None
-    for kx in rkeys:
-        x = Element.basis(c.ralg.domain, kx)
-        g = gamma(x)
-        lhs = map_leg(g, 0, lambda kr: gamma(Element.basis(c.ralg.domain, kr)))
-        rhs = map_leg(g, 1, lambda kv: B.delta(Element.basis(B.domain, kv)))
-        if lhs.coeffs != rhs.coeffs:
-            witness = kx
-            break
-    rep.add("coassociativity", witness is None, status, witness)
+    rep.check(
+        "coassociativity",
+        product(rkeys),
+        lambda kx: map_leg(G[kx], 0, G.__getitem__).coeffs
+        == map_leg(G[kx], 1, lambda kv: B.delta(Element.basis(B.domain, kv))).coeffs,
+        status,
+    )
     return rep
 
 
@@ -672,51 +641,26 @@ def rl_condition_check(p: DualPair) -> Report:
         raise InfiniteDimensional(p.name)
     enddom = f"end({A.domain})"
 
-    # image algebra Q0 = span of the standard operators a' -> a (b |> a')
-    ops = []
-    for ka in A.algebra.basis:
-        for kb in B.algebra.basis:
+    def standard_op(ka, kb) -> Callable:  # a' -> a (b |> a')
+        a, b = Element.basis(A.domain, ka), Element.basis(B.domain, kb)
+        return lambda x: A.algebra.mul(a, p.act_BonA(b, x))
 
-            def op(x, ka=ka, kb=kb):
-                return A.algebra.mul(
-                    Element.basis(A.domain, ka),
-                    p.act_BonA(Element.basis(B.domain, kb), x),
-                )
-
-            ops.append(operator_element(A.algebra, op, enddom))
+    # image algebra Q0 = span of the standard operators
     elim = SparseEliminator()
-    for o in ops:
-        elim.add(o.coeffs)
+    for ka, kb in product(A.algebra.basis, B.algebra.basis):
+        elim.add(operator_element(A.algebra, standard_op(ka, kb), enddom).coeffs)
 
-    witness = None
-    for kb in B.algebra.basis:
+    # multiplier condition: T Q0 and Q0 T stay inside Q0, for T = (. <| b)
+    def in_multipliers(kb, ka, kb2) -> bool:
+        b = Element.basis(B.domain, kb)
+        q = standard_op(ka, kb2)
+        tq = operator_element(A.algebra, lambda x: p.ract_BonA(q(x), b), enddom)
+        qt = operator_element(A.algebra, lambda x: q(p.ract_BonA(x, b)), enddom)
+        return elim.contains(tq.coeffs) and elim.contains(qt.coeffs)
 
-        def t_op(x, kb=kb):
-            return p.ract_BonA(x, Element.basis(B.domain, kb))
-
-        t_vec = operator_element(A.algebra, t_op, enddom)
-        # multiplier condition: T Q0 and Q0 T stay inside Q0
-        for o_key_a in A.algebra.basis:
-            for o_key_b in B.algebra.basis:
-
-                def q_op(x, ka=o_key_a, kb2=o_key_b):
-                    return A.algebra.mul(
-                        Element.basis(A.domain, ka),
-                        p.act_BonA(Element.basis(B.domain, kb2), x),
-                    )
-
-                comp1 = operator_element(
-                    A.algebra, lambda x: t_op(q_op(x)), enddom
-                )
-                comp2 = operator_element(
-                    A.algebra, lambda x: q_op(t_op(x)), enddom
-                )
-                if not elim.contains(comp1.coeffs) or not elim.contains(comp2.coeffs):
-                    witness = (kb, o_key_a, o_key_b)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("right-action-in-multiplier-algebra", witness is None, "pass", witness)
+    rep.check(
+        "right-action-in-multiplier-algebra",
+        product(B.algebra.basis, A.algebra.basis, B.algebra.basis),
+        in_multipliers,
+    )
     return rep

@@ -20,6 +20,7 @@ quantum group and its dual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, product
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, fixed_points, verify_module_algebra
@@ -146,100 +147,72 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
     # non-degeneracy as full rank of the pairing matrix on the sample
     rep.add("nondegenerate", _pairing_full_rank(p, akeys, bkeys), status)
 
-    def apair(k):
-        return Element.basis(A.domain, k)
-
-    def bpair(k):
-        return Element.basis(B.domain, k)
+    AE = {k: Element.basis(A.domain, k) for k in akeys}
+    BE = {k: Element.basis(B.domain, k) for k in bkeys}
 
     # four adjointness axioms
-    checks = (
+    axioms = (
         (
             "axiom-right-action-on-A",  # <a <| b, b'> = <a, b b'>
-            lambda a, b, a2, b2: p.pair(p.ract_BonA(a, b), b2)
-            == p.pair(a, B.algebra.mul(b, b2)),
+            lambda ka, kb, ka2, kb2: p.pair(p.ract_BonA(AE[ka], BE[kb]), BE[kb2])
+            == p.pair(AE[ka], B.algebra.mul_basis(kb, kb2)),
         ),
         (
             "axiom-left-action-on-A",  # <b |> a, b'> = <a, b' b>
-            lambda a, b, a2, b2: p.pair(p.act_BonA(b, a), b2)
-            == p.pair(a, B.algebra.mul(b2, b)),
+            lambda ka, kb, ka2, kb2: p.pair(p.act_BonA(BE[kb], AE[ka]), BE[kb2])
+            == p.pair(AE[ka], B.algebra.mul_basis(kb2, kb)),
         ),
         (
             "axiom-right-action-on-B",  # <a', b <| a> = <a a', b>
-            lambda a, b, a2, b2: p.pair(a2, p.ract_AonB(b, a))
-            == p.pair(A.algebra.mul(a, a2), b),
+            lambda ka, kb, ka2, kb2: p.pair(AE[ka2], p.ract_AonB(BE[kb], AE[ka]))
+            == p.pair(A.algebra.mul_basis(ka, ka2), BE[kb]),
         ),
         (
             "axiom-left-action-on-B",  # <a', a |> b> = <a' a, b>
-            lambda a, b, a2, b2: p.pair(a2, p.act_AonB(a, b))
-            == p.pair(A.algebra.mul(a2, a), b),
+            lambda ka, kb, ka2, kb2: p.pair(AE[ka2], p.act_AonB(AE[ka], BE[kb]))
+            == p.pair(A.algebra.mul_basis(ka2, ka), BE[kb]),
         ),
     )
-    for label, chk in checks:
-        witness = None
-        for ka in akeys:
-            for kb in bkeys:
-                for ka2 in akeys:
-                    for kb2 in bkeys:
-                        if not chk(apair(ka), bpair(kb), apair(ka2), bpair(kb2)):
-                            witness = (ka, kb, ka2, kb2)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        rep.add(label, witness is None, status, witness)
+    for label, axiom in axioms:
+        rep.check(label, product(akeys, bkeys, akeys, bkeys), axiom, status)
 
     # four membership conditions: the closed-form actions agree with the
     # covered t-map evaluation (which also shows the values land in A/B)
-    witness = None
-    for ka in akeys:
-        a = apair(ka)
-        for kb in bkeys:
-            b = bpair(kb)
-            if p.act_AonB(a, b) != _covered_act_AonB(p, a, b):
-                witness = ("a|>b", ka, kb)
-                break
-            if p.act_BonA(b, a) != _covered_act_BonA(p, b, a):
-                witness = ("b|>a", ka, kb)
-                break
-            if p.ract_AonB(b, a) != _covered_ract_AonB(p, b, a):
-                witness = ("b<|a", ka, kb)
-                break
-            if p.ract_BonA(a, b) != _covered_ract_BonA(p, a, b):
-                witness = ("a<|b", ka, kb)
-                break
-        if witness:
-            break
-    rep.add("covered-membership", witness is None, status, witness)
+    def membership(ka, kb):
+        a, b = AE[ka], BE[kb]
+        if p.act_AonB(a, b) != _covered_act_AonB(p, a, b):
+            return "a|>b"
+        if p.act_BonA(b, a) != _covered_act_BonA(p, b, a):
+            return "b|>a"
+        if p.ract_AonB(b, a) != _covered_ract_AonB(p, b, a):
+            return "b<|a"
+        return p.ract_BonA(a, b) == _covered_ract_BonA(p, a, b) or "a<|b"
+
+    rep.check("covered-membership", product(akeys, bkeys), membership, status)
 
     # unitality of the left actions (witness ranks on finite instances)
     if exhaustive:
-        imgs = [
-            p.act_AonB(apair(ka), bpair(kb)) for ka in akeys for kb in bkeys
-        ]
+        imgs = [p.act_AonB(AE[ka], BE[kb]) for ka in akeys for kb in bkeys]
         rep.add("unital-A-on-B", span_rank(imgs) == len(bkeys), "pass")
-        imgs = [
-            p.act_BonA(bpair(kb), apair(ka)) for ka in akeys for kb in bkeys
-        ]
+        imgs = [p.act_BonA(BE[kb], AE[ka]) for ka in akeys for kb in bkeys]
         rep.add("unital-B-on-A", span_rank(imgs) == len(akeys), "pass")
     else:
-        witness = None
-        for kb in bkeys:
-            b = bpair(kb)
-            e = p.a_unit_for([b])
-            if p.act_AonB(e, b) != b:
-                witness = ("A-on-B", kb)
-                break
-        for ka in akeys:
-            a = apair(ka)
-            e = p.b_unit_for([a])
-            if p.act_BonA(e, a) != a:
-                witness = ("B-on-A", ka)
-                break
-        rep.add("unital-actions", witness is None, status, witness)
+        units = {
+            "A-on-B": (BE, p.a_unit_for, p.act_AonB),
+            "B-on-A": (AE, p.b_unit_for, p.act_BonA),
+        }
+
+        def unital(side, k) -> bool:
+            elems, unit_for, act = units[side]
+            x = elems[k]
+            return act(unit_for([x]), x) == x
+
+        rep.check(
+            "unital-actions",
+            chain(product(["A-on-B"], bkeys), product(["B-on-A"], akeys)),
+            unital,
+            status,
+        )
 
     # both left actions are module-algebra actions
     ma = pairing_action(p, "AonB")
@@ -359,17 +332,12 @@ def pairing_smash(p: DualPair, order: str = "BA", verify: str = "full") -> Smash
 
     # cross-check of the explicit display on (sampled) basis pairs
     skeys = s.algebra.sample_keys(3)
-    witness = None
-    for k1 in skeys:
-        for k2 in skeys:
-            direct = s.algebra.mul_basis(k1, k2)
-            display = _pair_smash_display(p, s, order, k1, k2)
-            if direct != display:
-                witness = (k1, k2)
-                break
-        if witness:
-            break
-    s.certificates.add("pairing-product-display", witness is None, "pass", witness)
+    s.certificates.check(
+        "pairing-product-display",
+        product(skeys, skeys),
+        lambda k1, k2: s.algebra.mul_basis(k1, k2) == _pair_smash_display(p, s, order, k1, k2),
+        "pass" if s.algebra.is_finite else "sampled-pass",
+    )
     cache[(order, verify)] = s
     return s
 
@@ -451,53 +419,40 @@ def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
     A, B = p.A, p.B
     akeys = A.algebra.sample_keys(sample_range)
     bkeys = B.algebra.sample_keys(sample_range)
-    b2keys = B.algebra.sample_keys(sample_range)
     exhaustive = A.algebra.is_finite and B.algebra.is_finite
     status = "pass" if exhaustive else "sampled-pass"
 
-    witness = None
-    for ka in akeys:
-        a = Element.basis(A.domain, ka)
-        for kb in bkeys:
-            b = Element.basis(B.domain, kb)
-            for kb2 in b2keys:
-                b2 = Element.basis(B.domain, kb2)
-                # pi(a) pi(b) applied to b2
-                lhs = p.act_AonB(a, B.algebra.mul(b, b2))
-                # sum <a_(1), b_(2)> pi(b_(1)) pi(a_(2)) applied to b2; the
-                # pairing contracts to (a_(1) |> b), grounded through
-                # delta(a) which is a finite tensor for unital A
-                rhs = merge_legs(
-                    _delta_a(p, a), 0, 1,
-                    lambda u, v: B.algebra.mul(
-                        p.act_AonB(Element.basis(A.domain, u), b),
-                        p.act_AonB(Element.basis(A.domain, v), b2),
-                    ),
-                    B.domain,
-                )
-                if lhs != rhs:
-                    witness = (ka, kb, kb2)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("heisenberg-commutation", witness is None, status, witness)
+    AE = {k: Element.basis(A.domain, k) for k in akeys}
+    BE = {k: Element.basis(B.domain, k) for k in bkeys}
+
+    def commutes(ka, kb, kb2) -> bool:
+        a, b, b2 = AE[ka], BE[kb], BE[kb2]
+        # pi(a) pi(b) applied to b2
+        lhs = p.act_AonB(a, B.algebra.mul(b, b2))
+        # sum <a_(1), b_(2)> pi(b_(1)) pi(a_(2)) applied to b2; the
+        # pairing contracts to (a_(1) |> b), grounded through
+        # delta(a) which is a finite tensor for unital A
+        rhs = merge_legs(
+            _delta_a(p, a), 0, 1,
+            lambda u, v: B.algebra.mul(
+                p.act_AonB(Element.basis(A.domain, u), b),
+                p.act_AonB(Element.basis(A.domain, v), b2),
+            ),
+            B.domain,
+        )
+        return lhs == rhs
+
+    rep.check("heisenberg-commutation", product(akeys, bkeys, bkeys), commutes, status)
 
     # the two rewriting maps of A (x) B are mutually inverse
-    witness = None
-    for ka in akeys:
-        for kb in bkeys:
-            fwd = _heisenberg_map(p, ka, kb, inverse=False)
-            back = merge_legs(
-                fwd, 0, 1, lambda ka2, kb2: _heisenberg_map(p, ka2, kb2, inverse=True), "AxB"
-            )
-            if back.coeffs != {(ka, kb): ONE}:
-                witness = (ka, kb)
-                break
-        if witness:
-            break
-    rep.add("twist-maps-inverse", witness is None, status, witness)
+    def inverse_twists(ka, kb) -> bool:
+        fwd = _heisenberg_map(p, ka, kb, inverse=False)
+        back = merge_legs(
+            fwd, 0, 1, lambda ka2, kb2: _heisenberg_map(p, ka2, kb2, inverse=True), "AxB"
+        )
+        return back.coeffs == {(ka, kb): ONE}
+
+    rep.check("twist-maps-inverse", product(akeys, bkeys), inverse_twists, status)
     return rep
 
 
@@ -655,20 +610,15 @@ def rank_one_realization(p: DualPair) -> Report:
     # the diamond algebra is the full matrix algebra: transport to matrix
     # units and compare structure constants exactly
     to_mu, n = diamond_matrix_units(p)
-    witness = None
     mdomain = f"matrix({n})"
     transport = LinearMap(dia.domain, mdomain, {k: to_mu(k) for k in dia.basis})
-    for k1 in dia.basis:
-        for k2 in dia.basis:
-            lhs = transport(dia.mul_basis(k1, k2))
-            # matrix-unit product of the transported factors
-            rhs = _matrix_unit_product(to_mu(k1), to_mu(k2), mdomain)
-            if lhs != rhs:
-                witness = (k1, k2)
-                break
-        if witness:
-            break
-    rep.add("diamond-is-matrix-algebra", witness is None, "pass", witness)
+    rep.check(
+        "diamond-is-matrix-algebra",
+        product(dia.basis, dia.basis),
+        # matrix-unit product of the transported factors
+        lambda k1, k2: transport(dia.mul_basis(k1, k2))
+        == _matrix_unit_product(transport.table[k1], transport.table[k2], mdomain),
+    )
     return rep
 
 

@@ -7,10 +7,13 @@ serialised elements) sufficient to reproduce the failure.
 
 Reports serialise to JSON lines, one check per line, in deterministic
 order.  Each check is stamped with the time since the report's previous
-entry (or its creation), and a check made by the certificate kernel keeps
-its mode, the cases it covered and the associativity certificates it relied
-on; these are printed only on request so that default output is byte-stable
-across runs.
+entry (or its creation), and keeps how it was checked: its mode, the cases
+it covered and, for the certificate kernel, the associativity certificates
+it relied on; these are printed only on request so that default output is
+byte-stable across runs.
+
+Every identity checked case by case goes through one scan,
+:func:`first_failure`, which :meth:`Report.check` records.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
 
 def _jsonable(value):
@@ -44,6 +47,29 @@ def _jsonable(value):
     return repr(value)
 
 
+def first_failure(cases: Iterable[tuple], holds: Callable) -> tuple[Any, int]:
+    """(witness, number of cases run): the first case on which ``holds`` fails.
+
+    ``cases`` yields key tuples, e.g. ``itertools.product(keys, keys)``, or
+    ``product(keys)`` for single keys.
+
+    ``holds(*case)`` returns True for a pass, False for a failure witnessed
+    by the case (its key alone for a 1-tuple), or a tag string for a failure
+    witnessed by ``(tag, *case)``.  ``cases`` is consumed lazily and only up
+    to the first failure; the witness is None when every case holds.
+    """
+    n = 0
+    for n, case in enumerate(cases, 1):
+        verdict = holds(*case)
+        if verdict is True:
+            continue
+        if isinstance(verdict, str):
+            return (verdict, *case), n
+        if not verdict:
+            return (case[0] if len(case) == 1 else tuple(case)), n
+    return None, n
+
+
 @dataclass
 class CheckResult:
     instance: str
@@ -51,8 +77,8 @@ class CheckResult:
     status: str  # pass | sampled-pass | fail | skipped
     witness: Any = None
     elapsed: float | None = None
-    mode: str | None = None  # pairs | generators | sampled (kernel checks)
-    cases: str | None = None
+    mode: str | None = None  # pairs | generators | sampled
+    cases: str | int | None = None  # a count, or the kernel's description
     relies_on: tuple = ()
 
     @property
@@ -92,6 +118,19 @@ class Report:
 
     def add(self, check: str, ok: bool, status_ok: str = "pass", witness=None) -> None:
         self._record(check, status_ok if ok else "fail", witness if not ok else None)
+
+    def check(
+        self, check: str, cases: Iterable[tuple], holds: Callable, status_ok: str = "pass"
+    ) -> None:
+        """Record whether ``holds`` passes on every case (see :func:`first_failure`).
+
+        The mode is ``pairs`` for an exhaustive check (``status_ok`` "pass")
+        and ``sampled`` otherwise; ``cases`` counts the cases run.
+        """
+        witness, n = first_failure(cases, holds)
+        self.add(check, witness is None, status_ok, witness)
+        entry = self.entries[-1]
+        entry.mode, entry.cases = ("pairs" if status_ok == "pass" else "sampled"), n
 
     def add_certificate(self, check: str, cert, status_ok: str = "pass") -> None:
         """Record a certificate-kernel result together with its provenance."""

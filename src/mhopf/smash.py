@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, product
 from typing import Callable
 
 from .actions import ActionSpec, extend_action_to_multipliers
@@ -179,24 +180,22 @@ def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
         rep.skip("radical-right-zero", "sampled verification")
 
     # product equals (m (x) m)(id (x) Gamma (x) id), the twist-map form
-    witness = None
     pairs = (
-        [(k1, k2) for k1 in alg.basis for k2 in alg.basis]
+        product(alg.basis, alg.basis)
         if exhaustive
         else [(rng.choice(keys), rng.choice(keys)) for _ in range(100)]
     )
     R, A = s.ralg, s.mha.algebra
-    for k1, k2 in pairs:
+
+    def twist_product(k1, k2) -> bool:
         (kx, ka), (kx2, ka2) = k1, k2
-        x = Element.basis(R.domain, kx)
         # Gamma(a (x) x2) = sum a_(1) x2 (x) a_(2), then x (.) and (.) a2 on the legs
         tw = s.legs(w_map(s, Element.basis(R.domain, kx2), Element.basis(A.domain, ka)))
-        tw = map_leg(tw, 0, lambda kr: R.mul(x, Element.basis(R.domain, kr)), R.domain)
+        tw = map_leg(tw, 0, lambda kr: R.mul_basis(kx, kr), R.domain)
         tw = map_leg(tw, 1, lambda kA: A.mul_basis(kA, ka2), A.domain)
-        if s.join(tw) != alg.mul_basis(k1, k2):
-            witness = (k1, k2)
-            break
-    rep.add("twist-map-product", witness is None, status, witness)
+        return s.join(tw) == alg.mul_basis(k1, k2)
+
+    rep.check("twist-map-product", pairs, twist_product, status)
     return rep
 
 
@@ -326,53 +325,44 @@ def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
     exhaustive = alg.is_finite
     status = "pass" if exhaustive else "sampled-pass"
 
-    witness = None
+    X = {k: Element.basis(R.domain, k) for k in rkeys}
+    A = {k: Element.basis(h.domain, k) for k in akeys}
+    pis = {
+        "pi_R": {k: pi_R(s, x) for k, x in X.items()},
+        "pi_A": {k: pi_A(s, a) for k, a in A.items()},
+    }
     prods_xa = []
     prods_ax = []
-    for kx in rkeys:
-        x = Element.basis(R.domain, kx)
-        px = pi_R(s, x)
-        for ka in akeys:
-            a = Element.basis(h.domain, ka)
-            pa = pi_A(s, a)
-            xa = multiplier_product(px, pa)
-            expected = s.element(x, a)
-            if not xa.equals_on(Multiplier.from_element(alg, expected), sample):
-                witness = ("pi(x)pi(a)", kx, ka)
-                break
-            ax = multiplier_product(pa, px)
-            expected2 = w_map(s, x, a)
-            if not ax.equals_on(Multiplier.from_element(alg, expected2), sample):
-                witness = ("pi(a)pi(x)", kx, ka)
-                break
-            prods_xa.append(expected)
-            prods_ax.append(expected2)
-        if witness:
-            break
-    rep.add("pi-products", witness is None, status, witness)
 
-    witness = None
-    for k1 in akeys:
-        for k2 in akeys:
-            a1, a2 = Element.basis(h.domain, k1), Element.basis(h.domain, k2)
-            lhs = multiplier_product(pi_A(s, a1), pi_A(s, a2))
-            rhs = pi_A(s, h.algebra.mul(a1, a2))
-            if not lhs.equals_on(rhs, sample):
-                witness = ("pi_A", k1, k2)
-                break
-        if witness:
-            break
-    for k1 in rkeys:
-        for k2 in rkeys:
-            x1, x2 = Element.basis(R.domain, k1), Element.basis(R.domain, k2)
-            lhs = multiplier_product(pi_R(s, x1), pi_R(s, x2))
-            rhs = pi_R(s, R.mul(x1, x2))
-            if not lhs.equals_on(rhs, sample):
-                witness = ("pi_R", k1, k2)
-                break
-        if witness:
-            break
-    rep.add("pi-homomorphisms", witness is None, status, witness)
+    def pi_products(kx, ka):
+        px, pa = pis["pi_R"][kx], pis["pi_A"][ka]
+        expected = s.element(X[kx], A[ka])
+        xa = multiplier_product(px, pa)
+        if not xa.equals_on(Multiplier.from_element(alg, expected), sample):
+            return "pi(x)pi(a)"
+        expected2 = w_map(s, X[kx], A[ka])
+        ax = multiplier_product(pa, px)
+        if not ax.equals_on(Multiplier.from_element(alg, expected2), sample):
+            return "pi(a)pi(x)"
+        prods_xa.append(expected)
+        prods_ax.append(expected2)
+        return True
+
+    rep.check("pi-products", product(rkeys, akeys), pi_products, status)
+
+    embed = {"pi_A": (pi_A, h.algebra.mul_basis), "pi_R": (pi_R, R.mul_basis)}
+
+    def homomorphic(part, k1, k2) -> bool:
+        pi, mul = embed[part]
+        lhs = multiplier_product(pis[part][k1], pis[part][k2])
+        return lhs.equals_on(pi(s, mul(k1, k2)), sample)
+
+    rep.check(
+        "pi-homomorphisms",
+        chain(product(["pi_A"], akeys, akeys), product(["pi_R"], rkeys, rkeys)),
+        homomorphic,
+        status,
+    )
 
     if alg.is_finite:
         rank_needed = alg.dim
@@ -508,62 +498,44 @@ def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
     )
     exhaustive = c.space_basis is not None and h.algebra.is_finite
     status = "pass" if exhaustive else "sampled-pass"
+    A = {k: Element.basis(h.domain, k) for k in akeys}
+    X = {k: Element.basis(s.ralg.domain, k) for k in rkeys}
+    V = {k: Element.basis(c.space_domain, k) for k in vkeys}
 
-    witness = None
-    for ka in akeys:
-        a = Element.basis(h.domain, ka)
-        for kx in rkeys:
-            x = Element.basis(s.ralg.domain, kx)
-            for kv in vkeys:
-                v = Element.basis(c.space_domain, kv)
-                lhs = c.a_act(a, c.r_act(x, v))
-                rhs = Element.zero(c.space_domain)
-                for b, z in s.witness(x):
-                    rhs = rhs + merge_legs(
-                        h.t3(a, b), 0, 1,
-                        lambda u, w: c.r_act(
-                            s.act(Element.basis(h.domain, u), z),
-                            c.a_act(Element.basis(h.domain, w), v),
-                        ),
-                        c.space_domain,
-                    )
-                if lhs != rhs:
-                    witness = (ka, kx, kv)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("covariance", witness is None, status, witness)
+    def covariant(ka, kx, kv) -> bool:
+        a, x, v = A[ka], X[kx], V[kv]
+        rhs = Element.zero(c.space_domain)
+        for b, z in s.witness(x):
+            rhs = rhs + merge_legs(
+                h.t3(a, b), 0, 1,
+                lambda u, w: c.r_act(
+                    s.act(Element.basis(h.domain, u), z),
+                    c.a_act(Element.basis(h.domain, w), v),
+                ),
+                c.space_domain,
+            )
+        return c.a_act(a, c.r_act(x, v)) == rhs
+
+    rep.check("covariance", product(akeys, rkeys, vkeys), covariant, status)
 
     if c.v_witness is not None:
-        witness = None
-        for ka in akeys:
-            a = Element.basis(h.domain, ka)
-            for kx in rkeys:
-                x = Element.basis(s.ralg.domain, kx)
-                for kv in vkeys:
-                    v = Element.basis(c.space_domain, kv)
-                    lhs = c.r_act(s.act(a, x), v)
-                    rhs = Element.zero(c.space_domain)
-                    for b, z in c.v_witness(v):
-                        # S(a_(2)) b = S(S_inv(b) a_(2))
-                        rhs = rhs + merge_legs(
-                            h.t4(a, h.antipode_inv(b)), 0, 1,
-                            lambda u, w: c.a_act(
-                                Element.basis(h.domain, u),
-                                c.r_act(x, c.a_act(h.antipode_key(w), z)),
-                            ),
-                            c.space_domain,
-                        )
-                    if lhs != rhs:
-                        witness = (ka, kx, kv)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        rep.add("covariance-unital-form", witness is None, status, witness)
+
+        def unital_form(ka, kx, kv) -> bool:
+            a, x, v = A[ka], X[kx], V[kv]
+            rhs = Element.zero(c.space_domain)
+            for b, z in c.v_witness(v):
+                # S(a_(2)) b = S(S_inv(b) a_(2))
+                rhs = rhs + merge_legs(
+                    h.t4(a, h.antipode_inv(b)), 0, 1,
+                    lambda u, w: c.a_act(
+                        Element.basis(h.domain, u),
+                        c.r_act(x, c.a_act(h.antipode_key(w), z)),
+                    ),
+                    c.space_domain,
+                )
+            return c.r_act(s.act(a, x), v) == rhs
+
+        rep.check("covariance-unital-form", product(akeys, rkeys, vkeys), unital_form, status)
     return rep
 
 

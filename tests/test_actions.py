@@ -258,6 +258,16 @@ class TestCocycles:
         rep = verify_cocycle(CocycleData(gamma), translation_z2, translation_z2)
         assert rep.ok
 
+    def test_sampled_windows_report_sampled_pass(self, zz):
+        # C[Z] and K(Z) are checked on key windows only, never as a full basis
+        tr = translation_action(zz)
+        rep = verify_cocycle(CocycleData(lambda k: Multiplier.one(tr.ralg)), tr, tr)
+        assert [(e.check, e.status) for e in rep.entries] == [
+            ("gamma-normalised", "sampled-pass"),
+            ("condition-i", "sampled-pass"),
+            ("condition-ii", "sampled-pass"),
+        ]
+
     def test_trivial_vs_adjoint_fails_second_condition(
         self, cs3, trivial_cs3, adjoint_cs3
     ):

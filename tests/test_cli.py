@@ -126,6 +126,7 @@ def test_duality_command_with_action_file(tmp_path):
     [
         ("Z2", "deb3bb3bb8da97c21ab28be9f40075d537918b3b"),
         ("Z3", "96c801358cac9a596b4092e3e8c04801cfce2f7b"),
+        ("Z4", "b6222a9368b7a70d8559113f25adcb3ee785bfe2"),
         # K(Z) and C[Z]: the infinite-domain path, checked on sampled key windows
         ("Z", "5dc544e568f0cbac0a8e01436f333c2689ff466d"),
     ],
@@ -138,6 +139,24 @@ def test_run_all_output_is_byte_identical(group, sha1):
     )
     assert proc.returncode == 0
     assert hashlib.sha1(proc.stdout).hexdigest() == sha1
+
+
+def test_failing_run_output_is_byte_identical(tmp_path, cz2):
+    # golden digest of a failing full run: locks witness formats and order
+    blob = instance_to_json(cz2)
+    blob["antipode"] = [
+        [k, {"domain": blob["domain"], "terms": []}] for k, _ in blob["antipode"]
+    ]
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(blob))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhopf.cli", "run", "all", "--instance", str(path), "--json"],
+        capture_output=True,
+    )
+    assert proc.returncode == 1
+    assert hashlib.sha1(proc.stdout).hexdigest() == "4565ba9ac3a8e744fcc6cab7c33a38ed232e0bdc"
+    fails = [l for l in map(json.loads, proc.stdout.splitlines()) if l["status"] == "fail"]
+    assert [l["witness"] for l in fails] == [[0, 0], [0, 0], ["left", 0, 0], 0]
 
 
 @pytest.mark.parametrize(
@@ -248,9 +267,66 @@ def test_timing_shows_certificate_provenance():
     assert mult["mode"] == "generators"
     assert mult["cases"] == "3x8 of 64 pairs"
     assert any("structural tensor" in r for r in mult["relies_on"])
-    assert "mode" not in lines["duality[K(Z2),C[Z2]]:bijective"]
+    # a single-shot check records no provenance
+    assert "mode" not in lines["duality[K(Z2),C[Z2]]:bismash-faithful"]
     _, plain = run_cli("run", "duality", "--group", "Z2", "--json")
     assert all("mode" not in json.loads(l) for l in plain.splitlines())
+
+
+# checks made in one shot (a rank, a dimension, an existence, a summary of a
+# sub-report) and the two seeded random loops, keyed by suite and check name
+SINGLE_SHOT = {
+    "local-units:local-units-randomized",
+    "local-units:discrete-type-idempotent",
+    "sweedler-confluence:sweedler-confluence",
+    "integrals:faithful",
+    "integrals:uniqueness-dim-1",
+    "cointegral:cointegral-exists",
+    "cointegral:cointegral-unique",
+    "classify:classify:both",
+    "double-dual:bijective",
+    "action:nondegenerate",
+    "fixed-points:adjoint-fixed-dim",
+    "smash:radical-left-zero",
+    "smash:radical-right-zero",
+    "smash:span-pi(R)pi(A)",
+    "smash:span-pi(A)pi(R)",
+    "smash:twisted-convolution-oracle",
+    "pairing:nondegenerate",
+    "pairing:unital-A-on-B",
+    "pairing:unital-B-on-A",
+    "pairing:module-algebra-A-on-B",
+    "pairing:module-algebra-B-on-A",
+    "anti-isomorphism:bijective",
+    "scalar-fixed-points:fixed-multiplier-dim-1",
+    "scalar-fixed-points:fixed-multiplier-scalar",
+    "rank-one:gamma-bijective",
+    "rank-one:representation-rank",
+    "duality:dual-action-certified",
+    "duality:fixed-dim",
+    "duality:fixed-equals-pi(M(R))",
+    "duality:bismash-faithful",
+    "duality:dimension",
+    "duality:matrix-form-bijective",
+    "coaction:t1-injective",
+    "coaction:t4-injective",
+    "coaction:B-identified-with-dual",
+    "coaction:dual-side-duality",
+    "coaction:bismash-iso-bijective",
+}
+
+
+@pytest.mark.parametrize("group", ["Z2", "Z"])
+def test_every_case_loop_check_records_provenance(group):
+    _, out = run_cli("run", "all", "--group", group, "--json", "--timing")
+    missing = []
+    for line in map(json.loads, out.splitlines()):
+        suite, check = line["check"].split(":", 1)
+        key = f"{suite.split('[')[0]}:{check}"
+        if line["status"] != "skipped" and key not in SINGLE_SHOT:
+            if "mode" not in line or "cases" not in line:
+                missing.append(line["check"])
+    assert missing == []
 
 
 def test_console_entry_point_runs():

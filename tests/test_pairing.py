@@ -79,6 +79,10 @@ class TestPairingSmash:
                 assert s.certificates.ok, s.certificates.summary()
                 assert s.certificates.status_of("pairing-product-display") == "pass"
 
+    def test_display_on_infinite_pair_is_sampled(self, pair_z):
+        s = pairing_smash(pair_z, "BA", verify="sampled")
+        assert s.certificates.status_of("pairing-product-display") == "sampled-pass"
+
     def test_equals_translation_smash(self, pair_z2, smash_translation_z2):
         # K(Z2)#C[Z2] built from the pair's a |> b... with roles swapped:
         # B#A here is K-side acted on by the group algebra = translation

@@ -1,0 +1,61 @@
+import json
+from itertools import chain, count, product
+
+from mhopf.reports import Report, first_failure
+
+
+def checked(cases, holds, status_ok="pass"):
+    rep = Report(instance="t")
+    rep.check("law", cases, holds, status_ok)
+    return rep.entries[-1]
+
+
+def test_pass_counts_every_case():
+    e = checked(product([0, 1], [0, 1, 2]), lambda a, b: True)
+    assert (e.status, e.witness, e.mode, e.cases) == ("pass", None, "pairs", 6)
+
+
+def test_first_failure_is_the_witness():
+    e = checked(product([0, 1], [0, 1]), lambda a, b: a == 0)
+    assert (e.status, e.witness, e.cases) == ("fail", (1, 0), 3)
+
+
+def test_tag_prefixes_the_case():
+    e = checked(product([0, 1], [0, 1]), lambda a, b: b == 0 or "right")
+    assert e.witness == ("right", 0, 1)
+    assert json.loads(e.to_json())["witness"] == ["right", 0, 1]
+
+
+def test_single_keys_are_bare_witnesses():
+    assert checked(product([5, 6, 7]), lambda k: k != 6).witness == 6
+    assert checked(product([5, 6, 7]), lambda k: k != 6 or "tag").witness == ("tag", 6)
+
+
+def test_sampled_mode_and_status():
+    ok = checked(product(range(4)), lambda k: True, "sampled-pass")
+    assert (ok.status, ok.mode, ok.cases) == ("sampled-pass", "sampled", 4)
+    bad = checked(product(range(4)), lambda k: k < 2, "sampled-pass")
+    assert (bad.status, bad.mode, bad.cases, bad.witness) == ("fail", "sampled", 3, 2)
+
+
+def test_cases_are_consumed_lazily():
+    stream = ((i,) for i in count())
+    e = checked(stream, lambda i: i < 5)
+    assert (e.witness, e.cases) == (5, 6)
+    assert next(stream) == (6,)
+
+
+def test_chained_parts_keep_the_first_failure():
+    cases = chain(product(["first"], [1, 2]), product(["second"], [1]))
+    assert checked(cases, lambda part, k: k == 1).witness == ("first", 2)
+
+
+def test_provenance_is_printed_only_with_timing():
+    e = checked(product([0, 1]), lambda k: True)
+    assert "mode" not in json.loads(e.to_json())
+    timed = json.loads(e.to_json(timing=True))
+    assert (timed["mode"], timed["cases"]) == ("pairs", 2)
+
+
+def test_no_cases_pass_vacuously():
+    assert first_failure(iter(()), lambda *case: False) == (None, 0)
