@@ -11,7 +11,8 @@ module carries a function producing, for a given v, finitely many pairs
 
 ground through the covering maps: the witness pairs turn a module element
 into algebra covers and at most one coproduct leg stays uncovered, finally
-contracted through the action.
+contracted through the action.  :func:`covered_legs` is the one place that
+does this grounding; every such formula here and in ``smash`` goes through it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .algebras import Algebra, Multiplier, multiplier_product, multiplier_space
-from .elements import Element, add_into, map_leg, merge_legs
+from .elements import Element, TensorElement, add_into, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
     InfiniteDimensional,
@@ -100,54 +101,41 @@ class ActionSpec(ModuleSpec):
         )
 
 
-# -- covered evaluation helpers ----------------------------------------------
+# -- covered evaluation ------------------------------------------------------------
 
 
-def module_algebra_product_action(s: ActionSpec, a: Element, x: Element, y: Element) -> Element:
-    """sum (a_(1) x)(a_(2) y), grounded through the witnesses of x."""
-    h = s.mha
+def covered_legs(m: ModuleSpec, a: Element, v: Element, form: str = "id") -> TensorElement:
+    """The covered Sweedler sum of ``a`` against ``v``, grounded through m.witness(v).
+
+    ``form`` is the unary on the leg that acts on v, as in ``DeltaLeg.unary``:
+
+    * ``"id"``:   sum a_(1) v (x) a_(2),       through t3(a, b) = a_(1) b (x) a_(2);
+    * ``"Sinv"``: sum S^-1(a_(1)) v (x) a_(2), through t2(S(b), a) = S(b) a_(1) (x) a_(2);
+    * ``"S"``:    sum a_(1) (x) S(a_(2)) v,    through t4(a, S^-1(b)) = a_(1) (x) S^-1(b) a_(2).
+
+    For each witness pair (b, z) of v = sum b z the covered leg acts on z.
+    The cover b ends up right of the unary, a_(1) b, S^-1(S(b) a_(1)) =
+    S^-1(a_(1)) b and S(S^-1(b) a_(2)) = S(a_(2)) b, so every form is the same
+    for every witness, central or not.  The legs are (space, A) for "id" and
+    "Sinv", and (A, space) for "S".
+    """
+    h = m.mha
+    if form == "id":
+        cover, leg, unary = (lambda b: h.t3(a, b)), 0, (lambda k: Element.basis(h.domain, k))
+    elif form == "Sinv":
+        cover, leg, unary = (lambda b: h.t2(h.antipode(b), a)), 0, h.antipode_inv_key
+    elif form == "S":
+        cover, leg, unary = (lambda b: h.t4(a, h.antipode_inv(b))), 1, h.antipode_key
+    else:
+        raise ValueError(f"form {form!r}")
     terms = [
-        # sum a_(1) b (x) a_(2), with a_(1) b acting on z and a_(2) on y
-        merge_legs(
-            h.t3(a, b), 0, 1,
-            lambda u, v: s.ralg.mul(s.act(_basis(h, u), z), s.act(_basis(h, v), y)),
-            s.space_domain,
-        )
-        for b, z in s.witness(x)
+        map_leg(cover(b), leg, lambda k: m.act(unary(k), z), m.space_domain)
+        for b, z in m.witness(v)
     ]
     if not terms:
-        raise ValueError("empty witness decomposition")
+        legs = (m.space_domain, h.domain)
+        return TensorElement.zero(legs if leg == 0 else legs[::-1])
     return sum(terms[1:], terms[0])
-
-
-def lemma_left_form(s: ActionSpec, a: Element, x: Element, y: Element) -> Element:
-    """sum a_(1) (x (S(a_(2)) y)): the first covered reformulation."""
-    h = s.mha
-    out = Element.zero(s.space_domain)
-    for b, z in s.witness(y):
-        # S(a_(2)) b = S(S_inv(b) a_(2)): ground leg 2 with inner left cover
-        t = h.t4(a, h.antipode_inv(b))  # a_(1) (x) S_inv(b) a_(2)
-        out = out + merge_legs(
-            t, 0, 1,
-            lambda u, w: s.act(_basis(h, u), s.ralg.mul(x, s.act(h.antipode_key(w), z))),
-            s.space_domain,
-        )
-    return out
-
-
-def lemma_right_form(s: ActionSpec, a: Element, x: Element, y: Element) -> Element:
-    """sum a_(2) ((S_inv(a_(1)) x) y): the second covered reformulation."""
-    h = s.mha
-    out = Element.zero(s.space_domain)
-    for b, z in s.witness(x):
-        # S_inv(a_(1)) b = S_inv(a_(1) S(b)): inner right cover on leg 1
-        t = h.t3(a, h.antipode(b))  # a_(1) S(b) (x) a_(2)
-        out = out + merge_legs(
-            t, 0, 1,
-            lambda w, v: s.act(_basis(h, v), s.ralg.mul(s.act(h.antipode_inv_key(w), z), y)),
-            s.space_domain,
-        )
-    return out
 
 
 def _basis(h: RegularMHA, k) -> Element:
@@ -199,21 +187,27 @@ def verify_module_algebra(
     else:
         rep.skip("nondegenerate", "infinite-dimensional")
 
+    act = s.act.table
+    B, R = (lambda k: Element.basis(h.domain, k)), (lambda k: Element.basis(s.space_domain, k))
+
+    def grounded(form, ka, kv, fn) -> Element:
+        return merge_legs(covered_legs(s, A[ka], X[kv], form), 0, 1, fn, s.space_domain)
+
     laws = (
-        (
+        (  # a (x y) = sum (a_(1) x)(a_(2) y)
             "module-algebra-law",
             lambda ka, kx, ky: s.act(A[ka], alg.mul(X[kx], X[ky]))
-            == module_algebra_product_action(s, A[ka], X[kx], X[ky]),
+            == grounded("id", ka, kx, lambda kr, kb: alg.mul(R(kr), act[kb, ky])),
         ),
-        (
+        (  # (a x) y = sum a_(1) (x (S(a_(2)) y))
             "covered-left-form",
             lambda ka, kx, ky: alg.mul(s.act(A[ka], X[kx]), X[ky])
-            == lemma_left_form(s, A[ka], X[kx], X[ky]),
+            == grounded("S", ka, ky, lambda kb, kr: s.act(B(kb), alg.mul(X[kx], R(kr)))),
         ),
-        (
+        (  # x (a y) = sum a_(2) ((S^-1(a_(1)) x) y)
             "covered-right-form",
             lambda ka, kx, ky: alg.mul(X[kx], s.act(A[ka], X[ky]))
-            == lemma_right_form(s, A[ka], X[kx], X[ky]),
+            == grounded("Sinv", ka, kx, lambda kr, kb: s.act(B(kb), alg.mul(R(kr), X[ky]))),
         ),
     )
     for label, law in laws:
@@ -302,6 +296,9 @@ def inner_action_from(
     gamma(A) R = R gamma(A) = R is witnessed either by ``gamma_witness``
     (x -> [(a, z)] with x = sum gamma(a) z) or by the identity of A.
     """
+    def g(a: Element) -> Multiplier:
+        return _gamma_apply(h, ralg, gamma, a)
+
     if gamma_witness is None:
         if not h.has_identity:
             raise NotUnitalHomomorphism(f"{h.name}: gamma witness required")
@@ -311,26 +308,21 @@ def inner_action_from(
             return [(one, x)]
 
         # gamma(1) must act as the identity multiplier
-        gm = _gamma_apply(h, ralg, gamma, one)
         sample = ralg.basis_elements() if ralg.is_finite else [
             Element.basis(ralg.domain, k) for k in ralg.sample_keys(3)
         ]
-        if not gm.equals_on(Multiplier.one(ralg), sample):
+        if not g(one).equals_on(Multiplier.one(ralg), sample):
             raise NotUnitalHomomorphism("gamma(1) != 1")
 
+    # x = sum gamma(b) z gives gamma(a_(1)) x = sum gamma(a_(1) b) z
+    left = ModuleSpec(h, ralg.domain, ralg.basis, lambda a, x: g(a).left(x), gamma_witness)
+
     def act(a: Element, x: Element) -> Element:
-        out = Element.zero(ralg.domain)
-        for b, z in gamma_witness(x):
-            # x = gamma(b) z, so gamma(a_(1)) x = gamma(a_(1) b) z
-            t = h.t3(a, b)  # a_(1) b (x) a_(2)
-            out = out + merge_legs(
-                t, 0, 1,
-                lambda u, v: _gamma_apply(h, ralg, gamma, h.antipode_key(v)).right(
-                    _gamma_apply(h, ralg, gamma, _basis(h, u)).left(z)
-                ),
-                ralg.domain,
-            )
-        return out
+        return merge_legs(
+            covered_legs(left, a, x), 0, 1,
+            lambda kr, kb: g(h.antipode_key(kb)).right(Element.basis(ralg.domain, kr)),
+            ralg.domain,
+        )
 
     spec = ActionSpec.build(h, ralg, act, rule="inner", name=f"inner({h.name} on {ralg.name})")
     spec.gamma = gamma
@@ -338,13 +330,7 @@ def inner_action_from(
 
 
 def _gamma_apply(h, ralg, gamma, a: Element) -> Multiplier:
-    out = None
-    for k, c in a.coeffs.items():
-        m = gamma(k).scale(c)
-        out = m if out is None else out.add(m)
-    if out is None:
-        return Multiplier(ralg, lambda x: Element.zero(ralg.domain), lambda x: Element.zero(ralg.domain))
-    return out
+    return Multiplier.combination(ralg, ((c, gamma(k)) for k, c in a.coeffs.items()))
 
 
 def is_inner_witness(s: ActionSpec, gamma: Callable, sample_range: int = 4) -> bool:
@@ -371,20 +357,15 @@ def extend_action_to_multipliers(s: ActionSpec, a: Element, m: Multiplier) -> Mu
     """The multiplier a.m with (a m) x = sum a_(1)(m(S(a_(2)) x)) and
     x (a m) = sum a_(2)((S_inv(a_(1)) x) m)."""
     h = s.mha
-    alg = s.ralg
 
     def right(x: Element) -> Element:
-        out = Element.zero(alg.domain)
-        for b, z in s.witness(x):
-            t = h.t3(a, h.antipode(b))  # a_(1) S(b) (x) a_(2)
-            out = out + merge_legs(
-                t, 0, 1,
-                lambda w, v: s.act(_basis(h, v), m.right(s.act(h.antipode_inv_key(w), z))),
-                alg.domain,
-            )
-        return out
+        return merge_legs(
+            covered_legs(s, a, x, "Sinv"), 0, 1,
+            lambda kr, kb: s.act(_basis(h, kb), m.right(Element.basis(s.space_domain, kr))),
+            s.space_domain,
+        )
 
-    return Multiplier(alg, action_on_linear_map(s, a, m.left), right)
+    return Multiplier(s.ralg, action_on_linear_map(s, a, m.left), right)
 
 
 def action_on_linear_map(s: ActionSpec, a: Element, op: Callable) -> Callable:
@@ -392,15 +373,11 @@ def action_on_linear_map(s: ActionSpec, a: Element, op: Callable) -> Callable:
     h = s.mha
 
     def out(x: Element) -> Element:
-        acc = Element.zero(s.space_domain)
-        for b, z in s.witness(x):
-            t = h.t4(a, h.antipode_inv(b))  # a_(1) (x) S_inv(b) a_(2)
-            acc = acc + merge_legs(
-                t, 0, 1,
-                lambda u, w: s.act(_basis(h, u), op(s.act(h.antipode_key(w), z))),
-                s.space_domain,
-            )
-        return acc
+        return merge_legs(
+            covered_legs(s, a, x, "S"), 0, 1,
+            lambda kb, kr: s.act(_basis(h, kb), op(Element.basis(s.space_domain, kr))),
+            s.space_domain,
+        )
 
     return out
 
@@ -464,15 +441,9 @@ def fixed_points(s: ActionSpec, where: str = "in_R") -> list:
         for ci, el in enumerate(vec):
             for k2, c in el.coeffs.items():
                 add_into(rows.setdefault((ci, k2), {}), j, c)
-    out = []
-    for v in nullspace(rows.values(), len(mspace)):
-        m = None
-        for c, mm in zip(v, mspace):
-            if c:
-                t = mm.scale(c)
-                m = t if m is None else m.add(t)
-        if m is not None:
-            out.append(m)
+    out = [
+        Multiplier.combination(alg, zip(v, mspace)) for v in nullspace(rows.values(), len(mspace))
+    ]
     _certify_fixed_multipliers(s, out)
     return out
 
@@ -532,11 +503,12 @@ def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report
     # (i) gamma(a a') = sum gamma(a_(1)) (a_(2) |>1 gamma(a'))
     def condition_i(ka, kb):
         gb = gamma(kb)
-        rhs = None
-        for (u, v), cc in delta[ka].coeffs.items():
+
+        def term(u, v) -> Multiplier:
             acted = extend_action_to_multipliers(act1, _basis(h, v), gb)
-            term = multiplier_product(gamma(u), acted).scale(cc)
-            rhs = term if rhs is None else rhs.add(term)
+            return multiplier_product(gamma(u), acted)
+
+        rhs = Multiplier.combination(alg, ((cc, term(*k)) for k, cc in delta[ka].coeffs.items()))
         return c.apply(h, alg, h.algebra.mul_basis(ka, kb)).equals_on(rhs, sample)
 
     rep.check("condition-i", product(akeys, akeys), condition_i, status)
@@ -581,12 +553,9 @@ def tensor_module(m1: ModuleSpec, m2: ModuleSpec) -> ModuleSpec:
         # a (x (x) y) = sum (a_(1) x) (x) (a_(2) y), grounded through the witnesses of x
         a, (k1, k2) = _basis(h, ka), kv
         y = Element.basis(m2.space_domain, k2)
-        out = Element.zero(domain)
-        for b, z in m1.witness(Element.basis(m1.space_domain, k1)):
-            t = map_leg(h.t3(a, b), 0, lambda u: m1.act(_basis(h, u), z), m1.space_domain)
-            t = map_leg(t, 1, lambda w: m2.act(_basis(h, w), y), m2.space_domain)
-            out = out + Element(domain, t.coeffs, _canon=True)
-        return out
+        t = covered_legs(m1, a, Element.basis(m1.space_domain, k1))
+        t = map_leg(t, 1, lambda w: m2.act(_basis(h, w), y), m2.space_domain)
+        return Element(domain, t.coeffs, _canon=True)
 
     act = BilinearMap(h.domain, domain, domain, act_basis)
 

@@ -121,18 +121,22 @@ class Multiplier:
     def one(cls, algebra: Algebra) -> "Multiplier":
         return cls(algebra, lambda x: x, lambda x: x)
 
+    @classmethod
+    def combination(cls, algebra: Algebra, terms: Iterable[tuple]) -> "Multiplier":
+        """sum c_k m_k over the pairs (c_k, m_k); the zero multiplier when empty."""
+        terms = [(c, m) for c, m in terms if c]
+        zero = Element.zero(algebra.domain)
+        return cls(
+            algebra,
+            lambda x: sum((m.left(x).scale(c) for c, m in terms), zero),
+            lambda x: sum((m.right(x).scale(c) for c, m in terms), zero),
+        )
+
     def scale(self, c: Scalar) -> "Multiplier":
         return Multiplier(
             self.algebra,
             lambda x: self.left(x).scale(c),
             lambda x: self.right(x).scale(c),
-        )
-
-    def add(self, other: "Multiplier") -> "Multiplier":
-        return Multiplier(
-            self.algebra,
-            lambda x: self.left(x) + other.left(x),
-            lambda x: self.right(x) + other.right(x),
         )
 
     def sub(self, other: "Multiplier") -> "Multiplier":

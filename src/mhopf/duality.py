@@ -40,7 +40,15 @@ from .pairing import (
     pairing_smash,
 )
 from .reports import Report
-from .smash import PlainModule, SmashProduct, pi_R, smash, w_inv_map, w_map
+from .smash import (
+    PlainModule,
+    SmashProduct,
+    module_representation_rank,
+    pi_R,
+    smash,
+    w_inv_map,
+    w_map,
+)
 
 
 @dataclass
@@ -172,15 +180,7 @@ def bismash_standard_module(d: DualAction) -> PlainModule:
 def bismash_faithful(d: DualAction) -> bool:
     """Representation rank of the bismash on R#A equals its dimension."""
     mod = bismash_standard_module(d)
-    ops = []
-    vspace = Algebra(
-        mod.space_domain, lambda a, b: Element.zero(mod.space_domain),
-        basis=mod.space_basis,
-    )
-    for k in mod.algebra.basis:
-        e = mod.algebra.basis_element(k)
-        ops.append(operator_element(vspace, lambda v: mod.act(e, v), "end"))
-    return span_rank(ops) == len(mod.algebra.basis)
+    return module_representation_rank(mod) == mod.algebra.dim
 
 
 # -- the W-conjugated picture -------------------------------------------------------

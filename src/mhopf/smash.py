@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Callable
 
-from .actions import ActionSpec, extend_action_to_multipliers
+from .actions import ActionSpec, ModuleSpec, covered_legs, extend_action_to_multipliers
 from .algebras import (
     Algebra,
+    Certificate,
     Multiplier,
     certify_algebra_map,
     certify_associative,
@@ -210,28 +211,18 @@ def recertify(s: SmashProduct, verify: str = "full", seed: int = 0) -> Report:
 
 def w_map(s: SmashProduct, x: Element, a: Element) -> Element:
     """W(x (x) a) = sum a_(1) x # a_(2), grounded through the witnesses of x."""
-    h = s.mha
-    out = Element.zero(s.algebra.domain)
-    for b, z in s.action.witness(x):
-        t = h.t3(a, b)  # a_(1) b (x) a_(2)
-        out = out + s.join(map_leg(t, 0, lambda u: s.action.act(Element.basis(h.domain, u), z)))
-    return out
+    return s.join(covered_legs(s.action, a, x))
 
 
 def w_inv_map(s: SmashProduct, u: Element) -> Element:
     """W^-1(x # a) = sum S^-1(a_(1)) x (x) a_(2), over pair keys (r, a)."""
-    h = s.mha
+    h, R = s.mha, s.ralg
+    domain = f"twist({R.domain},{h.domain})"
 
     def basis_image(kx, ka) -> Element:
-        out = Element.zero(domain)
-        for b, z in s.action.witness(Element.basis(s.ralg.domain, kx)):
-            # S_inv(a_(1)) b = S_inv(a_(1) S(b)): inner right cover on leg 1
-            t = h.t3(Element.basis(h.domain, ka), h.antipode(b))
-            t = map_leg(t, 0, lambda w: s.action.act(h.antipode_inv_key(w), z), s.ralg.domain)
-            out = out + Element(domain, t.coeffs, _canon=True)
-        return out
+        a, x = Element.basis(h.domain, ka), Element.basis(R.domain, kx)
+        return Element(domain, covered_legs(s.action, a, x, "Sinv").coeffs, _canon=True)
 
-    domain = f"twist({s.ralg.domain},{h.domain})"
     return merge_legs(s.legs(u), 0, 1, basis_image, domain)
 
 
@@ -269,23 +260,12 @@ def pi_R(s: SmashProduct, x) -> Multiplier:
         return s.join(map_leg(s.legs(u), 0, lambda kx2: R.mul(x, Element.basis(R.domain, kx2))))
 
     def right(u: Element) -> Element:
-        # (x'#a') pi(x) = sum x'(a'_(1) x) # a'_(2), grounded through the witnesses of x
-        out = Element.zero(s.algebra.domain)
-        for b, z in s.action.witness(x):
-            # t3(a', b) = sum a'_(1) b (x) a'_(2) splits the A leg
-            t = map_leg(
-                s.legs(u), 1, lambda ka2: h.t3(Element.basis(h.domain, ka2), b),
-                (h.domain, h.domain),
-            )
-            t = merge_legs(
-                t, 0, 1,
-                lambda kx2, p: R.mul(
-                    Element.basis(R.domain, kx2), s.action.act(Element.basis(h.domain, p), z)
-                ),
-                R.domain,
-            )
-            out = out + s.join(t)
-        return out
+        # (x'#a') pi(x) = sum x'(a'_(1) x) # a'_(2): the A leg splits into a'_(1) x (x) a'_(2)
+        t = map_leg(
+            s.legs(u), 1, lambda ka2: covered_legs(s.action, Element.basis(h.domain, ka2), x),
+            (R.domain, h.domain),
+        )
+        return s.join(merge_legs(t, 0, 1, R.mul_basis, R.domain))
 
     return Multiplier(s.algebra, left, right)
 
@@ -396,49 +376,22 @@ def universal_map(
     R = s.ralg
     tsample = [target.basis_element(k) for k in target.sample_keys(sample_range)]
 
-    def rho_A_el(a: Element) -> Multiplier:
-        out = None
-        for k, c in a.coeffs.items():
-            m = rho_A(k).scale(c)
-            out = m if out is None else out.add(m)
-        return out
+    def mapped(u: Element) -> Multiplier:
+        return Multiplier.combination(
+            target,
+            ((c, multiplier_product(rho_R(kx), rho_A(ka))) for (kx, ka), c in u.coeffs.items()),
+        )
 
-    def rho_R_el(x: Element) -> Multiplier:
-        out = None
-        for k, c in x.coeffs.items():
-            m = rho_R(k).scale(c)
-            out = m if out is None else out.add(m)
-        return out
-
+    # rho_A(a) rho_R(x) = sum rho_R(a_(1) x) rho_A(a_(2)), which maps W(x (x) a)
     for ka in h.algebra.sample_keys(sample_range):
         a = Element.basis(h.domain, ka)
         for kx in R.sample_keys(sample_range):
-            x = Element.basis(R.domain, kx)
-            lhs = multiplier_product(rho_A_el(a), rho_R_el(x))
-            rhs = None
-            for b, z in s.action.witness(x):
-                t = h.t3(a, b)
-                for (u, v), c in t.coeffs.items():
-                    term = multiplier_product(
-                        rho_R_el(s.action.act(Element.basis(h.domain, u), z)),
-                        rho_A_el(Element.basis(h.domain, v)),
-                    ).scale(c)
-                    rhs = term if rhs is None else rhs.add(term)
-            if not lhs.equals_on(rhs, tsample):
+            lhs = multiplier_product(rho_A(ka), rho_R(kx))
+            if not lhs.equals_on(mapped(w_map(s, Element.basis(R.domain, kx), a)), tsample):
                 raise CommutationFailed(
                     "rho_A(a) rho_R(x) != sum rho_R(a_(1)x) rho_A(a_(2))",
                     witness=(ka, kx),
                 )
-
-    def mapped(u: Element) -> Multiplier:
-        out = None
-        for (kx, ka), c in u.coeffs.items():
-            m = multiplier_product(rho_R(kx), rho_A(ka)).scale(c)
-            out = m if out is None else out.add(m)
-        if out is None:
-            zero = Element.zero(target.domain)
-            return Multiplier(target, lambda t: zero, lambda t: zero)
-        return out
 
     # multiplicativity certificate on smash basis pairs
     skeys = s.algebra.sample_keys(sample_range)
@@ -504,35 +457,30 @@ def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
 
     def covariant(ka, kx, kv) -> bool:
         a, x, v = A[ka], X[kx], V[kv]
-        rhs = Element.zero(c.space_domain)
-        for b, z in s.witness(x):
-            rhs = rhs + merge_legs(
-                h.t3(a, b), 0, 1,
-                lambda u, w: c.r_act(
-                    s.act(Element.basis(h.domain, u), z),
-                    c.a_act(Element.basis(h.domain, w), v),
-                ),
-                c.space_domain,
-            )
+        rhs = merge_legs(
+            covered_legs(s, a, x), 0, 1,
+            lambda kr, kb: c.r_act(
+                Element.basis(s.ralg.domain, kr), c.a_act(Element.basis(h.domain, kb), v)
+            ),
+            c.space_domain,
+        )
         return c.a_act(a, c.r_act(x, v)) == rhs
 
     rep.check("covariance", product(akeys, rkeys, vkeys), covariant, status)
 
     if c.v_witness is not None:
+        vmod = ModuleSpec(h, c.space_domain, c.space_basis, c.a_act, c.v_witness)
 
         def unital_form(ka, kx, kv) -> bool:
+            # (a x) v = sum a_(1) (x (S(a_(2)) v))
             a, x, v = A[ka], X[kx], V[kv]
-            rhs = Element.zero(c.space_domain)
-            for b, z in c.v_witness(v):
-                # S(a_(2)) b = S(S_inv(b) a_(2))
-                rhs = rhs + merge_legs(
-                    h.t4(a, h.antipode_inv(b)), 0, 1,
-                    lambda u, w: c.a_act(
-                        Element.basis(h.domain, u),
-                        c.r_act(x, c.a_act(h.antipode_key(w), z)),
-                    ),
-                    c.space_domain,
-                )
+            rhs = merge_legs(
+                covered_legs(vmod, a, v, "S"), 0, 1,
+                lambda kb, kw: c.a_act(
+                    Element.basis(h.domain, kb), c.r_act(x, Element.basis(c.space_domain, kw))
+                ),
+                c.space_domain,
+            )
             return c.r_act(s.act(a, x), v) == rhs
 
         rep.check("covariance-unital-form", product(akeys, rkeys, vkeys), unital_form, status)
@@ -642,11 +590,7 @@ def inner_trivialization(s: SmashProduct, gamma: Callable) -> tuple:
     target = tensor_algebra(R, h.algebra)
 
     def gamma_el(a: Element) -> Multiplier:
-        out = None
-        for k, c in a.coeffs.items():
-            m = gamma(k).scale(c)
-            out = m if out is None else out.add(m)
-        return out
+        return Multiplier.combination(R, ((c, gamma(k)) for k, c in a.coeffs.items()))
 
     def trivialize(u: Element, twisted: Callable, domain: str) -> Element:
         # x # a -> sum x gamma(twisted(a_(1))) (x) a_(2)
@@ -736,12 +680,13 @@ def group_crossed_product_oracle(g, ralg: Algebra, alpha: Callable) -> Algebra:
     return Algebra(domain, mul_basis, basis=basis, name=domain)
 
 
-def algebras_match(a: Algebra, b: Algebra, key_map: Callable) -> tuple | None:
-    """First basis pair where structure constants disagree under the
-    bijection ``key_map``: a-keys -> b-keys; None when all agree."""
+def algebras_match(a: Algebra, b: Algebra, key_map: Callable) -> Certificate:
+    """Do the structure constants agree under the bijection ``key_map``:
+    a-keys -> b-keys?  The certificate's witness is the first basis pair
+    where they disagree."""
     relabel = LinearMap(
         a.domain, b.domain, {k: Element.basis(b.domain, key_map(k)) for k in a.basis}
     )
     # pairs: generators mode would need an associativity certificate of a,
     # which a hand-built oracle does not carry
-    return certify_algebra_map(relabel, a, b, mode="pairs").witness
+    return certify_algebra_map(relabel, a, b, mode="pairs")

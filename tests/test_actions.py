@@ -5,6 +5,7 @@ from mhopf.actions import (
     CocycleData,
     action_on_linear_map,
     adjoint_action,
+    covered_legs,
     extend_action_to_multipliers,
     extend_module_to_MA,
     fixed_points,
@@ -17,10 +18,11 @@ from mhopf.actions import (
     verify_module_algebra,
 )
 from mhopf.algebras import Multiplier, multiplier_product
-from mhopf.elements import Element
+from mhopf.elements import Element, merge_legs
 from mhopf.errors import NotHopf
 from mhopf.instances import grading_action, translation_action
 from mhopf.scalars import ONE, sc
+from mhopf.smash import smash, w_inv_map, w_map
 
 
 def b(h, key):
@@ -351,3 +353,67 @@ class TestModuleConstructions:
                     assert total == spec.act(
                         a, spec.ralg.mul(rb(spec, kx), rb(spec, ky))
                     )
+
+
+class TestWitnessIndependence:
+    """Any valid unitality witness gives the same answer.
+
+    translation(S3) with x = lam_p (lam_p^-1 . x) for the non-central p: a
+    cover S(b) on the wrong side of a_(1) computes b (S^-1(a_(1)) z) in place
+    of S^-1(a_(1)) x, which differs unless b is central.
+    """
+
+    P = (1, 0, 2)
+
+    @pytest.fixture(scope="class")
+    def pair(self, s3):
+        twisted, plain = translation_action(s3), translation_action(s3)
+        h = twisted.mha
+        lam, lam_inv = b(h, self.P), b(h, s3.invert(self.P))
+        twisted.witness = lambda v: [(lam, twisted.act(lam_inv, v))]
+        return twisted, plain
+
+    def test_noncentral_witness_is_valid(self, pair, s3):
+        assert s3.multiply(self.P, (1, 2, 0)) != s3.multiply((1, 2, 0), self.P)
+        twisted, _ = pair
+        for kx in twisted.space_basis:
+            ((a, z),) = twisted.witness(rb(twisted, kx))
+            assert twisted.act(a, z) == rb(twisted, kx)
+
+    def test_module_algebra_passes(self, pair):
+        rep = verify_module_algebra(pair[0])
+        assert rep.ok, rep.summary()
+
+    def test_w_inverts_w(self, pair):
+        twisted, _ = pair
+        verify_module_algebra(twisted)
+        s = smash(twisted)
+        h = s.mha
+        for k in s.algebra.basis:
+            u = s.algebra.basis_element(k)
+            back = merge_legs(
+                s.legs(w_inv_map(s, u)), 0, 1,
+                lambda kr, ka: w_map(s, rb(twisted, kr), b(h, ka)),
+                s.algebra.domain,
+            )
+            assert back == u, k
+
+    def test_multiplier_right_map(self, pair):
+        twisted, plain = pair
+        R, h = twisted.ralg, twisted.mha
+        for ka in h.algebra.basis:
+            for km in R.basis:
+                m = Multiplier.from_element(R, rb(twisted, km))
+                t = extend_action_to_multipliers(twisted, b(h, ka), m)
+                p = extend_action_to_multipliers(plain, b(h, ka), m)
+                for kx in R.basis:
+                    assert t.right(rb(twisted, kx)) == p.right(rb(plain, kx)), (ka, km, kx)
+
+    @pytest.mark.parametrize("form", ["id", "Sinv", "S"])
+    def test_covered_legs(self, pair, form):
+        twisted, plain = pair
+        h = twisted.mha
+        for ka in h.algebra.basis:
+            for kv in twisted.space_basis:
+                a, v = b(h, ka), rb(twisted, kv)
+                assert covered_legs(twisted, a, v, form) == covered_legs(plain, a, v, form)

@@ -224,6 +224,19 @@ def test_unexpected_exception_becomes_fail_line(monkeypatch):
     assert lines[0]["witness"] == "'no such key'"
 
 
+def test_local_units_report_names_the_first_failure(monkeypatch, kz2):
+    # a zero "local unit" fails every side; the first failing (side, items) is reported
+    from mhopf import cli
+    from mhopf.elements import Element
+
+    monkeypatch.setattr(cli, "find_local_units", lambda h, items, side: Element.zero(h.domain))
+    rep = cli._local_units_report(kz2, 0, True)
+    assert rep.status_of("local-units-randomized") == "fail"
+    side, items = rep.entries[0].witness
+    assert side == "left" and all(isinstance(a, str) for a in items)
+    assert rep.status_of("discrete-type-idempotent") == "pass"
+
+
 def test_timing_flag_adds_elapsed_field():
     _, out = run_cli("run", "sweedler", "--group", "Z2", "--json", "--timing")
     lines = [json.loads(l) for l in out.strip().splitlines()]
@@ -291,7 +304,6 @@ SINGLE_SHOT = {
     "smash:radical-right-zero",
     "smash:span-pi(R)pi(A)",
     "smash:span-pi(A)pi(R)",
-    "smash:twisted-convolution-oracle",
     "pairing:nondegenerate",
     "pairing:unital-A-on-B",
     "pairing:unital-B-on-A",

@@ -93,7 +93,7 @@ class TestCrossedProductOracle:
         oracle = group_crossed_product_oracle(
             g, spec.ralg, lambda q, x: spec.act(Element.basis(spec.mha.domain, q), x)
         )
-        assert algebras_match(oracle, s.algebra, lambda k: (k[1], k[0])) is None
+        assert algebras_match(oracle, s.algebra, lambda k: (k[1], k[0])).ok
 
 
 class TestPiEmbeddings:
