@@ -17,7 +17,7 @@ Core layers:
 """
 
 from .scalars import I, ONE, ZERO, Scalar, sc
-from .elements import Element, TensorElement, flip, tensor
+from .elements import Element, flip, tensor
 from .linalg import LinearMap, linear_solve
 from .algebras import Algebra, Multiplier, multiplier_product
 from .mha import Functional, RegularMHA, cover, find_local_units, verify_mha_axioms
@@ -36,7 +36,6 @@ __all__ = [
     "RegularMHA",
     "Scalar",
     "SweedlerExpr",
-    "TensorElement",
     "ZERO",
     "cover",
     "find_local_units",

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebras import Algebra, Multiplier, multiplier_product, multiplier_space
-from .elements import Element, TensorElement, add_into, map_leg, merge_legs
+from .elements import Element, add_into, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
     InfiniteDimensional,
@@ -32,6 +32,9 @@ from .errors import (
 from .linalg import BilinearMap, linear_solve, nullspace
 from .mha import RegularMHA
 from .reports import Report
+
+if TYPE_CHECKING:
+    from .smash import PlainModule
 
 
 @dataclass
@@ -104,7 +107,7 @@ class ActionSpec(ModuleSpec):
 # -- covered evaluation ------------------------------------------------------------
 
 
-def covered_legs(m: ModuleSpec, a: Element, v: Element, form: str = "id") -> TensorElement:
+def covered_legs(m: ModuleSpec, a: Element, v: Element, form: str = "id") -> Element:
     """The covered Sweedler sum of ``a`` against ``v``, grounded through m.witness(v).
 
     ``form`` is the unary on the leg that acts on v, as in ``DeltaLeg.unary``:
@@ -134,7 +137,7 @@ def covered_legs(m: ModuleSpec, a: Element, v: Element, form: str = "id") -> Ten
     ]
     if not terms:
         legs = (m.space_domain, h.domain)
-        return TensorElement.zero(legs if leg == 0 else legs[::-1])
+        return Element.zero(legs if leg == 0 else legs[::-1])
     return sum(terms[1:], terms[0])
 
 
@@ -531,8 +534,11 @@ def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report
 # -- M(A)-module extension and tensor modules ----------------------------------------
 
 
-def extend_module_to_MA(m: ModuleSpec, mult: Multiplier, x: Element) -> Element:
-    """m(a x) = (m a) x, well-defined thanks to local units."""
+def extend_module_to_MA(m: ModuleSpec | PlainModule, mult: Multiplier, x: Element) -> Element:
+    """m(a x) = (m a) x, well-defined thanks to local units.
+
+    Reads only ``m.witness``, ``m.act`` and ``m.space_domain``.
+    """
     out = Element.zero(m.space_domain)
     for a, z in m.witness(x):
         out = out + m.act(mult.left(a), z)

@@ -268,14 +268,15 @@ def multiplier_space(alg: Algebra) -> list[Multiplier]:
     ]
 
 
-def operator_element(alg: Algebra, op: Callable, domain: str) -> Element:
-    """Flatten a linear operator into an Element over (out-key, in-key) pairs.
+def operator_element(src: str, keys: Iterable, op: Callable, domain: str) -> Element:
+    """Flatten a linear operator on span(keys) over ``src`` into an Element
+    over (out-key, in-key) pairs.
 
     Lets operator families be handled by the Element-level span machinery.
     """
     acc = {}
-    for k in alg.basis:
-        img = op(alg.basis_element(k))
+    for k in keys:
+        img = op(Element.basis(src, k))
         for k2, c in img.coeffs.items():
             acc[(k2, k)] = c
     return Element(domain, acc)

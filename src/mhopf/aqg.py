@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable
 
 from .algebras import Algebra, certify_algebra_map
-from .elements import Element, TensorElement, add_into, map_leg, weight_leg
+from .elements import Element, add_into, map_leg, weight_leg
 from .errors import InfiniteDimensional, Singular, Undecidable
 from .linalg import BasisMemo, LinearMap, nullspace, span_rank
 from .mha import Functional, RegularMHA
@@ -387,12 +387,12 @@ def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:
     # F^-1 to both legs of M
     values = F_inv.src_domain
 
-    def dual_delta(km) -> TensorElement:
+    def dual_delta(km) -> Element:
         am = Element.basis(h.domain, km)
         M = {
             (ki, kj): phi(alg.mul(alg.mul_basis(ki, kj), am)) for ki in keys for kj in keys
         }
-        C = TensorElement((values, values), M)
+        C = Element((values, values), M)
         for leg in (0, 1):
             C = map_leg(C, leg, F_inv.table.__getitem__, dd)
         return C

@@ -293,14 +293,10 @@ def _conj_class(g, k):
 
 
 def _smash_report(g, args) -> Report:
-    from .smash import recertify
-
     tr = translation_action(g)
     verify_module_algebra(tr)
     verify_mode = args.verify if args.verify else ("full" if g.is_finite else "sampled")
     s = smash(tr, verify=verify_mode, seed=args.seed)
-    if args.recheck_certificates:
-        recertify(s, verify_mode, args.seed)
     rep = Report(instance=s.algebra.name)
     rep.extend(s.certificates)
     rep.extend(verify_pi_relations(s))
@@ -470,11 +466,6 @@ def main(argv=None) -> int:
     run.add_argument("--json", action="store_true")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--timing", action="store_true")
-    run.add_argument(
-        "--recheck-certificates",
-        action="store_true",
-        help="force reconstruction of cached construction certificates",
-    )
 
     sm = sub.add_parser("smash", help="build a smash product from an action description")
     sm.add_argument("--action", required=True, help="action description (.json)")

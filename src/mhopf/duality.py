@@ -24,7 +24,7 @@ from typing import Callable
 
 from .actions import ActionSpec, verify_module_algebra
 from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
-from .elements import Element, TensorElement, map_leg, merge_legs, tensor, weight_leg
+from .elements import Element, map_leg, merge_legs, tensor, weight_leg
 from .errors import (
     AlgebraMismatch,
     CoactionInvalid,
@@ -161,7 +161,7 @@ def bismash_standard_module(d: DualAction) -> PlainModule:
 
     def act(u: Element, v: Element) -> Element:
         return merge_legs(
-            TensorElement((s.algebra.domain, d.pair.B.domain), u.coeffs, _canon=True), 0, 1,
+            Element((s.algebra.domain, d.pair.B.domain), u.coeffs, _canon=True), 0, 1,
             lambda ksm, kb: s.algebra.mul(
                 s.algebra.basis_element(ksm), d.act(Element.basis(d.pair.B.domain, kb), v)
             ),
@@ -242,7 +242,7 @@ def _conjugation_formula(s: SmashProduct, x, a, x2, a2) -> Element:
     R, A = s.ralg, s.mha.algebra
     first = w_inv_map(s, s.element(x, a))  # sum S^-1(a_(1)) x (x) a_(2)
 
-    def image(kr, kv) -> TensorElement:
+    def image(kr, kv) -> Element:
         # sum (S^-1(a'_(1)) y) x' (x) v a'_(2) for y (x) v = kr (x) kv
         second = s.legs(w_inv_map(s, s.element(Element.basis(R.domain, kr), a2)))
         second = map_leg(second, 0, lambda kr2: R.mul(Element.basis(R.domain, kr2), x2))
@@ -488,9 +488,9 @@ def verify_coaction(c: Coaction, sample_range: int = 4) -> Report:
 
     one_b = B.algebra.one()
 
-    def gamma(x: Element) -> TensorElement:
+    def gamma(x: Element) -> Element:
         # Gamma(x) = Gamma(x)(1 (x) 1) as a tensor over R (x) B
-        return TensorElement((c.ralg.domain, B.domain), c.t1(x, one_b).coeffs, _canon=True)
+        return Element((c.ralg.domain, B.domain), c.t1(x, one_b).coeffs, _canon=True)
 
     # Gamma of each basis element of R
     G = BasisMemo(lambda k: gamma(Element.basis(c.ralg.domain, k)))
@@ -539,7 +539,7 @@ def coaction_to_action(c: Coaction, p: DualPair) -> ActionSpec:
     one_b = p.B.algebra.one()
 
     def act(a: Element, x: Element) -> Element:
-        gx = TensorElement((c.ralg.domain, p.B.domain), c.t1(x, one_b).coeffs, _canon=True)
+        gx = Element((c.ralg.domain, p.B.domain), c.t1(x, one_b).coeffs, _canon=True)
         return weight_leg(gx, 1, lambda kv: p.pair(a, Element.basis(p.B.domain, kv)))
 
     return ActionSpec.build(
@@ -611,7 +611,7 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec) -> Report:
     def composite(u: Element) -> Element:
         # ((x#a)#b) -> ((x#a)#J(b)) -> Theta -> id (x) undo -> R (x) (A#B)
         th = iso.theta(iso.bismash.join(map_leg(bis_b.legs(u), 1, J.table.__getitem__)))
-        th = TensorElement((s.ralg.domain, iso.diamond.domain), th.coeffs, _canon=True)
+        th = Element((s.ralg.domain, iso.diamond.domain), th.coeffs, _canon=True)
         th = map_leg(th, 1, undo.__getitem__)
         return Element(target.domain, th.coeffs, _canon=True)
 
@@ -648,14 +648,14 @@ def rl_condition_check(p: DualPair) -> Report:
     # image algebra Q0 = span of the standard operators
     elim = SparseEliminator()
     for ka, kb in product(A.algebra.basis, B.algebra.basis):
-        elim.add(operator_element(A.algebra, standard_op(ka, kb), enddom).coeffs)
+        elim.add(operator_element(A.domain, A.algebra.basis, standard_op(ka, kb), enddom).coeffs)
 
     # multiplier condition: T Q0 and Q0 T stay inside Q0, for T = (. <| b)
     def in_multipliers(kb, ka, kb2) -> bool:
         b = Element.basis(B.domain, kb)
         q = standard_op(ka, kb2)
-        tq = operator_element(A.algebra, lambda x: p.ract_BonA(q(x), b), enddom)
-        qt = operator_element(A.algebra, lambda x: q(p.ract_BonA(x, b)), enddom)
+        tq = operator_element(A.domain, A.algebra.basis, lambda x: p.ract_BonA(q(x), b), enddom)
+        qt = operator_element(A.domain, A.algebra.basis, lambda x: q(p.ract_BonA(x, b)), enddom)
         return elim.contains(tq.coeffs) and elim.contains(qt.coeffs)
 
     rep.check(

@@ -6,6 +6,11 @@ finite even when the domain is infinite (the motivating example being
 finitely supported functions on a discrete group).  Storage is canonical:
 zero coefficients are never kept, so ``==`` is exact equality.
 
+A tensor is an ``Element`` whose domain is the tuple of its leg domains and
+whose keys are key tuples, one key per leg; the same arithmetic serves
+both.  ``tensor``, ``flip``, ``map_leg``, ``weight_leg`` and ``merge_legs``
+work leg by leg and reject an element over a plain domain name.
+
 Keys are opaque hashable, orderable values (ints, strings, tuples of such).
 Two elements over different domains never compare equal and cannot be
 combined; mixing raises :class:`DomainMismatch`.
@@ -38,11 +43,14 @@ def add_into(acc: dict, key, value: Scalar) -> None:
 
 
 class Element:
-    """Finite-support linear combination of basis indices in one domain."""
+    """Finite-support linear combination of basis indices in one domain.
+
+    The domain is a name, or for a tensor the tuple of its leg domains.
+    """
 
     __slots__ = ("domain", "coeffs")
 
-    def __init__(self, domain: str, coeffs: dict | None = None, _canon: bool = False):
+    def __init__(self, domain: str | tuple, coeffs: dict | None = None, _canon: bool = False):
         self.domain = domain
         if coeffs is None:
             self.coeffs = {}
@@ -50,23 +58,28 @@ class Element:
             self.coeffs = coeffs if _canon else _canonical(coeffs)
 
     @classmethod
-    def basis(cls, domain: str, key, coeff: Scalar = ONE) -> "Element":
+    def basis(cls, domain: str | tuple, key, coeff: Scalar = ONE) -> "Element":
         if not coeff:
             return cls(domain, {}, _canon=True)
         return cls(domain, {key: coeff}, _canon=True)
 
     @classmethod
-    def zero(cls, domain: str) -> "Element":
+    def zero(cls, domain: str | tuple) -> "Element":
         return cls(domain, {}, _canon=True)
 
     @classmethod
-    def from_terms(cls, domain: str, terms: Iterable[tuple]) -> "Element":
+    def from_terms(cls, domain: str | tuple, terms: Iterable[tuple]) -> "Element":
         acc: dict = {}
         for key, c in terms:
             add_into(acc, key, c)
         return cls(domain, acc, _canon=True)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def arity(self) -> int:
+        """The number of legs of a tensor; a plain element has none to count."""
+        return len(_legs(self))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -138,156 +151,58 @@ class Element:
         return f"<{' + '.join(parts)} : {self.domain}>"
 
 
-class TensorElement:
-    """Finite-support tensor of fixed arity >= 1 over a tuple of domains."""
-
-    __slots__ = ("domains", "coeffs")
-
-    def __init__(self, domains: tuple, coeffs: dict | None = None, _canon: bool = False):
-        self.domains = tuple(domains)
-        if coeffs is None:
-            self.coeffs = {}
-        else:
-            self.coeffs = coeffs if _canon else _canonical(coeffs)
-
-    @property
-    def arity(self) -> int:
-        return len(self.domains)
-
-    @property
-    def domain(self) -> tuple:
-        """The leg domains, as a tuple source domain of a LinearMap."""
-        return self.domains
-
-    @classmethod
-    def zero(cls, domains) -> "TensorElement":
-        return cls(tuple(domains), {}, _canon=True)
-
-    @classmethod
-    def basis(cls, domains, keys, coeff: Scalar = ONE) -> "TensorElement":
-        if not coeff:
-            return cls(tuple(domains), {}, _canon=True)
-        return cls(tuple(domains), {tuple(keys): coeff}, _canon=True)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def items(self) -> Iterator[tuple]:
-        for k in sorted(self.coeffs):
-            yield k, self.coeffs[k]
-
-    def support(self) -> list:
-        return sorted(self.coeffs)
-
-    def _check(self, other: "TensorElement") -> None:
-        if self.domains != other.domains:
-            raise DomainMismatch(f"{self.domains!r} vs {other.domains!r}")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            add_into(acc, k, v)
-        return TensorElement(self.domains, acc, _canon=True)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            add_into(acc, k, -v)
-        return TensorElement(self.domains, acc, _canon=True)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(
-            self.domains, {k: -v for k, v in self.coeffs.items()}, _canon=True
-        )
-
-    def scale(self, c: Scalar) -> "TensorElement":
-        if not c:
-            return TensorElement.zero(self.domains)
-        return TensorElement(
-            self.domains, {k: v * c for k, v in self.coeffs.items()}, _canon=True
-        )
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.domains == other.domains and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.domains, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return f"0[{'x'.join(self.domains)}]"
-        parts = [f"{c!r}*{k!r}" for k, c in self.items()]
-        return f"<{' + '.join(parts)} : {'x'.join(self.domains)}>"
-
-    def leg(self, i: int) -> str:
-        if not 0 <= i < self.arity:
-            raise PositionOutOfRange(f"leg {i} of arity-{self.arity} tensor")
-        return self.domains[i]
-
-    def as_element(self) -> Element:
-        """View an arity-1 tensor as a plain element."""
-        if self.arity != 1:
-            raise PositionOutOfRange("as_element needs arity 1")
-        return Element(
-            self.domains[0], {k[0]: v for k, v in self.coeffs.items()}, _canon=True
-        )
-
-
 # -- constructors and leg operations -------------------------------------
 
 
-def tensor(*factors) -> TensorElement:
-    """Pure tensor of the factors; a TensorElement factor brings all its legs."""
+def _legs(t: Element) -> tuple:
+    """The leg domains of the tensor ``t``; a plain element has no legs."""
+    legs = t.domain
+    if not isinstance(legs, tuple):
+        raise DomainMismatch(f"{legs!r} is not a tensor domain")
+    return legs
+
+
+def tensor(*factors: Element) -> Element:
+    """Pure tensor of the factors; a tensor factor brings all its legs."""
     domains: tuple = ()
     coeffs: dict = {(): ONE}
     for f in factors:
-        if isinstance(f, TensorElement):
-            legs, terms = f.domains, f.coeffs
+        if isinstance(f.domain, tuple):
+            legs, terms = f.domain, f.coeffs
         else:
             legs, terms = (f.domain,), {(k,): c for k, c in f.coeffs.items()}
         domains += legs
         # distinct key tuples and nonzero products: already canonical
         coeffs = {keys + ks: c * cf for keys, c in coeffs.items() for ks, cf in terms.items()}
-    return TensorElement(domains, coeffs, _canon=True)
+    return Element(domains, coeffs, _canon=True)
 
 
-def flip(t: TensorElement, i: int, j: int) -> TensorElement:
+def flip(t: Element, i: int, j: int) -> Element:
     """Exchange legs ``i`` and ``j`` (0-based); involutive."""
-    n = t.arity
+    domains = list(_legs(t))
+    n = len(domains)
     if not (0 <= i < n and 0 <= j < n):
         raise PositionOutOfRange(f"flip({i},{j}) on arity-{n} tensor")
     if i == j:
         return t
-    domains = list(t.domains)
     domains[i], domains[j] = domains[j], domains[i]
     acc: dict = {}
     for keys, c in t.coeffs.items():
         ks = list(keys)
         ks[i], ks[j] = ks[j], ks[i]
         add_into(acc, tuple(ks), c)
-    return TensorElement(tuple(domains), acc, _canon=True)
+    return Element(tuple(domains), acc, _canon=True)
 
 
-def map_leg(
-    t: TensorElement, i: int, fn: Callable, domain: str | tuple | None = None
-) -> TensorElement:
+def map_leg(t: Element, i: int, fn: Callable, domain: str | tuple | None = None) -> Element:
     """Apply the linear map ``fn: key -> Element`` to leg ``i``.
 
-    When ``fn`` returns TensorElements, leg ``i`` is split into their legs
+    When ``fn`` returns tensors, leg ``i`` is split into their legs
     (``domain`` is then their tuple of leg domains).
     """
-    if not 0 <= i < len(t.domains):
-        raise PositionOutOfRange(f"leg {i} of arity-{t.arity} tensor")
+    legs = _legs(t)
+    if not 0 <= i < len(legs):
+        raise PositionOutOfRange(f"leg {i} of arity-{len(legs)} tensor")
     out_domain = domain
     acc: dict = {}
     for keys, c in t.coeffs.items():
@@ -295,33 +210,34 @@ def map_leg(
         if out_domain is None:
             out_domain = img.domain
         pre, post = keys[:i], keys[i + 1 :]
-        if isinstance(img, TensorElement):
+        if isinstance(img.domain, tuple):
             for k2, c2 in img.coeffs.items():
                 add_into(acc, pre + k2 + post, c * c2)
         else:
             for k2, c2 in img.coeffs.items():
                 add_into(acc, pre + (k2,) + post, c * c2)
     if out_domain is None:
-        out_domain = t.domains[i]
+        out_domain = legs[i]
     if not isinstance(out_domain, tuple):
         out_domain = (out_domain,)
-    return TensorElement(t.domains[:i] + out_domain + t.domains[i + 1 :], acc, _canon=True)
+    return Element(legs[:i] + out_domain + legs[i + 1 :], acc, _canon=True)
 
 
-def weight_leg(t: TensorElement, i: int, fn: Callable):
+def weight_leg(t: Element, i: int, fn: Callable):
     """Contract leg ``i`` against the functional ``fn: key -> Scalar``.
 
-    Returns an Element when one leg remains, else a TensorElement; for an
+    Returns a plain Element when one leg remains, else a tensor; for an
     arity-1 input the result is the plain Scalar total.
     """
-    if not 0 <= i < t.arity:
-        raise PositionOutOfRange(f"leg {i} of arity-{t.arity} tensor")
-    if t.arity == 1:
+    legs = _legs(t)
+    if not 0 <= i < len(legs):
+        raise PositionOutOfRange(f"leg {i} of arity-{len(legs)} tensor")
+    if len(legs) == 1:
         total = Scalar(0)
         for keys, c in t.coeffs.items():
             total = total + c * fn(keys[0])
         return total
-    domains = t.domains[:i] + t.domains[i + 1 :]
+    domains = legs[:i] + legs[i + 1 :]
     acc: dict = {}
     for keys, c in t.coeffs.items():
         w = fn(keys[i])
@@ -330,21 +246,21 @@ def weight_leg(t: TensorElement, i: int, fn: Callable):
         add_into(acc, keys[:i] + keys[i + 1 :], c * w)
     if len(domains) == 1:
         return Element(domains[0], {k[0]: v for k, v in acc.items()}, _canon=True)
-    return TensorElement(domains, acc, _canon=True)
+    return Element(domains, acc, _canon=True)
 
 
-def merge_legs(t: TensorElement, i: int, j: int, fn: Callable, domain: str):
+def merge_legs(t: Element, i: int, j: int, fn: Callable, domain: str) -> Element:
     """Replace legs ``i < j`` by ``fn(key_i, key_j) -> Element`` at position ``i``.
 
     Used for multiplying two tensor legs together, e.g. m(S (x) id), and
-    for the bilinear extension of ``fn`` over a 2-tensor.  Returns an
+    for the bilinear extension of ``fn`` over a 2-tensor.  Returns a plain
     Element when the result has one leg.
     """
-    n = len(t.domains)
-    if not 0 <= i < j < n:
-        raise PositionOutOfRange(f"merge_legs({i},{j}) on arity-{n} tensor")
+    legs = _legs(t)
+    if not 0 <= i < j < len(legs):
+        raise PositionOutOfRange(f"merge_legs({i},{j}) on arity-{len(legs)} tensor")
     acc: dict = {}
-    if n == 2:
+    if len(legs) == 2:
         for (ki, kj), c in t.coeffs.items():
             for k2, c2 in fn(ki, kj).coeffs.items():
                 add_into(acc, k2, c * c2)
@@ -354,5 +270,5 @@ def merge_legs(t: TensorElement, i: int, j: int, fn: Callable, domain: str):
         rest = keys[:i] + keys[i + 1 : j] + keys[j + 1 :]
         for k2, c2 in img.coeffs.items():
             add_into(acc, rest[:i] + (k2,) + rest[i:], c * c2)
-    domains = t.domains[:i] + (domain,) + t.domains[i + 1 : j] + t.domains[j + 1 :]
-    return TensorElement(domains, acc, _canon=True)
+    domains = legs[:i] + (domain,) + legs[i + 1 : j] + legs[j + 1 :]
+    return Element(domains, acc, _canon=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebras import Algebra
-from .elements import Element, TensorElement, tensor
+from .elements import Element
 from .errors import UnknownInstance
 from .mha import Functional, RegularMHA
 from .scalars import ONE, Scalar
@@ -181,25 +181,25 @@ def function_algebra(g: GroupSpec) -> RegularMHA:
 
     # t1(d_a, d_b) = d_{a b^-1} (x) d_b   (support: q = b, p*q = a)
     def t1(a, b):
-        return TensorElement.basis(dd, (mul(a, inv(b)), b))
+        return Element.basis(dd, (mul(a, inv(b)), b))
 
     # t2(d_a, d_b) = d_a (x) d_{a^-1 b}
     def t2(a, b):
-        return TensorElement.basis(dd, (a, mul(inv(a), b)))
+        return Element.basis(dd, (a, mul(inv(a), b)))
 
     # t3(d_a, d_b) = d_b (x) d_{b^-1 a}
     def t3(a, b):
-        return TensorElement.basis(dd, (b, mul(inv(b), a)))
+        return Element.basis(dd, (b, mul(inv(b), a)))
 
     # t4(d_a, d_b) = d_{a b^-1} (x) d_b
     def t4(a, b):
-        return TensorElement.basis(dd, (mul(a, inv(b)), b))
+        return Element.basis(dd, (mul(a, inv(b)), b))
 
     def t1_inv(p, q):
-        return TensorElement.basis(dd, (mul(p, q), q))
+        return Element.basis(dd, (mul(p, q), q))
 
     def t2_inv(p, q):
-        return TensorElement.basis(dd, (p, mul(p, q)))
+        return Element.basis(dd, (p, mul(p, q)))
 
     haar = Functional(domain, lambda k: ONE, "haar-sum")
     return RegularMHA(
@@ -246,22 +246,22 @@ def group_algebra(g: GroupSpec) -> RegularMHA:
     dd = (domain, domain)
 
     def t1(p, q):
-        return TensorElement.basis(dd, (p, mul(p, q)))
+        return Element.basis(dd, (p, mul(p, q)))
 
     def t2(p, q):
-        return TensorElement.basis(dd, (mul(p, q), q))
+        return Element.basis(dd, (mul(p, q), q))
 
     def t3(p, q):
-        return TensorElement.basis(dd, (mul(p, q), p))
+        return Element.basis(dd, (mul(p, q), p))
 
     def t4(p, q):
-        return TensorElement.basis(dd, (p, mul(q, p)))
+        return Element.basis(dd, (p, mul(q, p)))
 
     def t1_inv(p, q):
-        return TensorElement.basis(dd, (p, mul(inv(p), q)))
+        return Element.basis(dd, (p, mul(inv(p), q)))
 
     def t2_inv(p, q):
-        return TensorElement.basis(dd, (mul(p, inv(q)), q))
+        return Element.basis(dd, (mul(p, inv(q)), q))
 
     integral = None
     right_integral = None
@@ -516,7 +516,6 @@ def canonical_pair(g: GroupSpec):
             ract_AonB=ract_AonB,
             ract_BonA=ract_BonA,
             name=f"pair({A.name},{B.name})",
-            sampled=not g.is_finite,
             b_action_unit=b_unit_for,
         )
     )

@@ -8,7 +8,8 @@ is read off that form, so results do not depend on the order in which rows
 arrive, and failures are reproducible bit for bit.
 
 The basis maps live here too: :class:`LinearMap` and :class:`BilinearMap`
-extend a map given on basis keys (or key pairs) to elements, and
+extend a map given on basis keys (or key pairs) to elements, tensors
+included (an Element over the tuple of its leg domains), and
 :class:`BasisMemo` is the one memo that keeps their basis images.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
-from .elements import Element, TensorElement, add_into
+from .elements import Element, add_into
 from .errors import DomainMismatch
 from .scalars import ONE, ZERO, Scalar
 
@@ -211,19 +212,17 @@ class LinearMap:
     """Linear extension of a map on basis keys.
 
     ``table`` holds the basis images: a dict, or a function key -> image
-    whose values are kept in a :class:`BasisMemo`.  Images are Elements when
-    ``dst_domain`` is a domain name, TensorElements when it is a tuple of
-    domain names, and Scalars when it is None.  A tuple ``src_domain`` makes
-    the map act on TensorElements over key tuples.
+    whose values are kept in a :class:`BasisMemo`.  Images are Elements over
+    ``dst_domain`` (tensors when it is a tuple of leg domains), or Scalars
+    when it is None.  A tuple ``src_domain`` makes the map act on tensors.
     """
 
-    __slots__ = ("src_domain", "dst_domain", "table", "_out")
+    __slots__ = ("src_domain", "dst_domain", "table")
 
     def __init__(self, src_domain, dst_domain, table):
         self.src_domain = src_domain
         self.dst_domain = dst_domain
         self.table = table if isinstance(table, dict) else BasisMemo(table)
-        self._out = TensorElement if isinstance(dst_domain, tuple) else Element
 
     def __call__(self, x):
         if x.domain != self.src_domain:
@@ -245,7 +244,7 @@ class LinearMap:
         for k, c in x.coeffs.items():
             for k2, c2 in table[k].coeffs.items():
                 add_into(acc, k2, c * c2)
-        return self._out(self.dst_domain, acc, _canon=True)
+        return Element(self.dst_domain, acc, _canon=True)
 
     def inverse_on(self, src_keys: Sequence, dst_keys: Sequence) -> "LinearMap | None":
         """The inverse, or None unless the map is a bijection span(src_keys) -> span(dst_keys)."""
@@ -306,7 +305,7 @@ class BilinearMap(LinearMap):
                 c = c1 * c2
                 for k, v in table[k1, k2].coeffs.items():
                     add_into(acc, k, c * v)
-        return self._out(self.dst_domain, acc, _canon=True)
+        return Element(self.dst_domain, acc, _canon=True)
 
 
 def _on_pairs(fn: Callable) -> Callable:

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .algebras import Algebra, Multiplier
-from .elements import Element, TensorElement, flip, map_leg, merge_legs, tensor, weight_leg
+from .elements import Element, flip, map_leg, merge_legs, tensor, weight_leg
 from .errors import DomainMismatch, LocalUnitsNotFound, NoIdentity
 from .linalg import BilinearMap, LinearMap, linear_solve
 from .reports import Report
@@ -111,10 +111,10 @@ class RegularMHA:
 
     # -- covering maps ------------------------------------------------------
 
-    def _t_pair(self, variant: int, ka, kb) -> TensorElement:
+    def _t_pair(self, variant: int, ka, kb) -> Element:
         return self._covers[variant].table[ka, kb]
 
-    def cover(self, variant: int, a: Element, b: Element) -> TensorElement:
+    def cover(self, variant: int, a: Element, b: Element) -> Element:
         """The covered coproduct t<variant>(a, b) as a concrete 2-tensor."""
         return self._covers[variant](a, b)
 
@@ -130,38 +130,38 @@ class RegularMHA:
     def t4(self, a, b):
         return self.cover(4, a, b)
 
-    def apply_t(self, variant: int, t: TensorElement) -> TensorElement:
+    def apply_t(self, variant: int, t: Element) -> Element:
         """Linear extension of the covering map to tensors in A (x) A."""
         return self._covers[variant].linear(t)
 
-    def t1_inv(self, t: TensorElement) -> TensorElement:
+    def t1_inv(self, t: Element) -> Element:
         if self._t1_inv is not None:
-            return BilinearMap(self.domain, self.domain, t.domains, self._t1_inv).linear(t)
+            return BilinearMap(self.domain, self.domain, t.domain, self._t1_inv).linear(t)
         # t1_inv(a (x) b) = (id (x) S) t4(a, S_inv(b))
         inner = self.apply_t(4, map_leg(t, 1, self.antipode_inv_key))
         return map_leg(inner, 1, self.antipode_key)
 
-    def t2_inv(self, t: TensorElement) -> TensorElement:
+    def t2_inv(self, t: Element) -> Element:
         if self._t2_inv is not None:
-            return BilinearMap(self.domain, self.domain, t.domains, self._t2_inv).linear(t)
+            return BilinearMap(self.domain, self.domain, t.domain, self._t2_inv).linear(t)
         # t2_inv(a (x) b) = (S (x) id) t3(b, S_inv(a))
         inner = self.apply_t(3, flip(map_leg(t, 0, self.antipode_inv_key), 0, 1))
         return map_leg(inner, 0, self.antipode_key)
 
     # -- materialisation (identity present only) ----------------------------
 
-    def delta(self, a: Element) -> TensorElement:
+    def delta(self, a: Element) -> Element:
         """delta(a) as a finite tensor; only valid when A has an identity."""
         if not self.has_identity:
             raise NoIdentity(f"{self.name}: coproduct not materialisable")
         return self.t1(a, self.algebra.one())
 
-    def delta_n(self, a: Element, legs: int) -> TensorElement:
+    def delta_n(self, a: Element, legs: int) -> Element:
         """Iterated coproduct with ``legs`` output legs (identity required)."""
         t = self.delta(a)
         while t.arity < legs:
             t = map_leg(
-                t, t.arity - 1, lambda k: self.delta(Element.basis(self.domain, k)), t.domains[:2]
+                t, t.arity - 1, lambda k: self.delta(Element.basis(self.domain, k)), t.domain[:2]
             )
         return t
 
@@ -174,7 +174,7 @@ class RegularMHA:
         return f"RegularMHA({self.name})"
 
 
-def cover(h: RegularMHA, variant: str, a: Element, b: Element) -> TensorElement:
+def cover(h: RegularMHA, variant: str, a: Element, b: Element) -> Element:
     """Covered coproduct by variant name 'T1'..'T4'."""
     idx = {"T1": 1, "T2": 2, "T3": 3, "T4": 4}[variant.upper()]
     return h.cover(idx, a, b)

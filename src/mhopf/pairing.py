@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 from .actions import ActionSpec, fixed_points, verify_module_algebra
 from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
-from .elements import Element, TensorElement, add_into, flip, map_leg, merge_legs, weight_leg
+from .elements import Element, add_into, flip, map_leg, merge_legs, weight_leg
 from .errors import InfiniteDimensional, Singular
 from .linalg import BilinearMap, LinearMap, span_rank
 from .mha import RegularMHA
@@ -47,7 +47,6 @@ class DualPair:
     ract_AonB: Callable  # (b, a) -> b'  (right action of A on B)
     ract_BonA: Callable  # (a, b) -> a'  (right action of B on A)
     name: str = "pair"
-    sampled: bool = False
     # unitality helper: e in B with e |> a = a for the listed elements
     b_action_unit: Callable | None = None
     a_action_unit: Callable | None = None
@@ -239,35 +238,28 @@ def _covered_act_AonB(p: DualPair, a: Element, b: Element) -> Element:
     r = p.act_AonB(a, b)
     e = p.b_unit_for([r]) if not p.B.has_identity else p.B.algebra.one()
     t = p.B.t2(e, b)  # e b_(1) (x) b_(2)
-    out = weight_leg(t, 1, lambda k: p.pair(a, Element.basis(p.B.domain, k)))
-    return out if isinstance(out, Element) else out.as_element()
+    return weight_leg(t, 1, lambda k: p.pair(a, Element.basis(p.B.domain, k)))
 
 
 def _covered_act_BonA(p: DualPair, b: Element, a: Element) -> Element:
     r = p.act_BonA(b, a)
     e = _left_mult_unit(p.A, [r])
     t = p.A.t2(e, a)
-    return _as_element(
-        weight_leg(t, 1, lambda k: p.pair(Element.basis(p.A.domain, k), b))
-    )
+    return weight_leg(t, 1, lambda k: p.pair(Element.basis(p.A.domain, k), b))
 
 
 def _covered_ract_AonB(p: DualPair, b: Element, a: Element) -> Element:
     r = p.ract_AonB(b, a)
     e = _left_mult_unit(p.B, [r], side="right")
     t = p.B.t1(b, e)  # b_(1) (x) b_(2) e
-    return _as_element(
-        weight_leg(t, 0, lambda k: p.pair(a, Element.basis(p.B.domain, k)))
-    )
+    return weight_leg(t, 0, lambda k: p.pair(a, Element.basis(p.B.domain, k)))
 
 
 def _covered_ract_BonA(p: DualPair, a: Element, b: Element) -> Element:
     r = p.ract_BonA(a, b)
     e = _left_mult_unit(p.A, [r], side="right")
     t = p.A.t1(a, e)
-    return _as_element(
-        weight_leg(t, 0, lambda k: p.pair(Element.basis(p.A.domain, k), b))
-    )
+    return weight_leg(t, 0, lambda k: p.pair(Element.basis(p.A.domain, k), b))
 
 
 def _left_mult_unit(h: RegularMHA, items, side: str = "left") -> Element:
@@ -279,10 +271,6 @@ def _left_mult_unit(h: RegularMHA, items, side: str = "left") -> Element:
     if not nonzero:
         return Element.zero(h.domain)
     return find_local_units(h, nonzero, side)
-
-
-def _as_element(x):
-    return x if isinstance(x, Element) else x.as_element()
 
 
 def pairing_action(p: DualPair, which: str) -> ActionSpec:
@@ -463,7 +451,7 @@ def _delta_a(p: DualPair, a: Element):
     return A.t1(a, _left_mult_unit(A, [a], side="right"))
 
 
-def _heisenberg_map(p: DualPair, ka, kb, inverse: bool) -> TensorElement:
+def _heisenberg_map(p: DualPair, ka, kb, inverse: bool) -> Element:
     """a (x) b -> sum <(S^-1?) a_(1), b_(2)> a_(2) (x) b_(1) on basis keys.
 
     The pairing contraction is (S^-1? a_(1)) |> b, so the expression
@@ -599,7 +587,7 @@ def rank_one_realization(p: DualPair) -> Report:
                 p.act_BonA(Element.basis(p.B.domain, kb), x),
             )
 
-        ops.append(operator_element(A.algebra, op, f"end({A.domain})"))
+        ops.append(operator_element(A.domain, A.algebra.basis, op, f"end({A.domain})"))
     rep.add(
         "representation-rank",
         span_rank(ops) == A.algebra.dim ** 2,

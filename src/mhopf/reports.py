@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable
 
 
 def _jsonable(value):
-    from .elements import Element, TensorElement
+    from .elements import Element
 
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
@@ -37,13 +37,6 @@ def _jsonable(value):
         from .serialize import element_to_json
 
         return element_to_json(value)
-    if isinstance(value, TensorElement):
-        return {
-            "domains": list(value.domains),
-            "terms": [
-                [_jsonable(list(k))] + list(c.to_tuple()) for k, c in value.items()
-            ],
-        }
     return repr(value)
 
 

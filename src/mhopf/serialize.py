@@ -2,7 +2,8 @@
 
 Element serialisation is the library's wire format: a sorted list of
 (key, re_num, re_den, im_num, im_den) tuples.  Keys serialise as JSON
-scalars or (nested) lists standing for tuples.
+scalars or (nested) lists standing for tuples.  A tensor lists its leg
+``domains`` where a plain element names its ``domain``.
 
 Instance descriptions either name a builtin rule ({"rule":
 "function_algebra", "group": "Z2"}) or spell out finite tables, which is
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .algebras import Algebra
-from .elements import Element, TensorElement
+from .elements import Element
 from .linalg import BilinearMap
 from .errors import MalformedSpec, UnknownInstance
 from .mha import RegularMHA
@@ -34,15 +35,15 @@ def key_from_json(obj):
 
 
 def element_to_json(e: Element) -> dict:
-    return {
-        "domain": e.domain,
-        "terms": [[key_to_json(k), *c.to_tuple()] for k, c in e.items()],
-    }
+    terms = [[key_to_json(k), *c.to_tuple()] for k, c in e.items()]
+    if isinstance(e.domain, tuple):
+        return {"domains": list(e.domain), "terms": terms}
+    return {"domain": e.domain, "terms": terms}
 
 
 def element_from_json(obj) -> Element:
     try:
-        domain = obj["domain"]
+        domain = tuple(obj["domains"]) if "domains" in obj else obj["domain"]
         terms = []
         for t in obj["terms"]:
             key = key_from_json(t[0])
@@ -50,24 +51,6 @@ def element_from_json(obj) -> Element:
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise MalformedSpec(f"bad element: {ex}", field="terms") from None
     return Element.from_terms(domain, terms)
-
-
-def tensor_to_json(t: TensorElement) -> dict:
-    return {
-        "domains": list(t.domains),
-        "terms": [
-            [[key_to_json(k) for k in keys], *c.to_tuple()] for keys, c in t.items()
-        ],
-    }
-
-
-def tensor_from_json(obj) -> TensorElement:
-    domains = tuple(obj["domains"])
-    acc = {}
-    for t in obj["terms"]:
-        keys = tuple(key_from_json(k) for k in t[0])
-        acc[keys] = Scalar.from_tuple(t[1:5])
-    return TensorElement(domains, acc)
 
 
 # -- instances -------------------------------------------------------------------
@@ -149,7 +132,7 @@ def instance_to_json(h: RegularMHA) -> dict:
             for k2 in alg.basis
         ],
         "coproduct": [
-            [key_to_json(k), tensor_to_json(h.delta(alg.basis_element(k)))]
+            [key_to_json(k), element_to_json(h.delta(alg.basis_element(k)))]
             for k in alg.basis
         ],
         "counit": [
@@ -186,7 +169,7 @@ def instance_from_json(obj) -> RegularMHA:
             (key_from_json(k1), key_from_json(k2)): element_from_json(e)
             for k1, k2, e in obj["product"]
         }
-        coproduct = {key_from_json(k): tensor_from_json(t) for k, t in obj["coproduct"]}
+        coproduct = {key_from_json(k): element_from_json(t) for k, t in obj["coproduct"]}
         counit = {
             key_from_json(k): Scalar.from_tuple(t[:4]) for k, t in obj["counit"]
         }

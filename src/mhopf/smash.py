@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Callable
 
-from .actions import ActionSpec, ModuleSpec, covered_legs, extend_action_to_multipliers
+from .actions import (
+    ActionSpec,
+    ModuleSpec,
+    covered_legs,
+    extend_action_to_multipliers,
+    extend_module_to_MA,
+)
 from .algebras import (
     Algebra,
     Certificate,
@@ -30,9 +36,10 @@ from .algebras import (
     certify_algebra_map,
     certify_associative,
     multiplier_product,
+    operator_element,
     radicals,
 )
-from .elements import Element, TensorElement, map_leg, merge_legs
+from .elements import Element, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
     CocycleInvalid,
@@ -64,12 +71,12 @@ class SmashProduct:
         """x # a as an element of the smash algebra."""
         return _tensor(self.algebra.domain, x, a)
 
-    def legs(self, u: Element) -> TensorElement:
+    def legs(self, u: Element) -> Element:
         """sum x#a as the tensor sum x (x) a, for maps on one leg."""
         legs = (self.action.ralg.domain, self.action.mha.domain)
-        return TensorElement(legs, u.coeffs, _canon=True)
+        return Element(legs, u.coeffs, _canon=True)
 
-    def join(self, t: TensorElement) -> Element:
+    def join(self, t: Element) -> Element:
         """sum x (x) a as the smash element sum x#a."""
         return Element(self.algebra.domain, t.coeffs, _canon=True)
 
@@ -198,12 +205,6 @@ def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
 
     rep.check("twist-map-product", pairs, twist_product, status)
     return rep
-
-
-def recertify(s: SmashProduct, verify: str = "full", seed: int = 0) -> Report:
-    """Force recomputation of the construction certificates."""
-    s.certificates = _certify(s, verify, seed)
-    return s.certificates
 
 
 # -- the W bijection of R (x) A onto R#A --------------------------------------
@@ -526,45 +527,23 @@ def module_to_covariant(m: PlainModule, s: SmashProduct) -> CovariantModule:
     if m.witness is None:
         raise UnverifiedAction("module needs unitality witnesses")
 
-    def a_act(a: Element, v: Element) -> Element:
-        out = Element.zero(m.space_domain)
-        pa = pi_A(s, a)
-        for u, z in m.witness(v):
-            out = out + m.act(pa.left(u), z)
-        return out
-
-    def r_act(x: Element, v: Element) -> Element:
-        out = Element.zero(m.space_domain)
-        px = pi_R(s, x)
-        for u, z in m.witness(v):
-            out = out + m.act(px.left(u), z)
-        return out
-
     return CovariantModule(
         action=s.action,
         space_domain=m.space_domain,
         space_basis=m.space_basis,
-        a_act=a_act,
-        r_act=r_act,
+        a_act=lambda a, v: extend_module_to_MA(m, pi_A(s, a), v),
+        r_act=lambda x, v: extend_module_to_MA(m, pi_R(s, x), v),
         name=f"covariant({m.name})",
     )
 
 
 def module_representation_rank(m: PlainModule) -> int:
     """Rank of the representation algebra -> End(V); faithful iff = dim."""
-    from .algebras import operator_element
-
-    ops = []
-    vspace = Algebra(
-        m.space_domain,
-        lambda a, b: Element.zero(m.space_domain),
-        basis=m.space_basis,
-    )
-    for k in m.algebra.basis:
-        e = m.algebra.basis_element(k)
-        ops.append(
-            operator_element(vspace, lambda v: m.act(e, v), f"op({m.space_domain})")
-        )
+    V = m.space_domain
+    ops = [
+        operator_element(V, m.space_basis, lambda v, e=e: m.act(e, v), f"op({V})")
+        for e in m.algebra.basis_elements()
+    ]
     return span_rank(ops)
 
 
@@ -594,7 +573,7 @@ def inner_trivialization(s: SmashProduct, gamma: Callable) -> tuple:
 
     def trivialize(u: Element, twisted: Callable, domain: str) -> Element:
         # x # a -> sum x gamma(twisted(a_(1))) (x) a_(2)
-        def image(kx, ka) -> TensorElement:
+        def image(kx, ka) -> Element:
             x = Element.basis(R.domain, kx)
             d = h.delta(Element.basis(h.domain, ka))
             return map_leg(d, 0, lambda p: gamma_el(twisted(p)).right(x), R.domain)
@@ -627,13 +606,13 @@ def cocycle_isomorphism(cocycle, act1: ActionSpec, act2: ActionSpec) -> tuple:
     def gamma_el(a: Element) -> Multiplier:
         return cocycle.apply(h, R, a)
 
-    def phi_basis(kx, ka) -> TensorElement:
+    def phi_basis(kx, ka) -> Element:
         # phi(x #2 a) = sum x gamma(a_(1)) #1 a_(2)
         x = Element.basis(R.domain, kx)
         d = h.delta(Element.basis(h.domain, ka))
         return map_leg(d, 0, lambda p: gamma_el(Element.basis(h.domain, p)).right(x), R.domain)
 
-    def psi_basis(kx, ka) -> TensorElement:
+    def psi_basis(kx, ka) -> Element:
         # psi(x #1 a) = sum x (a_(1) |>1 gamma(S(a_(2)))) #2 a_(3)
         x = Element.basis(R.domain, kx)
         d3 = h.delta_n(Element.basis(h.domain, ka), 3)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .elements import Element, TensorElement, map_leg
+from .elements import Element, map_leg
 from .errors import UncoveredLeg
 from .mha import RegularMHA
 
@@ -128,7 +128,7 @@ def sweedler_eval(h: RegularMHA, expr: SweedlerExpr, strategy: str = "lr"):
     def split_left(pos: int) -> Callable:
         il, ir = covers[pos]
 
-        def split(k) -> TensorElement:
+        def split(k) -> Element:
             w = Element.basis(D, k)
             if il is None:
                 return h.t3(w, ir)  # (w_(1) * ir) (x) w_(2)
@@ -140,7 +140,7 @@ def sweedler_eval(h: RegularMHA, expr: SweedlerExpr, strategy: str = "lr"):
     def split_right(pos: int) -> Callable:
         il, ir = covers[pos]
 
-        def split(k) -> TensorElement:
+        def split(k) -> Element:
             w = Element.basis(D, k)
             if ir is None:
                 return h.t4(w, il)  # w_(1) (x) (il * w_(2))
@@ -149,7 +149,7 @@ def sweedler_eval(h: RegularMHA, expr: SweedlerExpr, strategy: str = "lr"):
 
         return split
 
-    tower = TensorElement((D,), {(k,): c for k, c in expr.source.coeffs.items()}, _canon=True)
+    tower = Element((D,), {(k,): c for k, c in expr.source.coeffs.items()}, _canon=True)
     mid = 0
     remaining = list(range(len(delta_positions)))
     while len(remaining) > 1:
@@ -190,11 +190,11 @@ def sweedler_eval(h: RegularMHA, expr: SweedlerExpr, strategy: str = "lr"):
     return out
 
 
-def _insert_leg(t: TensorElement, i: int, value: Element) -> TensorElement:
+def _insert_leg(t: Element, i: int, value: Element) -> Element:
     """``t`` with the constant ``value`` as a new leg at position ``i``."""
     coeffs = {
         keys[:i] + (k,) + keys[i:]: c * cv
         for keys, c in t.coeffs.items()
         for k, cv in value.coeffs.items()
     }
-    return TensorElement(t.domains[:i] + (value.domain,) + t.domains[i:], coeffs, _canon=True)
+    return Element(t.domain[:i] + (value.domain,) + t.domain[i:], coeffs, _canon=True)

@@ -17,7 +17,7 @@ from mhopf.algebras import (
 )
 from mhopf.aqg import make_aqg
 from mhopf.duality import dual_action, duality_isomorphism
-from mhopf.elements import Element, TensorElement, add_into
+from mhopf.elements import Element, add_into
 from mhopf.instances import cyclic_group, group_algebra, translation_action
 from mhopf.linalg import LinearMap
 from mhopf.mha import RegularMHA, coproduct_certificate
@@ -272,7 +272,7 @@ def test_structural_smash_certificate_needs_a_certified_coproduct(z2):
 
     def t1(ka, kb):
         if (ka, kb) == (g, g):
-            return TensorElement.basis((D, D), (unit, unit))
+            return Element.basis((D, D), (unit, unit))
         return h.t1(Element.basis(D, ka), Element.basis(D, kb))
 
     def cover(variant):
@@ -304,7 +304,7 @@ def _with_coproduct(h, delta: dict) -> RegularMHA:
             for (u, v), c in delta[ka].items():
                 for w, cw in alg.mul_basis((u, v)[leg], kb).coeffs.items():
                     add_into(acc, (u, w) if leg else (w, v), c * cw)
-            return TensorElement((D, D), acc)
+            return Element((D, D), acc)
 
         return t
 

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from mhopf.elements import (
     Element,
-    TensorElement,
     flip,
     map_leg,
     merge_legs,
@@ -56,7 +55,7 @@ tensors = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
     coeffs,
     max_size=6,
-).map(lambda d: TensorElement(("D", "D", "D"), d))
+).map(lambda d: Element(("D", "D", "D"), d))
 
 
 @given(tensors, st.integers(0, 2), st.integers(0, 2))
@@ -86,3 +85,19 @@ def test_leg_operations():
 def test_weight_leg_scalar_total():
     t = tensor(Element.basis("D", 2).scale(sc(3)))
     assert weight_leg(t, 0, lambda k: ONE) == sc(3)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda e: map_leg(e, 0, lambda k: Element.basis("C", k)),
+        lambda e: flip(e, 0, 0),
+        lambda e: weight_leg(e, 0, lambda k: ONE),
+        lambda e: merge_legs(e, 0, 1, lambda k1, k2: Element.basis("C", k1), "C"),
+    ],
+    ids=["map_leg", "flip", "weight_leg", "merge_legs"],
+)
+def test_leg_operations_reject_a_plain_element(op):
+    # "C", the domain of the scalar algebra, has one character but no legs
+    with pytest.raises(DomainMismatch):
+        op(Element.basis("C", 0))

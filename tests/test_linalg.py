@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhopf.algebras import Algebra, radicals, verify_algebra
-from mhopf.elements import Element, TensorElement, tensor
+from mhopf.elements import Element, tensor
 from mhopf.errors import DomainMismatch
 from mhopf.linalg import (
     BasisMemo,
@@ -243,12 +243,12 @@ def sparse(domain):
     )
 
 
-# one image of each kind per basis key: an Element, a Scalar, a TensorElement
+# one image of each kind per basis key: an Element, a Scalar, a tensor
 images = st.tuples(
     sparse("Y"),
     gaussian,
     st.dictionaries(st.tuples(st.sampled_from(KEYS), st.sampled_from(KEYS)), gaussian, max_size=2).map(
-        lambda d: TensorElement(("Y", "Z"), d)
+        lambda d: Element(("Y", "Z"), d)
     ),
 )
 DSTS = ("Y", None, ("Y", "Z"))
@@ -261,7 +261,7 @@ def reference_sum(terms, dst):
         for c, img in terms:
             total = total + c * img
         return total
-    total = TensorElement.zero(dst) if isinstance(dst, tuple) else Element.zero(dst)
+    total = Element.zero(dst)
     for c, img in terms:
         total = total + img.scale(c)
     return total
@@ -344,5 +344,5 @@ def test_wrong_domain_raises_domain_mismatch():
     with pytest.raises(DomainMismatch):
         g(Element.basis("X", 0), Element.basis("X", 0))
     with pytest.raises(DomainMismatch):
-        g.linear(TensorElement.basis(("W", "X"), (0, 0)))
+        g.linear(Element.basis(("W", "X"), (0, 0)))
     assert not f.table and not g.table  # nothing was computed

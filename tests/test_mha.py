@@ -2,7 +2,7 @@ import pytest
 
 from mhopf.algebras import Algebra, Multiplier, multiplier_product
 from mhopf.aqg import from_hopf_data
-from mhopf.elements import Element, TensorElement, flip, tensor
+from mhopf.elements import Element, flip, tensor
 from mhopf.errors import LocalUnitsNotFound
 from mhopf.instances import cyclic_group, function_algebra, group_algebra
 from mhopf.mha import cover, coopposite, find_local_units, verify_mha_axioms
@@ -25,7 +25,7 @@ class TestCoveringMaps:
         # T1(lam_p, x) = lam_p (x) lam_p x for any x
         x = b(cs3.domain, (1, 0, 2)) + b(cs3.domain, (1, 2, 0)).scale(sc(2))
         lp = b(cs3.domain, (2, 0, 1))
-        expected = TensorElement(
+        expected = Element(
             (cs3.domain, cs3.domain),
             {
                 ((2, 0, 1), k): c
@@ -70,7 +70,7 @@ class TestAxiomSuite:
                 basis=[0, 1],
                 identity=Element.basis("broken", 0),
             ),
-            lambda k: TensorElement.basis(("broken", "broken"), (k, k)),
+            lambda k: Element.basis(("broken", "broken"), (k, k)),
             lambda k: sc(1),
             lambda k: Element.zero("broken"),  # S := 0
             antipode_inv_basis=lambda k: Element.zero("broken"),

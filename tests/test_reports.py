@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 from itertools import chain, count, product
 
-from mhopf.reports import Report, first_failure
+from mhopf.elements import Element, tensor
+from mhopf.reports import CheckResult, Report, first_failure
+from mhopf.scalars import sc
 
 
 def checked(cases, holds, status_ok="pass"):
@@ -59,3 +62,19 @@ def test_provenance_is_printed_only_with_timing():
 
 def test_no_cases_pass_vacuously():
     assert first_failure(iter(()), lambda *case: False) == (None, 0)
+
+
+def witness_json(witness):
+    return json.loads(CheckResult("t", "law", "fail", witness=witness).to_json())["witness"]
+
+
+def test_witness_wire_formats():
+    # a plain element, a 2-leg tensor and a key tuple, each in its own form
+    x = Element.basis("D", (0, 1), sc(Fraction(1, 2), -1))
+    assert witness_json(x) == {"domain": "D", "terms": [[[0, 1], 1, 2, -1, 1]]}
+    t = tensor(x, Element.basis("E", 3))
+    assert witness_json(t) == {
+        "domains": ["D", "E"],
+        "terms": [[[[0, 1], 3], 1, 2, -1, 1]],
+    }
+    assert witness_json(((0, 1), 2)) == [[0, 1], 2]
