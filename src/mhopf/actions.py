@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .algebras import Algebra, Multiplier, multiplier_product, multiplier_space
+from .algebras import (
+    Algebra,
+    Multiplier,
+    certify_module_law,
+    multiplier_product,
+    multiplier_space,
+)
 from .elements import Element, add_into, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
@@ -30,7 +36,7 @@ from .errors import (
     NotUnitalHomomorphism,
 )
 from .linalg import BilinearMap, linear_solve, nullspace
-from .mha import RegularMHA
+from .mha import RegularMHA, coproduct_certificate
 from .reports import Report
 
 if TYPE_CHECKING:
@@ -87,7 +93,8 @@ class ActionSpec(ModuleSpec):
     ralg: Algebra = None
     rule: str = "explicit"
     verified: bool = False
-    exhaustive: bool = False  # verified on every basis triple, not a sample
+    exhaustive: bool = False  # proved on every basis triple, not a sample
+    certified_by: str = ""  # each exhaustive law's mode and cases
 
     @classmethod
     def build(cls, mha, ralg, act, witness=None, rule="explicit", name=None):
@@ -149,10 +156,20 @@ def _basis(h: RegularMHA, k) -> Element:
 
 
 def verify_module_algebra(
-    s: ActionSpec, sample=None, sample_range: int = 4
+    s: ActionSpec, sample=None, sample_range: int = 4, mode: str = "generators"
 ) -> Report:
     """Module associativity, unitality, non-degeneracy, the module-algebra
-    law and both covered reformulations."""
+    law and both covered reformulations.
+
+    On finite instances the three laws go through the certificate kernel
+    (:func:`algebras.certify_module_law`).  ``generators`` mode runs them
+    with x (the law and the left form) or y (the right form) over Gen(R)
+    when R is associative, A passes ``mha.coproduct_certificate`` and the
+    module checks above passed; the covered forms also need the law.  Then
+    the x for which the law holds form a subalgebra (a (g x' y) =
+    sum (a_(1) g)(a_(2) x')(a_(3) y)), those for the left form a left ideal
+    and the y for the right form a right ideal.
+    """
     h = s.mha
     alg = s.ralg
     exhaustive = s.is_finite() and h.algebra.is_finite and sample is None
@@ -178,6 +195,15 @@ def verify_module_algebra(
         == X[kx],
         status,
     )
+    premises = None
+    if exhaustive and rep.ok:
+        coproduct = coproduct_certificate(h)
+        if coproduct is not None:
+            n, m = len(akeys), len(rkeys)
+            premises = [
+                coproduct,
+                f"{s.name}: module-associativity {n * n * m} triples, unitality-witnesses {m} keys",
+            ]
 
     if s.is_finite() and h.algebra.is_finite:
         # non-degeneracy: act(a_i, x) = 0 for all i forces x = 0
@@ -190,34 +216,62 @@ def verify_module_algebra(
     else:
         rep.skip("nondegenerate", "infinite-dimensional")
 
-    act = s.act.table
+    act = s.act
     B, R = (lambda k: Element.basis(h.domain, k)), (lambda k: Element.basis(s.space_domain, k))
 
-    def grounded(form, ka, kv, fn) -> Element:
-        return merge_legs(covered_legs(s, A[ka], X[kv], form), 0, 1, fn, s.space_domain)
+    def covered(form) -> BilinearMap:
+        # the covered tensor depends on (a, v) only; extended linearly in v
+        legs = (h.domain, s.space_domain) if form == "S" else (s.space_domain, h.domain)
+        return BilinearMap(
+            h.domain, s.space_domain, legs, lambda ka, kv: covered_legs(s, B(ka), R(kv), form)
+        )
 
+    cover_id, cover_s, cover_sinv = (covered(form) for form in ("id", "S", "Sinv"))
+
+    def grounded(cover, ka, v, fn) -> Element:
+        return merge_legs(cover(A[ka], v), 0, 1, fn, s.space_domain)
+
+    def law(ka, x, y) -> bool:  # a (x y) = sum (a_(1) x)(a_(2) y)
+        return act(A[ka], alg.mul(x, y)) == grounded(
+            cover_id, ka, x, lambda kr, kb: alg.mul(R(kr), act(B(kb), y))
+        )
+
+    def left_form(ka, x, y) -> bool:  # (a x) y = sum a_(1) (x (S(a_(2)) y))
+        return alg.mul(act(A[ka], x), y) == grounded(
+            cover_s, ka, y, lambda kb, kr: act(B(kb), alg.mul(x, R(kr)))
+        )
+
+    def right_form(ka, x, y) -> bool:  # x (a y) = sum a_(2) ((S^-1(a_(1)) x) y)
+        return alg.mul(x, act(A[ka], y)) == grounded(
+            cover_sinv, ka, x, lambda kr, kb: act(B(kb), alg.mul(R(kr), y))
+        )
+
+    # the argument that generators mode runs over Gen(R): x, x, y
     laws = (
-        (  # a (x y) = sum (a_(1) x)(a_(2) y)
-            "module-algebra-law",
-            lambda ka, kx, ky: s.act(A[ka], alg.mul(X[kx], X[ky]))
-            == grounded("id", ka, kx, lambda kr, kb: alg.mul(R(kr), act[kb, ky])),
-        ),
-        (  # (a x) y = sum a_(1) (x (S(a_(2)) y))
-            "covered-left-form",
-            lambda ka, kx, ky: alg.mul(s.act(A[ka], X[kx]), X[ky])
-            == grounded("S", ka, ky, lambda kb, kr: s.act(B(kb), alg.mul(X[kx], R(kr)))),
-        ),
-        (  # x (a y) = sum a_(2) ((S^-1(a_(1)) x) y)
-            "covered-right-form",
-            lambda ka, kx, ky: alg.mul(X[kx], s.act(A[ka], X[ky]))
-            == grounded("Sinv", ka, kx, lambda kr, kb: s.act(B(kb), alg.mul(R(kr), X[ky]))),
-        ),
+        ("module-algebra-law", law, 1),
+        ("covered-left-form", left_form, 1),
+        ("covered-right-form", right_form, 2),
     )
-    for label, law in laws:
-        rep.check(label, product(akeys, rkeys, rkeys), law, status)
+    how = []
+    for label, holds, on in laws:
+        if not exhaustive:
+            rep.check(
+                label,
+                product(akeys, rkeys, rkeys),
+                lambda ka, kx, ky: holds(ka, X[kx], X[ky]),
+                status,
+            )
+            continue
+        cert = certify_module_law(holds, akeys, alg, on, premises, mode)
+        rep.add_certificate(label, cert)
+        how.append(f"{label} {cert.mode} {cert.cases}")
+        if label == "module-algebra-law" and premises is not None:
+            # the covered forms' steps rest on the law for every triple
+            premises = [*premises, f"{s.name}: {how[0]}"] if cert.ok else None
 
     s.verified = rep.ok
     s.exhaustive = rep.ok and exhaustive
+    s.certified_by = ", ".join(how)
     return rep
 
 

@@ -10,8 +10,9 @@ element of the multiplier algebra M(A): maps ``x -> m*x`` and ``x -> x*m``
 subject to the compatibility relation ``(x*m)*y = x*(m*y)``.
 
 The certificate kernel at the end (:func:`algebra_generators`,
-:func:`certify_associative`, :func:`certify_algebra_map`) is the one place
-where associativity and "phi is an algebra map" are checked exhaustively.
+:func:`certify_associative`, :func:`certify_algebra_map`,
+:func:`certify_module_law`) is the one place where associativity, "phi is an
+algebra map" and the module-algebra laws are checked exhaustively.
 """
 
 from __future__ import annotations
@@ -291,6 +292,9 @@ def operator_element(src: str, keys: Iterable, op: Callable, domain: str) -> Ele
 # subspace that contains Gen and is closed under products -- for
 # associativity unconditionally, for an algebra map when its source and
 # target are associative -- so it holds for every monomial, hence everywhere.
+# A module-algebra law runs one argument over Gen the same way; its premises
+# (see ``actions.verify_module_algebra``) make that argument's set a
+# subalgebra or a one-sided ideal, which again holds every monomial.
 
 
 @dataclass
@@ -438,6 +442,55 @@ def associativity_certificates(alg: Algebra, max_triples: int) -> list | None:
     for f in factors:
         out.extend(associativity_certificates(f, max_triples))
     return out
+
+
+def certify_module_law(
+    law: Callable,
+    akeys: Sequence,
+    alg: Algebra,
+    on: int,
+    premises: Sequence[str] | None,
+    mode: str = "generators",
+) -> Certificate:
+    """law(ka, x, y) for every acting basis key ka and all x, y in ``alg``.
+
+    ``law`` is linear in x and in y.  ``generators`` mode checks it with the
+    argument ``on`` (1 for x, 2 for y) over Gen and the other over the basis
+    of ``alg``.  ``premises`` are the caller's certificate lines under which
+    the arguments for which the law holds (the other one running over the
+    basis) contain g m whenever they contain a generator g and a monomial m.
+    The mode runs only when they are given, Gen spans ``alg`` with fewer
+    elements than its dimension and ``alg`` has an exhaustive associativity
+    certificate; otherwise the kernel runs ``pairs``.  A missing certificate
+    is made directly only for an algebra with no more basis triples than the
+    law has cases.  Any failure is re-found in ``pairs`` mode, so the witness
+    is the first failing (ka, kx, ky) either way.
+    """
+    keys, basis = alg.basis, alg.basis_elements()
+    n = len(keys)
+    total = len(akeys) * n * n
+    gens = _spanning_generators(alg) if mode == "generators" and premises is not None else None
+    relies = None
+    if gens is not None and len(gens) < n:
+        certs = associativity_certificates(alg, total)
+        if certs is not None:
+            relies = (*certs, *premises)
+    if relies is None:
+        cases = f"{total} triples"
+    else:
+        xs, ys = (gens, basis) if on == 1 else (basis, gens)
+        cases = f"{len(akeys)}x{len(xs)}x{len(ys)} of {total} triples"
+        if all(law(ka, x, y) for ka in akeys for x in xs for y in ys):
+            return Certificate(True, None, "generators", cases, relies)
+    # the law is linear in x and y, so a failure on Gen implies one on basis
+    # elements; the first one is the witness
+    element = dict(zip(keys, basis))
+    witness, _ = first_failure(
+        product(akeys, keys, keys), lambda ka, kx, ky: law(ka, element[kx], element[ky])
+    )
+    return Certificate(
+        witness is None, witness, "pairs" if relies is None else "generators", cases, relies or ()
+    )
 
 
 def certify_algebra_map(

@@ -283,15 +283,20 @@ def verify_mha_axioms(
 
 
 def coproduct_certificate(h: RegularMHA) -> str | None:
-    """Why smash products acted on by ``h`` are associative, or None.
+    """Why smash products and covered forms over ``h`` can be trusted, or None.
 
     With delta(a) = t1(a, 1), checks on every basis element and pair that
-    t1(a, b) = delta(a)(1 (x) b) and t3(a, b) = delta(a)(b (x) 1), that delta
-    is coassociative, and that delta(ab) = delta(a) delta(b).  The smash
-    product R#A is built from t1 and the module-algebra law is checked
-    through t3, so these, with associative R and A and a module-algebra
-    action, make R#A associative.  None for an infinite or non-unital
-    instance, or when a check fails.
+
+        t1(a, b) = delta(a)(1 (x) b)        t3(a, b) = delta(a)(b (x) 1)
+        t2(a, b) = (a (x) 1)delta(b)        t4(a, b) = (1 (x) b)delta(a),
+
+    that delta is coassociative and multiplicative, and that S and S^-1 are
+    mutually inverse anti-homomorphisms.  The smash product R#A is built from
+    t1 and the module-algebra law is checked through t3, so these, with
+    associative R and A and a module-algebra action, make R#A associative;
+    the ``Sinv`` and ``S`` groundings of ``actions.covered_legs`` go through
+    t2, t4 and the antipodes.  None for an infinite or non-unital instance,
+    or when a check fails.
     """
     alg = h.algebra
     if not alg.is_finite or alg.identity is None:
@@ -303,25 +308,43 @@ def coproduct_certificate(h: RegularMHA) -> str | None:
     )
     image = delta.table
 
-    for ka, kb in product(keys, keys):
+    def covers_from_delta(ka, kb) -> bool:
         a, b = alg.basis_element(ka), alg.basis_element(kb)
-        # delta(a)(1 (x) b) and delta(a)(b (x) 1)
-        if h.t1(a, b).coeffs != map_leg(image[ka], 1, lambda v: mul(v, kb)).coeffs:
-            return None
-        if h.t3(a, b).coeffs != map_leg(image[ka], 0, lambda u: mul(u, kb)).coeffs:
-            return None
+        return (
+            # delta(a)(1 (x) b), delta(a)(b (x) 1), (a (x) 1)delta(b), (1 (x) b)delta(a)
+            h.t1(a, b).coeffs == map_leg(image[ka], 1, lambda v: mul(v, kb)).coeffs
+            and h.t3(a, b).coeffs == map_leg(image[ka], 0, lambda u: mul(u, kb)).coeffs
+            and h.t2(a, b).coeffs == map_leg(image[kb], 0, lambda u: mul(ka, u)).coeffs
+            and h.t4(a, b).coeffs == map_leg(image[ka], 1, lambda v: mul(kb, v)).coeffs
+        )
 
-    for ka in keys:
-        if map_leg(image[ka], 0, image.get).coeffs != map_leg(image[ka], 1, image.get).coeffs:
-            return None
+    def coassociative(ka) -> bool:
+        return map_leg(image[ka], 0, image.get).coeffs == map_leg(image[ka], 1, image.get).coeffs
 
-    for ka, kb in product(keys, keys):
+    def multiplicative(ka, kb) -> bool:
         # delta(a) delta(b) in A (x) A: multiply legs 0, 2 and then 1, 2 of delta(a) (x) delta(b)
         rhs = merge_legs(tensor(image[ka], image[kb]), 0, 2, mul, h.domain)
-        if delta(mul(ka, kb)).coeffs != merge_legs(rhs, 1, 2, mul, h.domain).coeffs:
-            return None
+        return delta(mul(ka, kb)).coeffs == merge_legs(rhs, 1, 2, mul, h.domain).coeffs
+
+    def antipodes(ka, kb) -> bool:
+        ab = mul(ka, kb)
+        return h.antipode(ab) == alg.mul(h.antipode_key(kb), h.antipode_key(ka)) and (
+            h.antipode_inv(ab) == alg.mul(h.antipode_inv_key(kb), h.antipode_inv_key(ka))
+        )
+
+    def inverse(ka) -> bool:
+        a = alg.basis_element(ka)
+        return h.antipode(h.antipode_inv_key(ka)) == a == h.antipode_inv(h.antipode_key(ka))
+
+    checks = ((covers_from_delta, 2), (coassociative, 1), (multiplicative, 2), (antipodes, 2),
+              (inverse, 1))
+    if not all(holds(*case) for holds, arity in checks for case in product(keys, repeat=arity)):
+        return None
     n = len(keys)
-    return f"{h.name}: t1, t3 from one coassociative multiplicative coproduct, {n * n} pairs"
+    return (
+        f"{h.name}: t1-t4 from one coassociative multiplicative coproduct, "
+        f"S and S^-1 inverse anti-homomorphisms, {n * n} pairs"
+    )
 
 
 # -- local units ------------------------------------------------------------

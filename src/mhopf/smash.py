@@ -127,6 +127,7 @@ def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProdu
                 for ka in h.algebra.sample_keys(n)
             ]
 
+    certified = f"{action.name}: module algebra, {action.certified_by}"
     alg = Algebra(
         domain,
         mul_basis,
@@ -136,11 +137,11 @@ def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProdu
         name=domain,
         candidates=candidates,
         # R#A is associative when R and A are, R is an A-module algebra
-        # (checked on every basis triple) and A's coproduct is coassociative
-        # and multiplicative
+        # (certified exhaustively) and A's coproduct is coassociative and
+        # multiplicative
         structure=(
             ("smash", (R, h.algebra), (
-                lambda: f"{action.name}: module algebra on every basis triple",
+                lambda: certified,
                 lambda: coproduct_certificate(h),
             ))
             if action.exhaustive

@@ -7,7 +7,7 @@ the failure when re-evaluated on its own.
 
 import pytest
 
-from mhopf.actions import ActionSpec, verify_module_algebra
+from mhopf.actions import ActionSpec, adjoint_action, verify_module_algebra
 from mhopf.algebras import (
     Algebra,
     algebra_generators,
@@ -16,10 +16,16 @@ from mhopf.algebras import (
     certify_associative,
 )
 from mhopf.aqg import make_aqg
-from mhopf.duality import dual_action, duality_isomorphism
+from mhopf.duality import dual_action, duality_isomorphism, unverified_dual_action
 from mhopf.elements import Element, add_into
-from mhopf.instances import cyclic_group, group_algebra, translation_action
-from mhopf.linalg import LinearMap
+from mhopf.instances import (
+    canonical_pair,
+    cyclic_group,
+    grading_action,
+    group_algebra,
+    translation_action,
+)
+from mhopf.linalg import BilinearMap, LinearMap
 from mhopf.mha import RegularMHA, coproduct_certificate
 from mhopf.pairing import diamond_algebra, pair_of_aqg, pairing_smash, rank_one_gamma
 from mhopf.scalars import sc
@@ -261,6 +267,24 @@ def test_non_spanning_candidates_fall_back_to_pairs(rank_one_s3):
     assert fallback.witness == pairs.witness
 
 
+def _with_cover(h, variant: int, at: tuple, value: Element) -> RegularMHA:
+    """``h`` with the covering map t<variant> set to ``value`` at the basis pair ``at``."""
+    D = h.domain
+
+    def cover(v):
+        def t(ka, kb):
+            if v == variant and (ka, kb) == at:
+                return value
+            return h.cover(v, Element.basis(D, ka), Element.basis(D, kb))
+
+        return t
+
+    return RegularMHA(
+        h.algebra, *map(cover, (1, 2, 3, 4)),
+        h.counit_key, h.antipode_key, h.antipode_inv_key, name=f"broken-t{variant}",
+    )
+
+
 def test_structural_smash_certificate_needs_a_certified_coproduct(z2):
     # t1 is corrupted at one pair while t3 and t4, through which the action
     # is verified, are not: the action passes on every basis triple, but the
@@ -268,20 +292,7 @@ def test_structural_smash_certificate_needs_a_certified_coproduct(z2):
     tr = translation_action(z2)
     h = tr.mha
     unit, g = h.algebra.basis
-    D = h.domain
-
-    def t1(ka, kb):
-        if (ka, kb) == (g, g):
-            return Element.basis((D, D), (unit, unit))
-        return h.t1(Element.basis(D, ka), Element.basis(D, kb))
-
-    def cover(variant):
-        return lambda ka, kb: h.cover(variant, Element.basis(D, ka), Element.basis(D, kb))
-
-    broken = RegularMHA(
-        h.algebra, t1, cover(2), cover(3), cover(4),
-        h.counit_key, h.antipode_key, h.antipode_inv_key, name="broken-t1",
-    )
+    broken = _with_cover(h, 1, (g, g), Element.basis((h.domain, h.domain), (unit, unit)))
     assert coproduct_certificate(h) is not None
     assert coproduct_certificate(broken) is None
     action = ActionSpec.build(broken, tr.ralg, tr.act, rule="translation")
@@ -330,3 +341,175 @@ def test_coproduct_certificate_rejects_a_broken_coproduct(broken, kz2):
         # algebra map K(Z2) -> K(Z2) (x) K(Z2) that is not coassociative
         delta = {z: {(x, y): sc(1) for x in keys for y in keys if 1 - x == z} for z in keys}
     assert coproduct_certificate(_with_coproduct(kz2, delta)) is None
+
+
+# -- module-algebra laws: generators mode agrees with pairs mode -------------------
+
+
+def _entries(rep) -> list:
+    return [(e.check, e.status, e.witness) for e in rep.entries]
+
+
+def _verify_both(spec) -> dict:
+    return {mode: verify_module_algebra(spec, mode=mode) for mode in MODES}
+
+
+def _law_modes(rep) -> list:
+    return [e.mode for e in rep.entries if e.check in LAWS]
+
+
+LAWS = ("module-algebra-law", "covered-left-form", "covered-right-form")
+
+
+def _noncentral_witness_action(s3):
+    # translation(S3) witnessed by x = lam_p (lam_p^-1 . x) for a non-central p
+    spec = translation_action(s3)
+    h, p = spec.mha, (1, 0, 2)
+    lam, lam_inv = Element.basis(h.domain, p), Element.basis(h.domain, s3.invert(p))
+    spec.witness = lambda v: [(lam, spec.act(lam_inv, v))]
+    return spec
+
+
+def _gaussian_dual_action(blob):
+    hC = instance_from_json(blob)
+    adj = adjoint_action(hC)
+    assert verify_module_algebra(adj).ok
+    return unverified_dual_action(pair_of_aqg(make_aqg(hC)), smash(adj)).spec
+
+
+DESK_ACTIONS = {
+    # name: (builder, mode the generators run reports for the three laws)
+    "translation-Z2": (lambda f: translation_action(cyclic_group(2)), "pairs"),
+    "translation-Z3": (lambda f: translation_action(cyclic_group(3)), "pairs"),
+    "translation-Z4": (lambda f: translation_action(cyclic_group(4)), "pairs"),
+    "translation-S3": (lambda f: translation_action(f["s3"]), "pairs"),
+    "grading-S3": (lambda f: grading_action(f["s3"]), "generators"),
+    "adjoint-S3": (lambda f: adjoint_action(group_algebra(f["s3"])), "generators"),
+    "dual-of-aqg-S3": (
+        lambda f: unverified_dual_action(f["dual_pair_cs3"], f["smash_s3"]).spec, "generators"
+    ),
+    "dual-canonical-S3": (
+        lambda f: unverified_dual_action(canonical_pair(f["s3"]), f["smash_s3"]).spec, "generators"
+    ),
+    "dual-gaussian-Z3": (lambda f: _gaussian_dual_action(f["gaussian_cz3"]), "generators"),
+    "noncentral-witness-S3": (lambda f: _noncentral_witness_action(f["s3"]), "pairs"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESK_ACTIONS))
+def test_module_algebra_modes_agree(name, request):
+    build, law_mode = DESK_ACTIONS[name]
+    fixtures = {
+        f: request.getfixturevalue(f)
+        for f in ("s3", "dual_pair_cs3", "smash_s3", "gaussian_cz3")
+    }
+    reps = _verify_both(build(fixtures))
+    assert reps["pairs"].ok, reps["pairs"].summary()
+    assert _entries(reps["pairs"]) == _entries(reps["generators"])
+    assert _law_modes(reps["pairs"]) == ["pairs"] * 3
+    assert _law_modes(reps["generators"]) == [law_mode] * 3
+
+
+def test_generator_mode_records_its_premises(s3, smash_s3):
+    spec = unverified_dual_action(canonical_pair(s3), smash_s3).spec
+    rep = verify_module_algebra(spec)
+    law, left, right = (e for e in rep.entries if e.check in LAWS)
+    assert (law.cases, left.cases, right.cases) == (
+        "6x3x36 of 7776 triples", "6x3x36 of 7776 triples", "6x36x3 of 7776 triples"
+    )
+    assert law.relies_on[0].startswith(f"{smash_s3.algebra.name}: ")
+    assert any("coproduct" in r for r in law.relies_on)
+    assert any("module-associativity" in r for r in law.relies_on)
+    # the covered forms rest on the law as well
+    assert right.relies_on == (
+        *law.relies_on, f"{spec.name}: module-algebra-law {law.mode} {law.cases}"
+    )
+    assert spec.exhaustive and "generators 6x36x3" in spec.certified_by
+
+
+# -- module-algebra mutations: every mode fails with the same witness ---------------
+
+
+def _sign_flipped(ralg: Algebra, kx) -> ActionSpec:
+    """The trivial action of C[Z2] on ``ralg`` with the one constant lam_1 . e_kx
+    negated: still a module (lam_1 acts by an involution), not a module algebra."""
+    h = group_algebra(cyclic_group(2))
+
+    def act(ka, k) -> Element:
+        return Element.basis(ralg.domain, k, sc(-1) if (ka, k) == (1, kx) else sc(1))
+
+    return ActionSpec.build(
+        h, ralg, BilinearMap(h.domain, ralg.domain, ralg.domain, act), rule="sign-flipped"
+    )
+
+
+def _law_fails_at(spec: ActionSpec, w) -> bool:
+    # a (x y) != sum (a_(1) x)(a_(2) y), with delta(a) materialised
+    ka, kx, ky = w
+    h, R = spec.mha, spec.ralg
+    a, x, y = h.algebra.basis_element(ka), R.basis_element(kx), R.basis_element(ky)
+    rhs = Element.zero(R.domain)
+    for (u, v), c in h.delta(a).coeffs.items():
+        acted = (spec.act(h.algebra.basis_element(k), e) for k, e in ((u, x), (v, y)))
+        rhs = rhs + R.mul(*acted).scale(c)
+    return spec.act(a, R.mul(x, y)) != rhs
+
+
+def test_action_constant_outside_generators_fails(cs3):
+    R = cs3.algebra
+    kx = next(k for k in reversed(R.basis) if k not in _generator_keys(R))
+    spec = _sign_flipped(R, kx)
+    reps = _verify_both(spec)
+    assert reps["generators"].status_of("module-associativity") == "pass"
+    assert reps["generators"].status_of("module-algebra-law") == "fail"
+    assert _entries(reps["pairs"]) == _entries(reps["generators"])
+    # the generator check caught it and the witness is re-found in pairs
+    # order; the covered forms, which rest on the law, run in pairs
+    assert _law_modes(reps["generators"]) == ["generators", "pairs", "pairs"]
+    assert _law_fails_at(spec, reps["pairs"].entries[3].witness)
+
+
+def test_non_spanning_candidates_run_module_laws_in_pairs(cs3):
+    full = cs3.algebra
+    R = Algebra(
+        full.domain, full.mul_basis, basis=full.basis, identity=full.identity,
+        name=f"one-candidate({full.name})", candidates=lambda: full.candidates()[:1],
+    )
+    assert algebra_generators(R)[1] < R.dim
+    spec = _sign_flipped(R, R.basis[-1])
+    reps = _verify_both(spec)
+    assert not reps["generators"].ok
+    assert _entries(reps["pairs"]) == _entries(reps["generators"])
+    assert _law_modes(reps["generators"]) == ["pairs"] * 3
+
+
+def test_non_coassociative_coproduct_runs_module_laws_in_pairs(kz2, z2):
+    keys = kz2.algebra.basis
+    # pulled back along the non-associative x * y = 1 - x on {0, 1}
+    delta = {z: {(x, y): sc(1) for x in keys for y in keys if 1 - x == z} for z in keys}
+    broken = _with_coproduct(kz2, delta)
+    assert coproduct_certificate(broken) is None
+    grading = grading_action(z2)
+    assert len(algebra_generators(grading.ralg)[0]) < grading.ralg.dim
+    spec = ActionSpec.build(broken, grading.ralg, grading.act, grading.witness, rule="grading")
+    reps = _verify_both(spec)
+    assert reps["pairs"].status_of("module-algebra-law") == "fail"
+    assert _entries(reps["pairs"]) == _entries(reps["generators"])
+    assert _law_modes(reps["generators"]) == ["pairs"] * 3
+
+
+def test_covered_forms_need_a_certified_t4(z3):
+    # t4 is corrupted at one pair while t1 and t3 are kept: the law holds but
+    # the left form, grounded through t4, does not, and no generator step is
+    # taken without the coproduct certificate
+    grading = grading_action(z3)
+    h = grading.mha
+    broken = _with_cover(h, 4, (1, 2), Element.zero((h.domain, h.domain)))
+    assert coproduct_certificate(h) is not None
+    assert coproduct_certificate(broken) is None
+    spec = ActionSpec.build(broken, grading.ralg, grading.act, grading.witness, rule="grading")
+    reps = _verify_both(spec)
+    assert reps["pairs"].status_of("module-algebra-law") == "pass"
+    assert reps["pairs"].status_of("covered-left-form") == "fail"
+    assert _entries(reps["pairs"]) == _entries(reps["generators"])
+    assert _law_modes(reps["generators"]) == ["pairs"] * 3

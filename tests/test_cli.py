@@ -286,6 +286,27 @@ def test_timing_shows_certificate_provenance():
     assert all("mode" not in json.loads(l) for l in plain.splitlines())
 
 
+def test_module_algebra_laws_record_generator_provenance():
+    _, out = run_cli("run", "all", "--group", "S3", "--json", "--timing")
+    lines = {l["check"]: l for l in map(json.loads, out.splitlines())}
+    laws = (
+        ("module-algebra-law", "6x2x6"),
+        ("covered-left-form", "6x2x6"),
+        ("covered-right-form", "6x6x2"),
+    )
+    for action in ("grading(S3)", "adjoint(C[S3])"):
+        for check, cases in laws:
+            line = lines[f"action[{action}]:{check}"]
+            assert line["mode"] == "generators"
+            assert line["cases"] == f"{cases} of 216 triples"
+            assert line["relies_on"][0].startswith("C[S3]: generators")
+            assert any("coproduct" in r for r in line["relies_on"])
+    # the bismash rests on the dual action and names how it was certified
+    mult = lines["duality[K(S3),C[S3]]:multiplicative"]
+    how = [r for r in mult["relies_on"] if r.startswith("dual(smash(K(S3),C[S3])): module algebra")]
+    assert how and "module-algebra-law generators 6x3x36 of 7776 triples" in how[0]
+
+
 # checks made in one shot (a rank, a dimension, an existence, a summary of a
 # sub-report) and the two seeded random loops, keyed by suite and check name
 SINGLE_SHOT = {
