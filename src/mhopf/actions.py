@@ -28,14 +28,14 @@ from .algebras import (
     multiplier_product,
     multiplier_space,
 )
-from .elements import Element, add_into, map_leg, merge_legs
+from .elements import Element, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
     InfiniteDimensional,
     NotHopf,
     NotUnitalHomomorphism,
 )
-from .linalg import BilinearMap, linear_solve, nullspace
+from .linalg import BilinearMap, kernel, linear_solve, stack
 from .mha import RegularMHA, coproduct_certificate
 from .reports import Report
 
@@ -207,12 +207,8 @@ def verify_module_algebra(
 
     if s.is_finite() and h.algebra.is_finite:
         # non-degeneracy: act(a_i, x) = 0 for all i forces x = 0
-        rows: dict = {}  # (a-key, out-key) -> {j: coefficient of the unknown x_j}
-        for ka in akeys:
-            for j, kx in enumerate(rkeys):
-                for k2, c in s.act(A[ka], X[kx]).coeffs.items():
-                    add_into(rows.setdefault((ka, k2), {}), j, c)
-        rep.add("nondegenerate", not nullspace(rows.values(), len(rkeys)), "pass", None)
+        columns = {kx: stack([s.act(a, x) for a in A.values()]) for kx, x in X.items()}
+        rep.add("nondegenerate", not kernel(s.space_domain, columns), "pass", None)
     else:
         rep.skip("nondegenerate", "infinite-dimensional")
 
@@ -457,49 +453,37 @@ def fixed_points(s: ActionSpec, where: str = "in_R") -> list:
     akeys = h.algebra.basis
     rkeys = s.space_basis
 
+    A = [Element.basis(h.domain, ka) for ka in akeys]
+
     if where == "in_R" or (where == "in_M_R" and alg.identity is not None):
-        rows: dict = {}  # (a-key, out-key) -> {j: coefficient of the unknown x_j}
-        for ka in akeys:
-            a = Element.basis(h.domain, ka)
-            eps = h.counit(a)
-            for j, kx in enumerate(rkeys):
-                img = s.act(a, Element.basis(s.space_domain, kx))
-                for k2, c in img.coeffs.items():
-                    add_into(rows.setdefault((ka, k2), {}), j, c)
-                if eps:
-                    add_into(rows.setdefault((ka, kx), {}), j, -eps)
-        basis = [
-            Element(s.space_domain, dict(zip(rkeys, v)))
-            for v in nullspace(rows.values(), len(rkeys))
-        ]
+        # (a - eps(a)) x = 0 for every basis a
+        def column(kx) -> Element:
+            x = Element.basis(s.space_domain, kx)
+            return stack([s.act(a, x) - x.scale(h.counit(a)) for a in A])
+
+        basis = kernel(s.space_domain, {kx: column(kx) for kx in rkeys})
         if where == "in_M_R":
             out = [Multiplier.from_element(alg, e) for e in basis]
             _certify_fixed_multipliers(s, out)
             return out
         return basis
 
-    # non-unital finite R: solve over multiplier pairs
+    # non-unital finite R: solve over multiplier pairs, (a - eps(a)) m = 0 as
+    # left and right maps on every basis x
     mspace = multiplier_space(alg)
-    rvecs = []
-    for m in mspace:
-        am_minus = []
-        for ka in akeys:
-            a = Element.basis(h.domain, ka)
-            am = extend_action_to_multipliers(s, a, m)
-            diff = am.sub(m.scale(h.counit(a)))
-            for kx in rkeys:
-                x = Element.basis(s.space_domain, kx)
-                am_minus.append(diff.left(x))
-                am_minus.append(diff.right(x))
-        rvecs.append(am_minus)
-    # solve sum_j c_j rvecs[j] = 0 componentwise
-    rows: dict = {}  # (component, out-key) -> {j: coefficient of c_j}
-    for j, vec in enumerate(rvecs):
-        for ci, el in enumerate(vec):
-            for k2, c in el.coeffs.items():
-                add_into(rows.setdefault((ci, k2), {}), j, c)
+    X = [Element.basis(s.space_domain, kx) for kx in rkeys]
+
+    def column(m: Multiplier) -> Element:
+        parts = []
+        for a in A:
+            diff = extend_action_to_multipliers(s, a, m).sub(m.scale(h.counit(a)))
+            for x in X:
+                parts += (diff.left(x), diff.right(x))
+        return stack(parts)
+
     out = [
-        Multiplier.combination(alg, zip(v, mspace)) for v in nullspace(rows.values(), len(mspace))
+        Multiplier.combination(alg, ((c, mspace[j]) for j, c in v.items()))
+        for v in kernel("multipliers", {j: column(m) for j, m in enumerate(mspace)})
     ]
     _certify_fixed_multipliers(s, out)
     return out

@@ -22,9 +22,9 @@ from itertools import product
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .elements import Element, add_into
+from .elements import Element
 from .errors import InfiniteDimensional, NoIdentity
-from .linalg import BilinearMap, LinearMap, SparseEliminator, nullspace
+from .linalg import BilinearMap, LinearMap, SparseEliminator, kernel, stack
 from .reports import first_failure
 from .scalars import Scalar
 
@@ -189,18 +189,11 @@ def radicals(alg: Algebra) -> tuple[list[Element], list[Element]]:
     keys = alg.basis
     if keys is None:
         raise InfiniteDimensional(alg.name)
-    rows_l: dict = {}  # (i, out-key) -> {j: coefficient of the unknown x_j}
-    rows_r: dict = {}
-    for i, ki in enumerate(keys):
-        for j, kj in enumerate(keys):
-            for k, c in alg.mul_basis(ki, kj).coeffs.items():
-                add_into(rows_l.setdefault((i, k), {}), j, c)
-            for k, c in alg.mul_basis(kj, ki).coeffs.items():
-                add_into(rows_r.setdefault((i, k), {}), j, c)
-    n = len(keys)
-    left_killed = [Element(alg.domain, dict(zip(keys, v))) for v in nullspace(rows_l.values(), n)]
-    right_killed = [Element(alg.domain, dict(zip(keys, v))) for v in nullspace(rows_r.values(), n)]
-    return left_killed, right_killed
+    mul = alg.mul_basis
+    return (
+        kernel(alg.domain, {kj: stack([mul(ki, kj) for ki in keys]) for kj in keys}),
+        kernel(alg.domain, {kj: stack([mul(kj, ki) for ki in keys]) for kj in keys}),
+    )
 
 
 def verify_algebra(alg: Algebra, sample_keys: Sequence | None = None) -> list[tuple]:
@@ -235,38 +228,25 @@ def multiplier_space(alg: Algebra) -> list[Multiplier]:
     if alg.identity is not None:
         return [Multiplier.from_element(alg, e) for e in alg.basis_elements()]
     keys = alg.basis
-    n = len(keys)
-    kidx = {k: i for i, k in enumerate(keys)}
+    mul = alg.mul_basis
+    # unknowns (side, i, j): the coefficient of e_i in m e_j (side L) or in
+    # e_j m (side R); equation (a, b) is (e_a m) e_b = e_a (m e_b)
+    columns = {
+        ("L", ki, kj): stack({(ka, kj): -mul(ka, ki) for ka in keys})
+        for ki in keys
+        for kj in keys
+    }
+    columns.update(
+        (("R", ki, ka), stack({(ka, kb): mul(ki, kb) for kb in keys}))
+        for ki in keys
+        for ka in keys
+    )
 
-    # unknowns: L[i][j] then R[i][j] (coefficient of e_i in the image of e_j)
-    def lvar(i, j):
-        return i * n + j
-
-    def rvar(i, j):
-        return n * n + i * n + j
-
-    row_entries: list[dict] = []
-    for a, ka in enumerate(keys):
-        for kb in keys:
-            per_out: dict = {}
-            for i, ki in enumerate(keys):
-                for k, c in alg.mul_basis(ki, kb).coeffs.items():
-                    per_out.setdefault(kidx[k], {})
-                    add_into(per_out[kidx[k]], rvar(i, a), c)
-                for k, c in alg.mul_basis(ka, ki).coeffs.items():
-                    per_out.setdefault(kidx[k], {})
-                    add_into(per_out[kidx[k]], lvar(i, kidx[kb]), -c)
-            row_entries.extend(per_out.values())
-    def side(v, var) -> LinearMap:
-        table = {
-            keys[j]: Element(alg.domain, {keys[i]: v[var(i, j)] for i in range(n)})
-            for j in range(n)
-        }
+    def side(v: Element, s: str) -> LinearMap:
+        table = {kj: Element(alg.domain, {ki: v.coeff((s, ki, kj)) for ki in keys}) for kj in keys}
         return LinearMap(alg.domain, alg.domain, table)
 
-    return [
-        Multiplier(alg, side(v, lvar), side(v, rvar)) for v in nullspace(row_entries, 2 * n * n)
-    ]
+    return [Multiplier(alg, side(v, "L"), side(v, "R")) for v in kernel("unknowns", columns)]
 
 
 def operator_element(src: str, keys: Iterable, op: Callable, domain: str) -> Element:

@@ -22,10 +22,10 @@ from typing import Callable
 from .algebras import Algebra, certify_algebra_map
 from .elements import Element, add_into, map_leg, weight_leg
 from .errors import InfiniteDimensional, Singular, Undecidable
-from .linalg import BasisMemo, LinearMap, nullspace, span_rank
+from .linalg import BasisMemo, LinearMap, kernel, span_rank, stack
 from .mha import Functional, RegularMHA
 from .reports import Report
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 
 @dataclass
@@ -57,26 +57,23 @@ def _integral_solutions(h: RegularMHA, side: str) -> list[Element]:
     if not alg.is_finite:
         raise InfiniteDimensional(h.name)
     keys = alg.basis
-    kidx = {k: i for i, k in enumerate(keys)}
-    n = len(keys)
-    rows: list[dict] = []
+    # the column of the unknown phi(e_w): its weight in every residual,
+    # gathered in one pass over the basis pairs
+    columns: dict = {k: {} for k in keys}  # w -> {(a, b, out-key): coefficient}
     for ka in keys:
         a = Element.basis(h.domain, ka)
         for kb in keys:
             b = Element.basis(h.domain, kb)
             # left:  (id (x) phi)(t2(b, a)) = phi(a) b
             # right: (psi (x) id)(t1(a, b)) = psi(a) b
-            per_out: dict = {}
             cov = h.t2(b, a) if side == "left" else h.t1(a, b)
             for (u, v), c in cov.coeffs.items():
                 out, weight = (u, v) if side == "left" else (v, u)
-                per_out.setdefault(out, {})
-                add_into(per_out[out], kidx[weight], c)
-            for out, coeff in b.coeffs.items():
-                per_out.setdefault(out, {})
-                add_into(per_out[out], kidx[ka], -coeff)
-            rows.extend(per_out.values())
-    return [Element(f"{h.domain}'", dict(zip(keys, v))) for v in nullspace(rows, n)]
+                add_into(columns[weight], (ka, kb, out), c)
+            add_into(columns[ka], (ka, kb, kb), -ONE)
+    return kernel(
+        f"{h.domain}'", {k: Element("residuals", col, _canon=True) for k, col in columns.items()}
+    )
 
 
 def _normalize_vector(e: Element) -> Element:
@@ -197,22 +194,19 @@ def verify_integral(
 def _cointegral_solutions(h: RegularMHA, side: str) -> list[Element]:
     alg = h.algebra
     keys = alg.basis
-    rows: list[dict] = []
-    for ka in keys:
-        eps_a = h.counit_key(ka)
-        per_out: dict = {}
-        for j, kj in enumerate(keys):
-            prod = (
-                alg.mul_basis(ka, kj) if side == "left" else alg.mul_basis(kj, ka)
-            )
-            for k, c in prod.coeffs.items():
-                per_out.setdefault(k, {})
-                add_into(per_out[k], j, c)
-            if eps_a:
-                per_out.setdefault(kj, {})
-                add_into(per_out[kj], j, -eps_a)
-        rows.extend(per_out.values())
-    return [Element(h.domain, dict(zip(keys, v))) for v in nullspace(rows, len(keys))]
+    mul = alg.mul_basis
+
+    # a x = eps(a) x for every basis a (left), x a = eps(a) x (right)
+    def column(kj) -> Element:
+        x = Element.basis(h.domain, kj)
+        return stack(
+            [
+                (mul(ka, kj) if side == "left" else mul(kj, ka)) - x.scale(h.counit_key(ka))
+                for ka in keys
+            ]
+        )
+
+    return kernel(h.domain, {kj: column(kj) for kj in keys})
 
 
 def find_cointegral(h: RegularMHA, side: str = "left") -> Cointegral | None:

@@ -362,45 +362,14 @@ def _confluence_report(h: RegularMHA, seed: int) -> Report:
     import random
 
     from .errors import UncoveredLeg
-    from .scalars import sc
-    from .sweedler import ConstLeg, DeltaLeg, SweedlerExpr, sweedler_eval
+    from .sweedler import random_expr, sweedler_eval
 
     rng = random.Random(seed)
     rep = Report(instance=h.name)
-    keys = h.algebra.sample_keys(4)
-
-    def relem():
-        return Element.basis(h.domain, rng.choice(keys))
-
     witness = None
     grounded = 0
     for i in range(200):
-        n = rng.randint(2, 4)
-        legs = []
-        budget = 1
-        for _ in range(n):
-            unary = rng.choice(["id", "id", "S", "Sinv", "eps"])
-            if unary == "eps":
-                legs.append(
-                    DeltaLeg(unary="eps", right=relem() if rng.random() < 0.5 else None)
-                )
-                continue
-            covered = rng.random() < 0.8 or budget == 0
-            if not covered:
-                budget -= 1
-                legs.append(DeltaLeg(unary=unary))
-            else:
-                left = relem() if rng.random() < 0.6 else None
-                right = relem() if (left is None or rng.random() < 0.4) else None
-                if left is None and right is None:
-                    right = relem()
-                legs.append(DeltaLeg(unary=unary, left=left, right=right))
-            if rng.random() < 0.2:
-                legs.append(ConstLeg(relem()))
-        if not any(isinstance(l, DeltaLeg) and l.unary != "eps" for l in legs):
-            legs.append(DeltaLeg(right=relem()))
-        src = relem() + relem().scale(sc(2))
-        expr = SweedlerExpr(src, tuple(legs))
+        expr = random_expr(h, rng)
         try:
             a = sweedler_eval(h, expr, "lr")
         except UncoveredLeg:

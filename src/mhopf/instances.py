@@ -397,17 +397,31 @@ def translation_action(g: GroupSpec):
 
     A = group_algebra(g)
     R = function_algebra(g)
+    return ActionSpec.build(A, R.algebra, _right_translation(g, R.domain), rule="translation")
+
+
+def _right_translation(g: GroupSpec, domain: str) -> Callable:
+    """(lam_p, f) -> f(. p), extended bilinearly; f is a function on g over ``domain``."""
     mul, inv = g.multiply, g.invert
 
     def act(a: Element, f: Element) -> Element:
-        out = Element.zero(R.domain)
+        out = Element.zero(domain)
         for p, ca in a.coeffs.items():
-            out = out + Element(
-                R.domain, {mul(q, inv(p)): cf * ca for q, cf in f.coeffs.items()}
-            )
+            out = out + Element(domain, {mul(q, inv(p)): cf * ca for q, cf in f.coeffs.items()})
         return out
 
-    return ActionSpec.build(A, R.algebra, act, rule="translation")
+    return act
+
+
+def _grading(domain: str) -> Callable:
+    """(f, x) -> sum_q f(q) x(q) q: x's degree-q parts weighted by the function f."""
+
+    def act(f: Element, x: Element) -> Element:
+        return Element(
+            domain, {q: cx * f.coeffs[q] for q, cx in x.coeffs.items() if q in f.coeffs}
+        )
+
+    return act
 
 
 def grading_action(g: GroupSpec):
@@ -417,19 +431,13 @@ def grading_action(g: GroupSpec):
     A = function_algebra(g)
     R = group_algebra(g)
 
-    def act(f: Element, x: Element) -> Element:
-        return Element(
-            R.domain,
-            {q: cx * f.coeffs[q] for q, cx in x.coeffs.items() if q in f.coeffs},
-        )
-
     def witness(v: Element):
         return [
             (Element.basis(A.domain, q), Element.basis(R.domain, q).scale(c))
             for q, c in v.items()
         ]
 
-    return ActionSpec.build(A, R.algebra, act, witness=witness, rule="grading")
+    return ActionSpec.build(A, R.algebra, _grading(R.domain), witness=witness, rule="grading")
 
 
 # -- canonical dual pair -------------------------------------------------------
@@ -460,23 +468,7 @@ def canonical_pair(g: GroupSpec):
                 total = total + ca * cb
         return total
 
-    def act_AonB(a: Element, f: Element) -> Element:
-        out = Element.zero(B.domain)
-        for p, ca in a.coeffs.items():
-            out = out + Element(
-                B.domain, {mul(q, inv(p)): cf * ca for q, cf in f.coeffs.items()}
-            )
-        return out
-
-    def act_BonA(f: Element, a: Element) -> Element:
-        return Element(
-            A.domain,
-            {
-                p: ca * f.coeffs[p]
-                for p, ca in a.coeffs.items()
-                if p in f.coeffs
-            },
-        )
+    act_BonA = _grading(A.domain)
 
     def ract_AonB(f: Element, a: Element) -> Element:
         # f <| lam_p = f(p .): left translation of the argument
@@ -488,14 +480,7 @@ def canonical_pair(g: GroupSpec):
         return out
 
     def ract_BonA(a: Element, f: Element) -> Element:
-        return Element(
-            A.domain,
-            {
-                p: ca * f.coeffs[p]
-                for p, ca in a.coeffs.items()
-                if p in f.coeffs
-            },
-        )
+        return act_BonA(f, a)
 
     def b_unit_for(elements: Sequence[Element]) -> Element:
         # e in K(G) with e |> a = a: indicator of the group keys appearing
@@ -511,7 +496,7 @@ def canonical_pair(g: GroupSpec):
             A,
             B,
             pair,
-            act_AonB=act_AonB,
+            act_AonB=_right_translation(g, B.domain),
             act_BonA=act_BonA,
             ract_AonB=ract_AonB,
             ract_BonA=ract_BonA,

@@ -3,9 +3,11 @@
 Rows are dicts key -> nonzero Scalar over orderable keys.  :class:`SparseEliminator`
 pivots on the least key of each row, and its Gauss-Jordan back-substitution
 brings the rows to the reduced row echelon form, which is unique for the
-span and the key order.  Every rank, span test, nullspace, solve and inverse
+span and the key order.  Every rank, span test, kernel, solve and inverse
 is read off that form, so results do not depend on the order in which rows
-arrive, and failures are reproducible bit for bit.
+arrive, and failures are reproducible bit for bit.  Callers state a system
+as columns (:func:`stack` joins several conditions into one vector) and
+read it off :func:`linear_solve` or :func:`kernel`.
 
 The basis maps live here too: :class:`LinearMap` and :class:`BilinearMap`
 extend a map given on basis keys (or key pairs) to elements, tensors
@@ -150,11 +152,29 @@ def inverse(rows: Sequence[dict], n: int) -> list[dict] | None:
 # -- Element-level helpers -------------------------------------------------
 
 
-def _common_domain(elements: Sequence[Element]) -> str:
-    domains = {e.domain for e in elements}
-    if len(domains) != 1:
-        raise DomainMismatch(f"mixed domains {sorted(domains)!r}")
-    return domains.pop()
+def stack(parts) -> Element:
+    """Several vectors as one Element over (part index, key).
+
+    ``parts`` is a sequence, indexed by position, or a dict, indexed by its
+    keys.  A system of several vector equations is one equation between
+    stacks.
+    """
+    items = parts.items() if isinstance(parts, dict) else enumerate(parts)
+    return Element(
+        "stack", {(i, k): c for i, part in items for k, c in part.coeffs.items()}, _canon=True
+    )
+
+
+def _rows(columns: Sequence[Element]) -> Iterable[dict]:
+    """The sparse rows of the matrix with the given columns, which share one domain."""
+    domains = {col.domain for col in columns}
+    if len(domains) > 1:
+        raise DomainMismatch(f"mixed domains {', '.join(sorted(map(repr, domains)))}")
+    rows: dict = {}  # key -> {column index: coefficient}
+    for j, col in enumerate(columns):
+        for k, c in col.coeffs.items():
+            rows.setdefault(k, {})[j] = c
+    return rows.values()
 
 
 def linear_solve(generators: Sequence[Element], target: Element):
@@ -163,13 +183,21 @@ def linear_solve(generators: Sequence[Element], target: Element):
     Deterministic: the coefficients of generators outside the pivot columns
     of the reduced echelon form are 0.
     """
-    _common_domain(list(generators) + [target])
-    n = len(generators)
-    rows: dict = {k: {n: c} for k, c in target.coeffs.items()}
-    for j, g in enumerate(generators):
-        for k, c in g.coeffs.items():
-            rows.setdefault(k, {})[j] = c
-    return solve(rows.values(), n)
+    return solve(_rows([*generators, target]), len(generators))
+
+
+def kernel(domain, columns: dict) -> list[Element]:
+    """Basis of the kernel of the linear map sending basis key k to ``columns[k]``.
+
+    The homogeneous twin of :func:`linear_solve`.  The order of ``columns``
+    is the column order of the reduced echelon form; there is one vector
+    over ``domain`` per free key: 1 there and 0 at every other free key.
+    """
+    keys = list(columns)
+    return [
+        Element(domain, dict(zip(keys, v)))
+        for v in nullspace(_rows(list(columns.values())), len(keys))
+    ]
 
 
 def span_rank(elements: Sequence[Element]) -> int:

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 from .algebras import Algebra, Multiplier
 from .elements import Element, flip, map_leg, merge_legs, tensor, weight_leg
 from .errors import DomainMismatch, LocalUnitsNotFound, NoIdentity
-from .linalg import BilinearMap, LinearMap, linear_solve
+from .linalg import BilinearMap, LinearMap, linear_solve, stack
 from .reports import Report
 from .scalars import Scalar
 
@@ -350,23 +350,6 @@ def coproduct_certificate(h: RegularMHA) -> str | None:
 # -- local units ------------------------------------------------------------
 
 
-def _stack_solve(products: list[list[Element]], targets: list[Element]):
-    """Solve sum_j c_j * products[j][i] = targets[i] for all i, exactly.
-
-    products[j] is the stacked column for candidate j.  Returns the c_j list
-    or None.
-    """
-
-    def stack(parts: list[Element]) -> Element:
-        return Element(
-            "stack",
-            {(i, k): c for i, part in enumerate(parts) for k, c in part.coeffs.items()},
-            _canon=True,
-        )
-
-    return linear_solve([stack(col) for col in products], stack(targets))
-
-
 def find_local_units(
     h: RegularMHA,
     items: Sequence[Element],
@@ -411,29 +394,17 @@ def find_local_units(
     if alg.identity is not None and satisfies(alg.identity):
         return alg.identity
 
+    # e = sum c_b b over the candidates b: every equation e a_i = a_i (left)
+    # and a_i e = a_i (right) in one stacked solve
+    sides = [side for side in ("left", "right") if sided in (side, "two_sided")]
     window = start_window
     for _ in range(rounds):
         cand_keys = alg.sample_keys(window)
-        cands = [Element.basis(alg.domain, k) for k in cand_keys]
-        cols = []
-        for b in cands:
-            col = []
-            for a in items:
-                parts = []
-                if sided in ("left", "two_sided"):
-                    parts.append(alg.mul(b, a))
-                if sided in ("right", "two_sided"):
-                    parts.append(alg.mul(a, b))
-                col.append(parts)
-            cols.append(col)
-        # flatten the per-side lists into stacked targets
-        n_sides = len(cols[0][0])
-        flat_products = [
-            [col[i][s] for i in range(len(items)) for s in range(n_sides)]
-            for col in cols
+        cols = [
+            stack([alg.mul(b, a) if s == "left" else alg.mul(a, b) for a in items for s in sides])
+            for b in (Element.basis(alg.domain, k) for k in cand_keys)
         ]
-        flat_targets = [a for a in items for _ in range(n_sides)]
-        sol = _stack_solve(flat_products, flat_targets)
+        sol = linear_solve(cols, stack([a for a in items for _ in sides]))
         if sol is not None:
             e = Element(alg.domain, dict(zip(cand_keys, sol)))
             if satisfies(e):

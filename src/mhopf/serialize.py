@@ -201,21 +201,11 @@ def instance_from_json(obj) -> RegularMHA:
 
 def _find_identity(domain, basis, product) -> Element | None:
     """Solve for a two-sided identity in the span of the basis."""
-    from .linalg import linear_solve
+    from .linalg import linear_solve, stack
 
-    # stack the equations 1 * e_j = e_j over all j into one solve
-    gens = []
-    for cand in basis:
-        acc = {}
-        for j, kj in enumerate(basis):
-            for k, c in product[(cand, kj)].coeffs.items():
-                acc[(j, k)] = c
-        gens.append(Element(f"stack({domain})", acc))
-    target_acc = {}
-    for j, kj in enumerate(basis):
-        target_acc[(j, kj)] = Scalar(1)
-    target = Element(f"stack({domain})", target_acc)
-    sol = linear_solve(gens, target)
+    # the equations e * e_j = e_j for all j in one stacked solve
+    gens = [stack([product[(cand, kj)] for kj in basis]) for cand in basis]
+    sol = linear_solve(gens, stack([Element.basis(domain, kj) for kj in basis]))
     if sol is None:
         return None
     e = Element(domain, dict(zip(basis, sol)))

@@ -28,6 +28,7 @@ from typing import Callable
 from .elements import Element, map_leg
 from .errors import UncoveredLeg
 from .mha import RegularMHA
+from .scalars import sc
 
 
 @dataclass(frozen=True)
@@ -198,3 +199,41 @@ def _insert_leg(t: Element, i: int, value: Element) -> Element:
         for k, cv in value.coeffs.items()
     }
     return Element(t.domain[:i] + (value.domain,) + t.domain[i:], coeffs, _canon=True)
+
+
+def random_expr(h: RegularMHA, rng) -> SweedlerExpr:
+    """A random expression on h's first basis keys, drawn from ``rng``.
+
+    Two to four coproduct legs, each ``id``, ``S``, ``Sinv`` or ``eps``, at
+    most one of them left uncovered, and occasional constant legs.  The
+    draws come in a fixed order, so a seeded ``rng`` gives a fixed sequence
+    of expressions.  Not every expression grounds: one whose uncovered leg
+    cannot be grounded raises :class:`UncoveredLeg` in :func:`sweedler_eval`.
+    """
+    keys = h.algebra.sample_keys(4)
+
+    def relem() -> Element:
+        return Element.basis(h.domain, rng.choice(keys))
+
+    legs: list = []
+    budget = 1
+    for _ in range(rng.randint(2, 4)):
+        unary = rng.choice(["id", "id", "S", "Sinv", "eps"])
+        if unary == "eps":
+            legs.append(DeltaLeg(unary="eps", right=relem() if rng.random() < 0.5 else None))
+            continue
+        covered = rng.random() < 0.8 or budget == 0
+        if not covered:
+            budget -= 1
+            legs.append(DeltaLeg(unary=unary))
+        else:
+            left = relem() if rng.random() < 0.6 else None
+            right = relem() if (left is None or rng.random() < 0.4) else None
+            if left is None and right is None:
+                right = relem()
+            legs.append(DeltaLeg(unary=unary, left=left, right=right))
+        if rng.random() < 0.2:
+            legs.append(ConstLeg(relem()))
+    if not any(isinstance(leg, DeltaLeg) and leg.unary != "eps" for leg in legs):
+        legs.append(DeltaLeg(right=relem()))
+    return SweedlerExpr(relem() + relem().scale(sc(2)), tuple(legs))

@@ -66,7 +66,7 @@ from mhopf.smash import (
     smash,
     verify_pi_relations,
 )
-from mhopf.sweedler import ConstLeg, DeltaLeg, SweedlerExpr, sweedler_eval
+from mhopf.sweedler import random_expr, sweedler_eval
 
 
 def _report(n, label, ok):
@@ -290,43 +290,11 @@ def test_criterion_13_sweedler_confluence(kz2, cz2, cs3, kz):
     ok = True
     for h in (kz2, cz2, cs3, kz):
         rng = random.Random(13)
-        keys = h.algebra.sample_keys(4)
-
-        def relem():
-            return Element.basis(h.domain, rng.choice(keys))
-
         evaluated = 0
         attempts = 0
         while evaluated < 200 and attempts < 1000:
             attempts += 1
-            n = rng.randint(2, 4)
-            legs = []
-            budget = 1
-            for _ in range(n):
-                unary = rng.choice(["id", "id", "S", "Sinv", "eps"])
-                if unary == "eps":
-                    legs.append(
-                        DeltaLeg(
-                            unary="eps",
-                            right=relem() if rng.random() < 0.5 else None,
-                        )
-                    )
-                    continue
-                covered = rng.random() < 0.8 or budget == 0
-                if not covered:
-                    budget -= 1
-                    legs.append(DeltaLeg(unary=unary))
-                else:
-                    left = relem() if rng.random() < 0.6 else None
-                    right = relem() if (left is None or rng.random() < 0.4) else None
-                    if left is None and right is None:
-                        right = relem()
-                    legs.append(DeltaLeg(unary=unary, left=left, right=right))
-                if rng.random() < 0.2:
-                    legs.append(ConstLeg(relem()))
-            if not any(isinstance(l, DeltaLeg) and l.unary != "eps" for l in legs):
-                legs.append(DeltaLeg(right=relem()))
-            expr = SweedlerExpr(relem() + relem().scale(sc(2)), tuple(legs))
+            expr = random_expr(h, rng)
             try:
                 lr = sweedler_eval(h, expr, "lr")
             except UncoveredLeg:

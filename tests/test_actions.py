@@ -170,10 +170,18 @@ class TestFixedPoints:
         # the answer must match the unital shortcut
         from mhopf.algebras import multiplier_space
         from mhopf.instances import function_algebra, group_algebra
+        from mhopf.linalg import spans_same, stack
 
         kz2 = function_algebra(z2)
+        basis = kz2.algebra.basis_elements()
+
+        def tables(m):
+            return stack([m.left(e) for e in basis] + [m.right(e) for e in basis])
+
+        unital = [tables(Multiplier.from_element(kz2.algebra, e)) for e in basis]
         kz2.algebra.identity = None
-        assert len(multiplier_space(kz2.algebra)) == 2
+        solved = [tables(m) for m in multiplier_space(kz2.algebra)]
+        assert len(solved) == 2 and spans_same(solved, unital)
 
         cz2 = group_algebra(z2)
         act = lambda a, f: Element(

@@ -1,8 +1,11 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mhopf
 from mhopf.algebras import Algebra, radicals, verify_algebra
 from mhopf.elements import Element, tensor
 from mhopf.errors import DomainMismatch
@@ -13,11 +16,13 @@ from mhopf.linalg import (
     SparseEliminator,
     in_span,
     inverse,
+    kernel,
     linear_solve,
     nullspace,
     solve,
     span_rank,
     spans_same,
+    stack,
 )
 from mhopf.scalars import ONE, ZERO, Scalar, sc
 
@@ -39,22 +44,14 @@ def test_solve_disjoint_support():
 def test_solve_local_unit_span():
     # span{ b*(a_1, a_2) : b basis of K(Z2) } contains (a_1, a_2): stacked
     # two-component system over the pointwise product algebra on Z2
-    a1 = {0: sc(1), 1: sc(2)}
-    a2 = {0: sc(-1), 1: sc(1)}
+    a1 = Element("K(Z2)", {0: sc(1), 1: sc(2)})
+    a2 = Element("K(Z2)", {0: sc(-1), 1: sc(1)})
 
-    def stacked(b):
-        # b is a basis index of K(Z2): b * a_i is pointwise masking
-        acc = {}
-        for slot, a in ((0, a1), (1, a2)):
-            if b in a:
-                acc[(slot, b)] = a[b]
-        return Element("K(Z2)^2", acc)
+    def times(b, a):
+        # b is a basis index of K(Z2): b * a is pointwise masking
+        return Element.basis("K(Z2)", b, a.coeff(b))
 
-    target = Element(
-        "K(Z2)^2",
-        {(0, 0): a1[0], (0, 1): a1[1], (1, 0): a2[0], (1, 1): a2[1]},
-    )
-    c = linear_solve([stacked(0), stacked(1)], target)
+    c = linear_solve([stack([times(b, a1), times(b, a2)]) for b in (0, 1)], stack([a1, a2]))
     assert c == [ONE, ONE]  # the local unit is the all-ones indicator
 
 
@@ -189,6 +186,32 @@ def test_inverse_exactly_for_full_rank(system):
     assert (inv is None) == (span_rank([Element("cols", row) for row in _sparse(dense)]) < n)
     if inv is not None:
         assert [_apply(dense, col) for col in zip(*_densify(inv, n))] == _identity(n)
+
+
+gaussian_ints = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def column_maps(draw):
+    """A map given on basis keys, in a drawn order: key -> column over "rows"."""
+    keys = draw(st.permutations(range(draw(st.integers(1, 5)))))
+    cols = st.dictionaries(st.integers(0, 3), gaussian_ints, max_size=3)
+    return {k: Element("rows", draw(cols)) for k in keys}
+
+
+@given(column_maps())
+def test_kernel_is_the_reduced_echelon_nullspace(columns):
+    keys = list(columns)
+    # a key is free exactly when its column lies in the span of the earlier ones
+    free = [k for i, k in enumerate(keys) if in_span([columns[j] for j in keys[:i]], columns[k])]
+    ker = kernel("x", columns)
+    assert len(ker) == len(keys) - span_rank(list(columns.values()))
+    for f, v in zip(free, ker):
+        image = Element.zero("rows")
+        for k, c in v.coeffs.items():
+            image = image + columns[k].scale(c)
+        assert image.is_zero()
+        assert [v.coeff(g) for g in free] == [ONE if g == f else ZERO for g in free]
 
 
 def test_zeroed_basis_element_is_a_radical():
@@ -346,3 +369,20 @@ def test_wrong_domain_raises_domain_mismatch():
     with pytest.raises(DomainMismatch):
         g.linear(Element.basis(("W", "X"), (0, 0)))
     assert not f.table and not g.table  # nothing was computed
+    # a tensor domain (a tuple) and a plain name do not order against each other
+    with pytest.raises(DomainMismatch):
+        linear_solve([Element.basis(("W", "X"), (0, 0))], Element.basis("W", 0))
+
+
+def test_linear_systems_are_stated_only_through_linalg():
+    # sites state a system as linalg.stack / kernel / linear_solve columns;
+    # linalg alone turns columns into sparse rows and calls nullspace
+    pattern = re.compile(r"\bnullspace\(|\brows\w*\.setdefault\(")
+    offenders = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+        if path.name != "linalg.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

@@ -4,8 +4,7 @@ import pytest
 
 from mhopf.elements import Element, tensor
 from mhopf.errors import UncoveredLeg
-from mhopf.scalars import sc
-from mhopf.sweedler import ConstLeg, DeltaLeg, SweedlerExpr, sweedler_eval
+from mhopf.sweedler import ConstLeg, DeltaLeg, SweedlerExpr, random_expr, sweedler_eval
 
 
 def b(h, key):
@@ -60,40 +59,6 @@ def test_single_uncovered_leg_allowed(kz):
     got = sweedler_eval(kz, expr)
     # delta(d_0)(1 (x) d_2) = d_{-2} (x) d_2
     assert got == tensor(b(kz, -2), d2)
-
-
-def random_expr(h, rng):
-    keys = h.algebra.sample_keys(4)
-
-    def relem():
-        return Element.basis(h.domain, rng.choice(keys))
-
-    n = rng.randint(2, 4)
-    legs = []
-    budget = 1
-    for _ in range(n):
-        unary = rng.choice(["id", "id", "S", "Sinv", "eps"])
-        if unary == "eps":
-            legs.append(
-                DeltaLeg(unary="eps", right=relem() if rng.random() < 0.5 else None)
-            )
-            continue
-        covered = rng.random() < 0.8 or budget == 0
-        if not covered:
-            budget -= 1
-            legs.append(DeltaLeg(unary=unary))
-        else:
-            left = relem() if rng.random() < 0.6 else None
-            right = relem() if (left is None or rng.random() < 0.4) else None
-            if left is None and right is None:
-                right = relem()
-            legs.append(DeltaLeg(unary=unary, left=left, right=right))
-        if rng.random() < 0.2:
-            legs.append(ConstLeg(relem()))
-    if not any(isinstance(l, DeltaLeg) and l.unary != "eps" for l in legs):
-        legs.append(DeltaLeg(right=relem()))
-    src = relem() + relem().scale(sc(2))
-    return SweedlerExpr(src, tuple(legs))
 
 
 def test_rewrite_order_independence(kz2, cz2, cs3, kz):
