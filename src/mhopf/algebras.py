@@ -12,19 +12,21 @@ subject to the compatibility relation ``(x*m)*y = x*(m*y)``.
 The certificate kernel at the end (:func:`algebra_generators`,
 :func:`certify_associative`, :func:`certify_algebra_map`,
 :func:`certify_module_law`) is the one place where associativity, "phi is an
-algebra map" and the module-algebra laws are checked exhaustively.
+algebra (anti)homomorphism" -- into an algebra or into its multipliers -- and
+the module-algebra laws are checked.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import product
+from operator import eq
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .elements import Element
 from .errors import InfiniteDimensional, NoIdentity
-from .linalg import BilinearMap, LinearMap, SparseEliminator, kernel, stack
+from .linalg import BasisMemo, BilinearMap, LinearMap, SparseEliminator, kernel, stack
 from .reports import first_failure
 from .scalars import Scalar
 
@@ -146,21 +148,6 @@ class Multiplier:
             lambda x: self.left(x) - other.left(x),
             lambda x: self.right(x) - other.right(x),
         )
-
-    def apply_to_identity(self) -> Element:
-        """m*1; when the algebra is unital this pins m down as an element."""
-        return self.left(self.algebra.one())
-
-    def compatible_on(self, xs: Iterable[Element], ys: Iterable[Element]) -> bool:
-        """Defining M(A) relation ``right(x)*y = x*left(y)`` on a sample."""
-        alg = self.algebra
-        ys = list(ys)
-        for x in xs:
-            rx = self.right(x)
-            for y in ys:
-                if alg.mul(rx, y) != alg.mul(x, self.left(y)):
-                    return False
-        return True
 
     def equals_on(self, other: "Multiplier", sample: Iterable[Element]) -> bool:
         for x in sample:
@@ -480,6 +467,7 @@ def certify_algebra_map(
     mode: str = "generators",
     anti: bool = False,
     keys: Sequence | None = None,
+    sample: Sequence[Element] | None = None,
 ) -> Certificate:
     """phi(x y) == phi(x) phi(y) (phi(y) phi(x) when ``anti``) for linear phi.
 
@@ -492,18 +480,27 @@ def certify_algebra_map(
     basis triples than ``src`` has basis pairs.  Any failure is re-found in
     ``pairs`` mode, so the witness is the first failing basis pair (k1, k2)
     either way.
-    """
-    if keys is None and not isinstance(phi, LinearMap):
-        images = {k: phi(e) for k, e in zip(src.basis, src.basis_elements())}
-        phi = LinearMap(src.domain, dst.domain, images)
-    if isinstance(phi, LinearMap):
-        image = phi.table.__getitem__
-    else:
-        def image(k):
-            return phi(src.basis_element(k))
 
-    def times(x: Element, y: Element) -> Element:
-        return dst.mul(y, x) if anti else dst.mul(x, y)
+    With ``sample`` (elements of ``dst``) phi is multiplier-valued: its
+    images are Multipliers of ``dst``, multiplied by
+    :func:`multiplier_product` and compared by ``equals_on(sample)``.  This
+    form runs ``pairs`` (or ``sampled`` through ``keys``) only.
+    """
+    if sample is None:
+        if not isinstance(phi, LinearMap):
+            fn = phi
+            phi = LinearMap(src.domain, dst.domain, lambda k: fn(src.basis_element(k)))
+        image, mul, same = phi.table.__getitem__, dst.mul, eq
+    else:
+        # one image per basis key, so phi is not rebuilt for each pair
+        image = BasisMemo(lambda k: phi(src.basis_element(k))).__getitem__
+        mul = multiplier_product
+
+        def same(u: Multiplier, v: Multiplier) -> bool:
+            return u.equals_on(v, sample)
+
+    def times(x, y):
+        return mul(y, x) if anti else mul(x, y)
 
     def holds_on_generators(gens) -> bool:
         basis = list(zip(src.basis, src.basis_elements()))
@@ -518,7 +515,7 @@ def certify_algebra_map(
     keys = src.basis if keys is None else keys
     n = len(keys)
     gens = relies = None
-    if mode == "generators" and label == "pairs":
+    if mode == "generators" and label == "pairs" and sample is None:
         gens = _spanning_generators(src)
         if gens is not None:
             cs = associativity_certificates(src, n * n)
@@ -535,6 +532,6 @@ def certify_algebra_map(
     # pair; the first one is the witness
     witness, _ = first_failure(
         product(keys, keys),
-        lambda k1, k2: phi(src.mul_basis(k1, k2)) == times(image(k1), image(k2)),
+        lambda k1, k2: same(phi(src.mul_basis(k1, k2)), times(image(k1), image(k2))),
     )
     return Certificate(witness is None, witness, label, cases, relies or ())

@@ -26,8 +26,9 @@ from typing import Callable, Sequence
 from .actions import ActionSpec, fixed_points, verify_module_algebra
 from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
-from .elements import Element, add_into, flip, map_leg, merge_legs, weight_leg
+from .elements import Element, flip, map_leg, merge_legs, weight_leg
 from .errors import InfiniteDimensional, Singular
+from .instances import matrix_algebra, scalar_algebra
 from .linalg import BilinearMap, LinearMap, span_rank
 from .mha import RegularMHA
 from .reports import Report
@@ -596,27 +597,17 @@ def rank_one_realization(p: DualPair) -> Report:
     )
 
     # the diamond algebra is the full matrix algebra: transport to matrix
-    # units and compare structure constants exactly
+    # units, the keys (i, j, ()) of M_n(C), and compare structure constants exactly
     to_mu, n = diamond_matrix_units(p)
-    mdomain = f"matrix({n})"
-    transport = LinearMap(dia.domain, mdomain, {k: to_mu(k) for k in dia.basis})
-    rep.check(
-        "diamond-is-matrix-algebra",
-        product(dia.basis, dia.basis),
-        # matrix-unit product of the transported factors
-        lambda k1, k2: transport(dia.mul_basis(k1, k2))
-        == _matrix_unit_product(transport.table[k1], transport.table[k2], mdomain),
+    mn = matrix_algebra(n, scalar_algebra())
+    transport = LinearMap(dia.domain, mn.domain, {
+        k: Element(mn.domain, {(i, j, ()): c for (i, j), c in to_mu(k).coeffs.items()}, _canon=True)
+        for k in dia.basis
+    })
+    rep.add_certificate(
+        "diamond-is-matrix-algebra", certify_algebra_map(transport, dia, mn, "pairs")
     )
     return rep
-
-
-def _matrix_unit_product(x: Element, y: Element, domain: str) -> Element:
-    acc: dict = {}
-    for (i, j), c in x.coeffs.items():
-        for (k, l), c2 in y.coeffs.items():
-            if j == k:
-                add_into(acc, (i, l), c * c2)
-    return Element(domain, acc, _canon=True)
 
 
 def scalar_fixed_points_check(p: DualPair) -> Report:

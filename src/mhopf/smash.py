@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, product
+from functools import partial
+from itertools import product
 from typing import Callable
 
 from .actions import (
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .linalg import LinearMap, span_rank
 from .mha import RegularMHA, coproduct_certificate
-from .reports import Report
+from .reports import Report, first_failure
 
 
 @dataclass
@@ -332,17 +333,19 @@ def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
 
     rep.check("pi-products", product(rkeys, akeys), pi_products, status)
 
-    embed = {"pi_A": (pi_A, h.algebra.mul_basis), "pi_R": (pi_R, R.mul_basis)}
-
-    def homomorphic(part, k1, k2) -> bool:
-        pi, mul = embed[part]
-        lhs = multiplier_product(pis[part][k1], pis[part][k2])
-        return lhs.equals_on(pi(s, mul(k1, k2)), sample)
-
-    rep.check(
+    # pi_A, then pi_R; a failure is witnessed by (part, k1, k2)
+    parts = {
+        part: certify_algebra_map(
+            partial(pi, s), src, alg, "pairs",
+            keys=None if exhaustive else keys, sample=sample,
+        )
+        for part, pi, src, keys in (("pi_A", pi_A, h.algebra, akeys), ("pi_R", pi_R, R, rkeys))
+    }
+    witness = next(((part, *c.witness) for part, c in parts.items() if not c.ok), None)
+    cases = ", ".join(f"{part} {c.cases}" for part, c in parts.items())
+    rep.add_certificate(
         "pi-homomorphisms",
-        chain(product(["pi_A"], akeys, akeys), product(["pi_R"], rkeys, rkeys)),
-        homomorphic,
+        Certificate(witness is None, witness, parts["pi_A"].mode, cases),
         status,
     )
 
@@ -385,28 +388,24 @@ def universal_map(
         )
 
     # rho_A(a) rho_R(x) = sum rho_R(a_(1) x) rho_A(a_(2)), which maps W(x (x) a)
-    for ka in h.algebra.sample_keys(sample_range):
-        a = Element.basis(h.domain, ka)
-        for kx in R.sample_keys(sample_range):
-            lhs = multiplier_product(rho_A(ka), rho_R(kx))
-            if not lhs.equals_on(mapped(w_map(s, Element.basis(R.domain, kx), a)), tsample):
-                raise CommutationFailed(
-                    "rho_A(a) rho_R(x) != sum rho_R(a_(1)x) rho_A(a_(2))",
-                    witness=(ka, kx),
-                )
+    def commutes(ka, kx) -> bool:
+        lhs = multiplier_product(rho_A(ka), rho_R(kx))
+        x, a = Element.basis(R.domain, kx), Element.basis(h.domain, ka)
+        return lhs.equals_on(mapped(w_map(s, x, a)), tsample)
+
+    witness, _ = first_failure(
+        product(h.algebra.sample_keys(sample_range), R.sample_keys(sample_range)), commutes
+    )
+    if witness is not None:
+        raise CommutationFailed(
+            "rho_A(a) rho_R(x) != sum rho_R(a_(1)x) rho_A(a_(2))", witness=witness
+        )
 
     # multiplicativity certificate on smash basis pairs
-    skeys = s.algebra.sample_keys(sample_range)
-    for k1 in skeys:
-        for k2 in skeys:
-            e1 = s.algebra.basis_element(k1)
-            e2 = s.algebra.basis_element(k2)
-            lhs = mapped(s.algebra.mul(e1, e2))
-            rhs = multiplier_product(mapped(e1), mapped(e2))
-            if not lhs.equals_on(rhs, tsample):
-                raise CommutationFailed(
-                    "universal map failed multiplicativity", witness=(k1, k2)
-                )
+    keys = None if s.algebra.is_finite else s.algebra.sample_keys(sample_range)
+    cert = certify_algebra_map(mapped, s.algebra, target, "pairs", keys=keys, sample=tsample)
+    if not cert.ok:
+        raise CommutationFailed("universal map failed multiplicativity", witness=cert.witness)
     return mapped
 
 

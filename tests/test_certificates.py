@@ -306,24 +306,26 @@ def test_structural_smash_certificate_needs_a_certified_coproduct(z2):
 
 
 def _with_coproduct(h, delta: dict) -> RegularMHA:
-    """``h`` with t1 and t3 built from ``delta``: key -> {(u, v): coefficient}."""
+    """``h`` with t1-t4 built from ``delta``: key -> {(u, v): coefficient}."""
     alg, D = h.algebra, h.domain
 
-    def covered(leg):
+    def covered(leg, on_right, swap=False):
+        # t(a, b): leg ``leg`` of delta(a) times b on the given side; t2 is
+        # (a (x) 1)delta(b), so it swaps the roles of a and b
         def t(ka, kb):
+            if swap:
+                ka, kb = kb, ka
             acc: dict = {}
-            for (u, v), c in delta[ka].items():
-                for w, cw in alg.mul_basis((u, v)[leg], kb).coeffs.items():
-                    add_into(acc, (u, w) if leg else (w, v), c * cw)
+            for uv, c in delta[ka].items():
+                w = alg.mul_basis(uv[leg], kb) if on_right else alg.mul_basis(kb, uv[leg])
+                for k, cw in w.coeffs.items():
+                    add_into(acc, (uv[0], k) if leg else (k, uv[1]), c * cw)
             return Element((D, D), acc)
 
         return t
 
-    def kept(variant):
-        return lambda ka, kb: h.cover(variant, Element.basis(D, ka), Element.basis(D, kb))
-
     return RegularMHA(
-        alg, covered(1), kept(2), covered(0), kept(4),
+        alg, covered(1, True), covered(0, False, swap=True), covered(0, True), covered(1, False),
         h.counit_key, h.antipode_key, h.antipode_inv_key, name=f"recovered({h.name})",
     )
 
@@ -341,6 +343,30 @@ def test_coproduct_certificate_rejects_a_broken_coproduct(broken, kz2):
         # algebra map K(Z2) -> K(Z2) (x) K(Z2) that is not coassociative
         delta = {z: {(x, y): sc(1) for x in keys for y in keys if 1 - x == z} for z in keys}
     assert coproduct_certificate(_with_coproduct(kz2, delta)) is None
+
+
+def test_coproduct_certificate_rejects_one_corrupted_constant(cz2):
+    # delta(g) = 2 g (x) g is coassociative and t1-t4 are built from it, but
+    # delta(g g) = 1 (x) 1 != 4 (1 (x) 1) = delta(g) delta(g)
+    unit, g = cz2.algebra.basis
+    true = {k: cz2.delta(cz2.algebra.basis_element(k)).coeffs for k in (unit, g)}
+    assert coproduct_certificate(_with_coproduct(cz2, true)) is not None
+    assert coproduct_certificate(_with_coproduct(cz2, {**true, g: {(g, g): sc(2)}})) is None
+
+
+def test_coproduct_certificate_rejects_a_corrupted_inverse_antipode(cs3):
+    # S is kept and S^-1 swaps the images of two transpositions
+    keys = cs3.algebra.basis
+    images = {k: cs3.antipode_inv_key(k) for k in keys}
+    t1, t2 = [k for k in keys if images[k] == cs3.algebra.basis_element(k)][1:3]
+    images[t1], images[t2] = images[t2], images[t1]
+    covers = [lambda ka, kb, v=v: cs3._t_pair(v, ka, kb) for v in (1, 2, 3, 4)]
+    broken = RegularMHA(
+        cs3.algebra, *covers, cs3.counit_key, cs3.antipode_key, images.__getitem__,
+        name="broken-Sinv",
+    )
+    assert coproduct_certificate(cs3) is not None
+    assert coproduct_certificate(broken) is None
 
 
 # -- module-algebra laws: generators mode agrees with pairs mode -------------------

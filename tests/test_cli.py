@@ -159,6 +159,32 @@ def test_failing_run_output_is_byte_identical(tmp_path, cz2):
     assert [l["witness"] for l in fails] == [[0, 0], [0, 0], ["left", 0, 0], 0]
 
 
+def test_shifted_antipode_run_output_is_byte_identical(tmp_path, cz3):
+    # golden digest of a failing run whose homomorphism checks fail: each
+    # antipode image moved to the next key, and one counit value doubled
+    blob = instance_to_json(cz3)
+    keys = [k for k, _ in blob["antipode"]]
+    images = [img for _, img in blob["antipode"]]
+    blob["antipode"] = [list(pair) for pair in zip(keys, images[-1:] + images[:-1])]
+    blob["counit"][1][1] = Scalar(2).to_tuple()
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(blob))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhopf.cli", "run", "all", "--instance", str(path), "--json"],
+        capture_output=True,
+    )
+    assert proc.returncode == 1
+    assert hashlib.sha1(proc.stdout).hexdigest() == "0d0c3891c41e9edb2e3f565f9e4412b18c7ac40f"
+    lines = map(json.loads, proc.stdout.splitlines())
+    fails = {l["check"].split(":")[1]: l["witness"] for l in lines if l["status"] == "fail"}
+    assert fails == {
+        "counit-laws": ["right", 0, 1],
+        "antipode-laws": ["left", 0, 0],
+        "counit-homomorphism": [1, 1],
+        "antipode-antihomomorphism": [0, 0],
+    }
+
+
 @pytest.mark.parametrize(
     "suite, sha1",
     [
@@ -349,17 +375,39 @@ SINGLE_SHOT = {
 }
 
 
+# the (anti)homomorphism checks made by certify_algebra_map, with the cases
+# it describes, keyed by group, suite and check name
+ALGEBRA_MAP_CASES = {
+    "Z2": {
+        "axioms:counit-homomorphism": "4 pairs",
+        "axioms:antipode-antihomomorphism": "4 pairs",
+        "smash:pi-homomorphisms": "pi_A 4 pairs, pi_R 4 pairs",
+        "rank-one:diamond-is-matrix-algebra": "16 pairs",
+        "coaction:homomorphism": "4 pairs",
+    },
+    "Z": {
+        "axioms:counit-homomorphism": "121 pairs",
+        "axioms:antipode-antihomomorphism": "121 pairs",
+        "smash:pi-homomorphisms": "pi_A 81 pairs, pi_R 81 pairs",
+    },
+}
+
+
 @pytest.mark.parametrize("group", ["Z2", "Z"])
 def test_every_case_loop_check_records_provenance(group):
     _, out = run_cli("run", "all", "--group", group, "--json", "--timing")
     missing = []
+    routed = {}
     for line in map(json.loads, out.splitlines()):
         suite, check = line["check"].split(":", 1)
         key = f"{suite.split('[')[0]}:{check}"
         if line["status"] != "skipped" and key not in SINGLE_SHOT:
             if "mode" not in line or "cases" not in line:
                 missing.append(line["check"])
+        if key in ALGEBRA_MAP_CASES[group]:
+            routed.setdefault(key, set()).add(line["cases"])
     assert missing == []
+    assert routed == {key: {cases} for key, cases in ALGEBRA_MAP_CASES[group].items()}
 
 
 def test_console_entry_point_runs():

@@ -213,6 +213,20 @@ class TestCoactions:
         rep = verify_coaction(co)
         assert rep.ok, rep.summary()
 
+    def test_doubled_coaction_fails_homomorphism_with_witness(self, pair_z2):
+        # Gamma(delta_1) doubled: Gamma(delta_1 delta_1) = 2 Gamma(delta_1) != 4 Gamma(delta_1)^2
+        from mhopf.duality import Coaction
+
+        co = delta_coaction(pair_z2.B)
+        g = pair_z2.B.algebra.basis[1]
+
+        def t1(x, b):
+            return co.t1(x, b) + co.t1(Element.basis(x.domain, g, x.coeff(g)), b)
+
+        rep = verify_coaction(Coaction(co.ralg, co.B, t1, co.t4, name="doubled"))
+        line = rep.entries[[e.check for e in rep.entries].index("homomorphism")]
+        assert (line.status, line.witness) == ("fail", (1, 1))
+
     def test_induced_action_is_pairing_action(self, pair_z2):
         co = delta_coaction(pair_z2.B)
         induced = coaction_to_action(co, pair_z2)

@@ -386,3 +386,15 @@ def test_linear_systems_are_stated_only_through_linalg():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+def test_only_tensor_algebra_multiplies_tensor_legs():
+    # an algebra map into R (x) B is certified against instances.tensor_algebra,
+    # which alone knows its product; no site multiplies tensor legs by hand
+    offenders = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "merge_legs(tensor(" in line
+    ]
+    assert offenders == []

@@ -172,6 +172,22 @@ class TestRankOneRealization:
         rep = rank_one_realization(dual_pair_cz2)
         assert rep.ok, rep.summary()
 
+    def test_corrupted_matrix_units_fail_with_witness(self, dual_pair_cz2, monkeypatch):
+        # the image of the last diamond basis key doubled: no longer multiplicative
+        import mhopf.pairing
+
+        to_mu, n = mhopf.pairing.diamond_matrix_units(dual_pair_cz2)
+        last = mhopf.pairing.diamond_algebra(dual_pair_cz2).basis[-1]
+
+        def doubled(p):
+            return (lambda k: to_mu(k).scale(sc(2)) if k == last else to_mu(k)), n
+
+        monkeypatch.setattr(mhopf.pairing, "diamond_matrix_units", doubled)
+        line = rank_one_realization(dual_pair_cz2).entries[-1]
+        assert (line.check, line.status, line.witness) == (
+            "diamond-is-matrix-algebra", "fail", ((0, 1), (1, 1))
+        )
+
     def test_s3_dual(self, dual_pair_cs3):
         rep = rank_one_realization(dual_pair_cs3)
         assert rep.ok, rep.summary()

@@ -101,6 +101,21 @@ class TestPiEmbeddings:
         rep = verify_pi_relations(smash_translation_z2)
         assert rep.ok, rep.summary()
 
+    def test_corrupted_pi_A_keeps_its_tag(self, smash_translation_z2, monkeypatch):
+        # pi_A(e_1) doubled, extended linearly: pi_A(e_1 e_1) != pi_A(e_1) pi_A(e_1)
+        import mhopf.smash
+
+        s = smash_translation_z2
+
+        def doubled(s, a):
+            e1 = Element.basis(a.domain, 1)
+            return Multiplier.combination(s.algebra, [(ONE, pi_A(s, a)), (a.coeff(1), pi_A(s, e1))])
+
+        monkeypatch.setattr(mhopf.smash, "pi_A", doubled)
+        rep = verify_pi_relations(s)
+        line = rep.entries[[e.check for e in rep.entries].index("pi-homomorphisms")]
+        assert (line.status, line.witness) == ("fail", ("pi_A", 1, 1))
+
     def test_example_product(self, smash_translation_z2):
         s = smash_translation_z2
         l1 = Element.basis(s.mha.domain, 1)
@@ -157,7 +172,7 @@ class TestUniversalProperty:
         s = smash_translation_z2
         m2, rho_A, rho_R = self._rhos(s)
         phi = universal_map(s, m2, rho_A, rho_R)
-        imgs = [phi(s.algebra.basis_element(k)).apply_to_identity() for k in s.algebra.basis]
+        imgs = [phi(s.algebra.basis_element(k)).left(m2.one()) for k in s.algebra.basis]
         assert span_rank(imgs) == 4
 
     def test_identity_through_own_embeddings(self, smash_translation_z2):
@@ -167,7 +182,7 @@ class TestUniversalProperty:
             lambda kx: pi_R(s, Element.basis(s.ralg.domain, kx)),
         )
         for k in s.algebra.basis:
-            got = phi(s.algebra.basis_element(k)).apply_to_identity()
+            got = phi(s.algebra.basis_element(k)).left(s.algebra.one())
             assert got == s.algebra.basis_element(k)
 
     def test_swapped_rhos_fail_commutation(self, smash_translation_z2):
@@ -175,7 +190,16 @@ class TestUniversalProperty:
         m2, rho_A, rho_R = self._rhos(s)
         with pytest.raises(CommutationFailed) as exc:
             universal_map(s, m2, lambda k: rho_R(0), lambda k: rho_A(1))
-        assert exc.value.witness is not None
+        assert exc.value.witness == (0, 0)
+
+    def test_doubled_rho_fails_multiplicativity(self, smash_translation_z2):
+        # 2 rho_A(1) still satisfies the commutation hypothesis, but the map
+        # x # a -> rho_R(x) rho_A(a) it induces is not multiplicative
+        s = smash_translation_z2
+        m2, rho_A, rho_R = self._rhos(s)
+        with pytest.raises(CommutationFailed, match="multiplicativity") as exc:
+            universal_map(s, m2, lambda k: rho_A(k).scale(sc(k + 1)), rho_R)
+        assert exc.value.witness == ((0, 1), (1, 1))
 
 
 class TestCovariantModules:
