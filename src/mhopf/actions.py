@@ -36,7 +36,7 @@ from .errors import (
     NotUnitalHomomorphism,
 )
 from .linalg import BilinearMap, kernel, linear_solve, stack
-from .mha import RegularMHA, coproduct_certificate
+from .mha import RegularMHA
 from .reports import Report
 
 if TYPE_CHECKING:
@@ -197,7 +197,7 @@ def verify_module_algebra(
     )
     premises = None
     if exhaustive and rep.ok:
-        coproduct = coproduct_certificate(h)
+        coproduct = h.coproduct_line
         if coproduct is not None:
             n, m = len(akeys), len(rkeys)
             premises = [

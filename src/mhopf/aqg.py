@@ -51,8 +51,9 @@ class AlgebraicQuantumGroup:
 # -- integrals ----------------------------------------------------------------
 
 
-def _integral_solutions(h: RegularMHA, side: str) -> list[Element]:
-    """Basis of the solution space of the invariance equations (finite dim)."""
+def solve_integral_equations(h: RegularMHA, side: str) -> list[Element]:
+    """Basis of the solution space of the invariance equations (finite dim);
+    ``h.integral_solutions`` keeps it per side."""
     alg = h.algebra
     if not alg.is_finite:
         raise InfiniteDimensional(h.name)
@@ -90,7 +91,7 @@ def find_integral(h: RegularMHA, side: str = "left") -> tuple[Functional, int]:
         if oracle is None:
             raise InfiniteDimensional(f"{h.name}: no {side} integral oracle")
         return oracle, 1
-    sols = _integral_solutions(h, side)
+    sols = h.integral_solutions[side]
     if not sols:
         raise Singular(f"{h.name}: no nonzero {side} integral")
     table = dict(_normalize_vector(sols[0]).coeffs)
@@ -174,7 +175,7 @@ def verify_integral(
             "pass",
             None,
         )
-        rep.add("uniqueness-dim-1", len(_integral_solutions(h, "left")) == 1, "pass")
+        rep.add("uniqueness-dim-1", len(h.integral_solutions["left"]) == 1, "pass")
         if g.modular is not None:
             rep.check(
                 "kms-identity",

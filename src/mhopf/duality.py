@@ -47,8 +47,6 @@ from .smash import (
     module_representation_rank,
     pi_R,
     smash,
-    w_inv_map,
-    w_map,
 )
 
 
@@ -202,23 +200,20 @@ def w_conjugation(d: DualAction, sample_range: int = 4) -> Report:
     X = {k: Element.basis(R.domain, k) for k in rkeys}
     A = {k: Element.basis(h.domain, k) for k in akeys}
     U = {(kx, ka): s.element(X[kx], A[ka]) for kx in rkeys for ka in akeys}
-    W = BasisMemo(lambda key: w_map(s, X[key[0]], A[key[1]]))
+    W = s.w.table
 
-    def w_inverse(kx, ka) -> bool:
-        back = merge_legs(
-            s.legs(w_inv_map(s, U[kx, ka])), 0, 1,
-            lambda kr, kA: w_map(s, Element.basis(R.domain, kr), Element.basis(h.domain, kA)),
-            s.algebra.domain,
-        )
-        return back == U[kx, ka]
-
-    rep.check("w-bijection", product(rkeys, akeys), w_inverse, status)
+    rep.check(
+        "w-bijection",
+        product(rkeys, akeys),
+        lambda kx, ka: s.w.linear(s.legs(s.w_inv.table[kx, ka])) == U[kx, ka],
+        status,
+    )
     # operational: W^-1( (x#a) * W(x2 (x) a2) )
     rep.check(
         "conjugated-smash-formula",
         product(rkeys, akeys, rkeys, akeys),
-        lambda kx, ka, kx2, ka2: w_inv_map(s, s.algebra.mul(U[kx, ka], W[kx2, ka2]))
-        == _conjugation_formula(s, X[kx], A[ka], X[kx2], A[ka2]),
+        lambda kx, ka, kx2, ka2: s.w_inv(s.algebra.mul(U[kx, ka], W[kx2, ka2]))
+        == _conjugation_formula(s, kx, ka, kx2, ka2),
         status,
     )
     bkeys = p.B.algebra.sample_keys(sample_range)
@@ -226,22 +221,22 @@ def w_conjugation(d: DualAction, sample_range: int = 4) -> Report:
     rep.check(
         "conjugated-dual-action",
         product(bkeys, rkeys, akeys),
-        lambda kb, kx2, ka2: w_inv_map(s, d.act(BE[kb], W[kx2, ka2])).coeffs
+        lambda kb, kx2, ka2: s.w_inv(d.act(BE[kb], W[kx2, ka2])).coeffs
         == s.element(X[kx2], p.act_BonA(BE[kb], A[ka2])).coeffs,
         status,
     )
     return rep
 
 
-def _conjugation_formula(s: SmashProduct, x, a, x2, a2) -> Element:
-    """sum ((S^-1 a'_(1))(S^-1 a_(1)) x) x' (x) a_(2) a'_(2) in covered form."""
+def _conjugation_formula(s: SmashProduct, kx, ka, kx2, ka2) -> Element:
+    """sum ((S^-1 a'_(1))(S^-1 a_(1)) x) x' (x) a_(2) a'_(2) in covered form,
+    for the basis keys of x, a, x' and a'."""
     R, A = s.ralg, s.mha.algebra
-    first = w_inv_map(s, s.element(x, a))  # sum S^-1(a_(1)) x (x) a_(2)
+    first = s.w_inv.table[kx, ka]  # sum S^-1(a_(1)) x (x) a_(2)
 
     def image(kr, kv) -> Element:
         # sum (S^-1(a'_(1)) y) x' (x) v a'_(2) for y (x) v = kr (x) kv
-        second = s.legs(w_inv_map(s, s.element(Element.basis(R.domain, kr), a2)))
-        second = map_leg(second, 0, lambda kr2: R.mul(Element.basis(R.domain, kr2), x2))
+        second = map_leg(s.legs(s.w_inv.table[kr, ka2]), 0, lambda kr2: R.mul_basis(kr2, kx2))
         return map_leg(second, 1, lambda kv2: A.mul_basis(kv, kv2))
 
     return merge_legs(s.legs(first), 0, 1, image, first.domain)

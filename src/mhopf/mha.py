@@ -21,13 +21,14 @@ which is how they are implemented by default (instances may override).
 
 from __future__ import annotations
 
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Sequence
 
 from .algebras import Algebra, certify_algebra_map
 from .elements import Element, flip, map_leg, merge_legs, tensor, weight_leg
 from .errors import DomainMismatch, LocalUnitsNotFound, NoIdentity
-from .linalg import BilinearMap, LinearMap, linear_solve, stack
+from .linalg import BasisMemo, BilinearMap, LinearMap, linear_solve, stack
 from .reports import Report
 from .scalars import Scalar
 
@@ -108,6 +109,19 @@ class RegularMHA:
     @property
     def has_identity(self) -> bool:
         return self.algebra.identity is not None
+
+    @cached_property
+    def coproduct_line(self) -> str | None:
+        """:func:`coproduct_certificate` of this instance, computed on first use."""
+        return coproduct_certificate(self)
+
+    @cached_property
+    def integral_solutions(self) -> BasisMemo:
+        """side ("left" or "right") -> basis of the solutions of that side's
+        integral equations, solved on first use."""
+        from .aqg import solve_integral_equations
+
+        return BasisMemo(partial(solve_integral_equations, self))
 
     # -- covering maps ------------------------------------------------------
 

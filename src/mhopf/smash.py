@@ -49,16 +49,37 @@ from .errors import (
     NotInner,
     UnverifiedAction,
 )
-from .linalg import LinearMap, span_rank
-from .mha import RegularMHA, coproduct_certificate
+from .linalg import BilinearMap, LinearMap, span_rank
+from .mha import RegularMHA
 from .reports import Report, first_failure
 
 
 @dataclass
 class SmashProduct:
+    """R#A with the bijection W(x (x) a) = sum a_(1) x # a_(2) of R (x) A onto it
+    and W^-1(x # a) = sum S^-1(a_(1)) x (x) a_(2), over pair keys (r, a) of
+    twist(R,A); each grounds a basis term once, through the witnesses of x."""
+
     action: ActionSpec
     algebra: Algebra
     certificates: Report = field(default_factory=Report)
+    w: BilinearMap = field(init=False)
+    w_inv: LinearMap = field(init=False)
+
+    def __post_init__(self):
+        act, R, h = self.action, self.ralg, self.mha
+        twist = f"twist({R.domain},{h.domain})"
+
+        def covered(kx, ka, form):
+            return covered_legs(act, Element.basis(h.domain, ka), Element.basis(R.domain, kx), form)
+
+        self.w = BilinearMap(
+            R.domain, h.domain, self.algebra.domain, lambda kx, ka: self.join(covered(kx, ka, "id"))
+        )
+        self.w_inv = LinearMap(
+            self.algebra.domain, twist,
+            lambda k: Element(twist, covered(*k, "Sinv").coeffs, _canon=True),
+        )
 
     @property
     def mha(self) -> RegularMHA:
@@ -143,7 +164,7 @@ def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProdu
         structure=(
             ("smash", (R, h.algebra), (
                 lambda: certified,
-                lambda: coproduct_certificate(h),
+                lambda: h.coproduct_line,
             ))
             if action.exhaustive
             else None
@@ -200,33 +221,13 @@ def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
     def twist_product(k1, k2) -> bool:
         (kx, ka), (kx2, ka2) = k1, k2
         # Gamma(a (x) x2) = sum a_(1) x2 (x) a_(2), then x (.) and (.) a2 on the legs
-        tw = s.legs(w_map(s, Element.basis(R.domain, kx2), Element.basis(A.domain, ka)))
+        tw = s.legs(s.w.table[kx2, ka])
         tw = map_leg(tw, 0, lambda kr: R.mul_basis(kx, kr), R.domain)
         tw = map_leg(tw, 1, lambda kA: A.mul_basis(kA, ka2), A.domain)
         return s.join(tw) == alg.mul_basis(k1, k2)
 
     rep.check("twist-map-product", pairs, twist_product, status)
     return rep
-
-
-# -- the W bijection of R (x) A onto R#A --------------------------------------
-
-
-def w_map(s: SmashProduct, x: Element, a: Element) -> Element:
-    """W(x (x) a) = sum a_(1) x # a_(2), grounded through the witnesses of x."""
-    return s.join(covered_legs(s.action, a, x))
-
-
-def w_inv_map(s: SmashProduct, u: Element) -> Element:
-    """W^-1(x # a) = sum S^-1(a_(1)) x (x) a_(2), over pair keys (r, a)."""
-    h, R = s.mha, s.ralg
-    domain = f"twist({R.domain},{h.domain})"
-
-    def basis_image(kx, ka) -> Element:
-        a, x = Element.basis(h.domain, ka), Element.basis(R.domain, kx)
-        return Element(domain, covered_legs(s.action, a, x, "Sinv").coeffs, _canon=True)
-
-    return merge_legs(s.legs(u), 0, 1, basis_image, domain)
 
 
 # -- multiplier embeddings ------------------------------------------------------
@@ -259,18 +260,15 @@ def pi_R(s: SmashProduct, x) -> Multiplier:
     h = s.mha
     R = s.ralg
 
-    def left(u: Element) -> Element:
-        return s.join(map_leg(s.legs(u), 0, lambda kx2: R.mul(x, Element.basis(R.domain, kx2))))
+    def left(kx2, ka2) -> Element:
+        return s.element(R.mul(x, Element.basis(R.domain, kx2)), Element.basis(h.domain, ka2))
 
-    def right(u: Element) -> Element:
-        # (x'#a') pi(x) = sum x'(a'_(1) x) # a'_(2): the A leg splits into a'_(1) x (x) a'_(2)
-        t = map_leg(
-            s.legs(u), 1, lambda ka2: covered_legs(s.action, Element.basis(h.domain, ka2), x),
-            (R.domain, h.domain),
-        )
-        return s.join(merge_legs(t, 0, 1, R.mul_basis, R.domain))
+    def right(kx2, ka2) -> Element:
+        # (x'#a') pi(x) = sum x'(a'_(1) x) # a'_(2), with a'_(1) x (x) a'_(2) covered
+        t = covered_legs(s.action, Element.basis(h.domain, ka2), x)
+        return s.join(map_leg(t, 0, lambda kr: R.mul_basis(kx2, kr)))
 
-    return Multiplier(s.algebra, left, right)
+    return _basis_multiplier(s, left, right)
 
 
 def _pi_R_multiplier(s: SmashProduct, m: Multiplier) -> Multiplier:
@@ -278,20 +276,24 @@ def _pi_R_multiplier(s: SmashProduct, m: Multiplier) -> Multiplier:
     the W-parametrisation pi(a)pi(x) = W(x (x) a)."""
     R, h = s.ralg, s.mha
 
-    def left(u: Element) -> Element:
-        return s.join(map_leg(s.legs(u), 0, lambda kx: m.left(Element.basis(R.domain, kx))))
+    def left(kx, ka) -> Element:
+        return s.element(m.left(Element.basis(R.domain, kx)), Element.basis(h.domain, ka))
 
-    def right(u: Element) -> Element:
-        # u = sum pi(a_i) pi(x_i) with (x_i, a_i) the terms of W^-1(u)
-        return merge_legs(
-            s.legs(w_inv_map(s, u)), 0, 1,
-            lambda kr, ka: w_map(
-                s, m.right(Element.basis(R.domain, kr)), Element.basis(h.domain, ka)
-            ),
-            s.algebra.domain,
-        )
+    def right(kx, ka) -> Element:
+        # x#a = sum pi(a_i) pi(x_i) with (x_i, a_i) the terms of W^-1(x#a)
+        t = s.legs(s.w_inv.table[kx, ka])
+        return s.w.linear(map_leg(t, 0, lambda kr: m.right(Element.basis(R.domain, kr))))
 
-    return Multiplier(s.algebra, left, right)
+    return _basis_multiplier(s, left, right)
+
+
+def _basis_multiplier(s: SmashProduct, left: Callable, right: Callable) -> Multiplier:
+    """The multiplier of R#A whose sides are LinearMaps with the basis images
+    ``left(x, a)`` and ``right(x, a)``, each computed once."""
+    D = s.algebra.domain
+    return Multiplier(
+        s.algebra, LinearMap(D, D, lambda k: left(*k)), LinearMap(D, D, lambda k: right(*k))
+    )
 
 
 def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
@@ -310,20 +312,17 @@ def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
 
     X = {k: Element.basis(R.domain, k) for k in rkeys}
     A = {k: Element.basis(h.domain, k) for k in akeys}
-    pis = {
-        "pi_R": {k: pi_R(s, x) for k, x in X.items()},
-        "pi_A": {k: pi_A(s, a) for k, a in A.items()},
-    }
-    prods_xa = []
-    prods_ax = []
+    pi_x = {k: pi_R(s, x) for k, x in X.items()}
+    pi_a = {k: pi_A(s, a) for k, a in A.items()}
+    prods_xa, prods_ax = [], []
 
     def pi_products(kx, ka):
-        px, pa = pis["pi_R"][kx], pis["pi_A"][ka]
+        px, pa = pi_x[kx], pi_a[ka]
         expected = s.element(X[kx], A[ka])
         xa = multiplier_product(px, pa)
         if not xa.equals_on(Multiplier.from_element(alg, expected), sample):
             return "pi(x)pi(a)"
-        expected2 = w_map(s, X[kx], A[ka])
+        expected2 = s.w.table[kx, ka]
         ax = multiplier_product(pa, px)
         if not ax.equals_on(Multiplier.from_element(alg, expected2), sample):
             return "pi(a)pi(x)"
@@ -390,8 +389,7 @@ def universal_map(
     # rho_A(a) rho_R(x) = sum rho_R(a_(1) x) rho_A(a_(2)), which maps W(x (x) a)
     def commutes(ka, kx) -> bool:
         lhs = multiplier_product(rho_A(ka), rho_R(kx))
-        x, a = Element.basis(R.domain, kx), Element.basis(h.domain, ka)
-        return lhs.equals_on(mapped(w_map(s, x, a)), tsample)
+        return lhs.equals_on(mapped(s.w.table[kx, ka]), tsample)
 
     witness, _ = first_failure(
         product(h.algebra.sample_keys(sample_range), R.sample_keys(sample_range)), commutes
@@ -571,21 +569,17 @@ def inner_trivialization(s: SmashProduct, gamma: Callable) -> tuple:
     def gamma_el(a: Element) -> Multiplier:
         return Multiplier.combination(R, ((c, gamma(k)) for k, c in a.coeffs.items()))
 
-    def trivialize(u: Element, twisted: Callable, domain: str) -> Element:
+    def trivialize(twisted: Callable, src: str, dst: str) -> LinearMap:
         # x # a -> sum x gamma(twisted(a_(1))) (x) a_(2)
-        def image(kx, ka) -> Element:
-            x = Element.basis(R.domain, kx)
-            d = h.delta(Element.basis(h.domain, ka))
+        def image(k) -> Element:
+            x = Element.basis(R.domain, k[0])
+            d = h.delta(Element.basis(h.domain, k[1]))
             return map_leg(d, 0, lambda p: gamma_el(twisted(p)).right(x), R.domain)
 
-        return merge_legs(s.legs(u), 0, 1, image, domain)
+        return LinearMap(src, dst, image)
 
-    def phi(u: Element) -> Element:
-        return trivialize(u, lambda p: Element.basis(h.domain, p), target.domain)
-
-    def psi(u: Element) -> Element:
-        return trivialize(u, h.antipode_key, s.algebra.domain)
-
+    phi = trivialize(lambda p: Element.basis(h.domain, p), s.algebra.domain, target.domain)
+    psi = trivialize(h.antipode_key, target.domain, s.algebra.domain)
     return phi, psi, target
 
 
@@ -624,12 +618,8 @@ def cocycle_isomorphism(cocycle, act1: ActionSpec, act2: ActionSpec) -> tuple:
             R.domain,
         )
 
-    def phi(u: Element) -> Element:
-        return merge_legs(s2.legs(u), 0, 1, phi_basis, s1.algebra.domain)
-
-    def psi(u: Element) -> Element:
-        return merge_legs(s1.legs(u), 0, 1, psi_basis, s2.algebra.domain)
-
+    phi = LinearMap(s2.algebra.domain, s1.algebra.domain, lambda k: phi_basis(*k))
+    psi = LinearMap(s1.algebra.domain, s2.algebra.domain, lambda k: psi_basis(*k))
     return phi, psi, s1, s2
 
 

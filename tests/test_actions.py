@@ -22,7 +22,7 @@ from mhopf.elements import Element, merge_legs
 from mhopf.errors import NotHopf
 from mhopf.instances import grading_action, translation_action
 from mhopf.scalars import ONE, sc
-from mhopf.smash import smash, w_inv_map, w_map
+from mhopf.smash import smash
 
 
 def b(h, key):
@@ -400,8 +400,8 @@ class TestWitnessIndependence:
         for k in s.algebra.basis:
             u = s.algebra.basis_element(k)
             back = merge_legs(
-                s.legs(w_inv_map(s, u)), 0, 1,
-                lambda kr, ka: w_map(s, rb(twisted, kr), b(h, ka)),
+                s.legs(s.w_inv(u)), 0, 1,
+                lambda kr, ka: s.w(rb(twisted, kr), b(h, ka)),
                 s.algebra.domain,
             )
             assert back == u, k

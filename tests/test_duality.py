@@ -117,12 +117,10 @@ class TestWConjugation:
 
     def test_trivial_action_w_is_identity(self, dual_trivial_c):
         s = dual_trivial_c.smash
-        from mhopf.smash import w_map
-
         one = Element.basis("C", ())
         for ka in s.mha.algebra.basis:
             a = Element.basis(s.mha.domain, ka)
-            assert w_map(s, one, a) == s.element(one, a)
+            assert s.w(one, a) == s.element(one, a)
         assert w_conjugation(dual_trivial_c).ok
 
 

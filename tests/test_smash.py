@@ -1,17 +1,29 @@
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mhopf.actions import CocycleData, inner_action_from, verify_module_algebra
+from mhopf.actions import (
+    ActionSpec,
+    CocycleData,
+    covered_legs,
+    inner_action_from,
+    verify_module_algebra,
+)
 from mhopf.algebras import Multiplier, multiplier_product
-from mhopf.elements import Element
+from mhopf.duality import unverified_dual_action, w_conjugation
+from mhopf.elements import Element, map_leg
 from mhopf.errors import CommutationFailed, NotInner, UnverifiedAction
 from mhopf.instances import (
+    canonical_pair,
+    get_group,
     matrix_algebra,
     scalar_algebra,
     translation_action,
 )
 from mhopf.linalg import span_rank
+from mhopf.mha import RegularMHA
 from mhopf.scalars import ONE, sc
 from mhopf.smash import (
     CovariantModule,
@@ -29,8 +41,6 @@ from mhopf.smash import (
     universal_map,
     verify_covariant,
     verify_pi_relations,
-    w_inv_map,
-    w_map,
 )
 
 
@@ -137,11 +147,10 @@ class TestPiEmbeddings:
                 u = s.element(
                     Element.basis(s.ralg.domain, kx), Element.basis(s.mha.domain, ka)
                 )
-                pairs = w_inv_map(s, u)
+                pairs = s.w_inv(u)
                 back = Element.zero(s.algebra.domain)
                 for (kr, kA), c in pairs.coeffs.items():
-                    back = back + w_map(
-                        s,
+                    back = back + s.w(
                         Element.basis(s.ralg.domain, kr),
                         Element.basis(s.mha.domain, kA),
                     ).scale(c)
@@ -152,7 +161,106 @@ class TestPiEmbeddings:
         d0 = Element.basis(s.ralg.domain, 0)
         d1 = Element.basis(s.ralg.domain, 1)
         l1 = Element.basis(s.mha.domain, 1)
-        assert w_map(s, d0, l1) == s.element(d1, l1)
+        assert s.w(d0, l1) == s.element(d1, l1)
+
+
+@pytest.fixture(scope="module", params=["S3", "Z"])
+def translation(request):
+    g = get_group(request.param)
+    spec = translation_action(g)
+    assert verify_module_algebra(spec).ok
+    return spec
+
+
+@pytest.fixture(scope="module")
+def translation_smash(translation):
+    return smash(translation, verify="full" if translation.ralg.is_finite else "sampled")
+
+
+def _sparse(data, domain, keys):
+    """An element with up to three terms over ``keys`` and Gaussian-integer coefficients."""
+    coeffs = st.builds(sc, st.integers(-3, 3), st.integers(-2, 2))
+    return Element(domain, data.draw(st.dictionaries(st.sampled_from(keys), coeffs, max_size=3)))
+
+
+def _w_ref(s, x, a):
+    """W(x (x) a), grounded through the witnesses of x itself."""
+    return s.join(covered_legs(s.action, a, x))
+
+
+def _w_inv_ref(s, u):
+    """W^-1(u), one covered Sweedler sum per term of u."""
+    R, h = s.ralg, s.mha
+    twist = f"twist({R.domain},{h.domain})"
+    out = Element.zero(twist)
+    for (kx, ka), c in u.coeffs.items():
+        t = covered_legs(s.action, b(h, ka), Element.basis(R.domain, kx), "Sinv")
+        out = out + Element(twist, t.coeffs).scale(c)
+    return out
+
+
+def _pi_R_ref(s, x, u):
+    """(pi(x) u, u pi(x)): x x' # a' and sum x'(a'_(1) x) # a'_(2), term by term in u."""
+    R = s.ralg
+    left = right = Element.zero(s.algebra.domain)
+    for (kx2, ka2), c in u.coeffs.items():
+        x2, a2 = Element.basis(R.domain, kx2), b(s.mha, ka2)
+        left = left + s.element(R.mul(x, x2), a2).scale(c)
+        covered = covered_legs(s.action, a2, x)  # sum a'_(1) x (x) a'_(2)
+        x2_covered = map_leg(covered, 0, lambda kr: R.mul(x2, Element.basis(R.domain, kr)))
+        right = right + s.join(x2_covered).scale(c)
+    return left, right
+
+
+class TestMemoisedMaps:
+    """W, W^-1 and the pi_R sides keep their basis images; they must agree
+    with the unmemoised covered evaluation on every element."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_agree_with_unmemoised_reference(self, translation_smash, data):
+        s = translation_smash
+        R, A = s.ralg, s.mha.algebra
+        x = _sparse(data, R.domain, R.sample_keys(4))
+        a = _sparse(data, A.domain, A.sample_keys(4))
+        u = _sparse(data, s.algebra.domain, s.algebra.sample_keys(4))
+        assert s.w(x, a) == _w_ref(s, x, a)
+        assert s.w_inv(u) == _w_inv_ref(s, u)
+        pi = pi_R(s, x)
+        assert (pi.left(u), pi.right(u)) == _pi_R_ref(s, x, u)
+        # pi of x as a multiplier of R goes through W and W^-1
+        pm = pi_R(s, Multiplier.from_element(R, x))
+        assert (pm.left(u), pm.right(u)) == (pi.left(u), pi.right(u))
+
+    def test_each_memo_grounds_a_key_once(self, translation):
+        s = smash(translation, verify="sampled")
+        keys = s.algebra.sample_keys(4)
+        us = [s.algebra.basis_element(k) for k in keys[:6]]
+        us.append(Element(s.algebra.domain, {k: sc(1, 1) for k in keys[2:9]}))
+        x = Element(s.ralg.domain, {k: sc(2) for k in s.ralg.sample_keys(4)[:2]})
+        pi, pm = pi_R(s, x), pi_R(s, Multiplier.from_element(s.ralg, x))
+        maps = {
+            "w": (s.w, s.w.linear, [s.legs(u) for u in us]),
+            "w_inv": (s.w_inv, s.w_inv, us),
+            "pi_R.left": (pi.left, pi.left, us),
+            "pi_R.right": (pi.right, pi.right, us),
+            "pi_R(m).left": (pm.left, pm.left, us),
+            "pi_R(m).right": (pm.right, pm.right, us),
+        }
+        for name, (m, apply, args) in maps.items():
+            m.table.clear()
+            calls = Counter()
+            fn = m.table.fn
+
+            def counted(key, fn=fn, calls=calls):
+                calls[key] += 1
+                return fn(key)
+
+            m.table.fn = counted
+            first = [apply(v) for v in args]
+            assert [apply(v) for v in args] == first, name
+            assert calls and set(calls.values()) == {1}, name
+            assert set(calls) == set(m.table), name
 
 
 class TestUniversalProperty:
@@ -374,3 +482,81 @@ def _std_act(s, u, x):
             s.action.act(Element.basis(s.mha.domain, ka), x),
         ).scale(c)
     return out
+
+
+def _doubled_t1(h, at):
+    """``h`` with t1 doubled at the basis pair ``at``: the smash product, built
+    from t1, changes, while the action's laws, grounded through t3 and t4, do not."""
+    D = h.domain
+
+    def cover(v):
+        def t(ka, kb):
+            img = h.cover(v, Element.basis(D, ka), Element.basis(D, kb))
+            return img.scale(sc(2)) if v == 1 and (ka, kb) == at else img
+
+        return t
+
+    return RegularMHA(
+        h.algebra, *map(cover, (1, 2, 3, 4)),
+        h.counit_key, h.antipode_key, h.antipode_inv_key, name="doubled-t1",
+    )
+
+
+class TestCorruptedStructure:
+    """One structure constant doubled off the first sample key.
+
+    W, W^-1 and the pi sides keep their basis images; every check that reads
+    the doubled constant must still fail, with the witness of the unmemoised
+    maps.  An action-table entry is read alike by the product and by W, so
+    twist-map-product, the identity t1 = t3 of the twist-map form, passes under
+    it; that check is corrupted through t1 instead.
+    """
+
+    # every failing line of verify_pi_relations and w_conjugation
+    ACTION_WITNESSES = {
+        "Z": {
+            "pi-products": ("pi(a)pi(x)", -4, -2),
+            "pi-homomorphisms": ("pi_A", -4, -3),
+            "w-bijection": (-2, 3),
+            "conjugated-smash-formula": (-4, 2, 1, 3),
+            "conjugated-dual-action": (-3, -2, -3),
+        },
+        "S3": {
+            "pi-products": ("pi(a)pi(x)", (0, 1, 2), (1, 0, 2)),
+            "pi-homomorphisms": ("pi_A", (0, 2, 1), (0, 2, 1)),
+            "span-pi(R)pi(A)": None,
+            "span-pi(A)pi(R)": None,
+            "w-bijection": ((1, 0, 2), (0, 2, 1)),
+            "conjugated-smash-formula": ((0, 1, 2), (1, 0, 2), (1, 2, 0), (0, 2, 1)),
+            "conjugated-dual-action": ((0, 2, 1), (1, 0, 2), (0, 2, 1)),
+        },
+    }
+
+    @pytest.mark.parametrize("gname", ["Z", "S3"])
+    def test_doubled_action_entry(self, gname):
+        g = get_group(gname)
+        tr = translation_action(g)
+        assert verify_module_algebra(tr).ok
+        rkeys, akeys = tr.ralg.sample_keys(4), tr.mha.algebra.sample_keys(4)
+        key = (akeys[1], rkeys[2])  # (a, x)
+        tr.act.table[key] = tr.act.table[key].scale(sc(2))
+        s = smash(tr, verify="full" if g.is_finite else "sampled")
+        assert s.certificates.status_of("twist-map-product") in ("pass", "sampled-pass")
+        rep = verify_pi_relations(s)
+        rep.extend(w_conjugation(unverified_dual_action(canonical_pair(g), s)))
+        got = {e.check: e.witness for e in rep.entries if e.status == "fail"}
+        assert got == self.ACTION_WITNESSES[gname]
+
+    def test_doubled_t1_fails_twist_map_product(self, s3):
+        tr = translation_action(s3)
+        akeys = tr.mha.algebra.sample_keys(4)
+        spec = ActionSpec.build(
+            _doubled_t1(tr.mha, (akeys[1], akeys[2])), tr.ralg, tr.act, rule="translation"
+        )
+        assert verify_module_algebra(spec).ok and spec.exhaustive
+        s = smash(spec)
+        line = s.certificates.entries[
+            [e.check for e in s.certificates.entries].index("twist-map-product")
+        ]
+        witness = (((0, 1, 2), (0, 2, 1)), ((0, 2, 1), (1, 0, 2)))
+        assert (line.status, line.witness) == ("fail", witness)
