@@ -20,7 +20,7 @@ from .scalars import I, ONE, ZERO, Scalar, sc
 from .elements import Element, flip, tensor
 from .linalg import LinearMap, linear_solve
 from .algebras import Algebra, Multiplier, multiplier_product
-from .mha import Functional, RegularMHA, cover, find_local_units, verify_mha_axioms
+from .mha import RegularMHA, find_local_units, verify_mha_axioms
 from .sweedler import ConstLeg, DeltaLeg, SweedlerExpr, sweedler_eval
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "ConstLeg",
     "DeltaLeg",
     "Element",
-    "Functional",
     "I",
     "LinearMap",
     "Multiplier",
@@ -37,7 +36,6 @@ __all__ = [
     "Scalar",
     "SweedlerExpr",
     "ZERO",
-    "cover",
     "find_local_units",
     "flip",
     "linear_solve",

@@ -350,7 +350,7 @@ def inner_action_from(
     (x -> [(a, z)] with x = sum gamma(a) z) or by the identity of A.
     """
     def g(a: Element) -> Multiplier:
-        return _gamma_apply(h, ralg, gamma, a)
+        return _gamma_apply(ralg, gamma, a)
 
     if gamma_witness is None:
         if not h.has_identity:
@@ -382,7 +382,8 @@ def inner_action_from(
     return spec
 
 
-def _gamma_apply(h, ralg, gamma, a: Element) -> Multiplier:
+def _gamma_apply(ralg: Algebra, gamma: Callable, a: Element) -> Multiplier:
+    """gamma, given on basis keys of A, extended linearly to a."""
     return Multiplier.combination(ralg, ((c, gamma(k)) for k, c in a.coeffs.items()))
 
 
@@ -515,7 +516,7 @@ class CocycleData:
     gamma: Callable  # key -> Multiplier
 
     def apply(self, h: RegularMHA, ralg: Algebra, a: Element) -> Multiplier:
-        return _gamma_apply(h, ralg, self.gamma, a)
+        return _gamma_apply(ralg, self.gamma, a)
 
 
 def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report:

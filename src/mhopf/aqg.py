@@ -23,7 +23,7 @@ from .algebras import Algebra, certify_algebra_map
 from .elements import Element, add_into, map_leg, weight_leg
 from .errors import InfiniteDimensional, Singular, Undecidable
 from .linalg import BasisMemo, LinearMap, kernel, span_rank, stack
-from .mha import Functional, RegularMHA
+from .mha import RegularMHA
 from .reports import Report
 from .scalars import ONE, Scalar
 
@@ -37,8 +37,8 @@ class Cointegral:
 @dataclass
 class AlgebraicQuantumGroup:
     base: RegularMHA
-    left_integral: Functional
-    right_integral: Functional
+    left_integral: LinearMap
+    right_integral: LinearMap
     modular: LinearMap | None = None
     meta: dict = field(default_factory=dict)
     bridge: "DualBridge | None" = None
@@ -83,7 +83,7 @@ def _normalize_vector(e: Element) -> Element:
     return e
 
 
-def find_integral(h: RegularMHA, side: str = "left") -> tuple[Functional, int]:
+def find_integral(h: RegularMHA, side: str = "left") -> tuple[LinearMap, int]:
     """(normalized integral, solution-space dimension) for finite instances;
     the registered oracle (dimension reported as 1) for infinite ones."""
     oracle = h.integral_oracle if side == "left" else h.right_integral_oracle
@@ -94,14 +94,10 @@ def find_integral(h: RegularMHA, side: str = "left") -> tuple[Functional, int]:
     sols = h.integral_solutions[side]
     if not sols:
         raise Singular(f"{h.name}: no nonzero {side} integral")
-    table = dict(_normalize_vector(sols[0]).coeffs)
-    return (
-        Functional.from_table(h.domain, table, f"{side}-integral"),
-        len(sols),
-    )
+    return LinearMap(h.domain, None, _normalize_vector(sols[0]).coeff), len(sols)
 
 
-def integral_matrix(h: RegularMHA, phi: Functional) -> list[Element]:
+def integral_matrix(h: RegularMHA, phi: LinearMap) -> list[Element]:
     """The bilinear form (a, b) -> phi(a b), one sparse column per basis key b:
     the values of the functional phi(. b) on the basis."""
     keys = h.algebra.basis
@@ -111,7 +107,7 @@ def integral_matrix(h: RegularMHA, phi: Functional) -> list[Element]:
     ]
 
 
-def _values_to_coords(h: RegularMHA, phi: Functional, domain: str) -> LinearMap:
+def _values_to_coords(h: RegularMHA, phi: LinearMap, domain: str) -> LinearMap:
     """F^-1 for F[i][j] = phi(a_i a_j): the values on the basis of a functional
     w -> the coordinates c over ``domain`` with w = sum_j c_j phi(. a_j)."""
     keys = h.algebra.basis
@@ -148,14 +144,14 @@ def verify_integral(
     rep.check(
         "left-invariance",
         product(keys, keys),
-        lambda ka, kb: weight_leg(h.t2(E[kb], E[ka]), 1, phi.eval_basis)
+        lambda ka, kb: weight_leg(h.t2(E[kb], E[ka]), 1, phi.table.__getitem__)
         == E[kb].scale(phi(E[ka])),
         ok_status,
     )
     rep.check(
         "right-invariance",
         product(keys, keys),
-        lambda ka, kb: weight_leg(h.t1(E[ka], E[kb]), 0, psi.eval_basis)
+        lambda ka, kb: weight_leg(h.t1(E[ka], E[kb]), 0, psi.table.__getitem__)
         == E[kb].scale(psi(E[ka])),
         ok_status,
     )
@@ -364,7 +360,7 @@ def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:
         aj = Element.basis(h.domain, kj)
         for kk in keys:
             inner = weight_leg(
-                h.t1(Element.basis(h.domain, kk), aj), 1, phi.eval_basis
+                h.t1(Element.basis(h.domain, kk), aj), 1, phi.table.__getitem__
             )
             values.append(phi(alg.mul(inner, Element.basis(h.domain, ki))))
         return to_coords(values)

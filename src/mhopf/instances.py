@@ -15,8 +15,9 @@ from typing import Callable, Sequence
 from .algebras import Algebra
 from .elements import Element
 from .errors import UnknownInstance
-from .mha import Functional, RegularMHA
-from .scalars import ONE, Scalar
+from .linalg import BilinearMap, LinearMap
+from .mha import RegularMHA
+from .scalars import ONE, ZERO
 
 
 @dataclass
@@ -195,24 +196,16 @@ def function_algebra(g: GroupSpec) -> RegularMHA:
     def t4(a, b):
         return Element.basis(dd, (mul(a, inv(b)), b))
 
-    def t1_inv(p, q):
-        return Element.basis(dd, (mul(p, q), q))
-
-    def t2_inv(p, q):
-        return Element.basis(dd, (p, mul(p, q)))
-
-    haar = Functional(domain, lambda k: ONE, "haar-sum")
+    haar = LinearMap(domain, None, lambda k: ONE)  # the sum of all values
     return RegularMHA(
         alg,
         t1,
         t2,
         t3,
         t4,
-        counit_basis=lambda k: ONE if k == g.identity else Scalar(0),
+        counit_basis=lambda k: ONE if k == g.identity else ZERO,
         antipode_basis=lambda k: Element.basis(domain, inv(k)),
         antipode_inv_basis=lambda k: Element.basis(domain, inv(k)),
-        t1_inv_basis=t1_inv,
-        t2_inv_basis=t2_inv,
         name=domain,
         integral_oracle=haar,
         right_integral_oracle=haar,
@@ -257,12 +250,6 @@ def group_algebra(g: GroupSpec) -> RegularMHA:
     def t4(p, q):
         return Element.basis(dd, (p, mul(q, p)))
 
-    def t1_inv(p, q):
-        return Element.basis(dd, (p, mul(inv(p), q)))
-
-    def t2_inv(p, q):
-        return Element.basis(dd, (mul(p, inv(q)), q))
-
     integral = None
     right_integral = None
     cointegral = None
@@ -270,9 +257,7 @@ def group_algebra(g: GroupSpec) -> RegularMHA:
     if g.is_finite:
         # Haar state: coefficient of the identity; two-sided by the trace
         # property of group algebras.
-        integral = Functional(
-            domain, lambda k: ONE if k == g.identity else Scalar(0), "haar-state"
-        )
+        integral = LinearMap(domain, None, lambda k: ONE if k == g.identity else ZERO)
         right_integral = integral
         cointegral = Element(domain, {k: ONE for k in g.elements})
         meta["aqg"] = True
@@ -285,8 +270,6 @@ def group_algebra(g: GroupSpec) -> RegularMHA:
         counit_basis=lambda k: ONE,
         antipode_basis=lambda k: Element.basis(domain, inv(k)),
         antipode_inv_basis=lambda k: Element.basis(domain, inv(k)),
-        t1_inv_basis=t1_inv,
-        t2_inv_basis=t2_inv,
         name=domain,
         integral_oracle=integral,
         right_integral_oracle=right_integral,
@@ -397,31 +380,30 @@ def translation_action(g: GroupSpec):
 
     A = group_algebra(g)
     R = function_algebra(g)
-    return ActionSpec.build(A, R.algebra, _right_translation(g, R.domain), rule="translation")
+    return ActionSpec.build(
+        A, R.algebra, _right_translation(g, A.domain, R.domain), rule="translation"
+    )
 
 
-def _right_translation(g: GroupSpec, domain: str) -> Callable:
-    """(lam_p, f) -> f(. p), extended bilinearly; f is a function on g over ``domain``."""
+def _right_translation(g: GroupSpec, group_domain: str, function_domain: str) -> BilinearMap:
+    """lam_p |> d_q = d_{q p^-1}, i.e. (lam_p |> f) = f(. p)."""
     mul, inv = g.multiply, g.invert
-
-    def act(a: Element, f: Element) -> Element:
-        out = Element.zero(domain)
-        for p, ca in a.coeffs.items():
-            out = out + Element(domain, {mul(q, inv(p)): cf * ca for q, cf in f.coeffs.items()})
-        return out
-
-    return act
+    return BilinearMap(
+        group_domain,
+        function_domain,
+        function_domain,
+        lambda p, q: Element.basis(function_domain, mul(q, inv(p))),
+    )
 
 
-def _grading(domain: str) -> Callable:
-    """(f, x) -> sum_q f(q) x(q) q: x's degree-q parts weighted by the function f."""
-
-    def act(f: Element, x: Element) -> Element:
-        return Element(
-            domain, {q: cx * f.coeffs[q] for q, cx in x.coeffs.items() if q in f.coeffs}
-        )
-
-    return act
+def _grading(function_domain: str, group_domain: str) -> BilinearMap:
+    """d_p |> lam_q = [p = q] lam_q: the function picks the degree-p part."""
+    return BilinearMap(
+        function_domain,
+        group_domain,
+        group_domain,
+        lambda p, q: Element.basis(group_domain, q, ONE if p == q else ZERO),
+    )
 
 
 def grading_action(g: GroupSpec):
@@ -437,7 +419,9 @@ def grading_action(g: GroupSpec):
             for q, c in v.items()
         ]
 
-    return ActionSpec.build(A, R.algebra, _grading(R.domain), witness=witness, rule="grading")
+    return ActionSpec.build(
+        A, R.algebra, _grading(A.domain, R.domain), witness=witness, rule="grading"
+    )
 
 
 # -- canonical dual pair -------------------------------------------------------
@@ -446,12 +430,13 @@ def grading_action(g: GroupSpec):
 def canonical_pair(g: GroupSpec):
     """The dual pair (A, B) = (CG, K(G)) with pairing <lam_p, f> = f(p).
 
-    All four induced module structures have closed, support-local forms:
+    The pairing and all four induced module structures are basis maps:
 
-        lam_p |> f   = f(. p)           (right-translation action on K(G))
-        f |> lam_p   = f(p) lam_p
-        lam_p <| f   = f(p) lam_p
-        f <| lam_p   = f(p .)
+        <lam_p, d_q>  = [p = q]
+        lam_p |> d_q  = d_{q p^-1}       i.e. lam_p |> f = f(. p)
+        d_p |> lam_q  = [p = q] lam_q    i.e. f |> lam_q = f(q) lam_q
+        lam_q <| d_p  = [p = q] lam_q
+        d_q <| lam_p  = d_{p^-1 q}       i.e. f <| lam_p = f(p .)
     """
     from .pairing import DualPair
 
@@ -460,24 +445,11 @@ def canonical_pair(g: GroupSpec):
     mul = g.multiply
     inv = g.invert
 
-    def pair(a: Element, b: Element) -> Scalar:
-        total = Scalar(0)
-        for p, ca in a.coeffs.items():
-            cb = b.coeffs.get(p)
-            if cb is not None:
-                total = total + ca * cb
-        return total
-
-    act_BonA = _grading(A.domain)
-
-    def ract_AonB(f: Element, a: Element) -> Element:
-        # f <| lam_p = f(p .): left translation of the argument
-        out = Element.zero(B.domain)
-        for p, ca in a.coeffs.items():
-            out = out + Element(
-                B.domain, {mul(inv(p), q): cf * ca for q, cf in f.coeffs.items()}
-            )
-        return out
+    pair = BilinearMap(A.domain, B.domain, None, lambda p, q: ONE if p == q else ZERO)
+    act_BonA = _grading(B.domain, A.domain)
+    ract_AonB = BilinearMap(
+        B.domain, A.domain, B.domain, lambda q, p: Element.basis(B.domain, mul(inv(p), q))
+    )
 
     def ract_BonA(a: Element, f: Element) -> Element:
         return act_BonA(f, a)
@@ -496,7 +468,7 @@ def canonical_pair(g: GroupSpec):
             A,
             B,
             pair,
-            act_AonB=_right_translation(g, B.domain),
+            act_AonB=_right_translation(g, A.domain, B.domain),
             act_BonA=act_BonA,
             ract_AonB=ract_AonB,
             ract_BonA=ract_BonA,

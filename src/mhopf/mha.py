@@ -11,12 +11,11 @@ together with the counit, the antipode and its inverse.  Regularity means
 t3/t4 exist and the antipode is a bijection of A onto A; every formula in
 the theory is evaluated in covered form through these maps.
 
-The inverses of t1 and t2 have closed forms in terms of the antipode:
+The inverses of t1 and t2 are evaluated, for every instance, through
+their closed forms in terms of the antipode:
 
     t1_inv(a (x) b) = (id (x) S) t4(a, S_inv(b))
     t2_inv(a (x) b) = (S (x) id) t3(b, S_inv(a))
-
-which is how they are implemented by default (instances may override).
 """
 
 from __future__ import annotations
@@ -27,42 +26,17 @@ from typing import Callable, Sequence
 
 from .algebras import Algebra, certify_algebra_map
 from .elements import Element, flip, map_leg, merge_legs, tensor, weight_leg
-from .errors import DomainMismatch, LocalUnitsNotFound, NoIdentity
+from .errors import LocalUnitsNotFound, NoIdentity
 from .linalg import BasisMemo, BilinearMap, LinearMap, linear_solve, stack
 from .reports import Report
-from .scalars import Scalar
-
-
-class Functional:
-    """A linear functional on an element domain, given on basis keys."""
-
-    __slots__ = ("domain", "eval_basis", "name")
-
-    def __init__(self, domain: str, eval_basis: Callable, name: str = "functional"):
-        self.domain = domain
-        self.eval_basis = eval_basis
-        self.name = name
-
-    def __call__(self, x: Element) -> Scalar:
-        if x.domain != self.domain:
-            raise DomainMismatch(f"{x.domain!r} vs {self.domain!r}")
-        total = Scalar(0)
-        for k, c in x.coeffs.items():
-            total = total + c * self.eval_basis(k)
-        return total
-
-    @classmethod
-    def from_table(cls, domain: str, table: dict, name: str = "functional"):
-        return cls(domain, lambda k: table.get(k, Scalar(0)), name)
 
 
 class RegularMHA:
     """An algebra with the four bijective covering maps, counit and antipode.
 
     The ``*_basis`` callables take basis keys and return tensors/elements;
-    bilinear extension to full elements happens here.  ``t1_inv_basis`` /
-    ``t2_inv_basis`` may be supplied when a closed form is cheaper than the
-    generic antipode formula.
+    bilinear extension to full elements happens here.  The integral oracles
+    are scalar-valued :class:`LinearMap` objects on the algebra's domain.
     """
 
     def __init__(
@@ -75,11 +49,9 @@ class RegularMHA:
         counit_basis: Callable,
         antipode_basis: Callable,
         antipode_inv_basis: Callable,
-        t1_inv_basis: Callable | None = None,
-        t2_inv_basis: Callable | None = None,
         name: str | None = None,
-        integral_oracle: Functional | None = None,
-        right_integral_oracle: Functional | None = None,
+        integral_oracle: LinearMap | None = None,
+        right_integral_oracle: LinearMap | None = None,
         cointegral_oracle: Element | None = None,
         meta: dict | None = None,
     ):
@@ -96,8 +68,6 @@ class RegularMHA:
         self.counit_key = self.counit.table.__getitem__
         self.antipode_key = self.antipode.table.__getitem__
         self.antipode_inv_key = self.antipode_inv.table.__getitem__
-        self._t1_inv = t1_inv_basis
-        self._t2_inv = t2_inv_basis
         self.name = name or algebra.name
         self.integral_oracle = integral_oracle
         self.right_integral_oracle = right_integral_oracle
@@ -149,15 +119,11 @@ class RegularMHA:
         return self._covers[variant].linear(t)
 
     def t1_inv(self, t: Element) -> Element:
-        if self._t1_inv is not None:
-            return BilinearMap(self.domain, self.domain, t.domain, self._t1_inv).linear(t)
         # t1_inv(a (x) b) = (id (x) S) t4(a, S_inv(b))
         inner = self.apply_t(4, map_leg(t, 1, self.antipode_inv_key))
         return map_leg(inner, 1, self.antipode_key)
 
     def t2_inv(self, t: Element) -> Element:
-        if self._t2_inv is not None:
-            return BilinearMap(self.domain, self.domain, t.domain, self._t2_inv).linear(t)
         # t2_inv(a (x) b) = (S (x) id) t3(b, S_inv(a))
         inner = self.apply_t(3, flip(map_leg(t, 0, self.antipode_inv_key), 0, 1))
         return map_leg(inner, 0, self.antipode_key)
@@ -181,12 +147,6 @@ class RegularMHA:
 
     def __repr__(self) -> str:
         return f"RegularMHA({self.name})"
-
-
-def cover(h: RegularMHA, variant: str, a: Element, b: Element) -> Element:
-    """Covered coproduct by variant name 'T1'..'T4'."""
-    idx = {"T1": 1, "T2": 2, "T3": 3, "T4": 4}[variant.upper()]
-    return h.cover(idx, a, b)
 
 
 def coopposite(h: RegularMHA) -> RegularMHA:
@@ -305,7 +265,10 @@ def coproduct_certificate(h: RegularMHA) -> str | None:
         t2(a, b) = (a (x) 1)delta(b)        t4(a, b) = (1 (x) b)delta(a),
 
     that delta is coassociative and multiplicative, and that S and S^-1 are
-    mutually inverse anti-homomorphisms.  The smash product R#A is built from
+    mutually inverse anti-homomorphisms.  Only S is certified as an
+    anti-homomorphism: S^-1 is its checked two-sided inverse, so
+    S(S^-1(y) S^-1(x)) = S(S^-1(x)) S(S^-1(y)) = xy gives
+    S^-1(xy) = S^-1(y) S^-1(x).  The smash product R#A is built from
     t1 and the module-algebra law is checked through t3, so these, with
     associative R and A and a module-algebra action, make R#A associative;
     the ``Sinv`` and ``S`` groundings of ``actions.covered_legs`` go through
@@ -347,10 +310,7 @@ def coproduct_certificate(h: RegularMHA) -> str | None:
         all(covers_from_delta(ka, kb) for ka, kb in product(keys, keys))
         and all(coassociative(ka) for ka in keys)
         and certify_algebra_map(delta, alg, pairs, "pairs").ok
-        and all(
-            certify_algebra_map(S, alg, alg, "pairs", anti=True).ok
-            for S in (h.antipode, h.antipode_inv)
-        )
+        and certify_algebra_map(h.antipode, alg, alg, "pairs", anti=True).ok
         and all(inverse(ka) for ka in keys)
     ):
         return None

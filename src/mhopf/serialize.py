@@ -209,14 +209,10 @@ def _find_identity(domain, basis, product) -> Element | None:
     if sol is None:
         return None
     e = Element(domain, dict(zip(basis, sol)))
-    for kj in basis:
-        prod_r = {}
-        for k, c in e.coeffs.items():
-            for k2, c2 in product[(kj, k)].coeffs.items():
-                prod_r[k2] = prod_r.get(k2, Scalar(0)) + c * c2
-        if Element(domain, prod_r) != Element.basis(domain, kj):
-            return None
-    return e
+    mul = BilinearMap(domain, domain, domain, product)
+    if all(mul(Element.basis(domain, kj), e) == Element.basis(domain, kj) for kj in basis):
+        return e
+    return None
 
 
 # -- actions ---------------------------------------------------------------------

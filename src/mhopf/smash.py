@@ -26,6 +26,7 @@ from typing import Callable
 from .actions import (
     ActionSpec,
     ModuleSpec,
+    _gamma_apply,
     covered_legs,
     extend_action_to_multipliers,
     extend_module_to_MA,
@@ -566,15 +567,12 @@ def inner_trivialization(s: SmashProduct, gamma: Callable) -> tuple:
     R = s.ralg
     target = tensor_algebra(R, h.algebra)
 
-    def gamma_el(a: Element) -> Multiplier:
-        return Multiplier.combination(R, ((c, gamma(k)) for k, c in a.coeffs.items()))
-
     def trivialize(twisted: Callable, src: str, dst: str) -> LinearMap:
         # x # a -> sum x gamma(twisted(a_(1))) (x) a_(2)
         def image(k) -> Element:
             x = Element.basis(R.domain, k[0])
             d = h.delta(Element.basis(h.domain, k[1]))
-            return map_leg(d, 0, lambda p: gamma_el(twisted(p)).right(x), R.domain)
+            return map_leg(d, 0, lambda p: _gamma_apply(R, gamma, twisted(p)).right(x), R.domain)
 
         return LinearMap(src, dst, image)
 

@@ -16,7 +16,7 @@ from mhopf.aqg import (
 from mhopf.elements import Element
 from mhopf.errors import Undecidable
 from mhopf.linalg import LinearMap
-from mhopf.mha import Functional, verify_mha_axioms
+from mhopf.mha import verify_mha_axioms
 from mhopf.scalars import ONE, Scalar, sc
 
 
@@ -42,7 +42,7 @@ class TestIntegrals:
     def test_wrong_functional_fails_invariance(self, kz2):
         g = AlgebraicQuantumGroup(
             kz2,
-            Functional.from_table(kz2.domain, {0: ONE}),  # f -> f(0) only
+            LinearMap(kz2.domain, None, {0: ONE, 1: Scalar(0)}),  # f -> f(0) only
             kz2.right_integral_oracle,
         )
         rep = verify_integral(g)

@@ -1,15 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mhopf.aqg import find_integral
 from mhopf.elements import Element, tensor
 from mhopf.errors import UnknownInstance
 from mhopf.instances import (
+    canonical_pair,
+    function_algebra,
     get_group,
+    group_algebra,
     matrix_algebra,
     scalar_algebra,
     symmetric_group_3,
     tensor_algebra,
     validate_group,
 )
+from mhopf.linalg import BilinearMap, LinearMap
 from mhopf.scalars import ONE, Scalar, sc
 
 
@@ -105,3 +111,57 @@ class TestCanonicalPair:
         l0 = Element.basis(pair_z2.A.domain, 0)
         d0 = Element.basis(pair_z2.B.domain, 0)
         assert pair_z2.pair(l0, d0) == ONE
+
+
+def _multi_term(data, domain, keys) -> Element:
+    coeffs = st.builds(sc, st.integers(-3, 3), st.integers(-2, 2))
+    terms = data.draw(st.dictionaries(st.sampled_from(keys), coeffs, min_size=2, max_size=4))
+    return Element(domain, terms)
+
+
+class TestCanonicalPairFormulas:
+    """The pairing and the four actions against their formulas on basis keys,
+    summed here term by term over multi-term elements a of CG and f of K(G)."""
+
+    @pytest.fixture(scope="class", params=["S3", "Z"])
+    def group_pair(self, request):
+        g = get_group(request.param)
+        return g, canonical_pair(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_pairing_and_actions(self, group_pair, data):
+        g, pair = group_pair
+        mul, inv = g.multiply, g.invert
+        keys = g.sample(3)
+        A, B = pair.A.domain, pair.B.domain
+        a, f = _multi_term(data, A, keys), _multi_term(data, B, keys)
+        both = [(p, ca, q, cf) for p, ca in a.coeffs.items() for q, cf in f.coeffs.items()]
+        diagonal = [(p, ca * f.coeffs[p]) for p, ca in a.coeffs.items() if p in f.coeffs]
+
+        # <a, f> = sum_p a(p) f(p)
+        assert pair.pair(a, f) == sum((c for _, c in diagonal), sc(0))
+        # lam_p |> d_q = d_{q p^-1}
+        assert pair.act_AonB(a, f) == Element.from_terms(
+            B, ((mul(q, inv(p)), ca * cf) for p, ca, q, cf in both)
+        )
+        # d_q <| lam_p = d_{p^-1 q}
+        assert pair.ract_AonB(f, a) == Element.from_terms(
+            B, ((mul(inv(p), q), ca * cf) for p, ca, q, cf in both)
+        )
+        # d_q |> lam_p = lam_p <| d_q = [p = q] lam_p
+        graded = Element.from_terms(A, diagonal)
+        assert pair.act_BonA(f, a) == graded
+        assert pair.ract_BonA(a, f) == graded
+
+
+def test_structure_maps_are_basis_maps(s3, zz, pair_s3):
+    for g in (s3, zz):
+        for h in (function_algebra(g), group_algebra(g)):
+            if h.integral_oracle is not None:
+                assert isinstance(h.integral_oracle, LinearMap)
+            if h.algebra.is_finite:
+                assert isinstance(find_integral(h, "left")[0], LinearMap)
+                assert isinstance(find_integral(h, "right")[0], LinearMap)
+    for m in (pair_s3.pair, pair_s3.act_AonB, pair_s3.act_BonA, pair_s3.ract_AonB):
+        assert isinstance(m, BilinearMap)

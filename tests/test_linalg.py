@@ -388,6 +388,20 @@ def test_linear_systems_are_stated_only_through_linalg():
     assert offenders == []
 
 
+def test_linear_extensions_are_only_basis_maps():
+    # a map given on basis keys is extended through linalg.LinearMap /
+    # BilinearMap; no site sums its images in a loop of its own
+    pattern = re.compile(r"total = total \+|out = out \+ Element\(")
+    offenders = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+        if path.name not in ("linalg.py", "elements.py")
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
+
+
 def test_only_tensor_algebra_multiplies_tensor_legs():
     # an algebra map into R (x) B is certified against instances.tensor_algebra,
     # which alone knows its product; no site multiplies tensor legs by hand
