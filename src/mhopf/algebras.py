@@ -19,6 +19,7 @@ the module-algebra laws are checked.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import product
 from operator import eq
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .elements import Element
 from .errors import InfiniteDimensional, NoIdentity
-from .linalg import BasisMemo, BilinearMap, LinearMap, SparseEliminator, kernel, stack
+from .linalg import BilinearMap, LinearMap, SparseEliminator, kernel, stack
 from .reports import first_failure
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 
 class Algebra:
@@ -134,6 +135,16 @@ class Multiplier:
             lambda x: sum((m.left(x).scale(c) for c, m in terms), zero),
             lambda x: sum((m.right(x).scale(c) for c, m in terms), zero),
         )
+
+    @classmethod
+    def extend(cls, algebra: Algebra, image: Callable, u: Element) -> "Multiplier":
+        """sum c_k image(k) over the terms c_k e_k of u, for a basis map
+        ``image`` into M(algebra); a lone term with coefficient 1 is its image."""
+        if len(u.coeffs) == 1:
+            ((k, c),) = u.coeffs.items()
+            if c == ONE:
+                return image(k)
+        return cls.combination(algebra, ((c, image(k)) for k, c in u.coeffs.items()))
 
     def scale(self, c: Scalar) -> "Multiplier":
         return Multiplier(
@@ -481,9 +492,14 @@ def certify_algebra_map(
     ``pairs`` mode, so the witness is the first failing basis pair (k1, k2)
     either way.
 
-    With ``sample`` (elements of ``dst``) phi is multiplier-valued: its
-    images are Multipliers of ``dst``, multiplied by
-    :func:`multiplier_product` and compared by ``equals_on(sample)``.  This
+    With ``sample`` (elements of ``dst``) phi is multiplier-valued and given
+    as a basis map: a dict or ``BasisMemo`` from basis keys of ``src``
+    to Multipliers of ``dst``, extended linearly by
+    :meth:`Multiplier.extend`, so phi(x y) is the combination of the images
+    of its terms and a one-term product is its image.  This is the rule
+    that wraps a bare element-valued phi in a lazy LinearMap: each image is
+    formed once, and no multiplier is built or kept per pair.  Products are
+    :func:`multiplier_product`, equality is ``equals_on(sample)``, and this
     form runs ``pairs`` (or ``sampled`` through ``keys``) only.
     """
     if sample is None:
@@ -492,9 +508,8 @@ def certify_algebra_map(
             phi = LinearMap(src.domain, dst.domain, lambda k: fn(src.basis_element(k)))
         image, mul, same = phi.table.__getitem__, dst.mul, eq
     else:
-        # one image per basis key, so phi is not rebuilt for each pair
-        image = BasisMemo(lambda k: phi(src.basis_element(k))).__getitem__
-        mul = multiplier_product
+        image, mul = phi.__getitem__, multiplier_product
+        phi = partial(Multiplier.extend, dst, image)
 
         def same(u: Multiplier, v: Multiplier) -> bool:
             return u.equals_on(v, sample)

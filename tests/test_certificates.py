@@ -5,32 +5,38 @@ Every mutation below must fail in every mode with a witness that reproduces
 the failure when re-evaluated on its own.
 """
 
+import json
+from collections import Counter
+
 import pytest
 
 from mhopf.actions import ActionSpec, adjoint_action, verify_module_algebra
 from mhopf.algebras import (
     Algebra,
+    Multiplier,
     algebra_generators,
     associativity_certificates,
     certify_algebra_map,
     certify_associative,
 )
 from mhopf.aqg import make_aqg
+from mhopf.cli import main
 from mhopf.duality import dual_action, duality_isomorphism, unverified_dual_action
 from mhopf.elements import Element, add_into
 from mhopf.instances import (
     canonical_pair,
     cyclic_group,
+    get_group,
     grading_action,
     group_algebra,
     translation_action,
 )
-from mhopf.linalg import BilinearMap, LinearMap
+from mhopf.linalg import BasisMemo, BilinearMap, LinearMap
 from mhopf.mha import RegularMHA, coproduct_certificate
 from mhopf.pairing import diamond_algebra, pair_of_aqg, pairing_smash, rank_one_gamma
 from mhopf.scalars import sc
 from mhopf.serialize import instance_from_json
-from mhopf.smash import group_crossed_product_oracle, smash
+from mhopf.smash import group_crossed_product_oracle, smash, verify_pi_relations
 
 MODES = ("pairs", "generators")
 
@@ -265,6 +271,67 @@ def test_non_spanning_candidates_fall_back_to_pairs(rank_one_s3):
     pairs = certify_algebra_map(bad, src, dia, "pairs")
     assert not fallback.ok and fallback.mode == "pairs"
     assert fallback.witness == pairs.witness
+
+
+# -- the multiplier form: phi given as a basis map into M(dst) ------------------
+
+
+def _regular_images(alg: Algebra) -> BasisMemo:
+    """e_k -> the multiplier of e_k, a multiplicative basis map alg -> M(alg)."""
+    return BasisMemo(lambda k: Multiplier.from_element(alg, alg.basis_element(k)))
+
+
+@pytest.mark.parametrize(
+    "gname, at, sampled",
+    [("S3", ((0, 2, 1), (1, 0, 2)), False), ("S3", ((0, 2, 1), (1, 0, 2)), True),
+     ("Z", (-1, 2), True)],
+)
+def test_multiplier_map_fails_at_its_one_bad_pair(gname, at, sampled):
+    # the source's product doubled at one basis pair: phi(e_k) = e_k is then
+    # multiplicative at every other pair
+    dst = group_algebra(get_group(gname)).algebra
+    keys = dst.sample_keys(4) if sampled else None
+    sample = [dst.basis_element(k) for k in dst.sample_keys(4)]
+    src = _perturbed(dst, at, dst.mul_basis(*at))
+    images = _regular_images(dst)
+    assert certify_algebra_map(images, dst, dst, "pairs", keys=keys, sample=sample).ok
+    cert = certify_algebra_map(images, src, dst, "pairs", keys=keys, sample=sample)
+    n = len(dst.sample_keys(4))
+    assert (cert.ok, cert.witness) == (False, at)
+    assert (cert.mode, cert.cases) == ("sampled" if sampled else "pairs", f"{n * n} pairs")
+
+
+def test_pi_images_are_formed_once_per_key(zz, monkeypatch):
+    # pi-products and pi-homomorphisms share one image table per embedding
+    import mhopf.smash
+
+    s = _translation_smash(zz)
+    calls = Counter()
+    for name in ("pi_A", "pi_R"):
+        def counted(s, x, name=name, pi=getattr(mhopf.smash, name)):
+            calls[(name, *x.coeffs)] += 1
+            return pi(s, x)
+
+        monkeypatch.setattr(mhopf.smash, name, counted)
+    rep = verify_pi_relations(s)
+    assert rep.status_of("pi-products") == rep.status_of("pi-homomorphisms") == "sampled-pass"
+    window = {("pi_A", k) for k in s.mha.algebra.sample_keys(4)}
+    window |= {("pi_R", k) for k in s.ralg.sample_keys(4)}
+    assert window <= set(calls) and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "group, mode, cases",
+    [("S3", "pairs", "pi_A 36 pairs, pi_R 36 pairs"),
+     ("Z", "sampled", "pi_A 81 pairs, pi_R 81 pairs")],
+)
+def test_pi_homomorphisms_keep_mode_and_cases(group, mode, cases, capsys):
+    assert main(["run", "smash", "--group", group, "--json", "--timing"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (line,) = [e for e in lines if e["check"].endswith(":pi-homomorphisms")]
+    assert (line["mode"], line["cases"], line["status"]) == (
+        mode, cases, "pass" if group == "S3" else "sampled-pass"
+    )
 
 
 def _with_cover(h, variant: int, at: tuple, value: Element) -> RegularMHA:

@@ -13,7 +13,7 @@ from mhopf.actions import (
 )
 from mhopf.algebras import Multiplier, multiplier_product
 from mhopf.duality import unverified_dual_action, w_conjugation
-from mhopf.elements import Element, map_leg
+from mhopf.elements import Element, map_leg, merge_legs
 from mhopf.errors import CommutationFailed, NotInner, UnverifiedAction
 from mhopf.instances import (
     canonical_pair,
@@ -212,9 +212,19 @@ def _pi_R_ref(s, x, u):
     return left, right
 
 
+def _pi_A_ref(s, a, u):
+    """(pi(a) u, u pi(a)): sum a_(1) x' # a_(2) a' and x' # a' a, with t1 and
+    the action applied to the whole of u, as the closure form did."""
+    h, act = s.mha, s.action.act.table
+    t = map_leg(s.legs(u), 1, lambda ka2: h.t1(a, b(h, ka2)), (h.domain, h.domain))
+    left = s.join(merge_legs(t, 0, 1, lambda kx, p: act[p, kx], s.ralg.domain))
+    right = s.join(map_leg(s.legs(u), 1, lambda ka2: h.algebra.mul(b(h, ka2), a)))
+    return left, right
+
+
 class TestMemoisedMaps:
-    """W, W^-1 and the pi_R sides keep their basis images; they must agree
-    with the unmemoised covered evaluation on every element."""
+    """W, W^-1 and the pi_R and pi_A sides keep their basis images; they must
+    agree with the unmemoised evaluation on every element."""
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -231,6 +241,8 @@ class TestMemoisedMaps:
         # pi of x as a multiplier of R goes through W and W^-1
         pm = pi_R(s, Multiplier.from_element(R, x))
         assert (pm.left(u), pm.right(u)) == (pi.left(u), pi.right(u))
+        pa = pi_A(s, a)
+        assert (pa.left(u), pa.right(u)) == _pi_A_ref(s, a, u)
 
     def test_each_memo_grounds_a_key_once(self, translation):
         s = smash(translation, verify="sampled")
@@ -239,6 +251,8 @@ class TestMemoisedMaps:
         us.append(Element(s.algebra.domain, {k: sc(1, 1) for k in keys[2:9]}))
         x = Element(s.ralg.domain, {k: sc(2) for k in s.ralg.sample_keys(4)[:2]})
         pi, pm = pi_R(s, x), pi_R(s, Multiplier.from_element(s.ralg, x))
+        a = Element(s.mha.domain, {k: sc(-1, 2) for k in s.mha.algebra.sample_keys(4)[1:3]})
+        pa = pi_A(s, a)
         maps = {
             "w": (s.w, s.w.linear, [s.legs(u) for u in us]),
             "w_inv": (s.w_inv, s.w_inv, us),
@@ -246,6 +260,8 @@ class TestMemoisedMaps:
             "pi_R.right": (pi.right, pi.right, us),
             "pi_R(m).left": (pm.left, pm.left, us),
             "pi_R(m).right": (pm.right, pm.right, us),
+            "pi_A.left": (pa.left, pa.left, us),
+            "pi_A.right": (pa.right, pa.right, us),
         }
         for name, (m, apply, args) in maps.items():
             m.table.clear()
