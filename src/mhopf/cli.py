@@ -295,8 +295,7 @@ def _conj_class(g, k):
 def _smash_report(g, args) -> Report:
     tr = translation_action(g)
     verify_module_algebra(tr)
-    verify_mode = args.verify if args.verify else ("full" if g.is_finite else "sampled")
-    s = smash(tr, verify=verify_mode, seed=args.seed)
+    s = smash(tr, seed=args.seed)
     rep = Report(instance=s.algebra.name)
     rep.extend(s.certificates)
     rep.extend(verify_pi_relations(s))
@@ -349,7 +348,7 @@ def _coaction_report(g) -> Report:
 def _w_sampled_report(g, args) -> Report:
     tr = translation_action(g)
     verify_module_algebra(tr, sample_range=args.sample_range)
-    s = smash(tr, verify="sampled", seed=args.seed)
+    s = smash(tr, seed=args.seed)
     p = canonical_pair(g)
     rep = Report(instance=f"w[{g.name}]")
     rep.extend(s.certificates)
@@ -431,14 +430,12 @@ def main(argv=None) -> int:
     run.add_argument("--group", default="Z2", help="builtin group id (Z1..Z4, S3, Z)")
     run.add_argument("--instance", help="instance file (.json) or builtin id")
     run.add_argument("--sample-range", type=int, default=5)
-    run.add_argument("--verify", choices=["full", "sampled"], default=None)
     run.add_argument("--json", action="store_true")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--timing", action="store_true")
 
     sm = sub.add_parser("smash", help="build a smash product from an action description")
     sm.add_argument("--action", required=True, help="action description (.json)")
-    sm.add_argument("--verify", choices=["full", "sampled"], default="full")
     sm.add_argument("--json", action="store_true")
     sm.add_argument("--seed", type=int, default=0)
 
@@ -488,7 +485,7 @@ def _cmd_smash(args) -> int:
     if not rep.ok:
         _emit(rep, args)
         return 1
-    s = smash(spec, verify=args.verify, seed=args.seed)
+    s = smash(spec, seed=args.seed)
     payload = {
         "domain": s.algebra.domain,
         "dimension": s.algebra.dim if s.algebra.is_finite else None,

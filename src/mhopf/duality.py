@@ -138,14 +138,9 @@ def fixed_point_theorem_check(d: DualAction) -> Report:
 # -- bismash product ---------------------------------------------------------------
 
 
-def bismash(d: DualAction, verify: str = "auto") -> SmashProduct:
+def bismash(d: DualAction) -> SmashProduct:
     """(R#A)#B via the generic smash constructor on the dual action."""
-    if verify == "auto":
-        dim3 = None
-        if d.smash.algebra.is_finite and d.pair.B.algebra.is_finite:
-            dim3 = (d.smash.algebra.dim * d.pair.B.algebra.dim) ** 3
-        verify = "full" if dim3 is not None and dim3 <= 3_000_000 else "sampled"
-    return smash(d.spec, verify=verify)
+    return smash(d.spec)
 
 
 def bismash_standard_module(d: DualAction) -> PlainModule:

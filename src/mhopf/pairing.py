@@ -302,32 +302,24 @@ def pairing_action(p: DualPair, which: str) -> ActionSpec:
 # -- smash products of a pair -----------------------------------------------------
 
 
-def pairing_smash(p: DualPair, order: str = "BA", verify: str = "full") -> SmashProduct:
+def pairing_smash(p: DualPair, order: str = "BA") -> SmashProduct:
     """B#A from a |> b (order 'BA') or A#B from b |> a (order 'AB').
 
-    Cross-checks the closed product display
+    Its certificates cross-check the closed product display
     (b#a)(b'#a') = sum <a_(1), b'_(2)> b b'_(1) # a_(2) a'
-    against the generic twisted product on basis pairs.
+    against the generic twisted product on (sampled) basis pairs.
     """
     cache = p._smash_cache
-    if (order, verify) in cache:
-        return cache[(order, verify)]
+    if order in cache:
+        return cache[order]
     action = pairing_action(p, "AonB" if order == "BA" else "BonA")
     if not action.verified:
         rep = verify_module_algebra(action)
         if not rep.ok:
             raise Singular(f"{p.name}: pairing action failed verification")
-    s = smash(action, verify=verify)
-
-    # cross-check of the explicit display on (sampled) basis pairs
-    skeys = s.algebra.sample_keys(3)
-    s.certificates.check(
-        "pairing-product-display",
-        product(skeys, skeys),
-        lambda k1, k2: s.algebra.mul_basis(k1, k2) == _pair_smash_display(p, s, order, k1, k2),
-        "pass" if s.algebra.is_finite else "sampled-pass",
-    )
-    cache[(order, verify)] = s
+    s = smash(action)
+    s.display = lambda k1, k2: _pair_smash_display(p, s, order, k1, k2)
+    cache[order] = s
     return s
 
 

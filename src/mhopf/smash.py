@@ -5,9 +5,11 @@ The underlying space is R (x) A with the twisted product
     (x # a)(x' # a') = sum x (a_(1) x') # a_(2) a'
 
 grounded by covering the second coproduct leg with a' and contracting the
-first against x' through the action.  Construction attaches certificates
-(associativity, zero radicals, agreement with the twist-map form of the
-product); consumers can demand a verified action first.
+first against x' through the action.  Construction needs a verified
+action and runs no certificate; the certificates (associativity, zero
+radicals, agreement with the twist-map form of the product) are made on
+their first read, exhaustively on finite R#A and on a seeded sample
+otherwise.
 
 Also here: the multiplier embeddings of A and R into M(R#A), the universal
 property, covariant modules, the tensor-product trivialisation for inner
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
@@ -44,6 +47,7 @@ from .errors import (
     AlgebraMismatch,
     CocycleInvalid,
     CommutationFailed,
+    InfiniteDimensional,
     NotHopf,
     NotInner,
     UnverifiedAction,
@@ -57,11 +61,15 @@ from .reports import Report, first_failure
 class SmashProduct:
     """R#A with the bijection W(x (x) a) = sum a_(1) x # a_(2) of R (x) A onto it
     and W^-1(x # a) = sum S^-1(a_(1)) x (x) a_(2), over pair keys (r, a) of
-    twist(R,A); each grounds a basis term once, through the witnesses of x."""
+    twist(R,A); each grounds a basis term once, through the witnesses of x.
+
+    ``seed`` draws the sample of an infinite R#A; ``display``, if given, is a
+    closed formula for the product of basis keys that the certificates check."""
 
     action: ActionSpec
     algebra: Algebra
-    certificates: Report = field(default_factory=Report)
+    seed: int = 0
+    display: Callable | None = None
     w: BilinearMap = field(init=False)
     w_inv: LinearMap = field(init=False)
 
@@ -79,6 +87,11 @@ class SmashProduct:
             self.algebra.domain, twist,
             lambda k: Element(twist, covered(*k, "Sinv").coeffs, _canon=True),
         )
+
+    @cached_property
+    def certificates(self) -> Report:
+        """The certificates of R#A, made on the first read."""
+        return _certify(self)
 
     @property
     def mha(self) -> RegularMHA:
@@ -102,8 +115,9 @@ class SmashProduct:
         return Element(self.algebra.domain, t.coeffs, _canon=True)
 
 
-def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProduct:
-    """Build R#A; ``verify`` is 'full' (finite instances) or 'sampled'.
+def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
+    """Build R#A; its certificates wait for the first read of
+    ``.certificates``, and ``seed`` draws their sample when R#A is infinite.
 
     Raises :class:`UnverifiedAction` unless the action has passed
     verify_module_algebra (call it first, or construct via helpers that do).
@@ -169,9 +183,7 @@ def smash(action: ActionSpec, verify: str = "full", seed: int = 0) -> SmashProdu
             else None
         ),
     )
-    s = SmashProduct(action, alg)
-    s.certificates = _certify(s, verify, seed)
-    return s
+    return SmashProduct(action, alg, seed)
 
 
 def _tensor(domain: str, x: Element, a: Element) -> Element:
@@ -183,38 +195,27 @@ def _tensor(domain: str, x: Element, a: Element) -> Element:
     )
 
 
-def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
+def _certify(s: SmashProduct) -> Report:
     rep = Report(instance=s.algebra.name)
     alg = s.algebra
-    exhaustive = verify == "full" and alg.is_finite
+    exhaustive = alg.is_finite
     status = "pass" if exhaustive else "sampled-pass"
-
     if exhaustive:
-        cert = certify_associative(alg)
+        rep.add_certificate("associativity", certify_associative(alg), status)
+        lk, rk = radicals(alg)
+        rep.add("radical-left-zero", not lk, status, lk[:1] or None)
+        rep.add("radical-right-zero", not rk, status, rk[:1] or None)
+        pairs = product(alg.basis, alg.basis)
     else:
         keys = alg.sample_keys(4)
-        rng = random.Random(seed)
-        triples = [
-            (rng.choice(keys), rng.choice(keys), rng.choice(keys))
-            for _ in range(200)
-        ]
-        cert = certify_associative(alg, triples=triples)
-    rep.add_certificate("associativity", cert, status)
-
-    if exhaustive:
-        lk, rk = radicals(alg)
-        rep.add("radical-left-zero", not lk, "pass", lk[:1] or None)
-        rep.add("radical-right-zero", not rk, "pass", rk[:1] or None)
-    else:
+        rng = random.Random(s.seed)
+        triples = [tuple(rng.choice(keys) for _ in range(3)) for _ in range(200)]
+        rep.add_certificate("associativity", certify_associative(alg, triples=triples), status)
         rep.skip("radical-left-zero", "sampled verification")
         rep.skip("radical-right-zero", "sampled verification")
+        pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(100)]
 
     # product equals (m (x) m)(id (x) Gamma (x) id), the twist-map form
-    pairs = (
-        product(alg.basis, alg.basis)
-        if exhaustive
-        else [(rng.choice(keys), rng.choice(keys)) for _ in range(100)]
-    )
     R, A = s.ralg, s.mha.algebra
 
     def twist_product(k1, k2) -> bool:
@@ -226,6 +227,10 @@ def _certify(s: SmashProduct, verify: str, seed: int) -> Report:
         return s.join(tw) == alg.mul_basis(k1, k2)
 
     rep.check("twist-map-product", pairs, twist_product, status)
+    if s.display is not None:
+        window = alg.sample_keys(3)
+        same = lambda k1, k2: alg.mul_basis(k1, k2) == s.display(k1, k2)
+        rep.check("pairing-product-display", product(window, window), same, status)
     return rep
 
 
@@ -429,15 +434,16 @@ class CovariantModule:
 
 
 def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
+    """Covariance (and its unital form, given ``v_witness``) on V's basis."""
+    if c.space_basis is None:  # no window of V to run the laws on
+        raise InfiniteDimensional(f"{c.name}: no basis of the module space")
     rep = Report(instance=c.name)
     s = c.action
     h = s.mha
     akeys = h.algebra.sample_keys(sample_range)
     rkeys = s.ralg.sample_keys(sample_range)
-    vkeys = (
-        c.space_basis if c.space_basis is not None else []
-    )
-    exhaustive = c.space_basis is not None and h.algebra.is_finite
+    vkeys = c.space_basis
+    exhaustive = h.algebra.is_finite
     status = "pass" if exhaustive else "sampled-pass"
     A = {k: Element.basis(h.domain, k) for k in akeys}
     X = {k: Element.basis(s.ralg.domain, k) for k in rkeys}

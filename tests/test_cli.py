@@ -306,10 +306,24 @@ def test_timing_shows_certificate_provenance():
     assert mult["mode"] == "generators"
     assert mult["cases"] == "3x8 of 64 pairs"
     assert any("structural tensor" in r for r in mult["relies_on"])
+    # no bismash certificate is read in this run, so each bismash rests on
+    # its structural certificate
+    iso = lines["coaction[Z2]:bismash-iso-R-tensor-A#B"]
+    assert (iso["mode"], iso["cases"]) == ("generators", "3x8 of 64 pairs")
+    assert mult["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),dual(C[Z2])): structural smash"
+    assert iso["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),K(Z2)): structural smash"
     # a single-shot check records no provenance
     assert "mode" not in lines["duality[K(Z2),C[Z2]]:bismash-faithful"]
     _, plain = run_cli("run", "duality", "--group", "Z2", "--json")
     assert all("mode" not in json.loads(l) for l in plain.splitlines())
+
+
+@pytest.mark.parametrize("argv", [("run", "smash"), ("smash", "--action", "a.json")])
+def test_no_verification_mode_option(argv, capsys):
+    # a finite smash product is always certified exhaustively
+    with pytest.raises(SystemExit):
+        main([*argv, "--verify", "sampled"])
+    assert "unrecognized arguments: --verify sampled" in capsys.readouterr().err
 
 
 def test_module_algebra_laws_record_generator_provenance():

@@ -49,7 +49,7 @@ def b_el(p, key):
 class TestDualAction:
     def test_point_mass_selects_group_degree(self, pair_z2, translation_z2):
         # over the canonical pair: d_q (x # lam_p) = [p=q] x # lam_p
-        s = smash(translation_z2, verify="sampled")
+        s = smash(translation_z2)
         d = dual_action(pair_z2, s)
         x = Element.basis(s.ralg.domain, 0)
         u = s.element(x, Element.basis(s.mha.domain, 1))
@@ -57,7 +57,7 @@ class TestDualAction:
         assert d.act(b_el(pair_z2, 0), u).is_zero()
 
     def test_identity_of_b_acts_as_identity(self, pair_z2, translation_z2):
-        s = smash(translation_z2, verify="sampled")
+        s = smash(translation_z2)
         d = dual_action(pair_z2, s)
         one_b = pair_z2.B.algebra.one()
         for k in s.algebra.basis:

@@ -80,7 +80,7 @@ class TestPairingSmash:
                 assert s.certificates.status_of("pairing-product-display") == "pass"
 
     def test_display_on_infinite_pair_is_sampled(self, pair_z):
-        s = pairing_smash(pair_z, "BA", verify="sampled")
+        s = pairing_smash(pair_z, "BA")
         assert s.certificates.status_of("pairing-product-display") == "sampled-pass"
 
     def test_equals_translation_smash(self, pair_z2, smash_translation_z2):

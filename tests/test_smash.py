@@ -12,9 +12,9 @@ from mhopf.actions import (
     verify_module_algebra,
 )
 from mhopf.algebras import Multiplier, multiplier_product
-from mhopf.duality import unverified_dual_action, w_conjugation
+from mhopf.duality import bismash, dual_action, unverified_dual_action, w_conjugation
 from mhopf.elements import Element, map_leg, merge_legs
-from mhopf.errors import CommutationFailed, NotInner, UnverifiedAction
+from mhopf.errors import CommutationFailed, InfiniteDimensional, NotInner, UnverifiedAction
 from mhopf.instances import (
     canonical_pair,
     get_group,
@@ -24,6 +24,7 @@ from mhopf.instances import (
 )
 from mhopf.linalg import span_rank
 from mhopf.mha import RegularMHA
+from mhopf.pairing import pairing_smash
 from mhopf.scalars import ONE, sc
 from mhopf.smash import (
     CovariantModule,
@@ -68,7 +69,7 @@ class TestConstruction:
         assert s.algebra.mul(u, v).is_zero()
 
     def test_trivial_action_gives_tensor_product(self, trivial_cs3):
-        s = smash(trivial_cs3, verify="sampled")
+        s = smash(trivial_cs3)
         keys = s.algebra.basis[:8]
         for k1, k2 in itertools.product(keys, repeat=2):
             (x1, a1), (x2, a2) = k1, k2
@@ -174,7 +175,7 @@ def translation(request):
 
 @pytest.fixture(scope="module")
 def translation_smash(translation):
-    return smash(translation, verify="full" if translation.ralg.is_finite else "sampled")
+    return smash(translation)
 
 
 def _sparse(data, domain, keys):
@@ -245,7 +246,7 @@ class TestMemoisedMaps:
         assert (pa.left(u), pa.right(u)) == _pi_A_ref(s, a, u)
 
     def test_each_memo_grounds_a_key_once(self, translation):
-        s = smash(translation, verify="sampled")
+        s = smash(translation)
         keys = s.algebra.sample_keys(4)
         us = [s.algebra.basis_element(k) for k in keys[:6]]
         us.append(Element(s.algebra.domain, {k: sc(1, 1) for k in keys[2:9]}))
@@ -358,6 +359,19 @@ class TestCovariantModules:
         rep = verify_covariant(cov)
         assert rep.ok, rep.summary()
 
+    def test_module_without_a_basis_is_refused(self, zz):
+        # with no basis list of V there is no case to run the laws on
+        spec = translation_action(zz)
+        cov = CovariantModule(
+            action=spec,
+            space_domain=spec.ralg.domain,
+            space_basis=None,
+            a_act=spec.act,
+            r_act=spec.ralg.mul,
+        )
+        with pytest.raises(InfiniteDimensional):
+            verify_covariant(cov)
+
     def test_round_trip(self, translation_z2, smash_translation_z2):
         cov = self._c2_module(translation_z2)
         mod = covariant_to_module(cov, smash_translation_z2)
@@ -459,7 +473,7 @@ class TestInnerTrivialization:
             inner_trivialization(s, gamma)
 
     def test_trivial_action_trivialises_by_identity_reindexing(self, trivial_cs3):
-        s = smash(trivial_cs3, verify="sampled")
+        s = smash(trivial_cs3)
         gamma = lambda k: Multiplier.one(s.ralg).scale(s.mha.counit_key(k))
         phi, psi, target = inner_trivialization(s, gamma)
         for k in s.algebra.basis[:12]:
@@ -556,7 +570,7 @@ class TestCorruptedStructure:
         rkeys, akeys = tr.ralg.sample_keys(4), tr.mha.algebra.sample_keys(4)
         key = (akeys[1], rkeys[2])  # (a, x)
         tr.act.table[key] = tr.act.table[key].scale(sc(2))
-        s = smash(tr, verify="full" if g.is_finite else "sampled")
+        s = smash(tr)
         assert s.certificates.status_of("twist-map-product") in ("pass", "sampled-pass")
         rep = verify_pi_relations(s)
         rep.extend(w_conjugation(unverified_dual_action(canonical_pair(g), s)))
@@ -576,3 +590,48 @@ class TestCorruptedStructure:
         ]
         witness = (((0, 1, 2), (0, 2, 1)), ((0, 2, 1), (1, 0, 2)))
         assert (line.status, line.witness) == ("fail", witness)
+
+
+class TestLazyCertificates:
+    """Building a smash product runs no certificate; the first read of
+    ``certificates`` runs them once and keeps the report."""
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        import mhopf.smash as smash_module
+
+        calls = []
+        certify = smash_module._certify
+
+        def counted(s):
+            calls.append(s.algebra.name)
+            return certify(s)
+
+        monkeypatch.setattr(smash_module, "_certify", counted)
+        return calls
+
+    def test_construction_certifies_nothing(self, certified):
+        g = get_group("Z2")
+        tr = translation_action(g)
+        assert verify_module_algebra(tr).ok
+        p = canonical_pair(g)
+        bismash(dual_action(p, smash(tr)))
+        pairing_smash(p, "BA")
+        pairing_smash(p, "AB")
+        assert certified == []
+
+    def test_first_read_certifies_once(self, certified, translation_z2):
+        s = smash(translation_z2)
+        assert certified == []
+        rep = s.certificates
+        assert rep.ok and certified == [s.algebra.name]
+        assert s.certificates is rep
+        assert certified == [s.algebra.name]
+
+    @pytest.mark.parametrize("gname, status", [("Z2", "pass"), ("Z3", "pass"), ("Z", "sampled-pass")])
+    def test_pairing_display_is_the_last_line(self, certified, gname, status):
+        s = pairing_smash(canonical_pair(get_group(gname)), "BA")
+        assert certified == []
+        last = s.certificates.entries[-1]
+        assert (last.check, last.status) == ("pairing-product-display", status)
+        assert len(certified) == 1
