@@ -64,7 +64,7 @@ class Algebra:
         self.structure = structure
         # (how, factors, lines) once associativity is certified exhaustively
         self.associativity: tuple | None = None
-        self._generators: tuple | None = None
+        self._generators: tuple | None = None  # (Gen, rank, L_g), see algebra_generators
 
     @property
     def is_finite(self) -> bool:
@@ -293,15 +293,21 @@ def algebra_generators(alg: Algebra, candidates: Sequence[Element] | None = None
     algebra) are taken densest first, the identity last.  One is kept when it
     lies outside the span so far; the span is then closed under left
     multiplication by every kept generator, so it is the span of all
-    monomials g1 (g2 (... gk)) in Gen.  Left multiplication touches the same
-    structure constants g * e_k as the generator-mode checks, so the two share
-    the product cache.  rank == dim certifies that Gen generates the algebra.
-    Deterministic for a fixed candidate list.
+    monomials g1 (g2 (... gk)) in Gen.  Each generator g keeps one left
+    operator L_g: e_k -> g e_k, a LinearMap that forms each g e_k once; the
+    closure and the generator-mode checks all read it.  rank == dim
+    certifies that Gen generates the algebra.  Deterministic for a fixed
+    candidate list.
     """
     if candidates is None:
         if alg._generators is None:
-            alg._generators = algebra_generators(alg, alg.candidates())
-        return alg._generators
+            alg._generators = _generate(alg, alg.candidates())
+        return alg._generators[:2]
+    return _generate(alg, candidates)[:2]
+
+
+def _generate(alg: Algebra, candidates: Sequence[Element]) -> tuple:
+    """(Gen, rank, [L_g for g in Gen]); see :func:`algebra_generators`."""
     index = {k: i for i, k in enumerate(alg.basis)}
     n = len(index)
     elim = SparseEliminator()
@@ -310,8 +316,9 @@ def algebra_generators(alg: Algebra, candidates: Sequence[Element] | None = None
         return elim.add({index[k]: c for k, c in x.coeffs.items()})
 
     gens: list = []
+    lefts: list = []
     monomials: list = []
-    todo: deque = deque()  # (g, m) pairs whose product g*m is still to span
+    todo: deque = deque()  # (L_g, m) pairs whose product g*m is still to span
     # denser candidates tend to generate more; the identity is needed only
     # when the other monomials miss it
     for cand in sorted(candidates, key=lambda c: (c == alg.identity, -len(c.coeffs))):
@@ -320,16 +327,19 @@ def algebra_generators(alg: Algebra, candidates: Sequence[Element] | None = None
         if not enlarges(cand):
             continue
         gens.append(cand)
-        todo.extend((cand, m) for m in monomials)
+        lefts.append(
+            LinearMap(alg.domain, alg.domain, lambda k, g=cand: alg.mul(g, alg.basis_element(k)))
+        )
+        todo.extend((lefts[-1], m) for m in monomials)
         monomials.append(cand)
-        todo.extend((g, cand) for g in gens)
+        todo.extend((left, cand) for left in lefts)
         while todo and elim.rank < n:
-            g, m = todo.popleft()
-            p = alg.mul(g, m)
+            left, m = todo.popleft()
+            p = left(m)
             if enlarges(p):
                 monomials.append(p)
-                todo.extend((h, p) for h in gens)
-    return gens, elim.rank
+                todo.extend((left, p) for left in lefts)
+    return gens, elim.rank, lefts
 
 
 def _spanning_generators(alg: Algebra) -> list | None:
@@ -346,12 +356,11 @@ def _assoc_pairs(alg: Algebra, triples: Iterable[tuple]) -> tuple | None:
     )[0]
 
 
-def _assoc_generators(alg: Algebra, gens: Sequence[Element]) -> bool:
-    """(g y) z == g (y z) for g in Gen and basis elements y, z."""
+def _assoc_generators(alg: Algebra) -> bool:
+    """(g y) z == g (y z) for g in the cached Gen and basis elements y, z."""
     keys = alg.basis
     basis = alg.basis_elements()
-    for g in gens:
-        left = LinearMap(alg.domain, alg.domain, {k: alg.mul(g, e) for k, e in zip(keys, basis)})
+    for left in alg._generators[2]:
         for k2 in keys:
             gy = left.table[k2]
             for k3, e3 in zip(keys, basis):
@@ -381,7 +390,7 @@ def certify_associative(
     n = len(keys)
     gens = _spanning_generators(alg) if mode == "generators" else None
     w = None
-    if gens is None or not _assoc_generators(alg, gens):
+    if gens is None or not _assoc_generators(alg):
         # a failing generator check implies a failing basis triple, since the
         # product is trilinear in (g, y, z); the first one is the witness
         w = _assoc_pairs(alg, product(keys, keys, keys))
@@ -518,11 +527,10 @@ def certify_algebra_map(
         return mul(y, x) if anti else mul(x, y)
 
     def holds_on_generators(gens) -> bool:
-        basis = list(zip(src.basis, src.basis_elements()))
-        for g in gens:
+        for g, left in zip(gens, src._generators[2]):
             pg = phi(g)
-            for k, e in basis:
-                if phi(src.mul(g, e)) != times(pg, image(k)):
+            for k in src.basis:
+                if phi(left.table[k]) != times(pg, image(k)):
                     return False
         return True
 

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 import traceback
+from dataclasses import replace
 from itertools import product
 
 from .actions import (
@@ -409,11 +410,10 @@ def run_suite(suite: str, args) -> tuple[Report, int]:
         gc.collect()
     gc.unfreeze()
 
+    # prefix copies: a report cached on a construction may sit in two groups
     merged = Report()
     for name, rep in results:
-        for e in rep.entries:
-            e.check = f"{name}:{e.check}"
-            merged.entries.append(e)
+        merged.entries.extend(replace(e, check=f"{name}:{e.check}") for e in rep.entries)
     return merged, (0 if merged.ok else 1)
 
 

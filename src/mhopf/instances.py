@@ -306,9 +306,8 @@ def matrix_algebra(n: int, coeff: Algebra) -> Algebra:
         if j != l:
             return Element.zero(domain)
         prod = coeff.mul_basis(k1, k2)
-        return Element(
-            domain, {(i, m, k): c for k, c in prod.coeffs.items()}
-        )
+        # a relabelled canonical product is canonical
+        return Element(domain, {(i, m, k): c for k, c in prod.coeffs.items()}, _canon=True)
 
     identity = None
     if coeff.identity is not None:
@@ -340,7 +339,8 @@ def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
         for k1, c1 in pr.coeffs.items():
             for k2, c2 in pa.coeffs.items():
                 acc[(k1, k2)] = c1 * c2
-        return Element(domain, acc)
+        # distinct key pairs and nonzero products: already canonical
+        return Element(domain, acc, _canon=True)
 
     identity = None
     if r.identity is not None and a.identity is not None:

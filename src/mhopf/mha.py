@@ -95,7 +95,8 @@ class RegularMHA:
 
     # -- covering maps ------------------------------------------------------
 
-    def _t_pair(self, variant: int, ka, kb) -> Element:
+    def cover_key(self, variant: int, ka, kb) -> Element:
+        """t<variant> of the basis keys ka, kb, read off its memoised table."""
         return self._covers[variant].table[ka, kb]
 
     def cover(self, variant: int, a: Element, b: Element) -> Element:
@@ -157,10 +158,10 @@ def coopposite(h: RegularMHA) -> RegularMHA:
     """
     return RegularMHA(
         h.algebra,
-        lambda ka, kb: flip(h._t_pair(3, ka, kb), 0, 1),
-        lambda ka, kb: flip(h._t_pair(4, kb, ka), 0, 1),
-        lambda ka, kb: flip(h._t_pair(1, ka, kb), 0, 1),
-        lambda ka, kb: flip(h._t_pair(2, kb, ka), 0, 1),
+        lambda ka, kb: flip(h.cover_key(3, ka, kb), 0, 1),
+        lambda ka, kb: flip(h.cover_key(4, kb, ka), 0, 1),
+        lambda ka, kb: flip(h.cover_key(1, ka, kb), 0, 1),
+        lambda ka, kb: flip(h.cover_key(2, kb, ka), 0, 1),
         h.counit_key,
         h.antipode_inv_key,
         h.antipode_key,

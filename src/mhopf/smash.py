@@ -42,7 +42,7 @@ from .algebras import (
     operator_element,
     radicals,
 )
-from .elements import Element, map_leg, merge_legs
+from .elements import Element, add_into, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
     CocycleInvalid,
@@ -128,13 +128,17 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
     R = action.ralg
     domain = f"smash({R.domain},{h.domain})"
 
+    act, rmul = action.act.table, R.product.table
+
     def mul_basis(k1, k2):
+        # sum x (a_(1) x2) # a_(2) a2 over t1(a, a2) = sum a_(1) (x) a_(2) a2
         (kx, ka), (kx2, ka2) = k1, k2
-        x = Element.basis(R.domain, kx)
-        # t1(a, a2) = sum a_(1) (x) a_(2) a2; the first leg acts on x2
-        t = h.t1(Element.basis(h.domain, ka), Element.basis(h.domain, ka2))
-        t = map_leg(t, 0, lambda p: R.mul(x, action.act.table[p, kx2]), R.domain)
-        return Element(domain, t.coeffs, _canon=True)
+        acc: dict = {}
+        for (p, q), c in h.cover_key(1, ka, ka2).coeffs.items():
+            for ky, cy in act[p, kx2].coeffs.items():
+                for kz, cz in rmul[kx, ky].coeffs.items():
+                    add_into(acc, (kz, q), c * cy * cz)
+        return Element(domain, acc, _canon=True)
 
     basis = None
     if R.is_finite and h.algebra.is_finite:

@@ -183,6 +183,35 @@ def test_bismash_generators_span():
     assert algebra_generators(bis, bis.candidates())[0] == gens
 
 
+def test_each_left_product_is_formed_once():
+    """The spanning closure, the associativity kernel and a generator-mode
+    map certificate share one left operator per generator: each g e_k of a
+    finite bismash is formed exactly once across the three."""
+    g = cyclic_group(2)
+    tr = translation_action(g)
+    assert verify_module_algebra(tr).ok
+    bis = smash(dual_action(canonical_pair(g), smash(tr)).spec).algebra
+    formed = Counter()
+    mul = bis.mul
+
+    def counted(x, y):
+        if len(y.coeffs) == 1:
+            ((k, c),) = y.coeffs.items()
+            formed[id(x), k, c] += 1
+        return mul(x, y)
+
+    bis.mul = counted  # every product of the algebra, on this instance
+    gens, rank = algebra_generators(bis)
+    assert rank == bis.dim and len(gens) < bis.dim
+    assert certify_associative(bis).mode == "generators"
+    identity = LinearMap(bis.domain, bis.domain, {k: bis.basis_element(k) for k in bis.basis})
+    cert = certify_algebra_map(identity, bis, bis)
+    assert cert.ok and cert.mode == "generators"
+    ids = {id(x) for x in gens}
+    left = {key: n for key, n in formed.items() if key[0] in ids}
+    assert left == {(id(x), k, sc(1)): 1 for x in gens for k in bis.basis}
+
+
 def test_structural_smash_certificate_needs_an_exhaustive_action(z3):
     full = _translation_smash(z3)
     assert full.algebra.structure is not None
@@ -427,7 +456,7 @@ def test_coproduct_certificate_rejects_a_corrupted_inverse_antipode(cs3):
     images = {k: cs3.antipode_inv_key(k) for k in keys}
     t1, t2 = [k for k in keys if images[k] == cs3.algebra.basis_element(k)][1:3]
     images[t1], images[t2] = images[t2], images[t1]
-    covers = [lambda ka, kb, v=v: cs3._t_pair(v, ka, kb) for v in (1, 2, 3, 4)]
+    covers = [lambda ka, kb, v=v: cs3.cover_key(v, ka, kb) for v in (1, 2, 3, 4)]
     broken = RegularMHA(
         cs3.algebra, *covers, cs3.counit_key, cs3.antipode_key, images.__getitem__,
         name="broken-Sinv",

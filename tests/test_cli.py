@@ -250,6 +250,30 @@ def test_unexpected_exception_becomes_fail_line(monkeypatch):
     assert lines[0]["witness"] == "'no such key'"
 
 
+def test_groups_sharing_a_cached_report_prefix_copies(monkeypatch, translation_z2):
+    # two groups extend one cached certificates report; each prints its own prefix
+    from mhopf import cli
+    from mhopf.reports import Report
+    from mhopf.smash import smash
+
+    s = smash(translation_z2)
+
+    def group():
+        rep = Report(instance="group")
+        rep.extend(s.certificates)
+        return rep
+
+    monkeypatch.setattr(
+        cli, "build_suite", lambda suite, args: [(0, "first", group), (1, "second", group)]
+    )
+    code, out = run_cli("run", "all", "--json")
+    own = [e.check for e in s.certificates.entries]
+    assert code == 0 and own[0] == "associativity"
+    assert [json.loads(l)["check"] for l in out.splitlines()] == [
+        f"{name}:{check}" for name in ("first", "second") for check in own
+    ]
+
+
 def test_local_units_report_names_the_first_failure(monkeypatch, kz2):
     # a zero "local unit" fails every side; the first failing (side, items) is reported
     from mhopf import cli

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mhopf.actions import (
     ActionSpec,
     CocycleData,
+    adjoint_action,
     covered_legs,
     inner_action_from,
     verify_module_algebra,
@@ -26,6 +27,7 @@ from mhopf.linalg import span_rank
 from mhopf.mha import RegularMHA
 from mhopf.pairing import pairing_smash
 from mhopf.scalars import ONE, sc
+from mhopf.serialize import instance_from_json
 from mhopf.smash import (
     CovariantModule,
     PlainModule,
@@ -221,6 +223,56 @@ def _pi_A_ref(s, a, u):
     left = s.join(merge_legs(t, 0, 1, lambda kx, p: act[p, kx], s.ralg.domain))
     right = s.join(map_leg(s.legs(u), 1, lambda ka2: h.algebra.mul(b(h, ka2), a)))
     return left, right
+
+
+def _mul_ref(s, k1, k2):
+    """(x#a)(x'#a') = sum x (a_(1) x') # a_(2) a' on Elements: ``h.t1``, then
+    the action and R's product on its first leg through ``map_leg`` and ``R.mul``."""
+    (kx, ka), (kx2, ka2) = k1, k2
+    h, R, act = s.mha, s.ralg, s.action.act.table
+    x = Element.basis(R.domain, kx)
+    t = h.t1(b(h, ka), b(h, ka2))  # sum a_(1) (x) a_(2) a'
+    return s.join(map_leg(t, 0, lambda p: R.mul(x, act[p, kx2]), R.domain))
+
+
+class TestTableProduct:
+    """The smash product read off the t1, action and R tables agrees with the
+    Element-level formula on every basis pair (a key window when infinite)."""
+
+    @staticmethod
+    def _agrees(s, keys):
+        for k1, k2 in itertools.product(keys, keys):
+            assert s.algebra.mul_basis(k1, k2) == _mul_ref(s, k1, k2), (k1, k2)
+
+    def test_translation_s3(self, s3):
+        tr = translation_action(s3)
+        assert verify_module_algebra(tr).ok
+        s = smash(tr)
+        self._agrees(s, s.algebra.basis)
+
+    def test_gaussian_adjoint(self, gaussian_cz3):
+        adj = adjoint_action(instance_from_json(gaussian_cz3))
+        assert verify_module_algebra(adj).ok
+        s = smash(adj)
+        self._agrees(s, s.algebra.basis)
+        constants = [
+            c for k1, k2 in itertools.product(s.algebra.basis, repeat=2)
+            for c in s.algebra.mul_basis(k1, k2).coeffs.values()
+        ]
+        assert any(c.im for c in constants)  # complex
+        assert any(c.re != int(c.re) for c in constants)  # not integral
+
+    def test_bismash_z3(self, z3):
+        tr = translation_action(z3)
+        assert verify_module_algebra(tr).ok
+        bis = smash(dual_action(canonical_pair(z3), smash(tr)).spec)
+        self._agrees(bis, bis.algebra.basis)
+
+    def test_translation_z_window(self, zz):
+        tr = translation_action(zz)
+        assert verify_module_algebra(tr).ok
+        s = smash(tr)
+        self._agrees(s, s.algebra.sample_keys(2))
 
 
 class TestMemoisedMaps:
