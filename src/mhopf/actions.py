@@ -31,13 +31,14 @@ from .algebras import (
 from .elements import Element, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
+    CommutationFailed,
     InfiniteDimensional,
     NotHopf,
     NotUnitalHomomorphism,
 )
 from .linalg import BilinearMap, kernel, linear_solve, stack
 from .mha import RegularMHA
-from .reports import Report
+from .reports import Report, first_failure
 
 if TYPE_CHECKING:
     from .smash import PlainModule
@@ -486,19 +487,22 @@ def fixed_points(s: ActionSpec, where: str = "in_R") -> list:
 
 
 def _certify_fixed_multipliers(s: ActionSpec, ms: Sequence[Multiplier]) -> None:
-    h = s.mha
-    alg = s.ralg
-    akeys = h.algebra.sample_keys(3)
-    rkeys = s.sample_space_keys(3)
-    for m in ms:
-        for ka in akeys:
-            a = Element.basis(h.domain, ka)
-            for kx in rkeys:
-                x = Element.basis(s.space_domain, kx)
-                if s.act(a, m.left(x)) != m.left(s.act(a, x)):
-                    raise AssertionError("fixed point fails a(mx) = m(ax)")
-                if s.act(a, m.right(x)) != m.right(s.act(a, x)):
-                    raise AssertionError("fixed point fails a(xm) = (ax)m")
+    """a(mx) = m(ax) and a(xm) = (ax)m for every m in ``ms`` on the key windows;
+    raises :class:`CommutationFailed` with the first failing (law, m index, a, x)."""
+    A = {ka: Element.basis(s.mha.domain, ka) for ka in s.mha.algebra.sample_keys(3)}
+    X = {kx: Element.basis(s.space_domain, kx) for kx in s.sample_space_keys(3)}
+
+    def commutes(i, ka, kx):
+        m, a, x = ms[i], A[ka], X[kx]
+        if s.act(a, m.left(x)) != m.left(s.act(a, x)):
+            return "a(mx)=m(ax)"
+        return s.act(a, m.right(x)) == m.right(s.act(a, x)) or "a(xm)=(ax)m"
+
+    witness, _ = first_failure(product(range(len(ms)), A, X), commutes)
+    if witness is not None:
+        raise CommutationFailed(
+            f"fixed point fails {witness[0]} at (m, a, x) = {witness[1:]}", witness=witness
+        )
 
 
 # -- cocycle equivalence -----------------------------------------------------------

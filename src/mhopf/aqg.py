@@ -391,33 +391,20 @@ def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:
     def dual_counit(km) -> Scalar:
         return phi(alg.mul(alg.one(), Element.basis(h.domain, km)))
 
-    def dual_antipode(km) -> Element:
-        return to_coords(
-            [
-                phi(alg.mul(h.antipode(Element.basis(h.domain, kk)), Element.basis(h.domain, km)))
-                for kk in keys
-            ]
-        )
+    def dual_antipode(S: Callable) -> Callable:
+        # phi(S(e_k) e_m) over k: the dual of S (or of S^-1) at e_m
+        def image(km) -> Element:
+            am = Element.basis(h.domain, km)
+            return to_coords([phi(alg.mul(S(Element.basis(h.domain, kk)), am)) for kk in keys])
 
-    def dual_antipode_inv(km) -> Element:
-        return to_coords(
-            [
-                phi(
-                    alg.mul(
-                        h.antipode_inv(Element.basis(h.domain, kk)),
-                        Element.basis(h.domain, km),
-                    )
-                )
-                for kk in keys
-            ]
-        )
+        return image
 
     dual_h = from_hopf_data(
         dual_alg,
         dual_delta,
         dual_counit,
-        dual_antipode,
-        dual_antipode_inv,
+        dual_antipode(h.antipode),
+        dual_antipode(h.antipode_inv),
         name=dd,
         meta={"dual_of": h.name, "kind": "finite_dual"},
     )

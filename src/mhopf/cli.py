@@ -441,7 +441,6 @@ def main(argv=None) -> int:
 
     pr = sub.add_parser("pair", help="build and verify a canonical dual pair")
     pr.add_argument("--group", required=True)
-    pr.add_argument("--verify", action="store_true")
     pr.add_argument("--sample-range", type=int, default=5)
     pr.add_argument("--json", action="store_true")
 
@@ -513,11 +512,8 @@ def _key_json(k):
 def _cmd_pair(args) -> int:
     p = canonical_pair(get_group(args.group))
     rep = Report(instance=p.name)
-    if args.verify:
-        rep.extend(verify_pairing(p, sample_range=args.sample_range))
-        rep.extend(heisenberg_check(p, sample_range=args.sample_range))
-    else:
-        rep.add("constructed", True, "pass")
+    rep.extend(verify_pairing(p, sample_range=args.sample_range))
+    rep.extend(heisenberg_check(p, sample_range=args.sample_range))
     _emit(rep, args)
     return 0 if rep.ok else 1
 

@@ -42,11 +42,11 @@ from .pairing import (
 )
 from .reports import Report
 from .smash import (
-    PlainModule,
     SmashProduct,
     module_representation_rank,
     pi_R,
     smash,
+    standard_module,
 )
 
 
@@ -143,32 +143,9 @@ def bismash(d: DualAction) -> SmashProduct:
     return smash(d.spec)
 
 
-def bismash_standard_module(d: DualAction) -> PlainModule:
-    """((x#a)#b)(x'#a') = (x#a)(x' # (b |> a')): the faithful module on R#A."""
-    s = d.smash
-    bis_domain = f"smash({s.algebra.domain},{d.pair.B.domain})"
-
-    def act(u: Element, v: Element) -> Element:
-        return merge_legs(
-            Element((s.algebra.domain, d.pair.B.domain), u.coeffs, _canon=True), 0, 1,
-            lambda ksm, kb: s.algebra.mul(
-                s.algebra.basis_element(ksm), d.act(Element.basis(d.pair.B.domain, kb), v)
-            ),
-            s.algebra.domain,
-        )
-
-    basis = None
-    if s.algebra.is_finite and d.pair.B.algebra.is_finite:
-        basis = [(k, kb) for k in s.algebra.basis for kb in d.pair.B.algebra.basis]
-    acting = Algebra(bis_domain, lambda a, b: Element.zero(bis_domain), basis=basis)
-    return PlainModule(
-        acting, s.algebra.domain, s.algebra.basis, act, name=f"std({bis_domain})"
-    )
-
-
 def bismash_faithful(d: DualAction) -> bool:
-    """Representation rank of the bismash on R#A equals its dimension."""
-    mod = bismash_standard_module(d)
+    """The bismash acts faithfully on R#A by ((x#a)#b) v = (x#a)(b v)."""
+    mod = standard_module(bismash(d))
     return module_representation_rank(mod) == mod.algebra.dim
 
 
@@ -410,19 +387,11 @@ class Coaction:
 def delta_coaction(h: RegularMHA) -> Coaction:
     """The comultiplication of B as a coaction of B on itself."""
 
-    def t1(x: Element, b: Element) -> Element:
-        t = h.t1(x, b)
-        return Element(
-            f"pair({h.domain},{h.domain})", dict(t.coeffs)
-        )
+    def relabelled(cover: Callable) -> Callable:
+        # the cover's (h, h) tensor over the coaction's pair domain
+        return lambda x, b: Element(f"pair({h.domain},{h.domain})", dict(cover(x, b).coeffs))
 
-    def t4(x: Element, b: Element) -> Element:
-        t = h.t4(x, b)
-        return Element(
-            f"pair({h.domain},{h.domain})", dict(t.coeffs)
-        )
-
-    return Coaction(h.algebra, h, t1, t4, name=f"delta({h.name})")
+    return Coaction(h.algebra, h, relabelled(h.t1), relabelled(h.t4), name=f"delta({h.name})")
 
 
 def verify_coaction(c: Coaction, sample_range: int = 4) -> Report:
@@ -616,24 +585,29 @@ def rl_condition_check(p: DualPair) -> Report:
     A, B = p.A, p.B
     if not (A.algebra.is_finite and B.algebra.is_finite):
         raise InfiniteDimensional(p.name)
+    sab = pairing_smash(p, "AB")  # verifies the action b |> a
+    mod = standard_module(sab)
     enddom = f"end({A.domain})"
 
-    def standard_op(ka, kb) -> Callable:  # a' -> a (b |> a')
-        a, b = Element.basis(A.domain, ka), Element.basis(B.domain, kb)
-        return lambda x: A.algebra.mul(a, p.act_BonA(b, x))
+    def flat(op: Callable) -> dict:
+        return operator_element(A.domain, A.algebra.basis, op, enddom).coeffs
+
+    def standard_op(k) -> Callable:  # a' -> a (b |> a') for k = (a, b)
+        u = sab.algebra.basis_element(k)
+        return lambda x: mod.act(u, x)
 
     # image algebra Q0 = span of the standard operators
     elim = SparseEliminator()
-    for ka, kb in product(A.algebra.basis, B.algebra.basis):
-        elim.add(operator_element(A.domain, A.algebra.basis, standard_op(ka, kb), enddom).coeffs)
+    for k in sab.algebra.basis:
+        elim.add(flat(standard_op(k)))
 
     # multiplier condition: T Q0 and Q0 T stay inside Q0, for T = (. <| b)
     def in_multipliers(kb, ka, kb2) -> bool:
         b = Element.basis(B.domain, kb)
-        q = standard_op(ka, kb2)
-        tq = operator_element(A.domain, A.algebra.basis, lambda x: p.ract_BonA(q(x), b), enddom)
-        qt = operator_element(A.domain, A.algebra.basis, lambda x: q(p.ract_BonA(x, b)), enddom)
-        return elim.contains(tq.coeffs) and elim.contains(qt.coeffs)
+        q = standard_op((ka, kb2))
+        return elim.contains(flat(lambda x: p.ract_BonA(q(x), b))) and elim.contains(
+            flat(lambda x: q(p.ract_BonA(x, b)))
+        )
 
     rep.check(
         "right-action-in-multiplier-algebra",

@@ -24,7 +24,7 @@ from itertools import chain, product
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, fixed_points, verify_module_algebra
-from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
+from .algebras import Algebra, Multiplier, certify_algebra_map
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
 from .elements import Element, flip, map_leg, merge_legs, weight_leg
 from .errors import InfiniteDimensional, Singular
@@ -33,7 +33,7 @@ from .linalg import BilinearMap, LinearMap, span_rank
 from .mha import RegularMHA
 from .reports import Report
 from .scalars import ONE
-from .smash import SmashProduct, smash
+from .smash import SmashProduct, module_representation_rank, smash, standard_module
 
 
 @dataclass
@@ -347,27 +347,9 @@ def _pair_smash_display(p: DualPair, s: SmashProduct, order: str, k1, k2) -> Ele
 # -- standard modules ----------------------------------------------------------------
 
 
-def standard_module(p: DualPair, which: str = "B_on_left"):
-    """The faithful standard modules of B#A: on B by (b#a) b' = b (a |> b'),
-    or on A from the right by a'(b#a) = (a' <| b) a."""
-    from .smash import PlainModule
-
-    if which == "B_on_left":
-        s = pairing_smash(p)
-
-        def act(u: Element, b2: Element) -> Element:
-            return merge_legs(
-                s.legs(u), 0, 1,
-                lambda kb, ka: p.B.algebra.mul(
-                    Element.basis(p.B.domain, kb), p.act_AonB(Element.basis(p.A.domain, ka), b2)
-                ),
-                p.B.domain,
-            )
-
-        return PlainModule(
-            s.algebra, p.B.domain, p.B.algebra.basis, act, name=f"std({p.name})"
-        ), s
-
+def right_standard_module(p: DualPair) -> Callable:
+    """The right module of B#A on A, a'(b#a) = (a' <| b) a; B#A acts on B
+    from the left through :func:`mhopf.smash.standard_module`."""
     s = pairing_smash(p)
 
     def ract(a2: Element, u: Element) -> Element:
@@ -379,15 +361,7 @@ def standard_module(p: DualPair, which: str = "B_on_left"):
             p.A.domain,
         )
 
-    return ract, s
-
-
-def standard_module_faithful(p: DualPair) -> bool:
-    """Rank of the representation of B#A on B equals dim(B#A)."""
-    mod, s = standard_module(p, "B_on_left")
-    from .smash import module_representation_rank
-
-    return module_representation_rank(mod) == s.algebra.dim
+    return ract
 
 
 # -- Heisenberg commutation ------------------------------------------------------------
@@ -564,29 +538,13 @@ def rank_one_realization(p: DualPair) -> Report:
     sab = pairing_smash(p, "AB")  # A # A^ (A acted on by A^ from b |> a)
     dia = diamond_algebra(p)
     gmap = rank_one_gamma(p, sab, dia)
-    keys = sab.algebra.basis
     rep.add_certificate("gamma-multiplicative", certify_algebra_map(gmap, sab.algebra, dia))
-    imgs = [gmap.table[k] for k in keys]
+    imgs = [gmap.table[k] for k in sab.algebra.basis]
     rep.add("gamma-bijective", span_rank(imgs) == sab.algebra.dim, "pass")
 
     # standard action of A#A^ on A: (a#b)a' = a (b |> a'); full rank (dim A)^2
-    ops = []
-    for k in keys:
-        ka, kb = k
-
-        def op(x, ka=ka, kb=kb):
-            return A.algebra.mul(
-                Element.basis(A.domain, ka),
-                p.act_BonA(Element.basis(p.B.domain, kb), x),
-            )
-
-        ops.append(operator_element(A.domain, A.algebra.basis, op, f"end({A.domain})"))
-    rep.add(
-        "representation-rank",
-        span_rank(ops) == A.algebra.dim ** 2,
-        "pass",
-        span_rank(ops),
-    )
+    rank = module_representation_rank(standard_module(sab))
+    rep.add("representation-rank", rank == A.algebra.dim ** 2, "pass", rank)
 
     # the diamond algebra is the full matrix algebra: transport to matrix
     # units, the keys (i, j, ()) of M_n(C), and compare structure constants exactly

@@ -516,6 +516,15 @@ def covariant_to_module(c: CovariantModule, s: SmashProduct) -> PlainModule:
     )
 
 
+def standard_module(s: SmashProduct) -> PlainModule:
+    """(x#a) y = x (a y): R#A on R, induced from R's own covariant pair."""
+    R = s.ralg
+    cov = CovariantModule(
+        s.action, R.domain, R.basis, s.action.act, R.mul, name=f"std({s.algebra.name})"
+    )
+    return covariant_to_module(cov, s)
+
+
 def module_to_covariant(m: PlainModule, s: SmashProduct) -> CovariantModule:
     """Recover the covariant pair from a unital R#A-module via the
     embeddings: a v = pi(a) v and x v = pi(x) v, both through witnesses."""

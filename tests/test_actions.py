@@ -2,6 +2,7 @@ import pytest
 
 from mhopf.actions import (
     ActionSpec,
+    _certify_fixed_multipliers,
     CocycleData,
     action_on_linear_map,
     adjoint_action,
@@ -19,7 +20,7 @@ from mhopf.actions import (
 )
 from mhopf.algebras import Multiplier, multiplier_product
 from mhopf.elements import Element, merge_legs
-from mhopf.errors import NotHopf
+from mhopf.errors import CommutationFailed, NotHopf
 from mhopf.instances import grading_action, translation_action
 from mhopf.scalars import ONE, sc
 from mhopf.smash import smash
@@ -200,6 +201,19 @@ class TestFixedPoints:
         allones = Element(kz2.domain, {0: sc(1), 1: sc(1)})
         img = ms[0].left(allones)
         assert img == allones.scale(img.coeff(0))
+
+    def test_moving_multiplier_fails_with_witness(self, translation_z2):
+        # multiplication by delta_0 is not fixed: g(delta_0 delta_0) = delta_1,
+        # while delta_0 (g delta_0) = delta_0 delta_1 = 0
+        spec = translation_z2
+        m = Multiplier.from_element(spec.ralg, rb(spec, 0))
+        with pytest.raises(CommutationFailed) as info:
+            _certify_fixed_multipliers(spec, [Multiplier.one(spec.ralg), m])
+        assert info.value.witness == ("a(mx)=m(ax)", 1, 1, 0)
+        assert "a(mx)=m(ax) at (m, a, x) = (1, 1, 0)" in str(info.value)
+        with pytest.raises(CommutationFailed) as info:
+            _certify_fixed_multipliers(spec, [m])
+        assert info.value.witness == ("a(mx)=m(ax)", 0, 1, 0)
 
     def test_fixed_points_form_subalgebra(self, adjoint_cs3):
         fp = fixed_points(adjoint_cs3, "in_R")

@@ -97,7 +97,7 @@ def test_smash_command(tmp_path):
 
 
 def test_pair_command():
-    code, out = run_cli("pair", "--group", "Z3", "--verify", "--json")
+    code, out = run_cli("pair", "--group", "Z3", "--json")
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert any("heisenberg" in l["check"] for l in lines)
@@ -342,9 +342,11 @@ def test_timing_shows_certificate_provenance():
     assert all("mode" not in json.loads(l) for l in plain.splitlines())
 
 
-@pytest.mark.parametrize("argv", [("run", "smash"), ("smash", "--action", "a.json")])
+@pytest.mark.parametrize(
+    "argv", [("run", "smash"), ("smash", "--action", "a.json"), ("pair", "--group", "Z2")]
+)
 def test_no_verification_mode_option(argv, capsys):
-    # a finite smash product is always certified exhaustively
+    # a finite smash product is always certified exhaustively, a pair always verified
     with pytest.raises(SystemExit):
         main([*argv, "--verify", "sampled"])
     assert "unrecognized arguments: --verify sampled" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from mhopf.aqg import make_aqg
 from mhopf.duality import (
     bismash,
     bismash_faithful,
-    bismash_standard_module,
     coaction_to_action,
     delta_coaction,
     dual_action,
@@ -21,7 +20,7 @@ from mhopf.duality import (
 from mhopf.elements import Element
 from mhopf.instances import group_algebra, scalar_algebra, trivial_group
 from mhopf.pairing import pair_of_aqg, pairing_action, pairing_smash
-from mhopf.smash import pi_R, smash
+from mhopf.smash import pi_R, smash, standard_module
 from mhopf.scalars import sc
 
 
@@ -150,7 +149,7 @@ class TestBismash:
             )
 
     def test_standard_module_formula(self, dual_z2):
-        mod = bismash_standard_module(dual_z2)
+        mod = standard_module(bismash(dual_z2))
         s = dual_z2.smash
         p = dual_z2.pair
         for (ksm, kb) in mod.algebra.basis[:8]:

@@ -16,12 +16,12 @@ from mhopf.pairing import (
     pairing_action,
     pairing_smash,
     rank_one_realization,
+    right_standard_module,
     scalar_fixed_points_check,
-    standard_module,
-    standard_module_faithful,
     verify_pairing,
 )
 from mhopf.scalars import ONE, sc
+from mhopf.smash import module_representation_rank, standard_module
 
 
 def a_el(p, key):
@@ -105,10 +105,12 @@ class TestPairingSmash:
 class TestStandardModule:
     def test_faithful(self, pair_z2, pair_z3, pair_s3):
         for p in (pair_z2, pair_z3, pair_s3):
-            assert standard_module_faithful(p)
+            mod = standard_module(pairing_smash(p))
+            assert module_representation_rank(mod) == mod.algebra.dim
 
     def test_identity_like_action(self, pair_z2):
-        mod, s = standard_module(pair_z2, "B_on_left")
+        s = pairing_smash(pair_z2)
+        mod = standard_module(s)
         one_b = pair_z2.B.algebra.one()
         l0 = a_el(pair_z2, 0)
         u = s.element(one_b, l0)
@@ -117,7 +119,7 @@ class TestStandardModule:
             assert mod.act(u, v) == v
 
     def test_right_module_display(self, pair_z2):
-        ract, s = standard_module(pair_z2, "A_on_right")
+        ract, s = right_standard_module(pair_z2), pairing_smash(pair_z2)
         # a'(b#a) = (a' <| b) a
         for ka2 in pair_z2.A.algebra.basis:
             for kb in pair_z2.B.algebra.basis:

@@ -1,8 +1,12 @@
+import inspect
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import mhopf
 
 from mhopf.actions import (
     ActionSpec,
@@ -41,6 +45,7 @@ from mhopf.smash import (
     pi_A,
     pi_R,
     smash,
+    standard_module,
     universal_map,
     verify_covariant,
     verify_pi_relations,
@@ -554,6 +559,37 @@ class TestStandardModule:
             name="std",
         )
         assert module_representation_rank(mod) == s.algebra.dim
+
+    @staticmethod
+    def _matches_reference(s):
+        mod = standard_module(s)
+        for k, kv in itertools.product(s.algebra.basis, s.ralg.basis):
+            u, v = s.algebra.basis_element(k), Element.basis(s.ralg.domain, kv)
+            assert mod.act(u, v) == _std_act(s, u, v), (k, kv)
+        return mod
+
+    def test_translation_s3(self, s3):
+        # A = C[S3] is not commutative, so x (a v) and a (x v) differ
+        tr = translation_action(s3)
+        assert verify_module_algebra(tr).ok
+        mod = self._matches_reference(smash(tr))
+        assert module_representation_rank(mod) == mod.algebra.dim
+
+    def test_bismash_z2(self, z2):
+        tr = translation_action(z2)
+        assert verify_module_algebra(tr).ok
+        self._matches_reference(smash(dual_action(canonical_pair(z2), smash(tr)).spec))
+
+    def test_plain_modules_are_built_only_by_covariant_to_module(self):
+        # every module over a smash product is induced from a covariant pair
+        hits = [
+            path.name
+            for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+            for line in path.read_text().splitlines()
+            if "PlainModule(" in line
+        ]
+        assert hits == ["smash.py"]
+        assert "PlainModule(" in inspect.getsource(covariant_to_module)
 
 
 def _std_act(s, u, x):
