@@ -157,7 +157,7 @@ def _basis(h: RegularMHA, k) -> Element:
 
 
 def verify_module_algebra(
-    s: ActionSpec, sample=None, sample_range: int = 4, mode: str = "generators"
+    s: ActionSpec, sample_range: int = 4, mode: str = "generators"
 ) -> Report:
     """Module associativity, unitality, non-degeneracy, the module-algebra
     law and both covered reformulations.
@@ -173,8 +173,8 @@ def verify_module_algebra(
     """
     h = s.mha
     alg = s.ralg
-    exhaustive = s.is_finite() and h.algebra.is_finite and sample is None
-    akeys = h.algebra.sample_keys(sample_range) if sample is None else sample
+    exhaustive = s.is_finite() and h.algebra.is_finite
+    akeys = h.algebra.sample_keys(sample_range)
     rkeys = s.sample_space_keys(sample_range)
     status = "pass" if exhaustive else "sampled-pass"
     rep = Report(instance=s.name)
@@ -206,7 +206,7 @@ def verify_module_algebra(
                 f"{s.name}: module-associativity {n * n * m} triples, unitality-witnesses {m} keys",
             ]
 
-    if s.is_finite() and h.algebra.is_finite:
+    if exhaustive:
         # non-degeneracy: act(a_i, x) = 0 for all i forces x = 0
         columns = {kx: stack([s.act(a, x) for a in A.values()]) for kx, x in X.items()}
         rep.add("nondegenerate", not kernel(s.space_domain, columns), "pass", None)

@@ -2,8 +2,8 @@
 
 An :class:`Algebra` is a basis-index domain together with a bilinear product
 given on basis keys.  It may or may not have an identity; the product is
-required to be non-degenerate (checked for finite instances by
-:func:`verify_algebra`).
+required to be non-degenerate (for finite instances, :func:`radicals` is
+empty on both sides).
 
 A :class:`Multiplier` is the left/right multiplication pair representing an
 element of the multiplier algebra M(A): maps ``x -> m*x`` and ``x -> x*m``
@@ -192,27 +192,6 @@ def radicals(alg: Algebra) -> tuple[list[Element], list[Element]]:
         kernel(alg.domain, {kj: stack([mul(ki, kj) for ki in keys]) for kj in keys}),
         kernel(alg.domain, {kj: stack([mul(kj, ki) for ki in keys]) for kj in keys}),
     )
-
-
-def verify_algebra(alg: Algebra, sample_keys: Sequence | None = None) -> list[tuple]:
-    """[(check, ok, witness)] for associativity, non-degeneracy, identity."""
-    keys = sample_keys if sample_keys is not None else alg.sample_keys(4)
-    results = []
-    triples = None if keys == alg.basis else [(a, b, c) for a in keys for b in keys for c in keys]
-    cert = certify_associative(alg, triples=triples)
-    results.append(("associativity", cert.ok, cert.witness))
-    if alg.is_finite:
-        lk, rk = radicals(alg)
-        results.append(("nondegenerate-left", not lk, lk[:1] or None))
-        results.append(("nondegenerate-right", not rk, rk[:1] or None))
-    if alg.identity is not None:
-        def unit_on(k) -> bool:
-            e = alg.basis_element(k)
-            return alg.mul(alg.identity, e) == e and alg.mul(e, alg.identity) == e
-
-        bad, _ = first_failure(product(keys), unit_on)
-        results.append(("identity", bad is None, bad))
-    return results
 
 
 def multiplier_space(alg: Algebra) -> list[Multiplier]:

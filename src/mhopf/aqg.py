@@ -128,15 +128,12 @@ def make_aqg(h: RegularMHA) -> AlgebraicQuantumGroup:
     return g
 
 
-def verify_integral(
-    g: AlgebraicQuantumGroup, sample=None, sample_range: int = 5
-) -> Report:
+def verify_integral(g: AlgebraicQuantumGroup, sample_range: int = 5) -> Report:
     """Invariance, faithfulness, uniqueness and the S/KMS relations."""
     h = g.base
     alg = h.algebra
-    exhaustive = alg.is_finite and sample is None
-    keys = list(sample) if sample is not None else alg.sample_keys(sample_range)
-    ok_status = "pass" if exhaustive else "sampled-pass"
+    keys = alg.sample_keys(sample_range)
+    ok_status = "pass" if alg.is_finite else "sampled-pass"
     rep = Report(instance=h.name)
     phi, psi = g.left_integral, g.right_integral
 

@@ -278,9 +278,7 @@ def _double_dual_report(g) -> Report:
 
 def _fixed_point_report(g) -> Report:
     rep = Report(instance=f"fixed[{g.name}]")
-    adj = adjoint_action(group_algebra(g))
-    verify_module_algebra(adj)
-    fp = fixed_points(adj, "in_R")
+    fp = fixed_points(adjoint_action(group_algebra(g)), "in_R")
     # conjugacy-class sums span the fixed points of the adjoint action
     n_classes = len({_conj_class(g, k) for k in g.elements})
     rep.add("adjoint-fixed-dim", len(fp) == n_classes, "pass", (len(fp), n_classes))

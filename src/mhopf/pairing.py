@@ -11,8 +11,8 @@ actions to products, plus the four membership conditions checked here by
 recomputing each action in covered form through the t-maps and comparing
 with the stored closed form.
 
-Also here: the smash products B#A and A#B of a pair, the standard modules,
-the Heisenberg commutation rules, the anti-isomorphism between the two
+Also here: the smash products B#A and A#B of a pair, the Heisenberg
+commutation rules, the anti-isomorphism between the two
 smash orders, and the rank-one realisation A#A^ ~ A <> A^ for an algebraic
 quantum group and its dual.
 """
@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Callable, Sequence
 
-from .actions import ActionSpec, fixed_points, verify_module_algebra
+from .actions import ActionSpec, covered_legs, fixed_points, verify_module_algebra
 from .algebras import Algebra, Multiplier, certify_algebra_map
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
 from .elements import Element, flip, map_leg, merge_legs, weight_leg
 from .errors import InfiniteDimensional, Singular
 from .instances import matrix_algebra, scalar_algebra
-from .linalg import BilinearMap, LinearMap, span_rank
+from .linalg import BasisMemo, BilinearMap, LinearMap, span_rank
 from .mha import RegularMHA
 from .reports import Report
 from .scalars import ONE
@@ -38,7 +38,10 @@ from .smash import SmashProduct, module_representation_rank, smash, standard_mod
 
 @dataclass
 class DualPair:
-    """Two regular instances with a non-degenerate pairing and its actions."""
+    """Two regular instances with a non-degenerate pairing and its actions.
+
+    A is unital, so its identity witnesses a |> b; B may lack an identity,
+    and then ``b_action_unit`` supplies the e with e |> a = a."""
 
     A: RegularMHA
     B: RegularMHA
@@ -50,18 +53,11 @@ class DualPair:
     name: str = "pair"
     # unitality helper: e in B with e |> a = a for the listed elements
     b_action_unit: Callable | None = None
-    a_action_unit: Callable | None = None
     # the (A, A^) bridge, set by pair_of_aqg
     bridge: DualBridge | None = None
     # pairing_action and pairing_smash results, by their arguments
     _action_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _smash_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def a_unit_for(self, elements: Sequence[Element]) -> Element:
-        """e in A with e |> b = b for the given b's."""
-        if self.a_action_unit is not None:
-            return self.a_action_unit(elements)
-        return self.A.algebra.one()
 
     def b_unit_for(self, elements: Sequence[Element]) -> Element:
         if self.b_action_unit is not None:
@@ -198,7 +194,7 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
         rep.add("unital-B-on-A", span_rank(imgs) == len(akeys), "pass")
     else:
         units = {
-            "A-on-B": (BE, p.a_unit_for, p.act_AonB),
+            "A-on-B": (BE, lambda _: A.algebra.one(), p.act_AonB),
             "B-on-A": (AE, p.b_unit_for, p.act_BonA),
         }
 
@@ -281,15 +277,13 @@ def pairing_action(p: DualPair, which: str) -> ActionSpec:
         return cache[which]
     if which == "AonB":
         h, ralg, act = p.A, p.B.algebra, p.act_AonB
-        unit = p.a_unit_for
     else:
         h, ralg, act = p.B, p.A.algebra, p.act_BonA
-        unit = p.b_unit_for
     witness = None
-    if not h.has_identity:
+    if not h.has_identity:  # B without identity; A always has one
 
         def witness(v):
-            return [(unit([v]), v)]
+            return [(p.b_unit_for([v]), v)]
 
     spec = ActionSpec.build(
         h, ralg, act, witness=witness, rule=f"pairing-{which}",
@@ -344,27 +338,26 @@ def _pair_smash_display(p: DualPair, s: SmashProduct, order: str, k1, k2) -> Ele
     return s.join(t)
 
 
-# -- standard modules ----------------------------------------------------------------
-
-
-def right_standard_module(p: DualPair) -> Callable:
-    """The right module of B#A on A, a'(b#a) = (a' <| b) a; B#A acts on B
-    from the left through :func:`mhopf.smash.standard_module`."""
-    s = pairing_smash(p)
-
-    def ract(a2: Element, u: Element) -> Element:
-        return merge_legs(
-            s.legs(u), 0, 1,
-            lambda kb, ka: p.A.algebra.mul(
-                p.ract_BonA(a2, Element.basis(p.B.domain, kb)), Element.basis(p.A.domain, ka)
-            ),
-            p.A.domain,
-        )
-
-    return ract
-
-
 # -- Heisenberg commutation ------------------------------------------------------------
+
+
+def heisenberg_twists(p: DualPair) -> tuple[BasisMemo, BasisMemo]:
+    """The twist a (x) b -> sum <a_(1), b_(2)> a_(2) (x) b_(1) of A (x) B and
+    its inverse, with S^-1(a_(1)) in place of a_(1), as memos on (ka, kb).
+
+    The pairing contracts to a_(1) |> b, so each is the covered grounding of
+    the A-action on B (forms "id" and "Sinv") with its legs flipped to (A, B).
+    """
+    ma = pairing_action(p, "AonB")
+
+    def twist(form: str) -> BasisMemo:
+        def image(k) -> Element:
+            a, b = Element.basis(p.A.domain, k[0]), Element.basis(p.B.domain, k[1])
+            return flip(covered_legs(ma, a, b, form), 0, 1)
+
+        return BasisMemo(image)
+
+    return twist("id"), twist("Sinv")
 
 
 def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
@@ -376,22 +369,18 @@ def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
     bkeys = B.algebra.sample_keys(sample_range)
     exhaustive = A.algebra.is_finite and B.algebra.is_finite
     status = "pass" if exhaustive else "sampled-pass"
-
-    AE = {k: Element.basis(A.domain, k) for k in akeys}
-    BE = {k: Element.basis(B.domain, k) for k in bkeys}
+    act = pairing_action(p, "AonB").act
+    twist, twist_inv = heisenberg_twists(p)
 
     def commutes(ka, kb, kb2) -> bool:
-        a, b, b2 = AE[ka], BE[kb], BE[kb2]
+        b2 = Element.basis(B.domain, kb2)
         # pi(a) pi(b) applied to b2
-        lhs = p.act_AonB(a, B.algebra.mul(b, b2))
-        # sum <a_(1), b_(2)> pi(b_(1)) pi(a_(2)) applied to b2; the
-        # pairing contracts to (a_(1) |> b), grounded through
-        # delta(a) which is a finite tensor for unital A
+        lhs = act(Element.basis(A.domain, ka), B.algebra.mul_basis(kb, kb2))
+        # sum <a_(1), b_(2)> pi(b_(1)) pi(a_(2)) applied to b2, off the twist
         rhs = merge_legs(
-            _delta_a(p, a), 0, 1,
+            twist[ka, kb], 0, 1,
             lambda u, v: B.algebra.mul(
-                p.act_AonB(Element.basis(A.domain, u), b),
-                p.act_AonB(Element.basis(A.domain, v), b2),
+                Element.basis(B.domain, v), act(Element.basis(A.domain, u), b2)
             ),
             B.domain,
         )
@@ -401,35 +390,11 @@ def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
 
     # the two rewriting maps of A (x) B are mutually inverse
     def inverse_twists(ka, kb) -> bool:
-        fwd = _heisenberg_map(p, ka, kb, inverse=False)
-        back = merge_legs(
-            fwd, 0, 1, lambda ka2, kb2: _heisenberg_map(p, ka2, kb2, inverse=True), "AxB"
-        )
+        back = merge_legs(twist[ka, kb], 0, 1, lambda ka2, kb2: twist_inv[ka2, kb2], "AxB")
         return back.coeffs == {(ka, kb): ONE}
 
     rep.check("twist-maps-inverse", product(akeys, bkeys), inverse_twists, status)
     return rep
-
-
-def _delta_a(p: DualPair, a: Element):
-    A = p.A
-    if A.has_identity:
-        return A.delta(a)
-    return A.t1(a, _left_mult_unit(A, [a], side="right"))
-
-
-def _heisenberg_map(p: DualPair, ka, kb, inverse: bool) -> Element:
-    """a (x) b -> sum <(S^-1?) a_(1), b_(2)> a_(2) (x) b_(1) on basis keys.
-
-    The pairing contraction is (S^-1? a_(1)) |> b, so the expression
-    grounds through delta(a); support-local even for the infinite pairs.
-    """
-    A, B = p.A, p.B
-    b = Element.basis(B.domain, kb)
-    first = A.antipode_inv_key if inverse else (lambda u: Element.basis(A.domain, u))
-    d = _delta_a(p, Element.basis(A.domain, ka))
-    t = map_leg(d, 0, lambda u: p.act_AonB(first(u), b), B.domain)
-    return flip(t, 0, 1)
 
 
 # -- anti-isomorphism B#A -> A#B ---------------------------------------------------------
@@ -563,9 +528,7 @@ def rank_one_realization(p: DualPair) -> Report:
 def scalar_fixed_points_check(p: DualPair) -> Report:
     """Fixed points of the A-action on M(B) are multiples of the identity."""
     rep = Report(instance=p.name)
-    action = pairing_action(p, "AonB")
-    verify_module_algebra(action)
-    ms = fixed_points(action, "in_M_R")
+    ms = fixed_points(pairing_action(p, "AonB"), "in_M_R")
     rep.add("fixed-multiplier-dim-1", len(ms) == 1, "pass", len(ms))
     if len(ms) == 1:
         one = Multiplier.one(p.B.algebra)

@@ -218,14 +218,6 @@ def _find_identity(domain, basis, product) -> Element | None:
 # -- actions ---------------------------------------------------------------------
 
 
-def action_to_json(spec) -> dict:
-    return {
-        "algebra_id": spec.mha.name,
-        "space_id": spec.ralg.name,
-        "rule": spec.rule,
-    }
-
-
 def action_from_json(obj):
     """{"algebra_id", "space_id", "rule"} with builtin or explicit rules."""
     from .actions import (

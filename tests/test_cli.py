@@ -457,3 +457,78 @@ def test_console_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0
+
+
+# -- reachability: src/ keeps what a run reaches or a paper statement needs ----------
+
+# module-level definitions of src/mhopf that no mhopf command reaches, each with
+# the reason it stays; an entry goes when a check group brings it into the run
+UNREACHED = {
+    # constructions of the paper that no check line proves yet
+    "smash.universal_map": "the universal property of R#A for (pi_R, pi_A)",
+    "smash.verify_covariant": "the covariance law of a covariant module",
+    "smash.module_to_covariant": "an R#A-module as a covariant module, the round trip",
+    "smash.inner_trivialization": "R#A is R (x) A for an inner action",
+    "smash.cocycle_isomorphism": "cocycle-equivalent actions give isomorphic smash products",
+    "actions.CocycleData": "the cocycle gamma: A -> M(R) of two equivalent actions",
+    "actions.verify_cocycle": "the defining conditions of a cocycle",
+    "actions.inner_action_from": "the inner action a . x = gamma(a_(1)) x gamma(S(a_(2)))",
+    "actions.is_inner_witness": "an action equals the inner action of a gamma",
+    "actions.extend_module_to_MA": "a unital module extends to M(A) through local units",
+    "actions.tensor_module": "the diagonal action on a tensor product of modules",
+    "actions.unit_module": "the ground field as the monoidal unit of modules",
+    "errors.CocycleInvalid": "raised by cocycle_isomorphism",
+    "errors.NotHopf": "raised by verify_cocycle and inner_trivialization",
+    "errors.NotInner": "raised by inner_trivialization",
+    "errors.NotUnitalHomomorphism": "raised by inner_action_from",
+    # oracles of the tests
+    "instances.validate_group": "the sampled group axioms of the group tests",
+    "linalg.in_span": "the span membership oracle of the linear algebra tests",
+    # the writer of the instance format
+    "serialize.instance_to_json": "writes the files instance_from_json reads; "
+    "perfbench/test_perfbench.py builds its instances with it",
+}
+
+
+def _unreached_definitions() -> set:
+    """Module-level defs and classes of src/mhopf not reached from cli.main.
+
+    An edge runs from a definition to every definition whose name appears in
+    it as a Name or an Attribute; the roots are cli.main and every module-level
+    statement that is not an import (such as BUILTIN_GROUPS).
+    """
+    import ast
+    from pathlib import Path
+
+    import mhopf
+
+    defs, frontier = {}, set()
+    for path in sorted(Path(mhopf.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{node.name}"] = (node.name, names)
+            else:
+                frontier |= names
+    reached = {"cli.main"}
+    frontier |= defs["cli.main"][1]
+    seen = set()
+    while frontier:
+        name = frontier.pop()
+        seen.add(name)
+        for qualified, (bare, names) in defs.items():
+            if bare == name and qualified not in reached:
+                reached.add(qualified)
+                frontier |= names - seen
+    return set(defs) - reached
+
+
+def test_src_keeps_only_what_a_run_reaches_or_a_statement_needs():
+    # both ways: new dead code fails, and so does an entry the run now reaches
+    assert _unreached_definitions() == set(UNREACHED)

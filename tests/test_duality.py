@@ -5,6 +5,7 @@ import pytest
 from mhopf.actions import trivial_action, verify_module_algebra
 from mhopf.aqg import make_aqg
 from mhopf.duality import (
+    Coaction,
     bismash,
     bismash_faithful,
     coaction_to_action,
@@ -18,6 +19,7 @@ from mhopf.duality import (
     w_conjugation,
 )
 from mhopf.elements import Element
+from mhopf.errors import InfiniteDimensional
 from mhopf.instances import group_algebra, scalar_algebra, trivial_group
 from mhopf.pairing import pair_of_aqg, pairing_action, pairing_smash
 from mhopf.smash import pi_R, smash, standard_module
@@ -247,6 +249,24 @@ class TestCoactions:
         co = delta_coaction(pair_z.B)
         rep = verify_coaction(co, sample_range=3)
         assert rep.ok, rep.summary()
+
+    def test_doubled_delta_borrows_no_coassociativity(self, pair_z2, pair_z):
+        # Gamma = 2 Delta, under the comultiplication's own name, is no coaction
+        def doubled(B):
+            co = delta_coaction(B)
+            return Coaction(
+                B.algebra, B,
+                lambda x, b: co.t1(x, b).scale(sc(2)),
+                lambda x, b: co.t4(x, b).scale(sc(2)),
+                name=co.name,
+            )
+
+        rep = verify_coaction(doubled(pair_z2.B))
+        assert rep.status_of("homomorphism") == "fail"
+        assert rep.status_of("coassociativity") == "fail"
+        # over K(Z) it is not B's comultiplication, so nothing can verify it
+        with pytest.raises(InfiniteDimensional):
+            verify_coaction(doubled(pair_z.B), sample_range=3)
 
     def test_unit_style_coaction_induces_trivial_action(self, pair_z2):
         # Gamma(x) = x (x) 1 on B: a valid coaction whose induced action is

@@ -2,10 +2,10 @@ import pytest
 
 from mhopf.algebras import Algebra, Multiplier, multiplier_product
 from mhopf.aqg import from_hopf_data
-from mhopf.elements import Element, flip, tensor
+from mhopf.elements import Element, tensor
 from mhopf.errors import LocalUnitsNotFound
 from mhopf.instances import cyclic_group, function_algebra, group_algebra
-from mhopf.mha import coopposite, find_local_units, verify_mha_axioms
+from mhopf.mha import find_local_units, verify_mha_axioms
 from mhopf.scalars import sc
 
 
@@ -38,14 +38,6 @@ class TestCoveringMaps:
         one = cz2.algebra.one()
         x = b(cz2.domain, 1)
         assert cz2.t1(one, x) == tensor(one, x)
-
-    def test_coopposite_reproduces_t3(self, cs3):
-        coop = coopposite(cs3)
-        keys = cs3.algebra.basis[:4]
-        for ka in keys:
-            for kb in keys:
-                a, x = b(cs3.domain, ka), b(cs3.domain, kb)
-                assert flip(coop.t1(a, x), 0, 1) == cs3.t3(a, x)
 
 
 class TestAxiomSuite:

@@ -12,11 +12,11 @@ from mhopf.pairing import (
     diamond_algebra,
     diamond_matrix_units,
     heisenberg_check,
+    heisenberg_twists,
     pair_of_aqg,
     pairing_action,
     pairing_smash,
     rank_one_realization,
-    right_standard_module,
     scalar_fixed_points_check,
     verify_pairing,
 )
@@ -118,26 +118,22 @@ class TestStandardModule:
             v = b_el(pair_z2, kb)
             assert mod.act(u, v) == v
 
-    def test_right_module_display(self, pair_z2):
-        ract, s = right_standard_module(pair_z2), pairing_smash(pair_z2)
-        # a'(b#a) = (a' <| b) a
-        for ka2 in pair_z2.A.algebra.basis:
-            for kb in pair_z2.B.algebra.basis:
-                for ka in pair_z2.A.algebra.basis:
-                    a2 = a_el(pair_z2, ka2)
-                    u = s.element(b_el(pair_z2, kb), a_el(pair_z2, ka))
-                    expected = pair_z2.A.algebra.mul(
-                        pair_z2.ract_BonA(a2, b_el(pair_z2, kb)),
-                        a_el(pair_z2, ka),
-                    )
-                    assert ract(a2, u) == expected
-
 
 class TestHeisenberg:
     def test_commutation_and_inverse_twists(self, pair_z2, pair_z3, pair_s3):
         for p in (pair_z2, pair_z3, pair_s3):
             rep = heisenberg_check(p)
             assert rep.ok, rep.summary()
+
+    def test_twist_is_the_smash_bijection(self, pair_z2, pair_s3):
+        # sum <a_(1), b_(2)> a_(2) (x) b_(1) is W(b (x) a) = sum a_(1) |> b # a_(2)
+        # of B#A with its legs exchanged
+        for p in (pair_z2, pair_s3):
+            twist, _ = heisenberg_twists(p)
+            w = pairing_smash(p, "BA").w
+            for ka, kb in itertools.product(p.A.algebra.basis, p.B.algebra.basis):
+                flipped = {(k2, k1): c for (k1, k2), c in w.table[kb, ka].coeffs.items()}
+                assert twist[ka, kb].coeffs == flipped
 
     def test_one_dimensional_pair_commutes(self):
         rep = heisenberg_check(canonical_pair(trivial_group()))
