@@ -35,6 +35,7 @@ from .errors import (
     InfiniteDimensional,
     NotHopf,
     NotUnitalHomomorphism,
+    UnverifiedAction,
 )
 from .linalg import BilinearMap, kernel, linear_solve, stack
 from .mha import RegularMHA
@@ -93,9 +94,7 @@ class ActionSpec(ModuleSpec):
 
     ralg: Algebra = None
     rule: str = "explicit"
-    verified: bool = False
-    exhaustive: bool = False  # proved on every basis triple, not a sample
-    certified_by: str = ""  # each exhaustive law's mode and cases
+    certificates: Report | None = None  # the last verify_module_algebra report
 
     @classmethod
     def build(cls, mha, ralg, act, witness=None, rule="explicit", name=None):
@@ -155,12 +154,16 @@ def _basis(h: RegularMHA, k) -> Element:
 
 # -- verification ---------------------------------------------------------------
 
+# the three laws, in the order verify_module_algebra reports them
+LAWS = ("module-algebra-law", "covered-left-form", "covered-right-form")
+
 
 def verify_module_algebra(
     s: ActionSpec, sample_range: int = 4, mode: str = "generators"
 ) -> Report:
     """Module associativity, unitality, non-degeneracy, the module-algebra
-    law and both covered reformulations.
+    law and both covered reformulations; the report is also stored on
+    ``s.certificates``.
 
     On finite instances the three laws go through the certificate kernel
     (:func:`algebras.certify_module_law`).  ``generators`` mode runs them
@@ -244,13 +247,7 @@ def verify_module_algebra(
         )
 
     # the argument that generators mode runs over Gen(R): x, x, y
-    laws = (
-        ("module-algebra-law", law, 1),
-        ("covered-left-form", left_form, 1),
-        ("covered-right-form", right_form, 2),
-    )
-    how = []
-    for label, holds, on in laws:
+    for label, holds, on in zip(LAWS, (law, left_form, right_form), (1, 1, 2)):
         if not exhaustive:
             rep.check(
                 label,
@@ -261,14 +258,24 @@ def verify_module_algebra(
             continue
         cert = certify_module_law(holds, akeys, alg, on, premises, mode)
         rep.add_certificate(label, cert)
-        how.append(f"{label} {cert.mode} {cert.cases}")
-        if label == "module-algebra-law" and premises is not None:
+        if label == LAWS[0] and premises is not None:
             # the covered forms' steps rest on the law for every triple
-            premises = [*premises, f"{s.name}: {how[0]}"] if cert.ok else None
+            line = f"{s.name}: {label} {cert.mode} {cert.cases}"
+            premises = [*premises, line] if cert.ok else None
 
-    s.verified = rep.ok
-    s.exhaustive = rep.ok and exhaustive
-    s.certified_by = ", ".join(how)
+    s.certificates = rep
+    return rep
+
+
+def action_certificates(s: ActionSpec) -> Report:
+    """The module-algebra report of ``s``, verified on the first need.
+
+    Raises :class:`UnverifiedAction` naming the failed checks when the
+    report fails.
+    """
+    rep = s.certificates if s.certificates is not None else verify_module_algebra(s)
+    if not rep.ok:
+        raise UnverifiedAction(f"{s.name}: {', '.join(f.check for f in rep.failures())}")
     return rep
 
 
@@ -378,9 +385,7 @@ def inner_action_from(
             ralg.domain,
         )
 
-    spec = ActionSpec.build(h, ralg, act, rule="inner", name=f"inner({h.name} on {ralg.name})")
-    spec.gamma = gamma
-    return spec
+    return ActionSpec.build(h, ralg, act, rule="inner", name=f"inner({h.name} on {ralg.name})")
 
 
 def is_inner_witness(s: ActionSpec, gamma: Callable, sample_range: int = 4) -> bool:

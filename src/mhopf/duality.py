@@ -22,15 +22,10 @@ from dataclasses import dataclass
 from itertools import chain, product, starmap
 from typing import Callable
 
-from .actions import ActionSpec, verify_module_algebra
+from .actions import ActionSpec, action_certificates
 from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
 from .elements import Element, map_leg, merge_legs, weight_leg
-from .errors import (
-    AlgebraMismatch,
-    CoactionInvalid,
-    InfiniteDimensional,
-    UnverifiedAction,
-)
+from .errors import AlgebraMismatch, CoactionInvalid, InfiniteDimensional
 from .instances import matrix_algebra, tensor_algebra
 from .linalg import BasisMemo, LinearMap, SparseEliminator, span_rank, spans_same, stack
 from .mha import RegularMHA, verify_mha_axioms
@@ -93,9 +88,7 @@ def dual_action(p: DualPair, s: SmashProduct) -> DualAction:
     """Construct and certify the dual action (Prop-7.2-style certificate:
     it makes R#A a B-module algebra)."""
     d = unverified_dual_action(p, s)
-    rep = verify_module_algebra(d.spec)
-    if not rep.ok:
-        raise UnverifiedAction(rep.summary())
+    action_certificates(d.spec)
     return d
 
 
@@ -265,8 +258,6 @@ def duality_isomorphism(d: DualAction, check_matrix_form: bool = True) -> Dualit
     R = s.ralg
     if not (A.algebra.is_finite and R.is_finite):
         raise InfiniteDimensional(p.name)
-    if not s.action.verified:
-        raise UnverifiedAction(s.action.name)
     rep = Report(instance=f"duality({s.algebra.name})")
 
     bis = bismash(d)

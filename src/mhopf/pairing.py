@@ -211,22 +211,10 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
         )
 
     # both left actions are module-algebra actions
-    ma = pairing_action(p, "AonB")
-    rep_a = verify_module_algebra(ma, sample_range=sample_range)
-    rep.add(
-        "module-algebra-A-on-B",
-        rep_a.ok,
-        status,
-        None if rep_a.ok else [f.check for f in rep_a.failures()],
-    )
-    mb = pairing_action(p, "BonA")
-    rep_b = verify_module_algebra(mb, sample_range=sample_range)
-    rep.add(
-        "module-algebra-B-on-A",
-        rep_b.ok,
-        status,
-        None if rep_b.ok else [f.check for f in rep_b.failures()],
-    )
+    for side, which in (("A-on-B", "AonB"), ("B-on-A", "BonA")):
+        rep_m = verify_module_algebra(pairing_action(p, which), sample_range=sample_range)
+        failed = [f.check for f in rep_m.failures()]
+        rep.add(f"module-algebra-{side}", not failed, status, failed or None)
     return rep
 
 
@@ -306,12 +294,7 @@ def pairing_smash(p: DualPair, order: str = "BA") -> SmashProduct:
     cache = p._smash_cache
     if order in cache:
         return cache[order]
-    action = pairing_action(p, "AonB" if order == "BA" else "BonA")
-    if not action.verified:
-        rep = verify_module_algebra(action)
-        if not rep.ok:
-            raise Singular(f"{p.name}: pairing action failed verification")
-    s = smash(action)
+    s = smash(pairing_action(p, "AonB" if order == "BA" else "BonA"))
     s.display = lambda k1, k2: _pair_smash_display(p, s, order, k1, k2)
     cache[order] = s
     return s

@@ -5,11 +5,11 @@ The underlying space is R (x) A with the twisted product
     (x # a)(x' # a') = sum x (a_(1) x') # a_(2) a'
 
 grounded by covering the second coproduct leg with a' and contracting the
-first against x' through the action.  Construction needs a verified
-action and runs no certificate; the certificates (associativity, zero
-radicals, agreement with the twist-map form of the product) are made on
-their first read, exhaustively on finite R#A and on a seeded sample
-otherwise.
+first against x' through the action.  Construction reads the action's
+module-algebra report, verifying the action first if it has none, and
+runs no certificate of R#A; those (associativity, zero radicals,
+agreement with the twist-map form of the product) are made on their first
+read, exhaustively on finite R#A and on a seeded sample otherwise.
 
 Also here: the multiplier embeddings of A and R into M(R#A), the universal
 property, covariant modules, the tensor-product trivialisation for inner
@@ -26,8 +26,10 @@ from itertools import product
 from typing import Callable
 
 from .actions import (
+    LAWS,
     ActionSpec,
     ModuleSpec,
+    action_certificates,
     covered_legs,
     extend_action_to_multipliers,
     extend_module_to_MA,
@@ -119,11 +121,12 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
     """Build R#A; its certificates wait for the first read of
     ``.certificates``, and ``seed`` draws their sample when R#A is infinite.
 
-    Raises :class:`UnverifiedAction` unless the action has passed
-    verify_module_algebra (call it first, or construct via helpers that do).
+    The action is certified on first need: its stored module-algebra report
+    is read, and made by verify_module_algebra when there is none yet.
+    Raises :class:`UnverifiedAction`, naming the failed checks, when that
+    report fails.
     """
-    if not action.verified:
-        raise UnverifiedAction(action.name)
+    lines = action_certificates(action).entries
     h = action.mha
     R = action.ralg
     domain = f"smash({R.domain},{h.domain})"
@@ -166,7 +169,11 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
                 for ka in h.algebra.sample_keys(n)
             ]
 
-    certified = f"{action.name}: module algebra, {action.certified_by}"
+    # every line `pass`: proved on every basis triple, not a sample
+    exhaustive = all(e.status == "pass" for e in lines)
+    certified = f"{action.name}: module algebra, " + ", ".join(
+        f"{e.check} {e.mode} {e.cases}" for e in lines if e.check in LAWS
+    )
     alg = Algebra(
         domain,
         mul_basis,
@@ -183,7 +190,7 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
                 lambda: certified,
                 lambda: h.coproduct_line,
             ))
-            if action.exhaustive
+            if exhaustive
             else None
         ),
     )

@@ -17,7 +17,7 @@ from mhopf.elements import Element
 from mhopf.errors import Undecidable
 from mhopf.linalg import LinearMap
 from mhopf.mha import verify_mha_axioms
-from mhopf.scalars import ONE, Scalar, sc
+from mhopf.scalars import ONE, Scalar
 
 
 def b(h, key):

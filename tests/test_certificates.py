@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from mhopf.actions import ActionSpec, adjoint_action, verify_module_algebra
+from mhopf.actions import LAWS, ActionSpec, adjoint_action, verify_module_algebra
 from mhopf.algebras import (
     Algebra,
     Multiplier,
@@ -34,6 +34,7 @@ from mhopf.instances import (
 from mhopf.linalg import BasisMemo, BilinearMap, LinearMap
 from mhopf.mha import RegularMHA, coproduct_certificate
 from mhopf.pairing import diamond_algebra, pair_of_aqg, pairing_smash, rank_one_gamma
+from mhopf.reports import Report
 from mhopf.scalars import sc
 from mhopf.serialize import instance_from_json
 from mhopf.smash import group_crossed_product_oracle, smash, verify_pi_relations
@@ -216,8 +217,11 @@ def test_structural_smash_certificate_needs_an_exhaustive_action(z3):
     full = _translation_smash(z3)
     assert full.algebra.structure is not None
     sampled_action = translation_action(z3)
-    sampled_action.verified = True  # taken as verified, not on every basis triple
-    assert not sampled_action.exhaustive
+    sampled = Report(instance=sampled_action.name)
+    for law in LAWS:  # taken as verified, not on every basis triple
+        sampled.add(law, True, "sampled-pass")
+    sampled_action.certificates = sampled
+    assert sampled.ok and "pass" not in {e.status for e in sampled.entries}
     s = smash(sampled_action)
     assert s.algebra.structure is None and s.algebra.associativity is None
     # with no structural rule the only certificate is a direct one
@@ -393,7 +397,8 @@ def test_structural_smash_certificate_needs_a_certified_coproduct(z2):
     assert coproduct_certificate(broken) is None
     action = ActionSpec.build(broken, tr.ralg, tr.act, rule="translation")
     rep = verify_module_algebra(action)
-    assert rep.ok and action.exhaustive
+    assert rep.ok and all(e.status == "pass" for e in rep.entries)
+    assert action.certificates is rep
     s = smash(action)
     assert s.certificates.status_of("associativity") == "fail"
     assert associativity_certificates(s.algebra, s.algebra.dim ** 3) is None
@@ -480,9 +485,6 @@ def _law_modes(rep) -> list:
     return [e.mode for e in rep.entries if e.check in LAWS]
 
 
-LAWS = ("module-algebra-law", "covered-left-form", "covered-right-form")
-
-
 def _noncentral_witness_action(s3):
     # translation(S3) witnessed by x = lam_p (lam_p^-1 . x) for a non-central p
     spec = translation_action(s3)
@@ -546,7 +548,13 @@ def test_generator_mode_records_its_premises(s3, smash_s3):
     assert right.relies_on == (
         *law.relies_on, f"{spec.name}: module-algebra-law {law.mode} {law.cases}"
     )
-    assert spec.exhaustive and "generators 6x36x3" in spec.certified_by
+    assert spec.certificates is rep and all(e.status == "pass" for e in rep.entries)
+    # the premise a smash product over this action names for its structural rule
+    _, _, (certified, _) = smash(spec).algebra.structure
+    assert certified() == f"{spec.name}: module algebra, " + ", ".join(
+        f"{e.check} {e.mode} {e.cases}" for e in (law, left, right)
+    )
+    assert "covered-right-form generators 6x36x3" in certified()
 
 
 # -- module-algebra mutations: every mode fails with the same witness ---------------

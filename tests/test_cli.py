@@ -9,7 +9,7 @@ import pytest
 from mhopf.cli import main
 from mhopf.mha import verify_mha_axioms
 from mhopf.scalars import Scalar
-from mhopf.serialize import element_to_json, instance_from_json, instance_to_json
+from mhopf.serialize import instance_from_json, instance_to_json
 
 
 def run_cli(*argv):
@@ -493,42 +493,95 @@ UNREACHED = {
 def _unreached_definitions() -> set:
     """Module-level defs and classes of src/mhopf not reached from cli.main.
 
-    An edge runs from a definition to every definition whose name appears in
-    it as a Name or an Attribute; the roots are cli.main and every module-level
-    statement that is not an import (such as BUILTIN_GROUPS).
+    An edge runs from a definition to every definition it names.  A Name
+    resolves through its own module: the module's definitions and the names
+    its ``from .x import`` statements bind (followed on through re-exports).
+    An Attribute ``m.x`` resolves through an imported module object m; any
+    other attribute names a method, which is reached with its class.  The
+    roots are cli.main and every module-level statement that is not an import
+    (such as BUILTIN_GROUPS).
     """
     import ast
     from pathlib import Path
 
     import mhopf
 
-    defs, frontier = {}, set()
+    defs, scope, modules, trees = {}, {}, {}, {}
     for path in sorted(Path(mhopf.__file__).parent.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            names = {
-                n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute))
-            }
+        mod = path.stem
+        trees[mod] = ast.parse(path.read_text())
+        scope[mod], modules[mod] = {}, {}
+        for node in trees[mod].body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs[f"{path.stem}.{node.name}"] = (node.name, names)
-            else:
-                frontier |= names
-    reached = {"cli.main"}
-    frontier |= defs["cli.main"][1]
-    seen = set()
+                defs[f"{mod}.{node.name}"] = node
+                scope[mod].setdefault(node.name, set()).add(f"{mod}.{node.name}")
+        # an import inside a function binds its name as well
+        for node in ast.walk(trees[mod]):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module is None:  # from . import x
+                        modules[mod][bound] = alias.name
+                    else:
+                        scope[mod].setdefault(bound, set()).add(f"{node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("mhopf.") and alias.asname:
+                        modules[mod][alias.asname] = alias.name.split(".", 1)[1]
+
+    def resolve(mod, name) -> set:
+        out = set()
+        for target in scope.get(mod, {}).get(name, ()):
+            home, _, bare = target.partition(".")
+            out |= {target} if target in defs else resolve(home, bare)
+        return out
+
+    def named(mod, node) -> set:
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out |= resolve(mod, n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                if n.value.id in modules[mod]:
+                    out |= resolve(modules[mod][n.value.id], n.attr)
+        return out
+
+    frontier = {"cli.main"}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(
+                node,
+                (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+            ):
+                frontier |= named(mod, node)
+    reached = set()
     while frontier:
-        name = frontier.pop()
-        seen.add(name)
-        for qualified, (bare, names) in defs.items():
-            if bare == name and qualified not in reached:
-                reached.add(qualified)
-                frontier |= names - seen
+        qualified = frontier.pop()
+        reached.add(qualified)
+        frontier |= named(qualified.split(".")[0], defs[qualified]) - reached
     return set(defs) - reached
 
 
 def test_src_keeps_only_what_a_run_reaches_or_a_statement_needs():
     # both ways: new dead code fails, and so does an entry the run now reaches
     assert _unreached_definitions() == set(UNREACHED)
+
+
+def test_tests_import_only_names_they_use():
+    # an import no test reads keeps a dead name alive for the reachability walk
+    import ast
+    from pathlib import Path
+
+    unused = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {alias.asname or alias.name.split('.')[0]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in used
+        ]
+    assert unused == []

@@ -11,7 +11,6 @@ from mhopf.instances import (
     group_algebra,
     matrix_algebra,
     scalar_algebra,
-    symmetric_group_3,
     tensor_algebra,
     validate_group,
 )

@@ -4,7 +4,7 @@ from mhopf.algebras import Algebra, Multiplier, multiplier_product
 from mhopf.aqg import from_hopf_data
 from mhopf.elements import Element, tensor
 from mhopf.errors import LocalUnitsNotFound
-from mhopf.instances import cyclic_group, function_algebra, group_algebra
+from mhopf.instances import function_algebra
 from mhopf.mha import find_local_units, verify_mha_axioms
 from mhopf.scalars import sc
 

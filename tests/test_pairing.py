@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from mhopf.actions import fixed_points
 from mhopf.elements import Element
 from mhopf.instances import canonical_pair, trivial_group
 from mhopf.linalg import span_rank
@@ -13,14 +12,12 @@ from mhopf.pairing import (
     diamond_matrix_units,
     heisenberg_check,
     heisenberg_twists,
-    pair_of_aqg,
-    pairing_action,
     pairing_smash,
     rank_one_realization,
     scalar_fixed_points_check,
     verify_pairing,
 )
-from mhopf.scalars import ONE, sc
+from mhopf.scalars import sc
 from mhopf.smash import module_representation_rank, standard_module
 
 

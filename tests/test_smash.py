@@ -13,7 +13,6 @@ from mhopf.actions import (
     CocycleData,
     adjoint_action,
     covered_legs,
-    inner_action_from,
     verify_module_algebra,
 )
 from mhopf.algebras import Multiplier, multiplier_product
@@ -60,10 +59,29 @@ class TestConstruction:
     def test_certificates(self, smash_translation_z2):
         assert smash_translation_z2.certificates.ok
 
-    def test_requires_verified_action(self, z2):
-        spec = translation_action(z2)  # fresh, unverified
-        with pytest.raises(UnverifiedAction):
+    def test_certifies_a_fresh_action_once(self, z2, monkeypatch):
+        runs = []
+        verify = mhopf.actions.verify_module_algebra
+
+        def counted(spec, *args, **kwargs):
+            runs.append(spec.name)
+            return verify(spec, *args, **kwargs)
+
+        monkeypatch.setattr(mhopf.actions, "verify_module_algebra", counted)
+        spec = translation_action(z2)  # fresh, no report yet
+        assert spec.certificates is None
+        smash(spec)
+        assert runs == [spec.name] and spec.certificates.ok
+        smash(spec)
+        assert runs == [spec.name]
+
+    def test_failing_action_is_refused_naming_its_checks(self, z2):
+        spec = translation_action(z2)
+        key = (spec.mha.algebra.basis[1], spec.ralg.basis[0])  # (a, x)
+        spec.act.table[key] = spec.act.table[key].scale(sc(2))
+        with pytest.raises(UnverifiedAction, match="module-associativity"):
             smash(spec)
+        assert spec.certificates.status_of("module-associativity") == "fail"
 
     def test_twisted_product_example(self, smash_translation_z2):
         s = smash_translation_z2
@@ -106,7 +124,6 @@ class TestCrossedProductOracle:
 
         g = get_group(gname)
         spec = translation_action(g)
-        verify_module_algebra(spec)
         s = smash(spec)
         oracle = group_crossed_product_oracle(
             g, spec.ralg, lambda q, x: spec.act(Element.basis(spec.mha.domain, q), x)
@@ -513,7 +530,6 @@ class TestInnerTrivialization:
         from mhopf.actions import adjoint_action
 
         adj = adjoint_action(cz2)
-        verify_module_algebra(adj)
         s = smash(adj)
         gamma = lambda k: Multiplier.from_element(cz2.algebra, b(cz2, k))
         phi, psi, target = inner_trivialization(s, gamma)
@@ -671,7 +687,8 @@ class TestCorruptedStructure:
         spec = ActionSpec.build(
             _doubled_t1(tr.mha, (akeys[1], akeys[2])), tr.ralg, tr.act, rule="translation"
         )
-        assert verify_module_algebra(spec).ok and spec.exhaustive
+        rep = verify_module_algebra(spec)
+        assert rep.ok and all(e.status == "pass" for e in rep.entries)
         s = smash(spec)
         line = s.certificates.entries[
             [e.check for e in s.certificates.entries].index("twist-map-product")
