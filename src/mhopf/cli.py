@@ -15,6 +15,7 @@ import sys
 import time
 import traceback
 from dataclasses import replace
+from functools import cache
 from itertools import product
 
 from .actions import (
@@ -190,8 +191,13 @@ def build_suite(suite: str, args) -> list:
 
     if suite in ("duality", "all"):
         if finite:
-            add(f"duality[K({gname}),C[{gname}]]", lambda: _duality_report(g))
-            add(f"coaction[{gname}]", lambda: _coaction_report(g))
+            # one duality chain for both groups, built by the first check that needs it
+            dual = cache(lambda: dual_action(
+                pair_of_aqg(make_aqg(group_algebra(g))), smash(translation_action(g))
+            ))
+            iso = cache(lambda: duality_isomorphism(dual()))
+            add(f"duality[K({gname}),C[{gname}]]", lambda: _duality_report(g, dual, iso))
+            add(f"coaction[{gname}]", lambda: _coaction_report(g, iso))
         else:
             add(f"w-conjugation[{gname}]", lambda: _w_sampled_report(g, args))
 
@@ -308,21 +314,18 @@ def _smash_report(g, args) -> Report:
     return rep
 
 
-def _duality_report(g) -> Report:
+def _duality_report(g, dual, iso) -> Report:
     rep = Report(instance=f"duality[{g.name}]")
-    gA = make_aqg(group_algebra(g))
-    pd = pair_of_aqg(gA)
-    d = dual_action(pd, smash(translation_action(g)))
+    d = dual()
     rep.add("dual-action-certified", d.spec.certificates.ok, "pass")
     rep.extend(fixed_point_theorem_check(d))
     rep.extend(w_conjugation(d))
     rep.add("bismash-faithful", bismash_faithful(d), "pass")
-    iso = duality_isomorphism(d)
-    rep.extend(iso.report)
+    rep.extend(iso().report)
     return rep
 
 
-def _coaction_report(g) -> Report:
+def _coaction_report(g, iso) -> Report:
     rep = Report(instance=f"coaction[{g.name}]")
     p = canonical_pair(g)
     co = delta_coaction(p.B)
@@ -335,7 +338,7 @@ def _coaction_report(g) -> Report:
         lambda ka, kb: induced.act.table[ka, kb] == pa.act.table[ka, kb],
     )
     rep.extend(rl_condition_check(p))
-    rep.extend(empirical_duality_check(p, induced))
+    rep.extend(empirical_duality_check(p, induced, iso()))
     return rep
 
 

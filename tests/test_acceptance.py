@@ -251,7 +251,7 @@ def test_criterion_11_fixed_point_theorem(duality_instances):
     _report(11, "fixed points of the dual action equal the embedded coefficients", ok)
 
 
-def test_criterion_12_coaction_consistency(pair_z2):
+def test_criterion_12_coaction_consistency(pair_z2, dual_pair_cz2):
     co = delta_coaction(pair_z2.B)
     induced = coaction_to_action(co, pair_z2)
     from mhopf.pairing import pairing_action
@@ -268,7 +268,8 @@ def test_criterion_12_coaction_consistency(pair_z2):
         for kb in pair_z2.B.algebra.basis
     )
     ok = ok and rl_condition_check(pair_z2).ok
-    ok = ok and empirical_duality_check(pair_z2, induced).ok
+    iso = duality_isomorphism(dual_action(dual_pair_cz2, smash(induced)))
+    ok = ok and empirical_duality_check(pair_z2, induced, iso).ok
     _report(12, "coaction-induced action consistency and empirical general duality", ok)
 
 

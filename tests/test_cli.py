@@ -190,6 +190,7 @@ def test_shifted_antipode_run_output_is_byte_identical(tmp_path, cz3):
     [
         ("smash", "06fd8d982baa07617d0270c6a5b44fbf7d5f886c"),
         ("pairing", "9526bdeacf827f2accbcd1b29c80f5c2651ace65"),
+        ("duality", "30ecd4a1a1f232970bc6ac497b4a48a5ecd3ab60"),
     ],
 )
 def test_s3_suite_output_is_byte_identical(suite, sha1):
@@ -340,6 +341,29 @@ def test_timing_shows_certificate_provenance():
     assert "mode" not in lines["duality[K(Z2),C[Z2]]:bismash-faithful"]
     _, plain = run_cli("run", "duality", "--group", "Z2", "--json")
     assert all("mode" not in json.loads(l) for l in plain.splitlines())
+
+
+def test_run_builds_the_duality_chain_once(monkeypatch, capsys):
+    # duality[…] and coaction[…] share one dual action over (C[Z2], dual(C[Z2])) and one Θ
+    from mhopf import cli, duality
+
+    calls = {"duality_isomorphism": 0, "dual_action": 0}
+    real_iso, real_dual = duality.duality_isomorphism, duality.dual_action
+
+    def counted_iso(d):
+        calls["duality_isomorphism"] += 1
+        return real_iso(d)
+
+    def counted_dual(p, s):
+        calls["dual_action"] += p.name == "pair(C[Z2],dual(C[Z2]))"
+        return real_dual(p, s)
+
+    for module in (cli, duality):
+        monkeypatch.setattr(module, "duality_isomorphism", counted_iso)
+        monkeypatch.setattr(module, "dual_action", counted_dual)
+    assert main(["run", "all", "--group", "Z2", "--json"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 138
+    assert calls == {"duality_isomorphism": 1, "dual_action": 1}
 
 
 @pytest.mark.parametrize(

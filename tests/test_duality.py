@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -20,8 +21,9 @@ from mhopf.duality import (
 )
 from mhopf.elements import Element
 from mhopf.errors import InfiniteDimensional
-from mhopf.instances import group_algebra, scalar_algebra, trivial_group
+from mhopf.instances import group_algebra, scalar_algebra, translation_action, trivial_group
 from mhopf.pairing import pair_of_aqg, pairing_action, pairing_smash
+from mhopf.reports import Report
 from mhopf.smash import pi_R, smash, standard_module
 from mhopf.scalars import sc
 
@@ -234,12 +236,13 @@ class TestCoactions:
                 b = Element.basis(pair_z2.B.domain, kb)
                 assert induced.act(a, b) == pa.act(a, b)
 
-    def test_rl_condition_and_empirical_duality(self, pair_z2):
+    def test_rl_condition_and_empirical_duality(self, pair_z2, dual_pair_cz2):
         rep = rl_condition_check(pair_z2)
         assert rep.ok, rep.summary()
         co = delta_coaction(pair_z2.B)
         induced = coaction_to_action(co, pair_z2)
-        emp = empirical_duality_check(pair_z2, induced)
+        iso = duality_isomorphism(dual_action(dual_pair_cz2, smash(induced)))
+        emp = empirical_duality_check(pair_z2, induced, iso)
         assert emp.ok, emp.summary()
 
     def test_infinite_delta_coaction_sampled(self, pair_z):
@@ -291,3 +294,41 @@ class TestCoactions:
             for kb in B.algebra.basis:
                 x = Element.basis(B.domain, kb)
                 assert induced.act(a, x) == x.scale(eps)
+
+
+class TestEmpiricalDuality:
+    """``dual-side-duality`` reads a certified Θ: it must pass only for the
+    action under that Θ, and only while Θ's report holds."""
+
+    @pytest.fixture(scope="class")
+    def iso_z2(self, dual_z2):
+        return duality_isomorphism(dual_z2)
+
+    @staticmethod
+    def lines(rep):
+        return {e.check: (e.status, e.witness) for e in rep.entries}
+
+    def test_coaction_induced_action_reuses_the_translation_iso(self, pair_z2, iso_z2):
+        induced = coaction_to_action(delta_coaction(pair_z2.B), pair_z2)
+        rep = empirical_duality_check(pair_z2, induced, iso_z2)
+        assert rep.ok and len(rep.entries) == 4, rep.summary()
+
+    def test_changed_action_entry_is_the_witness(self, z2, pair_z2, iso_z2):
+        changed = translation_action(z2)
+        key = (1, 0)  # (a, x)
+        changed.act.table[key] = changed.act.table[key].scale(sc(2))
+        lines = self.lines(empirical_duality_check(pair_z2, changed, iso_z2))
+        assert lines["B-identified-with-dual"] == ("pass", None)
+        assert lines["dual-side-duality"] == ("fail", key)
+        assert lines["bismash-iso-R-tensor-A#B"][0] == "skipped"
+        assert lines["bismash-iso-bijective"][0] == "skipped"
+
+    def test_failing_iso_line_is_the_witness(self, pair_z2, iso_z2):
+        entries = [
+            replace(e, status="fail", witness=(0, 0)) if e.check == "multiplicative" else e
+            for e in iso_z2.report.entries
+        ]
+        failing = replace(iso_z2, report=Report(iso_z2.report.instance, entries))
+        induced = coaction_to_action(delta_coaction(pair_z2.B), pair_z2)
+        lines = self.lines(empirical_duality_check(pair_z2, induced, failing))
+        assert lines["dual-side-duality"] == ("fail", "multiplicative")
