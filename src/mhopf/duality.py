@@ -10,16 +10,16 @@ R#A, and conjugating that representation by the bijection
 untwists it.  For B the dual of an algebraic quantum group A, composing
 the W picture with the rank-one form of A#A^ yields the duality theorem:
 (R#A)#A^ is isomorphic to R (x) (A <> A^), hence to M_n(R) with n = dim A
-when R is unital.  The isomorphism and its inverse are constructed in
-closed covered form and certified by exhaustive structure-constant
-comparison; the general-pairing statement (via coactions) is checked only
-empirically on concrete instances.
+when R is unital.  The isomorphism is constructed in closed covered form
+and certified by exhaustive structure-constant comparison and the rank of
+its basis images; the general-pairing statement (via coactions) is checked
+only empirically on concrete instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product, starmap
+from itertools import product, starmap
 from typing import Callable
 
 from .actions import ActionSpec, action_certificates
@@ -212,11 +212,10 @@ def _conjugation_formula(s: SmashProduct, kx, ka, kx2, ka2) -> Element:
 
 @dataclass
 class DualityIso:
-    """The certified duality isomorphism of a dual action, with its inverse and report."""
+    """The certified duality isomorphism of a dual action, with its report."""
 
     report: Report
     theta: Callable
-    theta_inv: Callable
     bismash: SmashProduct
     target: Algebra
     diamond: Algebra
@@ -239,16 +238,11 @@ def duality_isomorphism(d: DualAction) -> DualityIso:
         Theta((x#a)#b) = sum (c_(2) (S^-1(a_(1)) x)) (x)
                          (a_(2) S(c_(1)) <> phi(c_(3) .)).
 
-    The inverse undoes the two steps:
-
-        Theta^-1(y (x) (a <> phi(d.)))
-            = sum (u_(1) (S^-1(d_(2)) y) # u_(2)) # phi(d_(3) .),   u = a d_(1).
-
-    Certification: Theta and Theta^-1 are mutually inverse on the full
-    basis and Theta is multiplicative on all basis pairs against the tensor
-    product algebra R (x) (A <> A^).  When R is unital the composition with
-    the matrix-unit form of the diamond algebra identifies the bismash with
-    M_n(R), n = dim A.
+    Certification: Theta's basis images have full rank (witness (rank,
+    dim) on failure) and Theta is multiplicative on all basis pairs against
+    the tensor product algebra R (x) (A <> A^).  When R is unital the
+    composition with the matrix-unit form of the diamond algebra identifies
+    the bismash with M_n(R), n = dim A.
     """
     p = d.pair
     bridge = p.bridge
@@ -293,43 +287,9 @@ def duality_isomorphism(d: DualAction) -> DualityIso:
 
         return merge_legs(A.delta(basis(ka)), 0, 1, image, target.domain)
 
-    def theta_inv_basis(key) -> Element:
-        ky, (kA, kw) = key
-        # sum (u_(1) (S^-1(d_(2)) y) # u_(2)) # phi(d_(3) .) with u = a d_(1)
-        t = A.delta_n(bridge.to_left_slot(Element.basis(p.B.domain, kw)), 3)
-        t = map_leg(
-            t, 0, lambda d1: A.delta(A.algebra.mul(basis(kA), basis(d1))), (A.domain, A.domain)
-        )
-        y = Element.basis(R.domain, ky)
-        t = merge_legs(
-            t, 0, 2,
-            lambda n1, d2: s.action.act(basis(n1), s.action.act(A.antipode_inv_key(d2), y)),
-            R.domain,
-        )
-        t = map_leg(t, 2, omega)
-        coeffs = {((kz, n2), kb2): c for (kz, n2, kb2), c in t.coeffs.items()}
-        return Element(bis.algebra.domain, coeffs, _canon=True)
-
     theta = LinearMap(bis.algebra.domain, target.domain, theta_basis)
-    theta_inv = LinearMap(target.domain, bis.algebra.domain, theta_inv_basis)
-
-    inverses = {
-        "theta_inv . theta": (theta, theta_inv, bis.algebra),
-        "theta . theta_inv": (theta_inv, theta, target),
-    }
-
-    def inverse_on(order, k) -> bool:
-        fwd, back, alg = inverses[order]
-        return back(fwd.table[k]) == alg.basis_element(k)
-
-    rep.check(
-        "bijective",
-        chain(
-            product(["theta_inv . theta"], bis.algebra.basis),
-            product(["theta . theta_inv"], target.basis),
-        ),
-        inverse_on,
-    )
+    rank = span_rank([theta.table[k] for k in bis.algebra.basis])
+    rep.add("bijective", rank == bis.algebra.dim == target.dim, "pass", (rank, target.dim))
 
     rep.add_certificate(
         "multiplicative", certify_algebra_map(theta, bis.algebra, target)
@@ -355,7 +315,7 @@ def duality_isomorphism(d: DualAction) -> DualityIso:
         rep.add("matrix-form-bijective", span_rank(list(images.values())) == mn_r.dim, "pass")
     else:
         rep.skip("matrix-form-multiplicative", "R has no identity")
-    return DualityIso(rep, theta, theta_inv, bis, target, dia, d)
+    return DualityIso(rep, theta, bis, target, dia, d)
 
 
 # -- coactions ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from mhopf.actions import adjoint_action, trivial_action, verify_module_algebra
-from mhopf.aqg import make_aqg
+from mhopf.algebras import Algebra
+from mhopf.aqg import from_hopf_data, make_aqg
+from mhopf.elements import Element
 from mhopf.instances import (
     canonical_pair,
     cyclic_group,
@@ -18,6 +20,7 @@ from mhopf.instances import (
     trivial_group,
 )
 from mhopf.pairing import pair_of_aqg
+from mhopf.scalars import sc
 from mhopf.serialize import instance_to_json
 from mhopf.smash import smash
 
@@ -85,6 +88,46 @@ def kz(zz):
 @pytest.fixture(scope="session")
 def cz(zz):
     return group_algebra(zz)
+
+
+@pytest.fixture(scope="session")
+def h4():
+    """Sweedler's 4-dimensional Hopf algebra, basis g^i x^j (keys (i, j)).
+
+    g^i x^j * g^k x^l = (-1)^(jk) g^(i+k) x^(j+l), zero when j = l = 1;
+    Delta g = g (x) g, Delta x = x (x) 1 + g (x) x; S(x) = -gx, S(gx) = x.
+    It is neither commutative nor cocommutative, and S^2 != id.
+    """
+    D = "H4"
+
+    def mul(k1, k2):
+        (i, j), (k, l) = k1, k2
+        if j + l > 1:
+            return Element.zero(D)
+        return Element.basis(D, ((i + k) % 2, j + l), sc((-1) ** (j * k)))
+
+    def delta(key):
+        i, j = key
+        if j == 0:
+            return Element.basis((D, D), (key, key))
+        # Delta(g^i x) = g^i x (x) g^i + g^(i+1) (x) g^i x
+        return Element((D, D), {(key, (i, 0)): sc(1), (((i + 1) % 2, 0), key): sc(1)})
+
+    antipode = {
+        (0, 0): Element.basis(D, (0, 0)),
+        (1, 0): Element.basis(D, (1, 0)),
+        (0, 1): Element.basis(D, (1, 1), sc(-1)),
+        (1, 1): Element.basis(D, (0, 1)),
+    }
+    alg = Algebra(D, mul, basis=sorted(antipode), identity=Element.basis(D, (0, 0)), name=D)
+    return from_hopf_data(
+        alg, delta, lambda k: sc(1 if k[1] == 0 else 0), antipode.__getitem__, name=D
+    )
+
+
+@pytest.fixture(scope="session")
+def h4_pair(h4):
+    return pair_of_aqg(make_aqg(h4))
 
 
 @pytest.fixture(scope="session")

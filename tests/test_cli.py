@@ -430,6 +430,7 @@ SINGLE_SHOT = {
     "duality:fixed-equals-pi(M(R))",
     "duality:bismash-faithful",
     "duality:dimension",
+    "duality:bijective",
     "duality:matrix-form-bijective",
     "coaction:t1-injective",
     "coaction:t4-injective",

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from mhopf.actions import trivial_action
+from mhopf.actions import adjoint_action, trivial_action
 from mhopf.aqg import make_aqg
 from mhopf.duality import (
     Coaction,
@@ -183,6 +183,21 @@ class TestDualityIsomorphism:
         assert iso.ok, iso.report.summary()
         assert iso.bismash.algebra.dim == 6 * 36
 
+    @pytest.mark.parametrize("rule", ["adjoint", "AonB"])
+    def test_h4_every_line_passes(self, h4, h4_pair, rule):
+        # S^2 != id on H4: a formula that holds only when S = S^-1 fails here
+        spec = adjoint_action(h4) if rule == "adjoint" else pairing_action(h4_pair, "AonB")
+        iso = duality_isomorphism(dual_action(h4_pair, smash(spec)))
+        assert {e.status for e in iso.report.entries} == {"pass"}, iso.report.summary()
+
+    def test_singular_theta_fails_bijective_with_its_rank(self, z2, dual_pair_cz2):
+        tr = translation_action(z2)
+        d = dual_action(dual_pair_cz2, smash(tr))
+        key = (1, 0)  # (a, x), zeroed after the dual action is certified
+        tr.act.table[key] = Element.zero(tr.act.table[key].domain)
+        line = next(e for e in duality_isomorphism(d).report.entries if e.check == "bijective")
+        assert (line.status, line.witness) == ("fail", (4, 8))
+
     def test_reduces_to_rank_one_for_trivial_coefficients(
         self, dual_trivial_c, dual_pair_cz2
     ):
@@ -244,6 +259,20 @@ class TestCoactions:
         iso = duality_isomorphism(dual_action(dual_pair_cz2, smash(induced)))
         emp = empirical_duality_check(pair_z2, induced, iso)
         assert emp.ok, emp.summary()
+
+    def test_h4_finite_duality_chain(self, h4_pair):
+        p = h4_pair
+        induced = coaction_to_action(delta_coaction(p.B), p)
+        d = dual_action(p, smash(induced))
+        for rep in (
+            verify_coaction(delta_coaction(p.B)),
+            rl_condition_check(p),
+            empirical_duality_check(p, induced, duality_isomorphism(d)),
+            fixed_point_theorem_check(d),
+            w_conjugation(d),
+        ):
+            assert {e.status for e in rep.entries} == {"pass"}, rep.summary()
+        assert bismash_faithful(d)
 
     def test_infinite_delta_coaction_sampled(self, pair_z):
         co = delta_coaction(pair_z.B)

@@ -28,7 +28,7 @@ from mhopf.instances import (
 )
 from mhopf.linalg import span_rank
 from mhopf.mha import RegularMHA
-from mhopf.pairing import pairing_smash
+from mhopf.pairing import heisenberg_check, pairing_smash, verify_pairing
 from mhopf.scalars import ONE, sc
 from mhopf.serialize import instance_from_json
 from mhopf.smash import (
@@ -289,6 +289,11 @@ class TestTableProduct:
         assert verify_module_algebra(tr).ok
         bis = smash(dual_action(canonical_pair(z3), smash(tr)).spec)
         self._agrees(bis, bis.algebra.basis)
+
+    def test_adjoint_h4(self, h4):
+        # H4 is neither commutative nor cocommutative and S^2 != id
+        s = smash(adjoint_action(h4))
+        self._agrees(s, s.algebra.basis)
 
     def test_translation_z_window(self, zz):
         tr = translation_action(zz)
@@ -596,6 +601,9 @@ class TestStandardModule:
         assert verify_module_algebra(tr).ok
         self._matches_reference(smash(dual_action(canonical_pair(z2), smash(tr)).spec))
 
+    def test_adjoint_h4(self, h4):
+        self._matches_reference(smash(adjoint_action(h4)))
+
     def test_plain_modules_are_built_only_by_covariant_to_module(self):
         # every module over a smash product is induced from a covariant pair
         hits = [
@@ -606,6 +614,13 @@ class TestStandardModule:
         ]
         assert hits == ["smash.py"]
         assert "PlainModule(" in inspect.getsource(covariant_to_module)
+
+
+def test_h4_sees_the_order_of_s_and_s_inverse(h4, h4_pair):
+    # on H4, S^-1(x) = gx != S(x) = -gx, so an S where S^-1 belongs fails these
+    assert verify_module_algebra(adjoint_action(h4)).ok
+    for rep in (verify_pairing(h4_pair), heisenberg_check(h4_pair)):
+        assert rep.ok, rep.summary()
 
 
 def _std_act(s, u, x):
