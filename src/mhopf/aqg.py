@@ -477,14 +477,9 @@ def verify_mha_isomorphism(
     rep = Report(instance=f"{src.name}->{dst.name}")
     skeys = src.algebra.basis
     dkeys = dst.algebra.basis
-    rep.add(
-        "bijective",
-        skeys is not None
-        and dkeys is not None
-        and len(skeys) == len(dkeys)
-        and span_rank([iso.table[k] for k in skeys]) == len(dkeys),
-        "pass",
-    )
+    rank = None if skeys is None else span_rank([iso.table[k] for k in skeys])
+    dim = None if dkeys is None else len(dkeys)
+    rep.add("bijective", rank is not None and rank == len(skeys) == dim, "pass", (rank, dim))
 
     rep.add_certificate("multiplicative", certify_algebra_map(iso, src.algebra, dst.algebra))
 

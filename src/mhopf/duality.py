@@ -312,7 +312,8 @@ def duality_isomorphism(d: DualAction) -> DualityIso:
                 LinearMap(bis.algebra.domain, mn_r.domain, images), bis.algebra, mn_r
             ),
         )
-        rep.add("matrix-form-bijective", span_rank(list(images.values())) == mn_r.dim, "pass")
+        rank = span_rank(list(images.values()))
+        rep.add("matrix-form-bijective", rank == mn_r.dim, "pass", (rank, mn_r.dim))
     else:
         rep.skip("matrix-form-multiplicative", "R has no identity")
     return DualityIso(rep, theta, bis, target, dia, d)
@@ -533,11 +534,8 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
             LinearMap(bis_b.algebra.domain, target.domain, images), bis_b.algebra, target
         ),
     )
-    rep.add(
-        "bismash-iso-bijective",
-        span_rank(list(images.values())) == bis_b.algebra.dim,
-        "pass",
-    )
+    rank = span_rank(list(images.values()))
+    rep.add("bismash-iso-bijective", rank == bis_b.algebra.dim, "pass", (rank, bis_b.algebra.dim))
     return rep
 
 

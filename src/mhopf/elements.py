@@ -4,7 +4,10 @@ An ``Element`` is a finite linear combination of basis indices with Scalar
 coefficients, tagged with the name of its index domain.  Supports stay
 finite even when the domain is infinite (the motivating example being
 finitely supported functions on a discrete group).  Storage is canonical:
-zero coefficients are never kept, so ``==`` is exact equality.
+zero coefficients are never kept, so ``==`` is exact equality.  Values are
+immutable: nothing writes to an element's ``coeffs`` after construction, so
+``Element.zero`` hands out one shared zero per domain, whose ``coeffs`` is a
+read-only mapping: a write into it raises at once.
 
 A tensor is an ``Element`` whose domain is the tuple of its leg domains and
 whose keys are key tuples, one key per leg; the same arithmetic serves
@@ -18,6 +21,7 @@ combined; mixing raises :class:`DomainMismatch`.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainMismatch, PositionOutOfRange
@@ -42,6 +46,9 @@ def add_into(acc: dict, key, value: Scalar) -> None:
             del acc[key]
 
 
+_ZEROS: dict = {}  # domain -> its zero Element, see Element.zero
+
+
 class Element:
     """Finite-support linear combination of basis indices in one domain.
 
@@ -60,12 +67,16 @@ class Element:
     @classmethod
     def basis(cls, domain: str | tuple, key, coeff: Scalar = ONE) -> "Element":
         if not coeff:
-            return cls(domain, {}, _canon=True)
+            return cls.zero(domain)
         return cls(domain, {key: coeff}, _canon=True)
 
     @classmethod
     def zero(cls, domain: str | tuple) -> "Element":
-        return cls(domain, {}, _canon=True)
+        """The zero of ``domain``: the same read-only object on every call."""
+        z = _ZEROS.get(domain)
+        if z is None:
+            z = _ZEROS[domain] = cls(domain, MappingProxyType({}), _canon=True)
+        return z
 
     @classmethod
     def from_terms(cls, domain: str | tuple, terms: Iterable[tuple]) -> "Element":

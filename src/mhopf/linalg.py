@@ -222,7 +222,9 @@ def spans_same(a: Sequence[Element], b: Sequence[Element]) -> bool:
 class BasisMemo(dict):
     """Images of basis keys, each computed by ``fn`` on its first lookup and kept.
 
-    The one memo behind every basis map: a hit is a plain dict lookup.
+    The one memo behind every basis map: a hit is a plain dict lookup.  A
+    zero image is kept as ``Element.zero`` of its domain, so the zero
+    structure constants of a map share one object.
     """
 
     __slots__ = ("fn",)
@@ -232,7 +234,10 @@ class BasisMemo(dict):
         self.fn = fn
 
     def __missing__(self, key):
-        value = self[key] = self.fn(key)
+        value = self.fn(key)
+        if type(value) is Element and not value.coeffs:
+            value = Element.zero(value.domain)
+        self[key] = value
         return value
 
 

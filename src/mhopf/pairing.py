@@ -400,8 +400,8 @@ def anti_isomorphism(p: DualPair, sample_range: int = 4) -> tuple:
     rep = Report(instance=f"anti({p.name})")
     rep.add_certificate("anti-multiplicative", cert, "pass" if finite else "sampled-pass")
     if finite:
-        imgs = [phi(sba.algebra.basis_element(k)) for k in sba.algebra.basis]
-        rep.add("bijective", span_rank(imgs) == sba.algebra.dim, "pass")
+        rank = span_rank([phi(sba.algebra.basis_element(k)) for k in sba.algebra.basis])
+        rep.add("bijective", rank == sba.algebra.dim, "pass", (rank, sba.algebra.dim))
     return phi, sba, sab, rep
 
 
@@ -487,8 +487,8 @@ def rank_one_realization(p: DualPair) -> Report:
     dia = diamond_algebra(p)
     gmap = rank_one_gamma(p, sab, dia)
     rep.add_certificate("gamma-multiplicative", certify_algebra_map(gmap, sab.algebra, dia))
-    imgs = [gmap.table[k] for k in sab.algebra.basis]
-    rep.add("gamma-bijective", span_rank(imgs) == sab.algebra.dim, "pass")
+    rank = span_rank([gmap.table[k] for k in sab.algebra.basis])
+    rep.add("gamma-bijective", rank == sab.algebra.dim, "pass", (rank, sab.algebra.dim))
 
     # standard action of A#A^ on A: (a#b)a' = a (b |> a'); full rank (dim A)^2
     rank = module_representation_rank(standard_module(sab))

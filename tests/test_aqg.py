@@ -127,7 +127,8 @@ class TestFiniteDual:
         table = {k: Element.basis(d.base.domain, 0) for k in cz2.algebra.basis}
         iso = LinearMap(cz2.domain, d.base.domain, table)
         rep = verify_mha_isomorphism(cz2, d.base, iso)
-        assert rep.status_of("bijective") == "fail"
+        line = next(e for e in rep.entries if e.check == "bijective")
+        assert (line.status, line.witness) == ("fail", (1, 2))
 
     def test_double_dual_canonical_isomorphism(self, cz2_aqg, cs3_aqg, kz2_aqg):
         for g in (cz2_aqg, cs3_aqg, kz2_aqg):

@@ -198,6 +198,15 @@ class TestDualityIsomorphism:
         line = next(e for e in duality_isomorphism(d).report.entries if e.check == "bijective")
         assert (line.status, line.witness) == ("fail", (4, 8))
 
+    def test_singular_theta_fails_matrix_form_bijective_with_its_rank(self, z2, dual_pair_cz2):
+        tr = translation_action(z2)
+        d = dual_action(dual_pair_cz2, smash(tr))
+        key = (1, 0)  # as above: Θ, and so its matrix form, loses rank
+        tr.act.table[key] = Element.zero(tr.act.table[key].domain)
+        rep = duality_isomorphism(d).report
+        line = next(e for e in rep.entries if e.check == "matrix-form-bijective")
+        assert (line.status, line.witness) == ("fail", (4, 8))
+
     def test_reduces_to_rank_one_for_trivial_coefficients(
         self, dual_trivial_c, dual_pair_cz2
     ):
@@ -361,3 +370,13 @@ class TestEmpiricalDuality:
         induced = coaction_to_action(delta_coaction(pair_z2.B), pair_z2)
         lines = self.lines(empirical_duality_check(pair_z2, induced, failing))
         assert lines["dual-side-duality"] == ("fail", "multiplicative")
+
+    def test_singular_composite_fails_bijective_with_its_rank(self, pair_z2, dual_z2):
+        # one image of the certified Θ zeroed after its report was written
+        iso = duality_isomorphism(dual_z2)
+        key = iso.bismash.algebra.basis[0]
+        iso.theta.table[key] = Element.zero(iso.target.domain)
+        induced = coaction_to_action(delta_coaction(pair_z2.B), pair_z2)
+        lines = self.lines(empirical_duality_check(pair_z2, induced, iso))
+        assert lines["dual-side-duality"] == ("pass", None)
+        assert lines["bismash-iso-bijective"] == ("fail", (7, 8))

@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import mhopf
 from mhopf.elements import (
     Element,
+    add_into,
     flip,
     map_leg,
     merge_legs,
@@ -35,6 +40,41 @@ def test_addition_canonical(x, y):
 @given(elements, coeffs)
 def test_scaling(x, c):
     assert x.scale(c).scale(sc(2)) == x.scale(c * sc(2))
+
+
+def test_zero_is_one_object_per_domain():
+    x = Element.basis("D", 1)
+    assert Element.zero("D") is Element.zero("D") is Element.basis("D", 3, sc(0))
+    assert Element.zero("D") + x is x
+    assert Element.zero("D") != Element.zero(("D", "D"))
+
+
+def test_shared_zero_cannot_be_written():
+    z = Element.zero("D")
+    with pytest.raises(TypeError):
+        z.coeffs[0] = sc(1)
+    alias = Element("D", z.coeffs, _canon=True)  # as the leg relabellings build it
+    with pytest.raises(TypeError):
+        add_into(alias.coeffs, 0, sc(1))
+    assert z == Element("D", {}) and dict(z.coeffs) == {} and not z
+    assert Element.zero("D") is z and z.coeffs == {}
+
+
+def test_no_source_writes_into_coeffs():
+    # Element.zero hands one object to every caller and raises on a write
+    # into its coeffs; this scan finds a plain write before a run reaches it
+    pattern = re.compile(
+        r"\.coeffs\[.*?\]\s*[-+*/]?=(?!=)"
+        r"|\bdel\b.*\.coeffs\["
+        r"|\.coeffs\.(?:pop|update|clear|setdefault|popitem)\("
+    )
+    offenders = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 def test_domain_separation():

@@ -347,6 +347,33 @@ def test_memo_calls_the_basis_function_once_per_key():
     assert sorted(pairs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_every_zero_image_in_a_memo_is_the_zero_of_its_domain(
+    z2, dual_pair_cz2, h4, h4_pair, monkeypatch
+):
+    from mhopf.actions import adjoint_action
+    from mhopf.duality import dual_action, duality_isomorphism
+    from mhopf.instances import translation_action
+    from mhopf.smash import smash
+
+    memos = []
+    init = BasisMemo.__init__
+
+    def recording(self, fn):
+        init(self, fn)
+        memos.append(self)
+
+    monkeypatch.setattr(BasisMemo, "__init__", recording)
+    for pair, spec in ((dual_pair_cz2, translation_action(z2)), (h4_pair, adjoint_action(h4))):
+        duality_isomorphism(dual_action(pair, smash(spec)))
+    zeros: dict = {}  # domain -> ids of its zero images
+    for memo in memos:
+        for img in memo.values():
+            if type(img) is Element and not img:
+                zeros.setdefault(img.domain, set()).add(id(img))
+    assert len(zeros) > 1
+    assert all(ids == {id(Element.zero(d))} for d, ids in zeros.items())
+
+
 def test_dict_table_is_used_as_given():
     table = {0: Element.basis("Y", 1)}
     f = LinearMap("X", "Y", table)

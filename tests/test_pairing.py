@@ -147,6 +147,16 @@ class TestAntiIsomorphism:
             phi, sba, sab, rep = anti_isomorphism(p)
             assert rep.ok, rep.summary()
 
+    def test_singular_map_fails_bijective_with_its_rank(self, z2):
+        # with both smash products certified, S^-1 of A is sent to one key:
+        # b # a -> S^-1(a) # S(b) then forgets a
+        p = canonical_pair(z2)
+        pairing_smash(p, "BA")
+        pairing_smash(p, "AB")
+        p.A.antipode_inv_key = lambda k: Element.basis(p.A.domain, 0)
+        line = next(e for e in anti_isomorphism(p)[3].entries if e.check == "bijective")
+        assert (line.status, line.witness) == ("fail", (2, 4))
+
     def test_z2_explicit_image(self, pair_z2):
         # S = id on both sides of the Z2 pair
         phi, sba, sab, rep = anti_isomorphism(pair_z2)
@@ -182,6 +192,21 @@ class TestRankOneRealization:
         assert (line.check, line.status, line.witness) == (
             "diamond-is-matrix-algebra", "fail", ((0, 1), (1, 1))
         )
+
+    def test_singular_gamma_fails_bijective_with_its_rank(self, dual_pair_cz2, monkeypatch):
+        import mhopf.pairing
+
+        real = mhopf.pairing.rank_one_gamma
+
+        def singular(p, sab, dia):
+            gmap = real(p, sab, dia)
+            gmap.table[sab.algebra.basis[0]] = Element.zero(dia.domain)
+            return gmap
+
+        monkeypatch.setattr(mhopf.pairing, "rank_one_gamma", singular)
+        rep = rank_one_realization(dual_pair_cz2)
+        line = next(e for e in rep.entries if e.check == "gamma-bijective")
+        assert (line.status, line.witness) == ("fail", (3, 4))
 
     def test_s3_dual(self, dual_pair_cs3):
         rep = rank_one_realization(dual_pair_cs3)
