@@ -1,9 +1,10 @@
 """Non-degenerate algebras presented by structure constants, and multipliers.
 
-An :class:`Algebra` is a basis-index domain together with a bilinear product
-given on basis keys.  It may or may not have an identity; the product is
-required to be non-degenerate (for finite instances, :func:`radicals` is
-empty on both sides).
+An :class:`Algebra` is a basis-index domain together with a bilinear product,
+given on basis keys or, for a construction over factor algebras, by a rule
+on elements that reads the factors' products.  It may or may not have an
+identity; the product is required to be non-degenerate (for finite
+instances, :func:`radicals` is empty on both sides).
 
 A :class:`Multiplier` is the left/right multiplication pair representing an
 element of the multiplier algebra M(A): maps ``x -> m*x`` and ``x -> x*m``
@@ -26,19 +27,29 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .elements import Element
-from .errors import InfiniteDimensional, NoIdentity
-from .linalg import BilinearMap, LinearMap, SparseEliminator, kernel, stack
+from .errors import DomainMismatch, InfiniteDimensional, NoIdentity
+from .linalg import BasisMemo, BilinearMap, LinearMap, SparseEliminator, kernel, stack
 from .reports import first_failure
 from .scalars import ONE, Scalar
 
 
 class Algebra:
-    """An algebra over the Gaussian rationals with a distinguished basis."""
+    """An algebra over the Gaussian rationals with a distinguished basis.
+
+    The product is given in one of two ways.  A table-given algebra passes
+    ``mul_basis``, the product of basis keys; :meth:`mul` is its bilinear
+    extension.  A construction over factor algebras (a smash, tensor or
+    matrix product) passes ``rule`` instead: the product of two Elements,
+    read off the factors' own products.  Its basis table is that rule on
+    basis elements, memoised; :meth:`mul` reads the table when both
+    operands have one term and calls the rule otherwise, so a product of
+    dense elements never fills the table.
+    """
 
     def __init__(
         self,
         domain: str,
-        mul_basis: Callable,
+        mul_basis: Callable | None = None,
         basis: Sequence | None = None,
         identity: Element | None = None,
         local_unit_oracle: Callable | None = None,
@@ -46,8 +57,18 @@ class Algebra:
         name: str | None = None,
         candidates: Callable | None = None,
         structure: tuple | None = None,
+        rule: Callable | None = None,
     ):
         self.domain = domain
+        if rule is not None:
+            # each basis element is built once: sampled checks on an infinite
+            # construction miss the table on almost every key pair they read
+            e = BasisMemo(lambda k: Element(domain, {k: ONE}, _canon=True))
+
+            def mul_basis(k1, k2):
+                return rule(e[k1], e[k2])
+
+        self.rule = rule
         self.product = BilinearMap(domain, domain, domain, mul_basis)
         self.basis = list(basis) if basis is not None else None
         self.identity = identity
@@ -99,7 +120,11 @@ class Algebra:
         return self.product.table[k1, k2]
 
     def mul(self, x: Element, y: Element) -> Element:
-        return self.product(x, y)
+        if self.rule is None or len(x.coeffs) == 1 == len(y.coeffs):
+            return self.product(x, y)
+        if x.domain != self.domain or y.domain != self.domain:
+            raise DomainMismatch(f"{(x.domain, y.domain)!r} vs {self.domain!r}")
+        return self.rule(x, y)
 
     def one(self) -> Element:
         if self.identity is None:

@@ -12,7 +12,8 @@ read-only mapping: a write into it raises at once.
 A tensor is an ``Element`` whose domain is the tuple of its leg domains and
 whose keys are key tuples, one key per leg; the same arithmetic serves
 both.  ``tensor``, ``flip``, ``map_leg``, ``weight_leg`` and ``merge_legs``
-work leg by leg and reject an element over a plain domain name.
+work leg by leg and reject an element over a plain domain name; ``slices``
+cuts an element over tuple keys into its slices along one part of the key.
 
 Keys are opaque hashable, orderable values (ints, strings, tuples of such).
 Two elements over different domains never compare equal and cannot be
@@ -258,6 +259,29 @@ def weight_leg(t: Element, i: int, fn: Callable):
     if len(domains) == 1:
         return Element(domains[0], {k[0]: v for k, v in acc.items()}, _canon=True)
     return Element(domains, acc, _canon=True)
+
+
+def slices(u: Element, split: Callable, domain: str) -> dict:
+    """``u`` cut into slices: {o: sum c e_i over ``domain``}, one term c e_i
+    in slice o for each term c e_k of ``u`` with split(k) = (o, i).
+
+    ``split`` must be one-to-one on keys, e.g. x#a -> (a, x) for a smash
+    element taken as the sum of X_a # a with X_a in R.
+    """
+    if len(u.coeffs) == 1:  # one term, one slice
+        ((k, c),) = u.coeffs.items()
+        o, i = split(k)
+        return {o: Element(domain, {i: c}, _canon=True)}
+    parts: dict = {}
+    for k, c in u.coeffs.items():
+        o, i = split(k)
+        if o in parts:
+            parts[o][i] = c
+        else:
+            parts[o] = {i: c}
+    for o, cs in parts.items():
+        parts[o] = Element(domain, cs, _canon=True)
+    return parts
 
 
 def merge_legs(t: Element, i: int, j: int, fn: Callable, domain: str) -> Element:

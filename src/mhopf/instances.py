@@ -10,10 +10,11 @@ supports, so no truncation ever occurs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .algebras import Algebra
-from .elements import Element
+from .elements import Element, add_into, slices
 from .errors import UnknownInstance
 from .linalg import BilinearMap, LinearMap
 from .mha import RegularMHA
@@ -294,20 +295,29 @@ def scalar_algebra() -> Algebra:
 
 
 def matrix_algebra(n: int, coeff: Algebra) -> Algebra:
-    """M_n over a coefficient algebra; basis keys (i, j, coeff-key)."""
+    """M_n over a coefficient algebra; basis keys (i, j, coeff-key).
+
+    It multiplies through its coefficients: the (i, m) entry of XY is
+    sum_j X_ij Y_jm, each product formed by ``coeff.mul``; its basis table
+    is the same rule on basis elements.
+    """
     domain = f"M({n},{coeff.domain})"
     basis = None
     if coeff.is_finite:
         basis = [(i, j, k) for i in range(n) for j in range(n) for k in coeff.basis]
 
-    def mul_basis(x, y):
-        i, j, k1 = x
-        l, m, k2 = y
-        if j != l:
-            return Element.zero(domain)
-        prod = coeff.mul_basis(k1, k2)
-        # a relabelled canonical product is canonical
-        return Element(domain, {(i, m, k): c for k, c in prod.coeffs.items()}, _canon=True)
+    def entries(u: Element) -> dict:
+        return slices(u, lambda k: (k[:2], k[2]), coeff.domain)
+
+    def rule(u: Element, v: Element) -> Element:
+        ys = entries(v)
+        acc: dict = {}
+        for (i, j), x in entries(u).items():
+            for (l, m), y in ys.items():
+                if l == j:
+                    for k, c in coeff.mul(x, y).coeffs.items():
+                        add_into(acc, (i, m, k), c)
+        return Element(domain, acc, _canon=True)
 
     identity = None
     if coeff.identity is not None:
@@ -318,28 +328,37 @@ def matrix_algebra(n: int, coeff: Algebra) -> Algebra:
         identity = Element(domain, acc)
 
     return Algebra(
-        domain, mul_basis, basis=basis, identity=identity, name=domain,
-        structure=("matrix", (coeff,), ()),
+        domain, basis=basis, identity=identity, name=domain,
+        structure=("matrix", (coeff,), ()), rule=rule,
     )
 
 
 def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
-    """R (x) A with the componentwise product; basis keys (r-key, a-key)."""
+    """R (x) A with the componentwise product; basis keys (r-key, a-key).
+
+    It multiplies through its factors: u = sum X_d (x) d and v = sum
+    Y_d' (x) d' over A's basis give uv = sum (X_d Y_d') (x) dd', each X_d Y_d'
+    formed by ``r.mul`` and skipped when dd' = 0; its basis table is the
+    same rule on basis elements.
+    """
     domain = f"tensor({r.domain},{a.domain})"
     basis = None
     if r.is_finite and a.is_finite:
         basis = [(kr, ka) for kr in r.basis for ka in a.basis]
 
-    def mul_basis(x, y):
-        kr1, ka1 = x
-        kr2, ka2 = y
-        pr = r.mul_basis(kr1, kr2)
-        pa = a.mul_basis(ka1, ka2)
-        acc = {}
-        for k1, c1 in pr.coeffs.items():
-            for k2, c2 in pa.coeffs.items():
-                acc[(k1, k2)] = c1 * c2
-        # distinct key pairs and nonzero products: already canonical
+    by_d = itemgetter(1, 0)  # x (x) d -> slice d, term x
+
+    def rule(u: Element, v: Element) -> Element:
+        ys = slices(v, by_d, r.domain)
+        acc: dict = {}
+        for kd, x in slices(u, by_d, r.domain).items():
+            for kd2, y in ys.items():
+                pa = a.mul_basis(kd, kd2)
+                if not pa:
+                    continue
+                for k1, c1 in r.mul(x, y).coeffs.items():
+                    for k2, c2 in pa.coeffs.items():
+                        add_into(acc, (k1, k2), c1 * c2)
         return Element(domain, acc, _canon=True)
 
     identity = None
@@ -358,12 +377,12 @@ def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
 
     return Algebra(
         domain,
-        mul_basis,
         basis=basis,
         identity=identity,
         key_window=window,
         name=domain,
         structure=("tensor", (r, a), ()),
+        rule=rule,
     )
 
 

@@ -5,7 +5,8 @@ The underlying space is R (x) A with the twisted product
     (x # a)(x' # a') = sum x (a_(1) x') # a_(2) a'
 
 grounded by covering the second coproduct leg with a' and contracting the
-first against x' through the action.  Construction reads the action's
+first against x' through the action.  It is applied to whole elements, A-leg
+by A-leg, through the factors' own products.  Construction reads the action's
 module-algebra report, verifying the action first if it has none, and
 runs no certificate of R#A; those (associativity, zero radicals,
 agreement with the twist-map form of the product) are made on their first
@@ -23,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from typing import Callable
 
 from .actions import (
@@ -44,7 +46,7 @@ from .algebras import (
     operator_element,
     radicals,
 )
-from .elements import Element, add_into, map_leg, merge_legs
+from .elements import Element, add_into, map_leg, merge_legs, slices
 from .errors import (
     AlgebraMismatch,
     CocycleInvalid,
@@ -121,6 +123,12 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
     """Build R#A; its certificates wait for the first read of
     ``.certificates``, and ``seed`` draws their sample when R#A is infinite.
 
+    R#A multiplies through its factors: for u = sum X_a # a with X_a in R,
+    uv = sum c X_a (p y) # q over the terms c y#b of v and p (x) q of
+    t1(a, b), read through A's t1 table, the action's table and ``R.mul``
+    (R's own rule when R is itself a smash product).  Its basis table is the
+    same rule on basis elements, so a dense factor never fills it.
+
     The action is certified on first need: its stored module-algebra report
     is read, and made by verify_module_algebra when there is none yet.
     Raises :class:`UnverifiedAction`, naming the failed checks, when that
@@ -131,16 +139,22 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
     R = action.ralg
     domain = f"smash({R.domain},{h.domain})"
 
-    act, rmul = action.act.table, R.product.table
+    act = action.act.table  # (a-key, x-key) -> a x
+    by_a = itemgetter(1, 0)  # x#a -> slice a, term x
 
-    def mul_basis(k1, k2):
-        # sum x (a_(1) x2) # a_(2) a2 over t1(a, a2) = sum a_(1) (x) a_(2) a2
-        (kx, ka), (kx2, ka2) = k1, k2
+    def rule(u: Element, v: Element) -> Element:
+        # u = sum X_a # a with X_a in R; uv is the sum of c X_a (p y) # q
+        # over the terms c y#b of v and p (x) q of t1(a, b) =
+        # sum a_(1) (x) a_(2) b.  u is taken slice by slice, so a dense left
+        # factor such as a generator costs one R product per slice; v, most
+        # often a basis element, term by term through the action's table
         acc: dict = {}
-        for (p, q), c in h.cover_key(1, ka, ka2).coeffs.items():
-            for ky, cy in act[p, kx2].coeffs.items():
-                for kz, cz in rmul[kx, ky].coeffs.items():
-                    add_into(acc, (kz, q), c * cy * cz)
+        for ka, X in slices(u, by_a, R.domain).items():
+            for (ky, kb), cy in v.coeffs.items():
+                for (p, q), ct in h.cover_key(1, ka, kb).coeffs.items():
+                    c = ct * cy
+                    for kz, cz in R.mul(X, act[p, ky]).coeffs.items():
+                        add_into(acc, (kz, q), c * cz)
         return Element(domain, acc, _canon=True)
 
     basis = None
@@ -176,7 +190,6 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
     )
     alg = Algebra(
         domain,
-        mul_basis,
         basis=basis,
         identity=identity,
         key_window=window,
@@ -193,6 +206,7 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
             if exhaustive
             else None
         ),
+        rule=rule,
     )
     return SmashProduct(action, alg, seed)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from mhopf.actions import adjoint_action, trivial_action
+from mhopf.algebras import Algebra
 from mhopf.aqg import make_aqg
 from mhopf.duality import (
     Coaction,
@@ -206,6 +207,24 @@ class TestDualityIsomorphism:
         rep = duality_isomorphism(d).report
         line = next(e for e in rep.entries if e.check == "matrix-form-bijective")
         assert (line.status, line.witness) == ("fail", (4, 8))
+
+    def test_216_dim_constructions_fill_no_product_table(self, s3, dual_pair_cs3, monkeypatch):
+        # the S3 chain multiplies (R#A)#A^, R (x) (A <> A^) and M_6(R) through
+        # their factors: dense elements such as (1#a)#1 times a basis element
+        # never reach the construction's own basis table
+        built = []
+        init = Algebra.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Algebra, "__init__", recording)
+        iso = duality_isomorphism(dual_action(dual_pair_cs3, smash(translation_action(s3))))
+        assert iso.ok, iso.report.summary()
+        big = {a.name: len(a.product.table) for a in built if a.is_finite and a.dim == 216}
+        assert len(big) == 3, big
+        assert all(n < 216 for n in big.values()), big
 
     def test_reduces_to_rank_one_for_trivial_coefficients(
         self, dual_trivial_c, dual_pair_cz2

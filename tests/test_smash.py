@@ -1,6 +1,9 @@
 import inspect
 import itertools
+import random
+import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,8 +18,14 @@ from mhopf.actions import (
     covered_legs,
     verify_module_algebra,
 )
-from mhopf.algebras import Multiplier, multiplier_product
-from mhopf.duality import bismash, dual_action, unverified_dual_action, w_conjugation
+from mhopf.algebras import Multiplier, algebra_generators, multiplier_product
+from mhopf.duality import (
+    bismash,
+    dual_action,
+    duality_isomorphism,
+    unverified_dual_action,
+    w_conjugation,
+)
 from mhopf.elements import Element, map_leg, merge_legs
 from mhopf.errors import CommutationFailed, InfiniteDimensional, NotInner, UnverifiedAction
 from mhopf.instances import (
@@ -257,26 +266,84 @@ def _mul_ref(s, k1, k2):
     return s.join(map_leg(t, 0, lambda p: R.mul(x, act[p, kx2]), R.domain))
 
 
+def _tensor_ref(T, r, a, k1, k2):
+    """(x (x) a)(x' (x) a') = xx' (x) aa' on basis keys, from the factor tables."""
+    pr, pa = r.mul_basis(k1[0], k2[0]), a.mul_basis(k1[1], k2[1])
+    return Element(
+        T.domain, {(x, y): c * d for x, c in pr.coeffs.items() for y, d in pa.coeffs.items()}
+    )
+
+
+def _matrix_ref(M, coeff, k1, k2):
+    """(x e_ij)(y e_lm) = xy e_im when j = l, else 0."""
+    (i, j, x), (l, m, y) = k1, k2
+    if j != l:
+        return Element.zero(M.domain)
+    return Element(M.domain, {(i, m, z): c for z, c in coeff.mul_basis(x, y).coeffs.items()})
+
+
+def _dense(rng, domain, keys, terms):
+    """A seeded element with up to ``terms`` terms and Gaussian-rational coefficients."""
+    keys = rng.sample(list(keys), min(terms, len(keys)))
+    return Element(domain, {
+        k: sc(Fraction(rng.randint(-3, 3), rng.choice((1, 2))), rng.randint(-1, 1)) for k in keys
+    })
+
+
+@pytest.fixture(scope="module", params=["Z2", "H4"])
+def theta(request, z2, dual_pair_cz2, h4, h4_pair):
+    """Theta of the translation action of C[Z2], and of the adjoint action of H4."""
+    pair, spec = {
+        "Z2": (dual_pair_cz2, translation_action(z2)), "H4": (h4_pair, adjoint_action(h4))
+    }[request.param]
+    return duality_isomorphism(dual_action(pair, smash(spec)))
+
+
 class TestTableProduct:
-    """The smash product read off the t1, action and R tables agrees with the
-    Element-level formula on every basis pair (a key window when infinite)."""
+    """A construction multiplies through its factors, and its basis table is
+    that rule on basis elements.
+
+    The smash table agrees with the Element-level formula on every basis pair
+    (a key window when infinite), and the tensor and matrix tables with the
+    factor-table formulas; ``alg.mul`` agrees with ``alg.product``, the
+    bilinear extension of the table, in both orders on every (Gen element,
+    basis element) pair and on seeded multi-term pairs.
+    """
 
     @staticmethod
     def _agrees(s, keys):
         for k1, k2 in itertools.product(keys, keys):
             assert s.algebra.mul_basis(k1, k2) == _mul_ref(s, k1, k2), (k1, k2)
 
+    @staticmethod
+    def _rule_is_table(alg, keys, lefts=(), seed=0):
+        """alg.mul == alg.product on lefts x basis and on seeded dense pairs."""
+        rng = random.Random(seed)
+        basis = [alg.basis_element(k) for k in keys]
+        dense = [_dense(rng, alg.domain, keys, rng.randint(2, 8)) for _ in range(24)]
+        cases = [(g, e) for g in lefts for e in basis]
+        cases += list(zip(dense[:12], dense[12:])) + [(u, rng.choice(basis)) for u in dense]
+        for u, v in cases:
+            assert alg.mul(u, v) == alg.product(u, v), (u, v)
+            assert alg.mul(v, u) == alg.product(v, u), (v, u)
+
+    @classmethod
+    def _rule_is_table_on_gen(cls, s):
+        cls._rule_is_table(s.algebra, s.algebra.basis, algebra_generators(s.algebra)[0])
+
     def test_translation_s3(self, s3):
         tr = translation_action(s3)
         assert verify_module_algebra(tr).ok
         s = smash(tr)
         self._agrees(s, s.algebra.basis)
+        self._rule_is_table_on_gen(s)
 
     def test_gaussian_adjoint(self, gaussian_cz3):
         adj = adjoint_action(instance_from_json(gaussian_cz3))
         assert verify_module_algebra(adj).ok
         s = smash(adj)
         self._agrees(s, s.algebra.basis)
+        self._rule_is_table_on_gen(s)
         constants = [
             c for k1, k2 in itertools.product(s.algebra.basis, repeat=2)
             for c in s.algebra.mul_basis(k1, k2).coeffs.values()
@@ -289,17 +356,73 @@ class TestTableProduct:
         assert verify_module_algebra(tr).ok
         bis = smash(dual_action(canonical_pair(z3), smash(tr)).spec)
         self._agrees(bis, bis.algebra.basis)
+        self._rule_is_table_on_gen(bis)
 
     def test_adjoint_h4(self, h4):
         # H4 is neither commutative nor cocommutative and S^2 != id
         s = smash(adjoint_action(h4))
         self._agrees(s, s.algebra.basis)
+        self._rule_is_table_on_gen(s)
+
+    def test_theta_bismash(self, theta):
+        # over H4 S^2 != id and t1 is not symmetric: t1(a, b) != flip t1(b, a)
+        bis = theta.bismash
+        self._agrees(bis, bis.algebra.basis)
+        self._rule_is_table_on_gen(bis)
 
     def test_translation_z_window(self, zz):
         tr = translation_action(zz)
         assert verify_module_algebra(tr).ok
         s = smash(tr)
-        self._agrees(s, s.algebra.sample_keys(2))
+        keys = s.algebra.sample_keys(2)
+        self._agrees(s, keys)
+        self._rule_is_table(s.algebra, keys)
+
+    def test_theta_target(self, theta):
+        # R (x) (A <> A^), against Theta's images of the bismash generators
+        T = theta.target
+        r, a = T.structure[1]
+        for k1, k2 in itertools.product(T.basis, T.basis):
+            assert T.mul_basis(k1, k2) == _tensor_ref(T, r, a, k1, k2), (k1, k2)
+        gens, _ = algebra_generators(theta.bismash.algebra)
+        self._rule_is_table(T, T.basis, [theta.theta(g) for g in gens])
+
+    def test_matrix_algebra(self, theta):
+        R = theta.dual.smash.ralg
+        M = matrix_algebra(theta.dual.pair.A.algebra.dim, R)
+        for k1, k2 in itertools.product(M.basis, M.basis):
+            assert M.mul_basis(k1, k2) == _matrix_ref(M, R, k1, k2), (k1, k2)
+        self._rule_is_table(M, M.basis, [M.one()])
+
+    def test_doubled_t1_moves_rule_and_table_together(self, s3):
+        # one t1 constant of A doubled: the rule and the table both read it
+        tr = translation_action(s3)
+        akeys = tr.mha.algebra.sample_keys(4)
+        spec = ActionSpec.build(
+            _doubled_t1(tr.mha, (akeys[1], akeys[2])), tr.ralg, tr.act, rule="translation"
+        )
+        s, s0 = smash(spec), smash(tr)
+        self._rule_is_table_on_gen(s)
+        moved = [
+            (g, e) for g in algebra_generators(s.algebra)[0]
+            for e in s.algebra.basis_elements()
+            if s.algebra.mul(g, e) != s0.algebra.mul(g, e)
+        ]
+        assert moved
+        for g, e in moved:
+            assert s.algebra.product(g, e) != s0.algebra.product(g, e)
+
+    def test_only_algebras_reads_the_product_table(self):
+        # constructions multiply through alg.mul and mul_basis; the BilinearMap
+        # behind them is read only in algebras.py
+        pattern = re.compile(r"(?<!itertools)\.product(\.table\b|\()")
+        hits = [
+            f"{path.name}:{i}"
+            for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert hits and {h.split(":")[0] for h in hits} == {"algebras.py"}
 
 
 class TestMemoisedMaps:
