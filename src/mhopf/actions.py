@@ -179,8 +179,7 @@ def verify_module_algebra(
     exhaustive = s.is_finite() and h.algebra.is_finite
     akeys = h.algebra.sample_keys(sample_range)
     rkeys = s.sample_space_keys(sample_range)
-    status = "pass" if exhaustive else "sampled-pass"
-    rep = Report(instance=s.name)
+    rep = Report(instance=s.name, exhaustive=exhaustive)
 
     A = {k: Element.basis(h.domain, k) for k in akeys}
     X = {k: Element.basis(s.space_domain, k) for k in rkeys}
@@ -190,14 +189,12 @@ def verify_module_algebra(
         product(akeys, akeys, rkeys),
         lambda k1, k2, kx: s.act(h.algebra.mul_basis(k1, k2), X[kx])
         == s.act(A[k1], s.act(A[k2], X[kx])),
-        status,
     )
     rep.check(
         "unitality-witnesses",
         product(rkeys),
         lambda kx: sum((s.act(a, v) for a, v in s.witness(X[kx])), Element.zero(s.space_domain))
         == X[kx],
-        status,
     )
     premises = None
     if exhaustive and rep.ok:
@@ -212,7 +209,7 @@ def verify_module_algebra(
     if exhaustive:
         # non-degeneracy: act(a_i, x) = 0 for all i forces x = 0
         columns = {kx: stack([s.act(a, x) for a in A.values()]) for kx, x in X.items()}
-        rep.add("nondegenerate", not kernel(s.space_domain, columns), "pass", None)
+        rep.add("nondegenerate", not kernel(s.space_domain, columns))
     else:
         rep.skip("nondegenerate", "infinite-dimensional")
 
@@ -253,7 +250,6 @@ def verify_module_algebra(
                 label,
                 product(akeys, rkeys, rkeys),
                 lambda ka, kx, ky: holds(ka, X[kx], X[ky]),
-                status,
             )
             continue
         cert = certify_module_law(holds, akeys, alg, on, premises, mode)
@@ -532,10 +528,12 @@ def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report
     if act2.mha.domain != h.domain or act1.ralg.domain != act2.ralg.domain:
         raise AlgebraMismatch("actions must share algebra and space")
     alg = act1.ralg
-    rep = Report(instance=f"cocycle({act1.name},{act2.name})")
+    rep = Report(
+        instance=f"cocycle({act1.name},{act2.name})",
+        exhaustive=h.algebra.is_finite and act1.is_finite(),
+    )
     akeys = h.algebra.sample_keys(6)
     rkeys = act1.sample_space_keys(6)
-    status = "pass" if h.algebra.is_finite and act1.is_finite() else "sampled-pass"
     sample = [Element.basis(alg.domain, k) for k in rkeys]
     X = dict(zip(rkeys, sample))
     delta = {ka: h.delta(_basis(h, ka)) for ka in akeys}
@@ -543,7 +541,7 @@ def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report
     gamma = c.gamma  # c.apply on a basis element is its image
 
     g1 = c.apply(alg, h.algebra.one())
-    rep.add("gamma-normalised", g1.equals_on(Multiplier.one(alg), sample), status)
+    rep.add("gamma-normalised", g1.equals_on(Multiplier.one(alg), sample))
 
     # (i) gamma(a a') = sum gamma(a_(1)) (a_(2) |>1 gamma(a'))
     def condition_i(ka, kb):
@@ -556,7 +554,7 @@ def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report
         rhs = Multiplier.combination(alg, ((cc, term(*k)) for k, cc in delta[ka].coeffs.items()))
         return c.apply(alg, h.algebra.mul_basis(ka, kb)).equals_on(rhs, sample)
 
-    rep.check("condition-i", product(akeys, akeys), condition_i, status)
+    rep.check("condition-i", product(akeys, akeys), condition_i)
 
     # (ii) sum (a_(1) |>2 x) gamma(a_(2)) = sum gamma(a_(1)) (a_(2) |>1 x)
     def condition_ii(ka, kx):
@@ -569,7 +567,7 @@ def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report
         )
         return lhs == rhs
 
-    rep.check("condition-ii", product(akeys, rkeys), condition_ii, status)
+    rep.check("condition-ii", product(akeys, rkeys), condition_ii)
     return rep
 
 

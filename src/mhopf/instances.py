@@ -181,7 +181,7 @@ def function_algebra(g: GroupSpec) -> RegularMHA:
     )
     dd = (domain, domain)
 
-    # t1(d_a, d_b) = d_{a b^-1} (x) d_b   (support: q = b, p*q = a)
+    # t1(d_a, d_b) = t4(d_a, d_b) = d_{a b^-1} (x) d_b   (support: q = b, p*q = a)
     def t1(a, b):
         return Element.basis(dd, (mul(a, inv(b)), b))
 
@@ -193,17 +193,13 @@ def function_algebra(g: GroupSpec) -> RegularMHA:
     def t3(a, b):
         return Element.basis(dd, (b, mul(inv(b), a)))
 
-    # t4(d_a, d_b) = d_{a b^-1} (x) d_b
-    def t4(a, b):
-        return Element.basis(dd, (mul(a, inv(b)), b))
-
     haar = LinearMap(domain, None, lambda k: ONE)  # the sum of all values
     return RegularMHA(
         alg,
         t1,
         t2,
         t3,
-        t4,
+        t1,  # t4 = t1 on K(G)
         counit_basis=lambda k: ONE if k == g.identity else ZERO,
         antipode_basis=lambda k: Element.basis(domain, inv(k)),
         antipode_inv_basis=lambda k: Element.basis(domain, inv(k)),

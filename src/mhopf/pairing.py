@@ -133,15 +133,14 @@ def pair_of_aqg(g: AlgebraicQuantumGroup) -> DualPair:
 def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
     """Non-degeneracy, the eight axioms, unitality, and the module-algebra
     property of both left actions."""
-    rep = Report(instance=p.name)
     A, B = p.A, p.B
     akeys = A.algebra.sample_keys(sample_range)
     bkeys = B.algebra.sample_keys(sample_range)
     exhaustive = A.algebra.is_finite and B.algebra.is_finite
-    status = "pass" if exhaustive else "sampled-pass"
+    rep = Report(instance=p.name, exhaustive=exhaustive)
 
     # non-degeneracy as full rank of the pairing matrix on the sample
-    rep.add("nondegenerate", _pairing_full_rank(p, akeys, bkeys), status)
+    rep.add("nondegenerate", _pairing_full_rank(p, akeys, bkeys))
 
     AE = {k: Element.basis(A.domain, k) for k in akeys}
     BE = {k: Element.basis(B.domain, k) for k in bkeys}
@@ -170,28 +169,32 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
         ),
     )
     for label, axiom in axioms:
-        rep.check(label, product(akeys, bkeys, akeys, bkeys), axiom, status)
+        rep.check(label, product(akeys, bkeys, akeys, bkeys), axiom)
 
     # four membership conditions: the closed-form actions agree with the
     # covered t-map evaluation (which also shows the values land in A/B)
     def membership(ka, kb):
         a, b = AE[ka], BE[kb]
-        if p.act_AonB(a, b) != _covered_act_AonB(p, a, b):
-            return "a|>b"
-        if p.act_BonA(b, a) != _covered_act_BonA(p, b, a):
-            return "b|>a"
-        if p.ract_AonB(b, a) != _covered_ract_AonB(p, b, a):
-            return "b<|a"
-        return p.ract_BonA(a, b) == _covered_ract_BonA(p, a, b) or "a<|b"
+        on_a = lambda k: p.pair(Element.basis(A.domain, k), b)
+        on_b = lambda k: p.pair(a, Element.basis(B.domain, k))
+        for tag, r, h, y, weight, left in (
+            ("a|>b", p.act_AonB(a, b), B, b, on_b, True),
+            ("b|>a", p.act_BonA(b, a), A, a, on_a, True),
+            ("b<|a", p.ract_AonB(b, a), B, b, on_b, False),
+            ("a<|b", p.ract_BonA(a, b), A, a, on_a, False),
+        ):
+            if r != _covered_action(h, y, r, weight, left):
+                return tag
+        return True
 
-    rep.check("covered-membership", product(akeys, bkeys), membership, status)
+    rep.check("covered-membership", product(akeys, bkeys), membership)
 
     # unitality of the left actions (witness ranks on finite instances)
     if exhaustive:
         imgs = [p.act_AonB(AE[ka], BE[kb]) for ka in akeys for kb in bkeys]
-        rep.add("unital-A-on-B", span_rank(imgs) == len(bkeys), "pass")
+        rep.add("unital-A-on-B", span_rank(imgs) == len(bkeys))
         imgs = [p.act_BonA(BE[kb], AE[ka]) for ka in akeys for kb in bkeys]
-        rep.add("unital-B-on-A", span_rank(imgs) == len(akeys), "pass")
+        rep.add("unital-B-on-A", span_rank(imgs) == len(akeys))
     else:
         units = {
             "A-on-B": (BE, lambda _: A.algebra.one(), p.act_AonB),
@@ -207,44 +210,27 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
             "unital-actions",
             chain(product(["A-on-B"], bkeys), product(["B-on-A"], akeys)),
             unital,
-            status,
         )
 
     # both left actions are module-algebra actions
     for side, which in (("A-on-B", "AonB"), ("B-on-A", "BonA")):
         rep_m = verify_module_algebra(pairing_action(p, which), sample_range=sample_range)
         failed = [f.check for f in rep_m.failures()]
-        rep.add(f"module-algebra-{side}", not failed, status, failed or None)
+        rep.add(f"module-algebra-{side}", not failed, failed or None)
     return rep
 
 
-def _covered_act_AonB(p: DualPair, a: Element, b: Element) -> Element:
-    """sum <a, b_(2)> b_(1) via t2 with a left cover for the result."""
-    r = p.act_AonB(a, b)
-    e = p.b_unit_for([r]) if not p.B.has_identity else p.B.algebra.one()
-    t = p.B.t2(e, b)  # e b_(1) (x) b_(2)
-    return weight_leg(t, 1, lambda k: p.pair(a, Element.basis(p.B.domain, k)))
+def _covered_action(h: RegularMHA, y: Element, r: Element, weight: Callable, left: bool):
+    """A pairing action on y of h, evaluated through the t-maps; r is its closed form.
 
-
-def _covered_act_BonA(p: DualPair, b: Element, a: Element) -> Element:
-    r = p.act_BonA(b, a)
-    e = _left_mult_unit(p.A, [r])
-    t = p.A.t2(e, a)
-    return weight_leg(t, 1, lambda k: p.pair(Element.basis(p.A.domain, k), b))
-
-
-def _covered_ract_AonB(p: DualPair, b: Element, a: Element) -> Element:
-    r = p.ract_AonB(b, a)
-    e = _left_mult_unit(p.B, [r], side="right")
-    t = p.B.t1(b, e)  # b_(1) (x) b_(2) e
-    return weight_leg(t, 0, lambda k: p.pair(a, Element.basis(p.B.domain, k)))
-
-
-def _covered_ract_BonA(p: DualPair, a: Element, b: Element) -> Element:
-    r = p.ract_BonA(a, b)
-    e = _left_mult_unit(p.A, [r], side="right")
-    t = p.A.t1(a, e)
-    return weight_leg(t, 0, lambda k: p.pair(Element.basis(p.A.domain, k), b))
+    A left action sum weight(y_(2)) y_(1) is read off t2(e, y) = e y_(1) (x) y_(2),
+    a right action sum weight(y_(1)) y_(2) off t1(y, e) = y_(1) (x) y_(2) e, with
+    e a local unit of r in h on the side it multiplies.
+    """
+    e = _left_mult_unit(h, [r], "left" if left else "right")
+    if left:
+        return weight_leg(h.t2(e, y), 1, weight)
+    return weight_leg(h.t1(y, e), 0, weight)
 
 
 def _left_mult_unit(h: RegularMHA, items, side: str = "left") -> Element:
@@ -346,12 +332,10 @@ def heisenberg_twists(p: DualPair) -> tuple[BasisMemo, BasisMemo]:
 def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
     """pi(a)pi(b) = sum <a_(1), b_(2)> pi(b_(1)) pi(a_(2)) inside End(B),
     and the two twist maps on A (x) B are mutually inverse."""
-    rep = Report(instance=p.name)
     A, B = p.A, p.B
     akeys = A.algebra.sample_keys(sample_range)
     bkeys = B.algebra.sample_keys(sample_range)
-    exhaustive = A.algebra.is_finite and B.algebra.is_finite
-    status = "pass" if exhaustive else "sampled-pass"
+    rep = Report(instance=p.name, exhaustive=A.algebra.is_finite and B.algebra.is_finite)
     act = pairing_action(p, "AonB").act
     twist, twist_inv = heisenberg_twists(p)
 
@@ -369,14 +353,14 @@ def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
         )
         return lhs == rhs
 
-    rep.check("heisenberg-commutation", product(akeys, bkeys, bkeys), commutes, status)
+    rep.check("heisenberg-commutation", product(akeys, bkeys, bkeys), commutes)
 
     # the two rewriting maps of A (x) B are mutually inverse
     def inverse_twists(ka, kb) -> bool:
         back = merge_legs(twist[ka, kb], 0, 1, lambda ka2, kb2: twist_inv[ka2, kb2], "AxB")
         return back.coeffs == {(ka, kb): ONE}
 
-    rep.check("twist-maps-inverse", product(akeys, bkeys), inverse_twists, status)
+    rep.check("twist-maps-inverse", product(akeys, bkeys), inverse_twists)
     return rep
 
 
@@ -398,10 +382,10 @@ def anti_isomorphism(p: DualPair, sample_range: int = 4) -> tuple:
         keys=None if finite else sba.algebra.sample_keys(sample_range),
     )
     rep = Report(instance=f"anti({p.name})")
-    rep.add_certificate("anti-multiplicative", cert, "pass" if finite else "sampled-pass")
+    rep.add_certificate("anti-multiplicative", cert)
     if finite:
         rank = span_rank([phi(sba.algebra.basis_element(k)) for k in sba.algebra.basis])
-        rep.add("bijective", rank == sba.algebra.dim, "pass", (rank, sba.algebra.dim))
+        rep.add("bijective", rank == sba.algebra.dim, (rank, sba.algebra.dim))
     return phi, sba, sab, rep
 
 
@@ -488,11 +472,11 @@ def rank_one_realization(p: DualPair) -> Report:
     gmap = rank_one_gamma(p, sab, dia)
     rep.add_certificate("gamma-multiplicative", certify_algebra_map(gmap, sab.algebra, dia))
     rank = span_rank([gmap.table[k] for k in sab.algebra.basis])
-    rep.add("gamma-bijective", rank == sab.algebra.dim, "pass", (rank, sab.algebra.dim))
+    rep.add("gamma-bijective", rank == sab.algebra.dim, (rank, sab.algebra.dim))
 
     # standard action of A#A^ on A: (a#b)a' = a (b |> a'); full rank (dim A)^2
     rank = module_representation_rank(standard_module(sab))
-    rep.add("representation-rank", rank == A.algebra.dim ** 2, "pass", rank)
+    rep.add("representation-rank", rank == A.algebra.dim ** 2, rank)
 
     # the diamond algebra is the full matrix algebra: transport to matrix
     # units, the keys (i, j, ()) of M_n(C), and compare structure constants exactly
@@ -512,7 +496,7 @@ def scalar_fixed_points_check(p: DualPair) -> Report:
     """Fixed points of the A-action on M(B) are multiples of the identity."""
     rep = Report(instance=p.name)
     ms = fixed_points(pairing_action(p, "AonB"), "in_M_R")
-    rep.add("fixed-multiplier-dim-1", len(ms) == 1, "pass", len(ms))
+    rep.add("fixed-multiplier-dim-1", len(ms) == 1, len(ms))
     if len(ms) == 1:
         one = Multiplier.one(p.B.algebra)
         sample = p.B.algebra.basis_elements()
@@ -522,5 +506,5 @@ def scalar_fixed_points_check(p: DualPair) -> Report:
         k0 = sample[0].support()[0]
         c = img.coeff(k0)
         ok = bool(c) and m.scale(c.inverse()).equals_on(one, sample)
-        rep.add("fixed-multiplier-scalar", ok, "pass")
+        rep.add("fixed-multiplier-scalar", ok)
     return rep

@@ -98,10 +98,18 @@ class CheckResult:
 
 @dataclass
 class Report:
-    """Ordered collection of check results for one instance/operation."""
+    """Ordered collection of check results for one instance/operation.
+
+    ``exhaustive`` says how the report checks: on every case, or on a sample
+    (the key window of an infinite instance).  It is the one place a verdict
+    becomes a status: a passing line reads ``pass`` on an exhaustive report
+    and ``sampled-pass`` otherwise, and a certificate's own mode decides
+    for it (see :meth:`add_certificate`).
+    """
 
     instance: str = ""
     entries: list[CheckResult] = field(default_factory=list)
+    exhaustive: bool = True
     _mark: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     def _record(self, check: str, status: str, witness) -> None:
@@ -109,26 +117,32 @@ class Report:
         self.entries.append(CheckResult(self.instance, check, status, witness, now - self._mark))
         self._mark = now
 
-    def add(self, check: str, ok: bool, status_ok: str = "pass", witness=None) -> None:
-        self._record(check, status_ok if ok else "fail", witness if not ok else None)
+    def _verdict(self, check: str, ok: bool, exhaustive: bool, witness) -> CheckResult:
+        status = "fail" if not ok else "pass" if exhaustive else "sampled-pass"
+        self._record(check, status, None if ok else witness)
+        return self.entries[-1]
 
-    def check(
-        self, check: str, cases: Iterable[tuple], holds: Callable, status_ok: str = "pass"
-    ) -> None:
+    def add(self, check: str, ok: bool, witness=None) -> None:
+        """Record a verdict; the witness is kept only on a failure."""
+        self._verdict(check, ok, self.exhaustive, witness)
+
+    def check(self, check: str, cases: Iterable[tuple], holds: Callable) -> None:
         """Record whether ``holds`` passes on every case (see :func:`first_failure`).
 
-        The mode is ``pairs`` for an exhaustive check (``status_ok`` "pass")
-        and ``sampled`` otherwise; ``cases`` counts the cases run.
+        The mode is ``pairs`` on an exhaustive report and ``sampled``
+        otherwise; ``cases`` counts the cases run.
         """
         witness, n = first_failure(cases, holds)
-        self.add(check, witness is None, status_ok, witness)
-        entry = self.entries[-1]
-        entry.mode, entry.cases = ("pairs" if status_ok == "pass" else "sampled"), n
+        entry = self._verdict(check, witness is None, self.exhaustive, witness)
+        entry.mode, entry.cases = ("pairs" if self.exhaustive else "sampled"), n
 
-    def add_certificate(self, check: str, cert, status_ok: str = "pass") -> None:
-        """Record a certificate-kernel result together with its provenance."""
-        self.add(check, cert.ok, status_ok, cert.witness)
-        entry = self.entries[-1]
+    def add_certificate(self, check: str, cert) -> None:
+        """Record a certificate-kernel result together with its provenance.
+
+        A ``sampled`` certificate reads ``sampled-pass`` whatever the report
+        says; every other mode checked every case.
+        """
+        entry = self._verdict(check, cert.ok, cert.mode != "sampled", cert.witness)
         entry.mode, entry.cases, entry.relies_on = cert.mode, cert.cases, cert.relies_on
 
     def skip(self, check: str, reason: str = "") -> None:

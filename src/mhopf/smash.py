@@ -221,21 +221,20 @@ def _tensor(domain: str, x: Element, a: Element) -> Element:
 
 
 def _certify(s: SmashProduct) -> Report:
-    rep = Report(instance=s.algebra.name)
     alg = s.algebra
     exhaustive = alg.is_finite
-    status = "pass" if exhaustive else "sampled-pass"
+    rep = Report(instance=alg.name, exhaustive=exhaustive)
     if exhaustive:
-        rep.add_certificate("associativity", certify_associative(alg), status)
+        rep.add_certificate("associativity", certify_associative(alg))
         lk, rk = radicals(alg)
-        rep.add("radical-left-zero", not lk, status, lk[:1] or None)
-        rep.add("radical-right-zero", not rk, status, rk[:1] or None)
+        rep.add("radical-left-zero", not lk, lk[:1] or None)
+        rep.add("radical-right-zero", not rk, rk[:1] or None)
         pairs = product(alg.basis, alg.basis)
     else:
         keys = alg.sample_keys(4)
         rng = random.Random(s.seed)
         triples = [tuple(rng.choice(keys) for _ in range(3)) for _ in range(200)]
-        rep.add_certificate("associativity", certify_associative(alg, triples=triples), status)
+        rep.add_certificate("associativity", certify_associative(alg, triples=triples))
         rep.skip("radical-left-zero", "sampled verification")
         rep.skip("radical-right-zero", "sampled verification")
         pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(100)]
@@ -251,11 +250,11 @@ def _certify(s: SmashProduct) -> Report:
         tw = map_leg(tw, 1, lambda kA: A.mul_basis(kA, ka2), A.domain)
         return s.join(tw) == alg.mul_basis(k1, k2)
 
-    rep.check("twist-map-product", pairs, twist_product, status)
+    rep.check("twist-map-product", pairs, twist_product)
     if s.display is not None:
         window = alg.sample_keys(3)
         same = lambda k1, k2: alg.mul_basis(k1, k2) == s.display(k1, k2)
-        rep.check("pairing-product-display", product(window, window), same, status)
+        rep.check("pairing-product-display", product(window, window), same)
     return rep
 
 
@@ -326,14 +325,13 @@ def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
     """pi(x)pi(a) = x#a, pi(a)pi(x) = sum a_(1)x # a_(2), homomorphisms,
     and the spanning ranks pi(R)pi(A) = pi(A)pi(R) = R#A; the products and
     the certificates share one image table per embedding."""
-    rep = Report(instance=s.algebra.name)
     h, R, alg = s.mha, s.ralg, s.algebra
     rkeys = R.sample_keys(sample_range)
     akeys = h.algebra.sample_keys(sample_range)
     skeys = alg.sample_keys(sample_range)
     sample = [alg.basis_element(k) for k in skeys]
     exhaustive = alg.is_finite
-    status = "pass" if exhaustive else "sampled-pass"
+    rep = Report(instance=alg.name, exhaustive=exhaustive)
 
     pi_a = BasisMemo(lambda k: pi_A(s, Element.basis(h.domain, k)))
     pi_x = BasisMemo(lambda k: pi_R(s, Element.basis(R.domain, k)))
@@ -352,7 +350,7 @@ def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
             prods_ax.append(ax)
         return True
 
-    rep.check("pi-products", product(rkeys, akeys), pi_products, status)
+    rep.check("pi-products", product(rkeys, akeys), pi_products)
 
     # pi_A, then pi_R; a failure is witnessed by (part, k1, k2)
     parts = {
@@ -366,12 +364,11 @@ def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
     rep.add_certificate(
         "pi-homomorphisms",
         Certificate(witness is None, witness, parts["pi_A"].mode, cases),
-        status,
     )
 
     if exhaustive:
-        rep.add("span-pi(R)pi(A)", span_rank(prods_xa) == alg.dim, "pass")
-        rep.add("span-pi(A)pi(R)", span_rank(prods_ax) == alg.dim, "pass")
+        rep.add("span-pi(R)pi(A)", span_rank(prods_xa) == alg.dim)
+        rep.add("span-pi(A)pi(R)", span_rank(prods_ax) == alg.dim)
     else:
         rep.skip("span-pi(R)pi(A)", "infinite-dimensional")
         rep.skip("span-pi(A)pi(R)", "infinite-dimensional")
@@ -462,14 +459,12 @@ def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
     """Covariance (and its unital form, given ``v_witness``) on V's basis."""
     if c.space_basis is None:  # no window of V to run the laws on
         raise InfiniteDimensional(f"{c.name}: no basis of the module space")
-    rep = Report(instance=c.name)
     s = c.action
     h = s.mha
     akeys = h.algebra.sample_keys(sample_range)
     rkeys = s.ralg.sample_keys(sample_range)
     vkeys = c.space_basis
-    exhaustive = h.algebra.is_finite
-    status = "pass" if exhaustive else "sampled-pass"
+    rep = Report(instance=c.name, exhaustive=h.algebra.is_finite)
     A = {k: Element.basis(h.domain, k) for k in akeys}
     X = {k: Element.basis(s.ralg.domain, k) for k in rkeys}
     V = {k: Element.basis(c.space_domain, k) for k in vkeys}
@@ -485,7 +480,7 @@ def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
         )
         return c.a_act(a, c.r_act(x, v)) == rhs
 
-    rep.check("covariance", product(akeys, rkeys, vkeys), covariant, status)
+    rep.check("covariance", product(akeys, rkeys, vkeys), covariant)
 
     if c.v_witness is not None:
         vmod = ModuleSpec(h, c.space_domain, c.space_basis, c.a_act, c.v_witness)
@@ -502,7 +497,7 @@ def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
             )
             return c.r_act(s.act(a, x), v) == rhs
 
-        rep.check("covariance-unital-form", product(akeys, rkeys, vkeys), unital_form, status)
+        rep.check("covariance-unital-form", product(akeys, rkeys, vkeys), unital_form)
     return rep
 
 

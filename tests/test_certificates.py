@@ -217,9 +217,9 @@ def test_structural_smash_certificate_needs_an_exhaustive_action(z3):
     full = _translation_smash(z3)
     assert full.algebra.structure is not None
     sampled_action = translation_action(z3)
-    sampled = Report(instance=sampled_action.name)
+    sampled = Report(instance=sampled_action.name, exhaustive=False)
     for law in LAWS:  # taken as verified, not on every basis triple
-        sampled.add(law, True, "sampled-pass")
+        sampled.add(law, True)
     sampled_action.certificates = sampled
     assert sampled.ok and "pass" not in {e.status for e in sampled.entries}
     s = smash(sampled_action)

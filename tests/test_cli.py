@@ -127,6 +127,8 @@ def test_duality_command_with_action_file(tmp_path):
         ("Z2", "deb3bb3bb8da97c21ab28be9f40075d537918b3b"),
         ("Z3", "96c801358cac9a596b4092e3e8c04801cfce2f7b"),
         ("Z4", "b6222a9368b7a70d8559113f25adcb3ee785bfe2"),
+        # the largest exhaustive run: bismash of dimension 216
+        ("S3", "032dd1bb33e56774bd1c61c0e751b6ba9f160163"),
         # K(Z) and C[Z]: the infinite-domain path, checked on sampled key windows
         ("Z", "5dc544e568f0cbac0a8e01436f333c2689ff466d"),
     ],

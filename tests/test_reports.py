@@ -1,15 +1,19 @@
 import json
+import re
 from fractions import Fraction
 from itertools import chain, count, product
+from pathlib import Path
 
+import mhopf
+from mhopf.algebras import Certificate
 from mhopf.elements import Element, tensor
 from mhopf.reports import CheckResult, Report, first_failure
 from mhopf.scalars import sc
 
 
-def checked(cases, holds, status_ok="pass"):
-    rep = Report(instance="t")
-    rep.check("law", cases, holds, status_ok)
+def checked(cases, holds, exhaustive=True):
+    rep = Report(instance="t", exhaustive=exhaustive)
+    rep.check("law", cases, holds)
     return rep.entries[-1]
 
 
@@ -35,9 +39,9 @@ def test_single_keys_are_bare_witnesses():
 
 
 def test_sampled_mode_and_status():
-    ok = checked(product(range(4)), lambda k: True, "sampled-pass")
+    ok = checked(product(range(4)), lambda k: True, exhaustive=False)
     assert (ok.status, ok.mode, ok.cases) == ("sampled-pass", "sampled", 4)
-    bad = checked(product(range(4)), lambda k: k < 2, "sampled-pass")
+    bad = checked(product(range(4)), lambda k: k < 2, exhaustive=False)
     assert (bad.status, bad.mode, bad.cases, bad.witness) == ("fail", "sampled", 3, 2)
 
 
@@ -78,3 +82,36 @@ def test_witness_wire_formats():
         "terms": [[[[0, 1], 3], 1, 2, -1, 1]],
     }
     assert witness_json(((0, 1), 2)) == [[0, 1], 2]
+
+
+def test_report_states_how_it_checks():
+    full, window = Report(instance="t"), Report(instance="t", exhaustive=False)
+    for rep in (full, window):
+        rep.add("law", True, "ignored on a pass")
+        rep.add("broken", False, (0, 1))
+    assert [(e.status, e.witness) for e in full.entries] == [("pass", None), ("fail", (0, 1))]
+    assert [e.status for e in window.entries] == ["sampled-pass", "fail"]
+
+
+def test_a_sampled_certificate_never_reads_pass():
+    rep = Report(instance="t")  # exhaustive by default
+    rep.add_certificate("law", Certificate(True, None, "sampled", "4 triples"))
+    rep.add_certificate("full", Certificate(True, None, "generators", "2x4 of 16 pairs"))
+    rep.add_certificate("broken", Certificate(False, (1, 2), "sampled", "4 triples"))
+    assert [(e.status, e.mode, e.witness) for e in rep.entries] == [
+        ("sampled-pass", "sampled", None),
+        ("pass", "generators", None),
+        ("fail", "sampled", (1, 2)),
+    ]
+
+
+def test_only_reports_turns_a_verdict_into_a_status():
+    # every report states whether it is exhaustive; no module spells the policy
+    pattern = re.compile(r'"sampled-pass"|"pass" if')
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits and {h.split(":")[0] for h in hits} == {"reports.py"}
