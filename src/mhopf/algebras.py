@@ -167,7 +167,7 @@ class Multiplier:
         ``image`` into M(algebra); a lone term with coefficient 1 is its image."""
         if len(u.coeffs) == 1:
             ((k, c),) = u.coeffs.items()
-            if c == ONE:
+            if c is ONE:
                 return image(k)
         return cls.combination(algebra, ((c, image(k)) for k, c in u.coeffs.items()))
 

@@ -139,6 +139,8 @@ class Element:
         return Element(self.domain, {k: -v for k, v in self.coeffs.items()}, _canon=True)
 
     def scale(self, c: Scalar) -> "Element":
+        if c is ONE:  # values are immutable: 1 x is x itself
+            return self
         if not c:
             return Element.zero(self.domain)
         return Element(self.domain, {k: v * c for k, v in self.coeffs.items()}, _canon=True)

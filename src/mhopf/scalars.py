@@ -7,6 +7,13 @@ unique, so structural equality coincides with mathematical equality, and the
 arithmetic runs on Python ints with one ``gcd`` per result whose denominator
 is not 1.  ``Fraction`` appears only at the boundary: the constructor, the
 ``re``/``im`` parts, and the serialized, hashed and printed forms.
+
+Zero and one are single objects: every way of making a scalar equal to 0 or
+1 (the constructor, ``from_tuple``, arithmetic, negation, conjugation,
+inversion) returns ``ZERO`` or ``ONE`` itself.  Scalars are immutable, so
+sharing them is safe, and the kernel's fast paths test the unit by
+identity: ``x * ONE`` is ``x``, and a linear map hands out a memoised image
+unscaled when its coefficient ``is ONE``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,12 @@ _alloc = object.__new__
 
 
 def _new(a: int, b: int, d: int) -> "Scalar":
-    """Scalar from an already canonical triple."""
+    """Scalar from an already canonical triple; 0 and 1 are ZERO and ONE."""
+    if not b:
+        if a == d:  # canonical, so a == d == 1
+            return ONE
+        if not a:
+            return ZERO
     s = _alloc(Scalar)
     s._a = a
     s._b = b
@@ -36,7 +48,13 @@ def _make(a: int, b: int, d: int) -> "Scalar":
             a //= g
             b //= g
             d //= g
-    s = _alloc(Scalar)  # _new inlined: every arithmetic result passes here
+    # _new inlined: every arithmetic result passes here
+    if not b:
+        if a == d:
+            return ONE
+        if not a:
+            return ZERO
+    s = _alloc(Scalar)
     s._a = a
     s._b = b
     s._d = d
@@ -56,16 +74,18 @@ class Scalar:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "Scalar":
         if type(re) is int and type(im) is int:
-            self._a, self._b, self._d = re, im, 1
-            return
+            return _new(re, im, 1)
         re, im = Fraction(re), Fraction(im)
         # with both parts in lowest terms, gcd(a, b, lcm) is already 1
         d = lcm(re.denominator, im.denominator)
-        self._a = re.numerator * (d // re.denominator)
-        self._b = im.numerator * (d // im.denominator)
-        self._d = d
+        return _new(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+
+    def __reduce__(self):
+        # the default would rebuild a copy as Scalar(), which is ZERO, and
+        # then write the copy's parts into it
+        return _new, (self._a, self._b, self._d)
 
     @property
     def re(self) -> RationalLike:
@@ -91,6 +111,10 @@ class Scalar:
         return _new(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         a, b, c, e = self._a, self._b, other._a, other._b
         if not b and not e:  # real fast path; most desk scalars are real
             return _make(a * c, 0, self._d * other._d)
@@ -144,8 +168,11 @@ class Scalar:
         return cls(Fraction(rn, rd), Fraction(im_n, im_d))
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
+# made directly: _new hands these two out for every 0 and 1
+ZERO = _alloc(Scalar)
+ZERO._a, ZERO._b, ZERO._d = 0, 0, 1
+ONE = _alloc(Scalar)
+ONE._a, ONE._b, ONE._d = 1, 0, 1
 I = Scalar(0, 1)
 
 

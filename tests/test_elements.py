@@ -40,6 +40,24 @@ def test_addition_canonical(x, y):
 @given(elements, coeffs)
 def test_scaling(x, c):
     assert x.scale(c).scale(sc(2)) == x.scale(c * sc(2))
+    assert x.scale(ONE) is x
+
+
+def test_a_run_scales_by_the_one_unit(monkeypatch):
+    # every coefficient equal to 1 that reaches Element.scale is ONE, so
+    # the unit fast paths see all of them
+    from mhopf.cli import main
+
+    seen = []
+    real = Element.scale
+
+    def audited(self, c):
+        seen.append(c == ONE and c is not ONE)
+        return real(self, c)
+
+    monkeypatch.setattr(Element, "scale", audited)
+    assert main(["run", "all", "--group", "Z2", "--json"]) == 0
+    assert seen and not any(seen)
 
 
 def test_zero_is_one_object_per_domain():

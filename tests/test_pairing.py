@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -40,6 +41,33 @@ class TestPairingAxioms:
         rep = verify_pairing(pair_z, sample_range=3)
         assert rep.ok, rep.summary()
         assert rep.status_of("covered-membership") == "sampled-pass"
+
+    @pytest.mark.parametrize(
+        "field, acted, failing",
+        [
+            ("ract_BonA", "A", "axiom-right-action-on-A"),  # a <| b; cases (a, b, b')
+            ("ract_AonB", "B", "axiom-right-action-on-B"),  # b <| a; cases (a, b, a')
+        ],
+    )
+    def test_a_corrupted_action_fails_its_axiom_at_three_keys(self, pair_z2, field, acted, failing):
+        # one stray term e_1 in the action of e_1 on e_1: each identity
+        # holds with the third key 0 and fails with it 1, so the witness
+        # names the key the axiom reads beyond the action's two arguments
+        real = getattr(pair_z2, field)
+        domain = getattr(pair_z2, acted).domain
+
+        def corrupted(x, y):
+            out = real(x, y)
+            if x.support() == [1] and y.support() == [1]:
+                out = out + Element.basis(domain, 1)
+            return out
+
+        rep = verify_pairing(dataclasses.replace(pair_z2, **{field: corrupted}))
+        axioms = [e for e in rep.entries if e.check.startswith("axiom-")]
+        assert [(e.check, e.status, e.witness) for e in axioms if e.status != "pass"] == [
+            (failing, "fail", (1, 1, 1))
+        ]
+        assert len(axioms) == 4
 
     def test_dual_pairs_pass(self, dual_pair_cz2, dual_pair_cs3):
         for p in (dual_pair_cz2, dual_pair_cs3):

@@ -1,6 +1,12 @@
+import copy
+import pickle
+import re
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, strategies as st
+
+import mhopf
 
 from mhopf.scalars import I, ONE, ZERO, Scalar, sc
 
@@ -29,6 +35,48 @@ def test_field_axioms_multiplicative(a, b, c):
 def test_inverses_exact(a):
     assert a * a.inverse() == ONE
     assert a / a == ONE
+
+
+def test_zero_and_one_are_single_objects():
+    ones = [
+        Scalar(1),
+        Scalar(Fraction(3, 3)),
+        sc(1, 0),
+        Scalar.from_tuple((1, 1, 0, 1)),
+        ONE.inverse(),
+        -(-ONE),
+        ONE.conjugate(),
+        I * -I,
+        sc(Fraction(1, 2)) + sc(Fraction(1, 2)),
+    ]
+    assert all(x is ONE for x in ones)
+    assert Scalar(0) is ZERO and ONE - ONE is ZERO and -ZERO is ZERO
+    assert Scalar(Fraction(0, 7), Fraction(0, 3)) is ZERO
+    # pickle and copy rebuild a scalar, and never write into the shared ones
+    for x in (ONE, ZERO, sc(Fraction(-2, 3), 5)):
+        assert copy.copy(x) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
+    assert copy.copy(ONE) is ONE and pickle.loads(pickle.dumps(ZERO)) is ZERO
+    assert ONE.to_tuple() == (1, 1, 0, 1) and ZERO.to_tuple() == (0, 1, 0, 1)
+
+
+@given(nonzero_scalars)
+def test_the_unit_is_kept_by_identity(a):
+    assert a * a.inverse() is ONE
+    assert a * ONE is a
+    assert ONE * a is a
+
+
+def test_the_unit_is_tested_by_identity():
+    # 1 is the object ONE, so a fast path that tests `is ONE` sees every
+    # unit; an equality test against it would hide a second unit object
+    pattern = re.compile(r"[=!]=\s*ONE\b|\bONE\s*[=!]=")
+    offenders = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 def test_imaginary_unit():
