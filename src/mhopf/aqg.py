@@ -478,8 +478,8 @@ def verify_mha_isomorphism(
 
     def comultiplicative(ka) -> bool:
         a = Element.basis(src.domain, ka)
-        mapped = map_leg(map_leg(src.delta(a), 0, image), 1, image)
-        return mapped.coeffs == dst.delta(image(ka)).coeffs
+        mapped = map_leg(map_leg(src.delta(a), 0, image, dst.domain), 1, image, dst.domain)
+        return mapped == dst.delta(image(ka))
 
     rep.check("comultiplicative", product(skeys), comultiplicative)
     rep.check(

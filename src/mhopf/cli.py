@@ -75,14 +75,15 @@ from .smash import (
     smash,
     verify_pi_relations,
 )
-from .serialize import action_from_json, instance_from_json, load_json, parse_instance_id
+from .serialize import (
+    action_from_json,
+    instance_from_json,
+    key_to_json,
+    load_json,
+    parse_instance_id,
+)
 
 SUITES = ("axioms", "integrals", "actions", "smash", "pairing", "duality", "sweedler", "all")
-
-
-def _instances_for_group(gname: str):
-    g = get_group(gname)
-    return g, [function_algebra(g), group_algebra(g)]
 
 
 def build_suite(suite: str, args) -> list:
@@ -105,7 +106,8 @@ def build_suite(suite: str, args) -> list:
         return checks
 
     gname = args.group
-    g, mhas = _instances_for_group(gname)
+    g = get_group(gname)
+    mhas = [function_algebra(g), group_algebra(g)]
     finite = g.is_finite
 
     if suite in ("axioms", "all"):
@@ -485,8 +487,8 @@ def _cmd_smash(args) -> int:
         "domain": s.algebra.domain,
         "dimension": s.algebra.dim if s.algebra.is_finite else None,
         "structure_constants": [
-            [list(map(_key_json, k1)), list(map(_key_json, k2)),
-             [[_key_json(list(k)), *c.to_tuple()] for k, c in s.algebra.mul_basis(k1, k2).items()]]
+            [list(map(key_to_json, k1)), list(map(key_to_json, k2)),
+             [[key_to_json(list(k)), *c.to_tuple()] for k, c in s.algebra.mul_basis(k1, k2).items()]]
             for k1 in (s.algebra.basis or [])
             for k2 in (s.algebra.basis or [])
         ] if s.algebra.is_finite and s.algebra.dim <= 16 else "omitted (large)",
@@ -499,12 +501,6 @@ def _cmd_smash(args) -> int:
     return 0 if s.certificates.ok else 1
 
 
-def _key_json(k):
-    from .serialize import key_to_json
-
-    return key_to_json(k)
-
-
 def _cmd_pair(args) -> int:
     p = canonical_pair(get_group(args.group))
     rep = Report(instance=p.name)
@@ -515,16 +511,15 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_duality(args) -> int:
-    if args.R.endswith(".json"):
-        spec = action_from_json(load_json(args.R))
-    elif args.R == "trivial":
-        h = parse_instance_id(args.A)
-        spec = trivial_action(h, scalar_algebra())
-    else:
-        spec = action_from_json({"algebra_id": args.A, "rule": args.R})
     h = parse_instance_id(args.A)
     if not isinstance(h, RegularMHA):
         raise UnknownInstance(f"{args.A!r} is not a Hopf-type instance")
+    if args.R.endswith(".json"):
+        spec = action_from_json(load_json(args.R))
+    elif args.R == "trivial":
+        spec = trivial_action(h, scalar_algebra())
+    else:
+        spec = action_from_json({"algebra_id": args.A, "rule": args.R})
     if spec.mha.domain != h.domain:
         raise UnknownInstance(
             f"action is over {spec.mha.domain!r}, not {args.A!r}"
@@ -533,7 +528,7 @@ def _cmd_duality(args) -> int:
     if not rep.ok:
         _emit(rep, args)
         return 1
-    pd = pair_of_aqg(make_aqg(h))
+    pd = pair_of_aqg(make_aqg(spec.mha))
     s = smash(spec)
     d = dual_action(pd, s)
     iso = duality_isomorphism(d)

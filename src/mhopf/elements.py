@@ -11,9 +11,13 @@ read-only mapping: a write into it raises at once.
 
 A tensor is an ``Element`` whose domain is the tuple of its leg domains and
 whose keys are key tuples, one key per leg; the same arithmetic serves
-both.  ``tensor``, ``flip``, ``map_leg``, ``weight_leg`` and ``merge_legs``
-work leg by leg and reject an element over a plain domain name; ``slices``
-cuts an element over tuple keys into its slices along one part of the key.
+both.  This is the one format of a tensor product space such as R (x) A:
+no space gets a second name, and a construction over such keys (a smash,
+tensor or matrix algebra) names its own domain and casts in and out
+explicitly.  ``tensor``, ``flip``, ``map_leg``, ``weight_leg`` and
+``merge_legs`` work leg by leg and reject an element over a plain domain
+name; ``slices`` cuts an element over tuple keys into its slices along one
+part of the key.
 
 Keys are opaque hashable, orderable values (ints, strings, tuples of such).
 Two elements over different domains never compare equal and cannot be
@@ -212,7 +216,9 @@ def map_leg(t: Element, i: int, fn: Callable, domain: str | tuple | None = None)
     """Apply the linear map ``fn: key -> Element`` to leg ``i``.
 
     When ``fn`` returns tensors, leg ``i`` is split into their legs
-    (``domain`` is then their tuple of leg domains).
+    (``domain`` is then their tuple of leg domains).  The new legs are read
+    off the first image, so on an empty ``t`` leg ``i`` keeps its domain
+    unless ``domain`` is given.
     """
     legs = _legs(t)
     if not 0 <= i < len(legs):

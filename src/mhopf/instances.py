@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .algebras import Algebra
-from .elements import Element, add_into, slices
+from .elements import Element, add_into, slices, tensor
 from .errors import UnknownInstance
 from .linalg import BilinearMap, LinearMap
 from .mha import RegularMHA
@@ -359,11 +359,7 @@ def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
 
     identity = None
     if r.identity is not None and a.identity is not None:
-        acc = {}
-        for k1, c1 in r.identity.coeffs.items():
-            for k2, c2 in a.identity.coeffs.items():
-                acc[(k1, k2)] = c1 * c2
-        identity = Element(domain, acc)
+        identity = Element(domain, tensor(r.identity, a.identity).coeffs, _canon=True)
 
     window = None
     if not (r.is_finite and a.is_finite):

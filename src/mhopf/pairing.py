@@ -32,7 +32,6 @@ from .instances import matrix_algebra, scalar_algebra
 from .linalg import BasisMemo, BilinearMap, LinearMap, span_rank
 from .mha import RegularMHA
 from .reports import Report
-from .scalars import ONE
 from .smash import SmashProduct, module_representation_rank, smash, standard_module
 
 
@@ -316,18 +315,19 @@ def _pair_smash_display(p: DualPair, s: SmashProduct, order: str, k1, k2) -> Ele
 
 
 def heisenberg_twists(p: DualPair) -> tuple[BasisMemo, BasisMemo]:
-    """The twist a (x) b -> sum <a_(1), b_(2)> a_(2) (x) b_(1) of A (x) B and
-    its inverse, with S^-1(a_(1)) in place of a_(1), as memos on (ka, kb).
+    """The twist a (x) b -> sum <a_(1), b_(2)> b_(1) (x) a_(2) of A (x) B onto
+    B (x) A and its inverse form, with S^-1(a_(1)) in place of a_(1), as memos
+    on (ka, kb).
 
     The pairing contracts to a_(1) |> b, so each is the covered grounding of
-    the A-action on B (forms "id" and "Sinv") with its legs flipped to (A, B).
+    the A-action on B (forms "id" and "Sinv"), a tensor over (B, A).
     """
     ma = pairing_action(p, "AonB")
 
     def twist(form: str) -> BasisMemo:
         def image(k) -> Element:
             a, b = Element.basis(p.A.domain, k[0]), Element.basis(p.B.domain, k[1])
-            return flip(covered_legs(ma, a, b, form), 0, 1)
+            return covered_legs(ma, a, b, form)
 
         return BasisMemo(image)
 
@@ -351,7 +351,7 @@ def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
         # sum <a_(1), b_(2)> pi(b_(1)) pi(a_(2)) applied to b2, off the twist
         rhs = merge_legs(
             twist[ka, kb], 0, 1,
-            lambda u, v: B.algebra.mul(
+            lambda v, u: B.algebra.mul(
                 Element.basis(B.domain, v), act(Element.basis(A.domain, u), b2)
             ),
             B.domain,
@@ -360,10 +360,12 @@ def heisenberg_check(p: DualPair, sample_range: int = 4) -> Report:
 
     rep.check("heisenberg-commutation", product(akeys, bkeys, bkeys), commutes)
 
-    # the two rewriting maps of A (x) B are mutually inverse
+    # the two rewriting maps are mutually inverse: b (x) a comes back, in the
+    # (B, A) order of their images
     def inverse_twists(ka, kb) -> bool:
-        back = merge_legs(twist[ka, kb], 0, 1, lambda ka2, kb2: twist_inv[ka2, kb2], "AxB")
-        return back.coeffs == {(ka, kb): ONE}
+        legs = (B.domain, A.domain)
+        back = merge_legs(twist[ka, kb], 0, 1, lambda kb2, ka2: twist_inv[ka2, kb2], legs)
+        return back == Element.basis(legs, (kb, ka))
 
     rep.check("twist-maps-inverse", product(akeys, bkeys), inverse_twists)
     return rep

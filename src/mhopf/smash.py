@@ -46,11 +46,12 @@ from .algebras import (
     operator_element,
     radicals,
 )
-from .elements import Element, add_into, map_leg, merge_legs, slices
+from .elements import Element, add_into, map_leg, merge_legs, slices, tensor
 from .errors import (
     AlgebraMismatch,
     CocycleInvalid,
     CommutationFailed,
+    DomainMismatch,
     InfiniteDimensional,
     NotHopf,
     NotInner,
@@ -64,8 +65,8 @@ from .reports import Report, first_failure
 @dataclass
 class SmashProduct:
     """R#A with the bijection W(x (x) a) = sum a_(1) x # a_(2) of R (x) A onto it
-    and W^-1(x # a) = sum S^-1(a_(1)) x (x) a_(2), over pair keys (r, a) of
-    twist(R,A); each grounds a basis term once, through the witnesses of x.
+    and W^-1(x # a) = sum S^-1(a_(1)) x (x) a_(2), a tensor over (R, A); each
+    grounds a basis term once, through the witnesses of x.
 
     ``seed`` draws the sample of an infinite R#A; ``display``, if given, is a
     closed formula for the product of basis keys that the certificates check."""
@@ -79,7 +80,6 @@ class SmashProduct:
 
     def __post_init__(self):
         act, R, h = self.action, self.ralg, self.mha
-        twist = f"twist({R.domain},{h.domain})"
 
         def covered(kx, ka, form):
             return covered_legs(act, Element.basis(h.domain, ka), Element.basis(R.domain, kx), form)
@@ -88,8 +88,7 @@ class SmashProduct:
             R.domain, h.domain, self.algebra.domain, lambda kx, ka: self.join(covered(kx, ka, "id"))
         )
         self.w_inv = LinearMap(
-            self.algebra.domain, twist,
-            lambda k: Element(twist, covered(*k, "Sinv").coeffs, _canon=True),
+            self.algebra.domain, (R.domain, h.domain), lambda k: covered(*k, "Sinv")
         )
 
     @cached_property
@@ -107,16 +106,22 @@ class SmashProduct:
 
     def element(self, x: Element, a: Element) -> Element:
         """x # a as an element of the smash algebra."""
-        return _tensor(self.algebra.domain, x, a)
+        return self.join(tensor(x, a))
 
     def legs(self, u: Element) -> Element:
-        """sum x#a as the tensor sum x (x) a, for maps on one leg."""
-        legs = (self.action.ralg.domain, self.action.mha.domain)
-        return Element(legs, u.coeffs, _canon=True)
+        """sum x#a as the tensor sum x (x) a over (R, A), for maps on one leg."""
+        return _cast(u, self.algebra.domain, (self.ralg.domain, self.mha.domain))
 
     def join(self, t: Element) -> Element:
-        """sum x (x) a as the smash element sum x#a."""
-        return Element(self.algebra.domain, t.coeffs, _canon=True)
+        """sum x (x) a over (R, A) as the smash element sum x#a."""
+        return _cast(t, (self.ralg.domain, self.mha.domain), self.algebra.domain)
+
+
+def _cast(u: Element, src, dst) -> Element:
+    """``u``, an element over ``src``, as the same sum over ``dst``."""
+    if u.domain != src:
+        raise DomainMismatch(f"{u.domain!r} vs {src!r}")
+    return Element(dst, u.coeffs, _canon=True)
 
 
 def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
@@ -212,12 +217,8 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
 
 
 def _tensor(domain: str, x: Element, a: Element) -> Element:
-    """x # a over pair keys (kx, ka)."""
-    return Element(
-        domain,
-        {(kx, ka): cx * ca for kx, cx in x.coeffs.items() for ka, ca in a.coeffs.items()},
-        _canon=True,
-    )
+    """x # a: the tensor x (x) a under the smash product's name."""
+    return Element(domain, tensor(x, a).coeffs, _canon=True)
 
 
 def _certify(s: SmashProduct) -> Report:
@@ -306,7 +307,7 @@ def _pi_R_multiplier(s: SmashProduct, m: Multiplier) -> Multiplier:
 
     def right(kx, ka) -> Element:
         # x#a = sum pi(a_i) pi(x_i) with (x_i, a_i) the terms of W^-1(x#a)
-        t = s.legs(s.w_inv.table[kx, ka])
+        t = s.w_inv.table[kx, ka]
         return s.w.linear(map_leg(t, 0, lambda kr: m.right(Element.basis(R.domain, kr))))
 
     return _basis_multiplier(s, left, right)

@@ -412,7 +412,7 @@ class TestWitnessIndependence:
         for k in s.algebra.basis:
             u = s.algebra.basis_element(k)
             back = merge_legs(
-                s.legs(s.w_inv(u)), 0, 1,
+                s.w_inv(u), 0, 1,
                 lambda kr, ka: s.w(rb(twisted, kr), b(h, ka)),
                 s.algebra.domain,
             )

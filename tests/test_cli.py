@@ -112,6 +112,12 @@ def test_duality_command():
     assert by_check["multiplicative"] == "pass"
 
 
+def test_duality_command_rejects_a_plain_algebra_before_building_an_action():
+    # C is an algebra, not a Hopf-type instance: an error line, not a traceback
+    code, out = run_cli("duality", "--R", "trivial", "--A", "C", "--json")
+    assert code == 2 and out == ""
+
+
 def test_duality_command_with_action_file(tmp_path):
     path = tmp_path / "action.json"
     path.write_text(json.dumps({"algebra_id": "C[Z2]", "rule": "translation"}))

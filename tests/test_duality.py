@@ -255,6 +255,16 @@ class TestCoactions:
         rep = verify_coaction(co)
         assert rep.ok, rep.summary()
 
+    def test_comultiplication_coaction_keeps_b_own_covers(self, pair_z2, pair_z):
+        # the covers of delta(B) are B's t1 and t4 themselves, tensors over (B, B)
+        for B in (pair_z2.B, pair_z.B):
+            co = delta_coaction(B)
+            assert (co.t1, co.t4) == (B.t1, B.t4)
+            for kx, kb in itertools.product(B.algebra.sample_keys(3), repeat=2):
+                x, b = Element.basis(B.domain, kx), Element.basis(B.domain, kb)
+                assert co.t1(x, b).domain == (B.domain, B.domain)
+                assert co.t1(x, b) == B.t1(x, b) and co.t4(x, b) == B.t4(x, b)
+
     def test_doubled_coaction_fails_homomorphism_with_witness(self, pair_z2):
         # Gamma(delta_1) doubled: Gamma(delta_1 delta_1) = 2 Gamma(delta_1) != 4 Gamma(delta_1)^2
         from mhopf.duality import Coaction
@@ -332,7 +342,7 @@ class TestCoactions:
 
         B = pair_z2.B
         one_b = B.algebra.one()
-        pd = f"pair({B.domain},{B.domain})"
+        pd = (B.domain, B.domain)
 
         def t1(x, b):
             acc = {}

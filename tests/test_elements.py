@@ -145,6 +145,33 @@ def test_weight_leg_scalar_total():
     assert weight_leg(t, 0, lambda k: ONE) == sc(3)
 
 
+def test_map_leg_of_an_empty_tensor_takes_the_given_legs():
+    empty = Element.zero(("D", "D"))
+    to_e = lambda k: Element.basis("E", k)
+    split = lambda k: tensor(Element.basis("E", k), Element.basis("F", k))
+    assert map_leg(empty, 1, to_e, "E") == Element.zero(("D", "E"))
+    assert map_leg(empty, 0, split, ("E", "F")) == Element.zero(("E", "F", "D"))
+    # with no image to read, the leg keeps its own domain
+    assert map_leg(empty, 1, to_e).domain == ("D", "D")
+
+
+def test_checks_compare_elements_and_name_no_second_tensor_space():
+    # ``==`` on Elements compares domains; a comparison of bare coefficient
+    # dicts does not, and K(G) and C[G] share their group keys.  R (x) A is
+    # the tensor over (R.domain, A.domain), never a domain name of its own
+    coeffs_compare = re.compile(r"\.coeffs\s*[!=]=")  # also across a line break
+    tensor_names = re.compile(r"""["'](?:twist\(|pair\(\{[^}\n]*\.domain\b|AxB["'])""")
+    offenders = [
+        f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}"
+        for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+        for text in [path.read_text()]
+        for pattern in (coeffs_compare, tensor_names)
+        for m in pattern.finditer(text)
+        if not (path.name == "elements.py" and pattern is coeffs_compare)
+    ]
+    assert offenders == []
+
+
 @pytest.mark.parametrize(
     "op",
     [

@@ -151,14 +151,13 @@ class TestHeisenberg:
             assert rep.ok, rep.summary()
 
     def test_twist_is_the_smash_bijection(self, pair_z2, pair_s3):
-        # sum <a_(1), b_(2)> a_(2) (x) b_(1) is W(b (x) a) = sum a_(1) |> b # a_(2)
-        # of B#A with its legs exchanged
+        # sum <a_(1), b_(2)> b_(1) (x) a_(2) is W(b (x) a) = sum a_(1) |> b # a_(2)
+        # of B#A on its (B, A) legs
         for p in (pair_z2, pair_s3):
             twist, _ = heisenberg_twists(p)
-            w = pairing_smash(p, "BA").w
+            sba = pairing_smash(p, "BA")
             for ka, kb in itertools.product(p.A.algebra.basis, p.B.algebra.basis):
-                flipped = {(k2, k1): c for (k1, k2), c in w.table[kb, ka].coeffs.items()}
-                assert twist[ka, kb].coeffs == flipped
+                assert twist[ka, kb] == sba.legs(sba.w.table[kb, ka])
 
     def test_one_dimensional_pair_commutes(self):
         rep = heisenberg_check(canonical_pair(trivial_group()))

@@ -26,8 +26,14 @@ from mhopf.duality import (
     unverified_dual_action,
     w_conjugation,
 )
-from mhopf.elements import Element, map_leg, merge_legs
-from mhopf.errors import CommutationFailed, InfiniteDimensional, NotInner, UnverifiedAction
+from mhopf.elements import Element, flip, map_leg, merge_legs, tensor
+from mhopf.errors import (
+    CommutationFailed,
+    DomainMismatch,
+    InfiniteDimensional,
+    NotInner,
+    UnverifiedAction,
+)
 from mhopf.instances import (
     canonical_pair,
     get_group,
@@ -225,11 +231,10 @@ def _w_ref(s, x, a):
 def _w_inv_ref(s, u):
     """W^-1(u), one covered Sweedler sum per term of u."""
     R, h = s.ralg, s.mha
-    twist = f"twist({R.domain},{h.domain})"
-    out = Element.zero(twist)
+    out = Element.zero((R.domain, h.domain))
     for (kx, ka), c in u.coeffs.items():
         t = covered_legs(s.action, b(h, ka), Element.basis(R.domain, kx), "Sinv")
-        out = out + Element(twist, t.coeffs).scale(c)
+        out = out + t.scale(c)
     return out
 
 
@@ -423,6 +428,35 @@ class TestTableProduct:
             if pattern.search(line)
         ]
         assert hits and {h.split(":")[0] for h in hits} == {"algebras.py"}
+
+
+class TestTensorFormat:
+    """R (x) A is the tensor over (R, A); ``legs`` and ``join``, the two casts
+    between it and R#A, refuse an element of any other space."""
+
+    def test_join_rejects_the_legs_in_the_other_order(self, translation_smash):
+        s = translation_smash
+        R, A = s.ralg, s.mha.algebra
+        x, a = R.basis_element(R.sample_keys(2)[1]), A.basis_element(A.sample_keys(2)[0])
+        # over (C[G], K(G)): both legs are keyed by group elements, so its
+        # coefficients alone would pass for those of a smash element
+        swapped = tensor(a, x)
+        assert set(swapped.coeffs) <= set(s.algebra.sample_keys(4))
+        with pytest.raises(DomainMismatch):
+            s.join(swapped)
+        assert s.join(flip(swapped, 0, 1)) == s.element(x, a)
+
+    def test_legs_rejects_an_element_of_r(self, translation_smash):
+        s = translation_smash
+        with pytest.raises(DomainMismatch):
+            s.legs(s.ralg.basis_element(s.ralg.sample_keys(1)[0]))
+
+    def test_w_inv_lands_in_r_tensor_a(self, translation_smash):
+        s = translation_smash
+        for k in s.algebra.sample_keys(3):
+            u = s.algebra.basis_element(k)
+            assert s.w_inv(u).domain == (s.ralg.domain, s.mha.domain)
+            assert s.w.linear(s.w_inv(u)) == u
 
 
 class TestMemoisedMaps:
