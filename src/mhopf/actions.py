@@ -28,7 +28,7 @@ from .algebras import (
     multiplier_product,
     multiplier_space,
 )
-from .elements import Element, map_leg, merge_legs
+from .elements import Element, cast, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
     CommutationFailed,
@@ -601,7 +601,7 @@ def tensor_module(m1: ModuleSpec, m2: ModuleSpec) -> ModuleSpec:
         y = Element.basis(m2.space_domain, k2)
         t = covered_legs(m1, a, Element.basis(m1.space_domain, k1))
         t = map_leg(t, 1, lambda w: m2.act(_basis(h, w), y), m2.space_domain)
-        return Element(domain, t.coeffs, _canon=True)
+        return cast(t, (m1.space_domain, m2.space_domain), domain)
 
     act = BilinearMap(h.domain, domain, domain, act_basis)
 

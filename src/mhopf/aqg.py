@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable
 
 from .algebras import Algebra, certify_algebra_map
-from .elements import Element, add_into, map_leg, weight_leg
+from .elements import Element, add_into, cast, map_leg, weight_leg
 from .errors import InfiniteDimensional, Singular, Undecidable
 from .linalg import BasisMemo, LinearMap, kernel, span_rank, stack
 from .mha import RegularMHA
@@ -307,7 +307,7 @@ class DualBridge:
     def eval_dual(self, omega: Element, x: Element) -> Scalar:
         """<x, omega> = phi(x a) for omega = phi(. a): a dual element as a functional on A."""
         h = self.base.base
-        a = Element(h.domain, omega.coeffs, _canon=True)
+        a = cast(omega, self.dual.base.domain, h.domain)
         return self.base.left_integral(h.algebra.mul(x, a))
 
     def from_values(self, values: dict) -> Element:
@@ -320,7 +320,7 @@ class DualBridge:
         if self._sigma_inv is None:
             keys = base.base.algebra.basis
             self._sigma_inv = base.modular.inverse_on(keys, keys)
-        return self._sigma_inv(Element(base.base.domain, dict(omega.coeffs)))
+        return self._sigma_inv(cast(omega, self.dual.base.domain, base.base.domain))
 
 
 def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .actions import ActionSpec, action_certificates
 from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
-from .elements import Element, map_leg, merge_legs, tensor, weight_leg
+from .elements import Element, cast, map_leg, merge_legs, tensor, weight_leg
 from .errors import AlgebraMismatch, CoactionInvalid, InfiniteDimensional
 from .instances import matrix_algebra, tensor_algebra
 from .linalg import BasisMemo, LinearMap, SparseEliminator, span_rank, spans_same, stack
@@ -377,7 +377,7 @@ def verify_coaction(c: Coaction, sample_range: int = 4) -> Report:
     # Gamma as an algebra map into R (x) B, whose keys are the tensor's key pairs
     target = tensor_algebra(c.ralg, B.algebra)
     gamma_map = LinearMap(
-        c.ralg.domain, target.domain, lambda k: Element(target.domain, G[k].coeffs, _canon=True)
+        c.ralg.domain, target.domain, lambda k: cast(G[k], (c.ralg.domain, B.domain), target.domain)
     )
     rep.add_certificate("homomorphism", certify_algebra_map(gamma_map, c.ralg, target, "pairs"))
 
@@ -487,16 +487,16 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
 
     # gamma^-1 into A#A^, then un-identify the A^ leg through J^-1
     undo = {
-        kd: sab_b.join(map_leg(sab_hat.legs(g), 1, J_inv.table.__getitem__))
+        kd: sab_b.join(map_leg(sab_hat.legs(g), 1, J_inv.table.__getitem__, B.domain))
         for kd, g in gmap_inv.table.items()
     }
 
     def composite(u: Element) -> Element:
         # ((x#a)#b) -> ((x#a)#J(b)) -> Theta -> id (x) undo -> R (x) (A#B)
-        th = iso.theta(iso.bismash.join(map_leg(bis_b.legs(u), 1, J.table.__getitem__)))
-        th = Element((s.ralg.domain, iso.diamond.domain), th.coeffs, _canon=True)
-        th = map_leg(th, 1, undo.__getitem__)
-        return Element(target.domain, th.coeffs, _canon=True)
+        v = iso.bismash.join(map_leg(bis_b.legs(u), 1, J.table.__getitem__, pd.B.domain))
+        th = cast(iso.theta(v), iso.target.domain, (s.ralg.domain, iso.diamond.domain))
+        th = map_leg(th, 1, undo.__getitem__, sab_b.algebra.domain)
+        return cast(th, (s.ralg.domain, sab_b.algebra.domain), target.domain)
 
     images = {k: composite(bis_b.algebra.basis_element(k)) for k in bis_b.algebra.basis}
     rep.add_certificate(

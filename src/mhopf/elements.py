@@ -13,8 +13,11 @@ A tensor is an ``Element`` whose domain is the tuple of its leg domains and
 whose keys are key tuples, one key per leg; the same arithmetic serves
 both.  This is the one format of a tensor product space such as R (x) A:
 no space gets a second name, and a construction over such keys (a smash,
-tensor or matrix algebra) names its own domain and casts in and out
-explicitly.  ``tensor``, ``flip``, ``map_leg``, ``weight_leg`` and
+tensor or matrix algebra) names its own domain.  ``cast`` is the one move
+of an element between two spaces on the same keys: it checks the space it
+moves from, so a coefficient dict never changes space unchecked (R#A and
+R (x) A share their keys, and K(G) and C[G] their group keys).
+``tensor``, ``flip``, ``map_leg``, ``weight_leg`` and
 ``merge_legs`` work leg by leg and reject an element over a plain domain
 name; ``slices`` cuts an element over tuple keys into its slices along one
 part of the key.
@@ -193,6 +196,14 @@ def tensor(*factors: Element) -> Element:
         # distinct key tuples and nonzero products: already canonical
         coeffs = {keys + ks: c * cf for keys, c in coeffs.items() for ks, cf in terms.items()}
     return Element(domains, coeffs, _canon=True)
+
+
+def cast(u: Element, src: str | tuple, dst: str | tuple) -> Element:
+    """``u``, an element over ``src``, as the same sum over ``dst``, which
+    has the same keys; e.g. x (x) a over (R, A) as x#a in R#A."""
+    if u.domain != src:
+        raise DomainMismatch(f"{u.domain!r} vs {src!r}")
+    return Element(dst, u.coeffs, _canon=True)
 
 
 def flip(t: Element, i: int, j: int) -> Element:

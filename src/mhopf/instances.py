@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .algebras import Algebra
-from .elements import Element, add_into, slices, tensor
+from .elements import Element, add_into, cast, slices, tensor
 from .errors import UnknownInstance
 from .linalg import BilinearMap, LinearMap
 from .mha import RegularMHA
@@ -359,7 +359,7 @@ def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
 
     identity = None
     if r.identity is not None and a.identity is not None:
-        identity = Element(domain, tensor(r.identity, a.identity).coeffs, _canon=True)
+        identity = cast(tensor(r.identity, a.identity), (r.domain, a.domain), domain)
 
     window = None
     if not (r.is_finite and a.is_finite):

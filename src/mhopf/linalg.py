@@ -12,7 +12,10 @@ read it off :func:`linear_solve` or :func:`kernel`.
 The basis maps live here too: :class:`LinearMap` and :class:`BilinearMap`
 extend a map given on basis keys (or key pairs) to elements, tensors
 included (an Element over the tuple of its leg domains), and
-:class:`BasisMemo` is the one memo that keeps their basis images.
+:class:`BasisMemo` is the one memo that keeps their basis images.  A
+basis map never relabels: each image is checked to lie over the map's
+target when it is stored, and an image built over another space on the
+same keys comes in through ``elements.cast``.
 """
 
 from __future__ import annotations
@@ -248,6 +251,9 @@ class LinearMap:
     whose values are kept in a :class:`BasisMemo`.  Images are Elements over
     ``dst_domain`` (tensors when it is a tuple of leg domains), or Scalars
     when it is None.  A tuple ``src_domain`` makes the map act on tensors.
+    Each image is checked once, when it is stored: a dict's at construction,
+    a function's on its memo fill; one over another space raises
+    :class:`DomainMismatch`.
     """
 
     __slots__ = ("src_domain", "dst_domain", "table")
@@ -255,7 +261,13 @@ class LinearMap:
     def __init__(self, src_domain, dst_domain, table):
         self.src_domain = src_domain
         self.dst_domain = dst_domain
-        self.table = table if isinstance(table, dict) else BasisMemo(table)
+        if isinstance(table, dict):
+            check = _stored(table.__getitem__, dst_domain)
+            for k in table:
+                check(k)
+        else:
+            table = BasisMemo(_stored(table, dst_domain))
+        self.table = table
 
     def __call__(self, x):
         if x.domain != self.src_domain:
@@ -266,8 +278,7 @@ class LinearMap:
             img = table[k]
             if self.dst_domain is None:
                 return c * img
-            if img.domain == self.dst_domain:
-                return img if c is ONE else img.scale(c)
+            return img if c is ONE else img.scale(c)
         if self.dst_domain is None:
             total = ZERO
             for k, c in x.coeffs.items():
@@ -284,9 +295,10 @@ class LinearMap:
         didx = {k: i for i, k in enumerate(dst_keys)}
         # the transpose has the image of src_keys[j] as row j, and the
         # inverse of the transpose has the preimage of dst_keys[i] as row i
-        rows = [
-            {didx[k]: c for k, c in self.table[ks].coeffs.items()} for ks in src_keys
-        ]
+        images = [self.table[ks].coeffs for ks in src_keys]
+        if any(not img.keys() <= didx.keys() for img in images):
+            return None
+        rows = [{didx[k]: c for k, c in img.items()} for img in images]
         inv = inverse(rows, len(dst_keys))
         if inv is None:
             return None
@@ -308,7 +320,7 @@ class BilinearMap(LinearMap):
 
     def __init__(self, left_domain, right_domain, dst_domain, table):
         if not isinstance(table, dict):
-            table = _on_pairs(table)
+            table = BasisMemo(_stored(table, dst_domain, pairs=True))
         super().__init__((left_domain, right_domain), dst_domain, table)
 
     linear = LinearMap.__call__
@@ -324,8 +336,7 @@ class BilinearMap(LinearMap):
             img = table[k1, k2]
             if self.dst_domain is None:
                 return c1 * c2 * img
-            if img.domain == self.dst_domain:
-                return img if c1 is ONE and c2 is ONE else img.scale(c1 * c2)
+            return img if c1 is ONE and c2 is ONE else img.scale(c1 * c2)
         if self.dst_domain is None:
             total = ZERO
             for k1, c1 in x.coeffs.items():
@@ -341,5 +352,16 @@ class BilinearMap(LinearMap):
         return Element(self.dst_domain, acc, _canon=True)
 
 
-def _on_pairs(fn: Callable) -> Callable:
-    return lambda keys: fn(*keys)
+def _stored(fn: Callable, dst, pairs: bool = False) -> Callable:
+    """``fn`` as a memo fill: the image of a key (of a key pair, passed as
+    two arguments, when ``pairs``), checked to lie over ``dst``."""
+    if dst is None:  # Scalar images have no space to check
+        return (lambda keys: fn(*keys)) if pairs else fn
+
+    def image(key):
+        img = fn(*key) if pairs else fn(key)
+        if img.domain != dst:
+            raise DomainMismatch(f"image of {key!r} lies over {img.domain!r}, not {dst!r}")
+        return img
+
+    return image

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .algebras import Algebra, certify_algebra_map
-from .elements import Element, flip, map_leg, merge_legs, tensor, weight_leg
+from .elements import Element, cast, flip, map_leg, merge_legs, tensor, weight_leg
 from .errors import LocalUnitsNotFound, NoIdentity
 from .linalg import BasisMemo, BilinearMap, LinearMap, linear_solve, stack
 from .reports import Report
@@ -262,7 +262,7 @@ def coproduct_certificate(h: RegularMHA) -> str | None:
     # delta as an algebra map into A (x) A, whose keys are the tensor's key pairs
     pairs = tensor_algebra(alg, alg)
     delta = LinearMap(h.domain, pairs.domain, {
-        k: Element(pairs.domain, t.coeffs, _canon=True) for k, t in image.items()
+        k: cast(t, (h.domain, h.domain), pairs.domain) for k, t in image.items()
     })
 
     def covers_from_delta(ka, kb) -> bool:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 from .actions import ActionSpec, covered_legs, fixed_points, verify_module_algebra
 from .algebras import Algebra, Multiplier, certify_algebra_map
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
-from .elements import Element, flip, map_leg, merge_legs, weight_leg
+from .elements import Element, cast, flip, map_leg, merge_legs, weight_leg
 from .errors import InfiniteDimensional, Singular
 from .instances import matrix_algebra, scalar_algebra
 from .linalg import BasisMemo, BilinearMap, LinearMap, span_rank
@@ -307,7 +307,7 @@ def _pair_smash_display(p: DualPair, s: SmashProduct, order: str, k1, k2) -> Ele
     t = X.t2(e, Element.basis(X.domain, kx2))  # e x'_(1) (x) x'_(2)
     t = map_leg(t, 0, lambda u: X.algebra.mul(x, Element.basis(X.domain, u)))
     y2 = Element.basis(Y.domain, ky2)
-    t = map_leg(t, 1, lambda v: Y.algebra.mul(ract(y, Element.basis(X.domain, v)), y2))
+    t = map_leg(t, 1, lambda v: Y.algebra.mul(ract(y, Element.basis(X.domain, v)), y2), Y.domain)
     return s.join(t)
 
 
@@ -456,9 +456,9 @@ def rank_one_gamma(p: DualPair, sab: SmashProduct, dia: Algebra):
     for ka, kb in sab.algebra.basis:
         a = Element.basis(A.domain, ka)
         d = A.delta(bridge.to_left_slot(Element.basis(p.B.domain, kb)))  # c_(1) (x) c_(2)
-        d = map_leg(d, 0, lambda k1: A.algebra.mul(a, A.antipode_key(k1)))
-        d = map_leg(d, 1, bridge.from_left_slot.table.__getitem__)
-        table[(ka, kb)] = Element(dia.domain, d.coeffs, _canon=True)
+        d = map_leg(d, 0, lambda k1: A.algebra.mul(a, A.antipode_key(k1)), A.domain)
+        d = map_leg(d, 1, bridge.from_left_slot.table.__getitem__, p.B.domain)
+        table[(ka, kb)] = cast(d, (A.domain, p.B.domain), dia.domain)
     return LinearMap(sab.algebra.domain, dia.domain, table)
 
 

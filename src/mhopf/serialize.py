@@ -176,6 +176,7 @@ def instance_from_json(obj) -> RegularMHA:
         antipode = {key_from_json(k): element_from_json(e) for k, e in obj["antipode"]}
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise MalformedSpec(f"bad instance description: {ex}") from None
+    _check_tables(domain, basis, product, coproduct, counit, antipode)
 
     identity = None
     if "identity" in obj:
@@ -197,6 +198,38 @@ def instance_from_json(obj) -> RegularMHA:
         name=domain,
         meta={"kind": "explicit"},
     )
+
+
+def _check_tables(domain, basis, product, coproduct, counit, antipode) -> None:
+    """Every basis pair has a product; every key of a table and of its images
+    is a basis key (a pair of them for product keys and coproduct terms),
+    and each image lies over its space."""
+    keys = set(basis)
+    pairs = dict.fromkeys((k1, k2) for k1 in basis for k2 in basis)  # in basis order
+    missing = next((kk for kk in pairs if kk not in product), None)
+    if missing is not None:
+        raise MalformedSpec(f"product: no entry for {missing!r}", field="product")
+    tables = (
+        ("product", product, domain, pairs, keys),
+        ("coproduct", coproduct, (domain, domain), keys, pairs),
+        ("counit", counit, None, keys, None),
+        ("antipode", antipode, domain, keys, keys),
+    )
+    for name, table, space, table_keys, term_keys in tables:
+        for k, img in table.items():
+            if k not in table_keys:
+                raise MalformedSpec(f"{name}: key {k!r} is not a basis key", field=name)
+            if space is None:  # counit values are Scalars
+                continue
+            if img.domain != space:
+                raise MalformedSpec(
+                    f"{name}[{k!r}] lies over {img.domain!r}, not {space!r}", field=name
+                )
+            bad = next((t for t in img.coeffs if t not in term_keys), None)
+            if bad is not None:
+                raise MalformedSpec(
+                    f"{name}[{k!r}] has the term key {bad!r}, not a basis key", field=name
+                )
 
 
 def _find_identity(domain, basis, product) -> Element | None:

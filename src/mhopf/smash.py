@@ -46,12 +46,11 @@ from .algebras import (
     operator_element,
     radicals,
 )
-from .elements import Element, add_into, map_leg, merge_legs, slices, tensor
+from .elements import Element, add_into, cast, map_leg, merge_legs, slices, tensor
 from .errors import (
     AlgebraMismatch,
     CocycleInvalid,
     CommutationFailed,
-    DomainMismatch,
     InfiniteDimensional,
     NotHopf,
     NotInner,
@@ -110,18 +109,11 @@ class SmashProduct:
 
     def legs(self, u: Element) -> Element:
         """sum x#a as the tensor sum x (x) a over (R, A), for maps on one leg."""
-        return _cast(u, self.algebra.domain, (self.ralg.domain, self.mha.domain))
+        return cast(u, self.algebra.domain, (self.ralg.domain, self.mha.domain))
 
     def join(self, t: Element) -> Element:
         """sum x (x) a over (R, A) as the smash element sum x#a."""
-        return _cast(t, (self.ralg.domain, self.mha.domain), self.algebra.domain)
-
-
-def _cast(u: Element, src, dst) -> Element:
-    """``u``, an element over ``src``, as the same sum over ``dst``."""
-    if u.domain != src:
-        raise DomainMismatch(f"{u.domain!r} vs {src!r}")
-    return Element(dst, u.coeffs, _canon=True)
+        return cast(t, (self.ralg.domain, self.mha.domain), self.algebra.domain)
 
 
 def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
@@ -143,6 +135,7 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
     h = action.mha
     R = action.ralg
     domain = f"smash({R.domain},{h.domain})"
+    legs = (R.domain, h.domain)
 
     act = action.act.table  # (a-key, x-key) -> a x
     by_a = itemgetter(1, 0)  # x#a -> slice a, term x
@@ -169,14 +162,14 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
     candidates = None
     if R.identity is not None and h.has_identity:
         one_a = h.algebra.one()
-        identity = _tensor(domain, R.identity, one_a)
+        identity = cast(tensor(R.identity, one_a), legs, domain)
 
         def candidates():
             # x#1 and 1#a; x runs over R's own candidates, so a bismash
             # (R#A)#B starts from (x#1)#1, (1#a)#1 and 1#b
-            return [_tensor(domain, R.identity, a) for a in h.algebra.basis_elements()] + [
-                _tensor(domain, x, one_a) for x in R.candidates()
-            ]
+            return [
+                cast(tensor(R.identity, a), legs, domain) for a in h.algebra.basis_elements()
+            ] + [cast(tensor(x, one_a), legs, domain) for x in R.candidates()]
 
     window = None
     if basis is None:
@@ -214,11 +207,6 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
         rule=rule,
     )
     return SmashProduct(action, alg, seed)
-
-
-def _tensor(domain: str, x: Element, a: Element) -> Element:
-    """x # a: the tensor x (x) a under the smash product's name."""
-    return Element(domain, tensor(x, a).coeffs, _canon=True)
 
 
 def _certify(s: SmashProduct) -> Report:
@@ -596,9 +584,8 @@ def inner_trivialization(s: SmashProduct, gamma: Callable) -> tuple:
         def image(k) -> Element:
             x = Element.basis(R.domain, k[0])
             d = h.delta(Element.basis(h.domain, k[1]))
-            return map_leg(
-                d, 0, lambda p: Multiplier.extend(R, gamma, twisted(p)).right(x), R.domain
-            )
+            t = map_leg(d, 0, lambda p: Multiplier.extend(R, gamma, twisted(p)).right(x), R.domain)
+            return cast(t, (R.domain, h.domain), dst)
 
         return LinearMap(src, dst, image)
 
@@ -628,19 +615,21 @@ def cocycle_isomorphism(cocycle, act1: ActionSpec, act2: ActionSpec) -> tuple:
         # phi(x #2 a) = sum x gamma(a_(1)) #1 a_(2)
         x = Element.basis(R.domain, kx)
         d = h.delta(Element.basis(h.domain, ka))
-        return map_leg(d, 0, lambda p: gamma_el(Element.basis(h.domain, p)).right(x), R.domain)
+        return s1.join(
+            map_leg(d, 0, lambda p: gamma_el(Element.basis(h.domain, p)).right(x), R.domain)
+        )
 
     def psi_basis(kx, ka) -> Element:
         # psi(x #1 a) = sum x (a_(1) |>1 gamma(S(a_(2)))) #2 a_(3)
         x = Element.basis(R.domain, kx)
         d3 = h.delta_n(Element.basis(h.domain, ka), 3)
-        return merge_legs(
+        return s2.join(merge_legs(
             d3, 0, 1,
             lambda p, q: extend_action_to_multipliers(
                 act1, Element.basis(h.domain, p), gamma_el(h.antipode_key(q))
             ).right(x),
             R.domain,
-        )
+        ))
 
     phi = LinearMap(s2.algebra.domain, s1.algebra.domain, lambda k: phi_basis(*k))
     psi = LinearMap(s1.algebra.domain, s2.algebra.domain, lambda k: psi_basis(*k))

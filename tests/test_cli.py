@@ -96,6 +96,21 @@ def test_smash_command(tmp_path):
     assert all(c["status"] in ("pass", "skipped") for c in payload["certificates"])
 
 
+def test_smash_command_over_a_tensor_algebra(tmp_path):
+    # R = K(Z2) (x) C[Z2] under the trivial action: R#A casts in and out of
+    # the tensor R (x) A whose R leg is itself a tensor-key space
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(
+        {"algebra_id": "C[Z2]", "space_id": "tensor(K(Z2),C[Z2])", "rule": "trivial"}
+    ))
+    code, out = run_cli("smash", "--action", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["domain"] == "smash(tensor(K(Z2),C[Z2]),C[Z2])"
+    assert payload["dimension"] == 8
+    assert [c["status"] for c in payload["certificates"]] == ["pass"] * 4
+
+
 def test_pair_command():
     code, out = run_cli("pair", "--group", "Z3", "--json")
     assert code == 0

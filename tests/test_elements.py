@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import mhopf
 from mhopf.elements import (
     Element,
     add_into,
+    cast,
     flip,
     map_leg,
     merge_legs,
@@ -170,6 +172,41 @@ def test_checks_compare_elements_and_name_no_second_tensor_space():
         if not (path.name == "elements.py" and pattern is coeffs_compare)
     ]
     assert offenders == []
+
+
+def _rewraps(tree: ast.AST):
+    """Lines of Element(<domain>, <x>.coeffs ...) and Element(<domain>, dict(<x>.coeffs))."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Element"):
+            continue
+        args = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "coeffs"]
+        for arg in args:
+            if isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "dict" and arg.args:
+                arg = arg.args[0]
+            if isinstance(arg, ast.Attribute) and arg.attr == "coeffs":
+                yield node.lineno
+
+
+def test_elements_change_space_only_through_cast():
+    # a re-wrap moves x's sum into another space without looking at x's own;
+    # elements.cast checks it.  Reshaping keys, as in {(i, j): c for ...},
+    # builds a new sum and is not a re-wrap
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(mhopf.__file__).parent.glob("*.py"))
+        if path.name != "elements.py"
+        for line in _rewraps(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+    src = "x = Element(\n    dst,\n    dict(u.coeffs))\ny = Element(d, coeffs=t.coeffs)\n"
+    assert list(_rewraps(ast.parse(src))) == [1, 4]
+
+
+def test_cast_checks_the_space_it_moves_from():
+    t = tensor(Element.basis("R", 0), Element.basis("A", 1))
+    assert cast(t, ("R", "A"), "smash(R,A)") == Element.basis("smash(R,A)", (0, 1))
+    with pytest.raises(DomainMismatch, match=r"'R'.*\('A', 'R'\)"):
+        cast(Element.basis("R", (0, 1)), ("A", "R"), "smash(R,A)")
 
 
 @pytest.mark.parametrize(

@@ -399,6 +399,33 @@ def test_wrong_domain_raises_domain_mismatch():
         linear_solve([Element.basis(("W", "X"), (0, 0))], Element.basis("W", 0))
 
 
+def test_inverse_on_an_image_outside_the_target_keys_is_none():
+    f = LinearMap("a", "b", {0: Element.basis("b", 0), 1: Element.basis("b", 2)})
+    assert f.inverse_on([0, 1], [0, 1]) is None
+
+
+_TWO = Element("X", {0: ONE, 1: sc(2)})  # two terms: no one-term path
+_FOREIGN = {  # each map's images lie over "W", not over its target "Y"
+    "linear-function": lambda: LinearMap("X", "Y", lambda k: Element.basis("W", k))(_TWO),
+    "linear-dict": lambda: LinearMap(
+        "X", "Y", {k: Element.basis("W", k) for k in (0, 1)}
+    )(_TWO),
+    "bilinear-function": lambda: BilinearMap(
+        "X", "X", "Y", lambda k1, k2: Element.basis("W", k1)
+    )(_TWO, _TWO),
+    "bilinear-dict": lambda: BilinearMap(
+        "X", "X", "Y", {(k1, k2): Element.basis("W", k1) for k1 in (0, 1) for k2 in (0, 1)}
+    )(_TWO, _TWO),
+}
+
+
+@pytest.mark.parametrize("apply", _FOREIGN.values(), ids=_FOREIGN.keys())
+def test_a_basis_image_over_another_space_raises(apply):
+    # a basis map never relabels: K(G) and C[G], R (x) A and R#A share keys
+    with pytest.raises(DomainMismatch, match=r"'W'.*'Y'"):
+        apply()
+
+
 def test_linear_systems_are_stated_only_through_linalg():
     # sites state a system as linalg.stack / kernel / linear_solve columns;
     # linalg alone turns columns into sparse rows and calls nullspace

@@ -117,3 +117,38 @@ def test_explicit_action_table(cz2):
 def test_unknown_action_rule():
     with pytest.raises(MalformedSpec):
         action_from_json({"algebra_id": "C[Z2]", "rule": "mystery"})
+
+
+def _without_product_entry(blob):
+    blob["product"] = [e for e in blob["product"] if e[:2] != [1, 1]]
+
+
+def _antipode_term_key_5(blob):
+    blob["antipode"][1][1]["terms"][0][0] = 5
+
+
+def _product_image_over_k_z2(blob):
+    blob["product"][0][2]["domain"] = "K(Z2)"
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (_without_product_entry, r"^product: no entry for \(1, 1\)"),
+        (_antipode_term_key_5, r"^antipode\[1\] has the term key 5"),
+        (_product_image_over_k_z2, r"^product\[\(0, 0\)\] lies over 'K\(Z2\)', not 'C\[Z2\]'"),
+    ],
+    ids=["missing-product", "antipode-term-key", "product-domain"],
+)
+def test_corrupted_tables_are_malformed_where_they_enter(tmp_path, cz2, corrupt, match):
+    # each table is checked as it is read, so a bad file stops with an error
+    # line (exit 2), not a KeyError traceback or a failing check of its own
+    blob = instance_to_json(cz2)
+    corrupt(blob)
+    with pytest.raises(MalformedSpec, match=match):
+        instance_from_json(blob)
+    from mhopf.cli import main
+
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(blob))
+    assert main(["run", "axioms", "--instance", str(path), "--json"]) == 2
