@@ -207,11 +207,19 @@ def multiplier_product(m1: Multiplier, m2: Multiplier) -> Multiplier:
 def radicals(alg: Algebra) -> tuple[list[Element], list[Element]]:
     """(vectors killed by left multiplication, by right multiplication).
 
-    Non-degeneracy of the product is exactly both lists being empty.
+    Non-degeneracy of the product is exactly both lists being empty.  When
+    ``alg.identity`` is checked a two-sided identity on every basis element
+    (2 dim products), both are empty: 1 x = x and x 1 = x.  Otherwise each is
+    the kernel of the stacked basis products.
     """
     keys = alg.basis
     if keys is None:
         raise InfiniteDimensional(alg.name)
+    one = alg.identity
+    if one is not None and all(
+        alg.mul(one, e) == e == alg.mul(e, one) for e in alg.basis_elements()
+    ):
+        return [], []
     mul = alg.mul_basis
     return (
         kernel(alg.domain, {kj: stack([mul(ki, kj) for ki in keys]) for kj in keys}),
@@ -285,7 +293,7 @@ class Certificate:
 
     ok: bool
     witness: Any = None
-    mode: str = "pairs"  # pairs | generators | sampled
+    mode: str = "pairs"  # pairs | generators | sampled | structural | universal | unital
     cases: str = ""
     relies_on: tuple = ()
 
@@ -419,11 +427,7 @@ def associativity_certificates(alg: Algebra, max_triples: int) -> list | None:
     """
     if alg.associativity is None and alg.is_finite:
         if alg.structure is not None:
-            rule, factors, premises = alg.structure
-            if all(associativity_certificates(f, max_triples) is not None for f in factors):
-                lines = [premise() for premise in premises]
-                if None not in lines:
-                    alg.associativity = (f"structural {rule}", tuple(factors), tuple(lines))
+            _apply_structure(alg, max_triples)
         if alg.associativity is None and alg.dim ** 3 <= max_triples:
             certify_associative(alg)
     if alg.associativity is None:
@@ -433,6 +437,33 @@ def associativity_certificates(alg: Algebra, max_triples: int) -> list | None:
     for f in factors:
         out.extend(associativity_certificates(f, max_triples))
     return out
+
+
+def _apply_structure(alg: Algebra, max_triples: int) -> None:
+    """Record the structural certificate of ``alg`` when every factor of
+    ``alg.structure`` has one (see :func:`associativity_certificates`) and
+    every premise returns its line."""
+    rule, factors, premises = alg.structure
+    if all(associativity_certificates(f, max_triples) is not None for f in factors):
+        lines = [premise() for premise in premises]
+        if None not in lines:
+            alg.associativity = (f"structural {rule}", tuple(factors), tuple(lines))
+
+
+def structural_certificate(alg: Algebra) -> Certificate | None:
+    """Associativity of a finite ``alg`` by its structural rule, or None when
+    the rule does not apply (or ``alg`` was certified otherwise first).
+
+    The certificate's mode is ``structural``, its cases the rule's name, and
+    it relies on the rule's premises and the factors' certificates.  A factor
+    with none is certified directly: it has no more basis triples than ``alg``.
+    """
+    if alg.associativity is None and alg.structure is not None:
+        _apply_structure(alg, alg.dim ** 3)
+    if alg.associativity is None or not alg.associativity[0].startswith("structural"):
+        return None
+    _, *relies = associativity_certificates(alg, 0)
+    return Certificate(True, None, "structural", alg.structure[0], tuple(relies))
 
 
 def certify_module_law(

@@ -38,6 +38,7 @@ from .pairing import (
 from .reports import Report, first_failure
 from .smash import (
     SmashProduct,
+    certify_smash_map,
     module_representation_rank,
     pi_R,
     smash,
@@ -282,9 +283,7 @@ def duality_isomorphism(d: DualAction) -> DualityIso:
     rank = span_rank([theta.table[k] for k in bis.algebra.basis])
     rep.add("bijective", rank == bis.algebra.dim == target.dim, (rank, target.dim))
 
-    rep.add_certificate(
-        "multiplicative", certify_algebra_map(theta, bis.algebra, target)
-    )
+    rep.add_certificate("multiplicative", certify_smash_map(theta, bis, target))
 
     if R.identity is not None:
         to_mu, _ = diamond_matrix_units(p)
@@ -299,9 +298,7 @@ def duality_isomorphism(d: DualAction) -> DualityIso:
         images = {k: to_matrix(theta.table[k]) for k in bis.algebra.basis}
         rep.add_certificate(
             "matrix-form-multiplicative",
-            certify_algebra_map(
-                LinearMap(bis.algebra.domain, mn_r.domain, images), bis.algebra, mn_r
-            ),
+            certify_smash_map(LinearMap(bis.algebra.domain, mn_r.domain, images), bis, mn_r),
         )
         rank = span_rank(list(images.values()))
         rep.add("matrix-form-bijective", rank == mn_r.dim, (rank, mn_r.dim))
@@ -501,9 +498,7 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
     images = {k: composite(bis_b.algebra.basis_element(k)) for k in bis_b.algebra.basis}
     rep.add_certificate(
         "bismash-iso-R-tensor-A#B",
-        certify_algebra_map(
-            LinearMap(bis_b.algebra.domain, target.domain, images), bis_b.algebra, target
-        ),
+        certify_smash_map(LinearMap(bis_b.algebra.domain, target.domain, images), bis_b, target),
     )
     rank = span_rank(list(images.values()))
     rep.add("bismash-iso-bijective", rank == bis_b.algebra.dim, (rank, bis_b.algebra.dim))

@@ -32,7 +32,13 @@ from .instances import matrix_algebra, scalar_algebra
 from .linalg import BasisMemo, BilinearMap, LinearMap, span_rank
 from .mha import RegularMHA
 from .reports import Report
-from .smash import SmashProduct, module_representation_rank, smash, standard_module
+from .smash import (
+    SmashProduct,
+    certify_smash_map,
+    module_representation_rank,
+    smash,
+    standard_module,
+)
 
 
 @dataclass
@@ -413,7 +419,9 @@ def diamond_algebra(p: DualPair) -> Algebra:
             return Element.zero(domain)
         return Element.basis(domain, (ka, kb2), w)
 
-    return Algebra(domain, mul_basis, basis=basis, name=domain)
+    # ((a<>b)(a'<>b'))(a''<>b'') = <a',b><a'',b'> a<>b'' = (a<>b)((a'<>b')(a''<>b'')):
+    # associative for every bilinear pairing, so the rule needs no premise
+    return Algebra(domain, mul_basis, basis=basis, name=domain, structure=("diamond", (), ()))
 
 
 def diamond_matrix_units(p: DualPair) -> tuple:
@@ -477,7 +485,7 @@ def rank_one_realization(p: DualPair) -> Report:
     sab = pairing_smash(p, "AB")  # A # A^ (A acted on by A^ from b |> a)
     dia = diamond_algebra(p)
     gmap = rank_one_gamma(p, sab, dia)
-    rep.add_certificate("gamma-multiplicative", certify_algebra_map(gmap, sab.algebra, dia))
+    rep.add_certificate("gamma-multiplicative", certify_smash_map(gmap, sab, dia))
     rank = span_rank([gmap.table[k] for k in sab.algebra.basis])
     rep.add("gamma-bijective", rank == sab.algebra.dim, (rank, sab.algebra.dim))
 

@@ -70,7 +70,7 @@ class CheckResult:
     status: str  # pass | sampled-pass | fail | skipped
     witness: Any = None
     elapsed: float | None = None
-    mode: str | None = None  # pairs | generators | sampled
+    mode: str | None = None  # pairs | generators | sampled | structural | universal | unital
     cases: str | int | None = None  # a count, or the kernel's description
     relies_on: tuple = ()
 

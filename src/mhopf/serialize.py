@@ -193,7 +193,7 @@ def instance_from_json(obj) -> RegularMHA:
     return from_hopf_data(
         alg,
         lambda k: coproduct[k],
-        lambda k: counit.get(k, Scalar(0)),
+        counit.__getitem__,
         lambda k: antipode[k],
         name=domain,
         meta={"kind": "explicit"},
@@ -201,35 +201,38 @@ def instance_from_json(obj) -> RegularMHA:
 
 
 def _check_tables(domain, basis, product, coproduct, counit, antipode) -> None:
-    """Every basis pair has a product; every key of a table and of its images
-    is a basis key (a pair of them for product keys and coproduct terms),
-    and each image lies over its space."""
+    """Each table has an entry for every basis key (every basis pair for the
+    product); see :func:`_check_table`."""
     keys = set(basis)
     pairs = dict.fromkeys((k1, k2) for k1 in basis for k2 in basis)  # in basis order
-    missing = next((kk for kk in pairs if kk not in product), None)
+    _check_table("product", product, domain, pairs, keys)
+    _check_table("coproduct", coproduct, (domain, domain), dict.fromkeys(basis), pairs)
+    _check_table("counit", counit, None, dict.fromkeys(basis), None)
+    _check_table("antipode", antipode, domain, dict.fromkeys(basis), keys)
+
+
+def _check_table(name, table, space, table_keys, term_keys) -> None:
+    """``table`` has an entry for every key of ``table_keys``, in their order,
+    and no other; each image lies over ``space`` and each of its term keys
+    is in ``term_keys`` (``space`` None: the images are Scalars).  Raises
+    :class:`MalformedSpec` naming the table otherwise."""
+    missing = next((k for k in table_keys if k not in table), None)
     if missing is not None:
-        raise MalformedSpec(f"product: no entry for {missing!r}", field="product")
-    tables = (
-        ("product", product, domain, pairs, keys),
-        ("coproduct", coproduct, (domain, domain), keys, pairs),
-        ("counit", counit, None, keys, None),
-        ("antipode", antipode, domain, keys, keys),
-    )
-    for name, table, space, table_keys, term_keys in tables:
-        for k, img in table.items():
-            if k not in table_keys:
-                raise MalformedSpec(f"{name}: key {k!r} is not a basis key", field=name)
-            if space is None:  # counit values are Scalars
-                continue
-            if img.domain != space:
-                raise MalformedSpec(
-                    f"{name}[{k!r}] lies over {img.domain!r}, not {space!r}", field=name
-                )
-            bad = next((t for t in img.coeffs if t not in term_keys), None)
-            if bad is not None:
-                raise MalformedSpec(
-                    f"{name}[{k!r}] has the term key {bad!r}, not a basis key", field=name
-                )
+        raise MalformedSpec(f"{name}: no entry for {missing!r}", field=name)
+    for k, img in table.items():
+        if k not in table_keys:
+            raise MalformedSpec(f"{name}: key {k!r} is not a basis key", field=name)
+        if space is None:
+            continue
+        if img.domain != space:
+            raise MalformedSpec(
+                f"{name}[{k!r}] lies over {img.domain!r}, not {space!r}", field=name
+            )
+        bad = next((t for t in img.coeffs if t not in term_keys), None)
+        if bad is not None:
+            raise MalformedSpec(
+                f"{name}[{k!r}] has the term key {bad!r}, not a basis key", field=name
+            )
 
 
 def _find_identity(domain, basis, product) -> Element | None:
@@ -292,13 +295,22 @@ def action_from_json(obj):
         return trivial_action(h, space)
     if rule == "table":
         h = parse_instance_id(algebra_id)
-        space = parse_instance_id(obj["space_id"])
+        try:
+            space = parse_instance_id(obj["space_id"])
+            table = {
+                (key_from_json(ka), key_from_json(kx)): element_from_json(e)
+                for ka, kx, e in obj["entries"]
+            }
+        except (KeyError, TypeError, ValueError) as ex:
+            raise MalformedSpec(f"bad action table: {ex}", field="entries") from None
         if isinstance(space, RegularMHA):
             space = space.algebra
-        table = {
-            (key_from_json(ka), key_from_json(kx)): element_from_json(e)
-            for ka, kx, e in obj["entries"]
-        }
+        if not isinstance(h, RegularMHA) or not (h.algebra.is_finite and space.is_finite):
+            raise MalformedSpec(
+                "a table action needs a finite Hopf-type algebra on a finite space", field="entries"
+            )
+        pairs = dict.fromkeys((ka, kx) for ka in h.algebra.basis for kx in space.basis)
+        _check_table("entries", table, space.domain, pairs, set(space.basis))
         act = BilinearMap(h.domain, space.domain, space.domain, table)
         return ActionSpec.build(h, space, act, rule="table")
     raise MalformedSpec(f"unknown action rule {rule!r}", field="rule")

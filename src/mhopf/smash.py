@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import product, starmap
 from operator import itemgetter
 from typing import Callable
 
@@ -40,11 +40,14 @@ from .algebras import (
     Algebra,
     Certificate,
     Multiplier,
+    algebra_generators,
+    associativity_certificates,
     certify_algebra_map,
     certify_associative,
     multiplier_product,
     operator_element,
     radicals,
+    structural_certificate,
 )
 from .elements import Element, add_into, cast, map_leg, merge_legs, slices, tensor
 from .errors import (
@@ -210,11 +213,42 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
 
 
 def _certify(s: SmashProduct) -> Report:
+    """Associativity, zero radicals and the twist-map form of the product.
+
+    A finite R#A is associative by its structural rule when its premises
+    hold (the module-algebra law, A's coassociative coproduct and associative
+    R and A), and is checked directly otherwise.  The product P is checked
+    against the twist-map form T(x#a, y#b) = sum x(a_(1)y) # a_(2)b, built
+    from W(y (x) a) = sum a_(1)y # a_(2).  When the rule applies and R and A
+    have identities, T's unit laws are checked first, on dim R + dim A keys:
+
+        1x = x = x1 in R,   1a = a = a1 in A,   W(x (x) 1) = x#1,
+
+    the last being Delta(1) = 1 (x) 1 with 1 acting as the identity.  Then
+    P = T is checked only on the pairs (1#a, y#1), (x#1, v) and (u, 1#b), for
+    basis elements x, y of R, a, b of A and u, v of R#A: dim A dim R +
+    dim R dim(R#A) + dim(R#A) dim A pairs in place of dim(R#A)^2 (fewer
+    unless (dim R - 1)(dim A - 1) <= 2).  By linearity P = T on x#1 against
+    every element and on every element against 1#b.  The unit laws give
+    x#a = T(x#1, 1#a) = P(x#1, 1#a) and T(1#a, y#1) = W(y (x) a), so by
+    associativity of P
+
+        P(x#a, y#b) = P(x#1, P(P(1#a, y#1), 1#b)) = T(x#1, T(W(y (x) a), 1#b)).
+
+    T(W(y (x) a), 1#b) = sum (a_(1)y)(a_(2)1) # a_(3)b = sum a_(1)y # a_(2)b
+    by coassociativity, the module-algebra law and y1 = y; and T(x#1, z#d)
+    = xz#d by the unit laws, so the right side is T(x#a, y#b).  A failure is
+    re-found on every basis pair, so the witness is the first failing pair
+    either way.
+    """
     alg = s.algebra
     exhaustive = alg.is_finite
     rep = Report(instance=alg.name, exhaustive=exhaustive)
+    R, A = s.ralg, s.mha.algebra
+    structural = None
     if exhaustive:
-        rep.add_certificate("associativity", certify_associative(alg))
+        structural = structural_certificate(alg)
+        rep.add_certificate("associativity", structural or certify_associative(alg))
         lk, rk = radicals(alg)
         rep.add("radical-left-zero", not lk, lk[:1] or None)
         rep.add("radical-right-zero", not rk, rk[:1] or None)
@@ -229,17 +263,43 @@ def _certify(s: SmashProduct) -> Report:
         pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(100)]
 
     # product equals (m (x) m)(id (x) Gamma (x) id), the twist-map form
-    R, A = s.ralg, s.mha.algebra
+    def twist_product(x, a, u, y, b, v) -> bool:
+        # u = x#a, v = y#b; Gamma(a (x) y) = sum a_(1) y (x) a_(2), then
+        # x (.) and (.) b on the legs
+        tw = s.legs(s.w(y, a))
+        tw = map_leg(tw, 0, lambda kr: R.mul(x, R.basis_element(kr)), R.domain)
+        tw = map_leg(tw, 1, lambda kA: A.mul(A.basis_element(kA), b), A.domain)
+        return s.join(tw) == alg.mul(u, v)
 
-    def twist_product(k1, k2) -> bool:
-        (kx, ka), (kx2, ka2) = k1, k2
-        # Gamma(a (x) x2) = sum a_(1) x2 (x) a_(2), then x (.) and (.) a2 on the legs
-        tw = s.legs(s.w.table[kx2, ka])
-        tw = map_leg(tw, 0, lambda kr: R.mul_basis(kx, kr), R.domain)
-        tw = map_leg(tw, 1, lambda kA: A.mul_basis(kA, ka2), A.domain)
-        return s.join(tw) == alg.mul_basis(k1, k2)
+    def on_keys(k1, k2) -> bool:
+        (kx, ka), (ky, kb) = k1, k2
+        e, f, u = R.basis_element, A.basis_element, alg.basis_element
+        return twist_product(e(kx), f(ka), u(k1), e(ky), f(kb), u(k2))
 
-    rep.check("twist-map-product", pairs, twist_product)
+    if structural is not None and R.identity is not None and A.identity is not None:
+        one_r, one_a = R.identity, A.identity
+        xs = [(x, s.element(x, one_a)) for x in R.basis_elements()]  # x, x#1
+        bs = [(b, s.element(one_r, b)) for b in A.basis_elements()]  # b, 1#b
+        us = [
+            (R.basis_element(kx), A.basis_element(ka), alg.basis_element((kx, ka)))
+            for kx, ka in alg.basis
+        ]
+        cases = [
+            *((one_r, a, ia, y, one_a, iy) for a, ia in bs for y, iy in xs),
+            *((x, one_a, ix, y, b, v) for x, ix in xs for y, b, v in us),
+            *((x, a, u, one_r, b, ib) for x, a, u in us for b, ib in bs),
+        ]
+        units = all(
+            R.mul(one_r, x) == x == R.mul(x, one_r) and s.w(x, one_a) == ix for x, ix in xs
+        ) and all(A.mul(one_a, b) == b == A.mul(b, one_a) for b, _ in bs)
+        if units and all(twist_product(*case) for case in cases):
+            relies = (f"{alg.name}: structural {structural.cases}", *structural.relies_on)
+            checked = f"{len(cases)} of {alg.dim ** 2} pairs, unit laws on {R.dim + A.dim} keys"
+            cert = Certificate(True, None, "unital", checked, relies)
+            rep.add_certificate("twist-map-product", cert)
+            pairs = None
+    if pairs is not None:
+        rep.check("twist-map-product", pairs, on_keys)
     if s.display is not None:
         window = alg.sample_keys(3)
         same = lambda k1, k2: alg.mul_basis(k1, k2) == s.display(k1, k2)
@@ -410,6 +470,82 @@ def universal_map(
     if not cert.ok:
         raise CommutationFailed("universal map failed multiplicativity", witness=cert.witness)
     return mapped
+
+
+def certify_smash_map(phi: LinearMap, s: SmashProduct, dst: Algebra) -> Certificate:
+    """phi(u v) == phi(u) phi(v) for a linear phi: R#A -> dst, by the
+    universal property of R#A (mode ``universal``).
+
+    For a finite R#A with unital R and A, three exhaustive conditions:
+
+    1. phi(. # 1) on R and phi(1 # .) on A are multiplicative
+       (:func:`certify_algebra_map` on each factor);
+    2. phi(x#a) = phi(x#1) phi(1#a) on the dim R dim A basis;
+    3. phi(1#a) phi(g#1) = phi(W(g (x) a)) for a in basis(A), g in Gen(R).
+
+    Let C(a, x) say phi(1#a) phi(x#1) = phi(W(x (x) a)), which by (2) is
+    sum phi(a_(1)x # 1) phi(1 # a_(2)).  The x with C(a, x) for every a
+    contain Gen(R) by (3) and linearity in a, and form a subalgebra: for two
+    of them x, y,
+
+        phi(1#a) phi(xy#1) = phi(1#a) phi(x#1) phi(y#1)
+                           = sum phi(a_(1)x#1) phi(1#a_(2)) phi(y#1)
+                           = sum phi(a_(1)x#1) phi(a_(2)y#1) phi(1#a_(3))
+                           = sum phi((a_(1)x)(a_(2)y)#1) phi(1#a_(3))
+                           = sum phi(a_(1)(xy)#1) phi(1#a_(2)),
+
+    by (1), the associativity of dst, C(a, x), C(a_(2), y), coassociativity
+    and the module-algebra law.  So C holds for every monomial in Gen(R),
+    hence on all of R, and
+
+        phi((x#a)(y#b)) = sum phi(x(a_(1)y)#1) phi(1#a_(2)b)
+                        = phi(x#1) phi(1#a) phi(y#1) phi(1#b) = phi(x#a) phi(y#b)
+
+    by (2), (1) and C(a, y).  Checking (3) on Gen(A) x Gen(R) would not be
+    enough: the step above needs C(a_(2), y) for the Sweedler legs of a,
+    which leave Gen(A).
+
+    The kernel runs only when R#A's associativity certificate is its
+    structural ``smash`` rule (the action's laws and A's coproduct, certified
+    exhaustively) and dst has an exhaustive certificate; it relies on both.
+    Otherwise, and on any failure, the call is :func:`certify_algebra_map`'s
+    default, so a witness is the first failing basis pair.
+    """
+    src, R, A = s.algebra, s.ralg, s.mha.algebra
+    if not src.is_finite or R.identity is None or A.identity is None:
+        return certify_algebra_map(phi, src, dst)
+    n = src.dim
+    cs = associativity_certificates(src, n * n)
+    cd = associativity_certificates(dst, n * n)
+    if cs is None or cd is None or src.associativity[0] != "structural smash":
+        return certify_algebra_map(phi, src, dst)
+
+    one_r, one_a = R.identity, A.identity
+    on_r = LinearMap(R.domain, dst.domain, lambda k: phi(s.element(R.basis_element(k), one_a)))
+    on_a = LinearMap(A.domain, dst.domain, lambda k: phi(s.element(one_r, A.basis_element(k))))
+    gens, rank = algebra_generators(R)
+    if rank != R.dim:
+        gens = R.basis_elements()
+    factors = [certify_algebra_map(on_r, R, dst), certify_algebra_map(on_a, A, dst)]
+
+    def factorises(kx, ka) -> bool:
+        return phi.table[kx, ka] == dst.mul(on_r.table[kx], on_a.table[ka])
+
+    def commutes(ka, g, image) -> bool:
+        return dst.mul(on_a.table[ka], image) == phi(s.w(g, A.basis_element(ka)))
+
+    images = [on_r(g) for g in gens]
+    if (
+        all(c.ok for c in factors)
+        and all(starmap(factorises, product(R.basis, A.basis)))
+        and all(commutes(ka, g, im) for ka in A.basis for g, im in zip(gens, images))
+    ):
+        cases = (
+            f"{R.dim}x{A.dim} + {A.dim}x{len(gens)} of {n * n} pairs, "
+            f"R {factors[0].cases}, A {factors[1].cases}"
+        )
+        return Certificate(True, None, "universal", cases, (*cs, *cd))
+    return certify_algebra_map(phi, src, dst)
 
 
 # -- covariant modules ---------------------------------------------------------------

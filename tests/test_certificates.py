@@ -18,10 +18,18 @@ from mhopf.algebras import (
     associativity_certificates,
     certify_algebra_map,
     certify_associative,
+    structural_certificate,
 )
 from mhopf.aqg import make_aqg
 from mhopf.cli import main
-from mhopf.duality import dual_action, duality_isomorphism, unverified_dual_action
+from mhopf.duality import (
+    coaction_to_action,
+    delta_coaction,
+    dual_action,
+    duality_isomorphism,
+    empirical_duality_check,
+    unverified_dual_action,
+)
 from mhopf.elements import Element, add_into
 from mhopf.instances import (
     canonical_pair,
@@ -33,11 +41,22 @@ from mhopf.instances import (
 )
 from mhopf.linalg import BasisMemo, BilinearMap, LinearMap
 from mhopf.mha import RegularMHA, coproduct_certificate
-from mhopf.pairing import diamond_algebra, pair_of_aqg, pairing_smash, rank_one_gamma
+from mhopf.pairing import (
+    diamond_algebra,
+    pair_of_aqg,
+    pairing_smash,
+    rank_one_gamma,
+    rank_one_realization,
+)
 from mhopf.reports import Report
 from mhopf.scalars import sc
 from mhopf.serialize import instance_from_json
-from mhopf.smash import group_crossed_product_oracle, smash, verify_pi_relations
+from mhopf.smash import (
+    certify_smash_map,
+    group_crossed_product_oracle,
+    smash,
+    verify_pi_relations,
+)
 
 MODES = ("pairs", "generators")
 
@@ -57,8 +76,8 @@ def smash_s3(s3):
 def rank_one_s3(dual_pair_cs3):
     sab = pairing_smash(dual_pair_cs3, "AB")
     dia = diamond_algebra(dual_pair_cs3)
-    # the 36-dim diamond has more basis triples than A#A^ has pairs, so the
-    # kernel would not certify it on the map's behalf
+    # certified directly, in place of its structural rule, so that the map
+    # certificates below rest on a generator-mode certificate of the diamond
     assert certify_associative(dia).ok
     return rank_one_gamma(dual_pair_cs3, sab, dia), sab, dia
 
@@ -643,3 +662,137 @@ def test_covered_forms_need_a_certified_t4(z3):
     assert reps["pairs"].status_of("covered-left-form") == "fail"
     assert _entries(reps["pairs"]) == _entries(reps["generators"])
     assert _law_modes(reps["generators"]) == ["pairs"] * 3
+
+
+# -- maps out of R#A by the universal property ---------------------------------------
+
+
+def _kernel_calls(monkeypatch, p) -> list:
+    """(phi, s, dst, certificate) of every map out of a smash product that the
+    rank-one realisation and the duality chain of the pair ``p`` certify: gamma,
+    Theta, its matrix form and the bismash isomorphism onto R (x) (A#B)."""
+    import mhopf.duality
+    import mhopf.pairing
+    import mhopf.smash
+
+    calls = []
+
+    def recorded(phi, s, dst):
+        cert = mhopf.smash.certify_smash_map(phi, s, dst)
+        calls.append((phi, s, dst, cert))
+        return cert
+
+    for module in (mhopf.duality, mhopf.pairing):
+        monkeypatch.setattr(module, "certify_smash_map", recorded)
+    induced = coaction_to_action(delta_coaction(p.B), p)
+    iso = duality_isomorphism(dual_action(p, smash(induced)))
+    reports = (rank_one_realization(p), iso.report, empirical_duality_check(p, induced, iso))
+    assert all(rep.ok for rep in reports), [rep.summary() for rep in reports]
+    return calls
+
+
+def _pair_of(name, request):
+    if name == "H4":
+        return request.getfixturevalue("h4_pair")
+    if name == "gaussian-Z3":
+        h = instance_from_json(request.getfixturevalue("gaussian_cz3"))
+    else:
+        h = group_algebra(get_group(name))
+    return pair_of_aqg(make_aqg(h))
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3", "H4", "gaussian-Z3"])
+def test_smash_map_kernel_agrees_with_pairs(name, request, monkeypatch):
+    calls = _kernel_calls(monkeypatch, _pair_of(name, request))
+    # gamma, Theta, the matrix form, the bismash isomorphism
+    assert len(calls) == 4
+    for phi, s, dst, cert in calls:
+        pairs = certify_algebra_map(phi, s.algebra, dst, "pairs")
+        assert cert.ok and pairs.ok
+        assert cert.mode == "universal", (s.algebra.name, cert.mode)
+        n = s.algebra.dim
+        assert cert.cases.startswith(f"{s.ralg.dim}x{s.mha.algebra.dim} + ")
+        assert f" of {n * n} pairs, R " in cert.cases
+        assert cert.relies_on[0] == f"{s.algebra.name}: structural smash"
+        assert f"{dst.name}: " in " ".join(cert.relies_on)
+
+
+def _identity_map(alg: Algebra) -> LinearMap:
+    return LinearMap(alg.domain, alg.domain, {k: alg.basis_element(k) for k in alg.basis})
+
+
+@pytest.fixture(scope="module")
+def adjoint_smash_s3(s3):
+    # C[S3] # C[S3]: both units are basis keys, so x#1 and 1#a are basis keys too
+    adj = adjoint_action(group_algebra(s3))
+    assert verify_module_algebra(adj).ok
+    s = smash(adj)
+    assert s.ralg.identity.support() == s.mha.algebra.identity.support() == [(0, 1, 2)]
+    return s
+
+
+def test_smash_map_kernel_runs_only_on_its_premises(adjoint_smash_s3, rank_one_s3, z2, s3):
+    s = adjoint_smash_s3
+    cert = certify_smash_map(_identity_map(s.algebra), s, s.algebra)
+    assert cert.ok and cert.mode == "universal"
+    # R#A certified directly, not by its structural rule: the default kernel
+    direct = smash(s.action)
+    assert certify_associative(direct.algebra).ok
+    cert = certify_smash_map(_identity_map(direct.algebra), direct, direct.algebra)
+    assert cert.ok and cert.mode == "generators"
+    # a target with no associativity certificate: the default kernel, in pairs
+    gmap, sab, dia = rank_one_s3
+    bad_dst = _perturbed(dia, (dia.basis[7], dia.basis[7]), dia.basis_element(dia.basis[3]))
+    cert = certify_smash_map(gmap, sab, bad_dst)
+    assert (cert.ok, cert.mode) == (False, "pairs")
+    assert cert.witness == certify_algebra_map(gmap, sab.algebra, bad_dst, "pairs").witness
+    # a coproduct with no certificate: R#A has no structural rule
+    tr = translation_action(z2)
+    unit, g = tr.mha.algebra.basis
+    broken = _with_cover(
+        tr.mha, 1, (g, g), Element.basis((tr.mha.domain, tr.mha.domain), (unit, unit))
+    )
+    bad = smash(ActionSpec.build(broken, tr.ralg, tr.act, rule="translation"))
+    cert = certify_smash_map(_identity_map(bad.algebra), bad, bad.algebra)
+    assert cert.ok and cert.mode == "pairs"
+    # t1 doubled at one pair on S3: R#A is not associative, and the default
+    # kernel fails with the pairs witness
+    tr = translation_action(s3)
+    D, at = tr.mha.domain, tuple(tr.mha.algebra.sample_keys(4)[1:3])
+    t1 = tr.mha.cover(1, Element.basis(D, at[0]), Element.basis(D, at[1]))
+    doubled = _with_cover(tr.mha, 1, at, t1.scale(sc(2)))
+    assert doubled.coproduct_line is None
+    bad = smash(ActionSpec.build(doubled, tr.ralg, tr.act, rule="translation"))
+    identity = _identity_map(bad.algebra)
+    cert = certify_smash_map(identity, bad, bad.algebra)
+    pairs = certify_algebra_map(identity, bad.algebra, bad.algebra, "pairs")
+    assert (cert.ok, cert.mode, cert.witness) == (pairs.ok, "pairs", pairs.witness)
+
+
+@pytest.mark.parametrize("at", ["x#1", "1#a", "x#a"])
+def test_one_wrong_image_fails_with_the_pairs_witness(adjoint_smash_s3, at):
+    s = adjoint_smash_s3
+    alg, R, A = s.algebra, s.ralg, s.mha.algebra
+    one = (0, 1, 2)
+    x = next(k for k in reversed(R.basis) if k not in _generator_keys(R) and k != one)
+    a = next(k for k in reversed(A.basis) if k != one)
+    key = {"x#1": (x, one), "1#a": (one, a), "x#a": (x, a)}[at]
+    bad = _corrupted(_identity_map(alg), key, alg.basis_element(alg.basis[1]))
+    cert = certify_smash_map(bad, s, alg)
+    pairs = certify_algebra_map(bad, alg, alg, "pairs")
+    assert not cert.ok and not pairs.ok
+    # a failure goes to the default kernel, which re-finds it on basis pairs
+    assert cert.mode == "generators"
+    assert cert.witness == pairs.witness
+    assert _map_fails_at(bad, alg, alg, cert.witness)
+
+
+@pytest.mark.parametrize("pair", ["dual_pair_cs3", "h4_pair"])
+def test_structural_diamond_agrees_with_pairs(pair, request):
+    p = request.getfixturevalue(pair)
+    dia = diamond_algebra(p)
+    cert = structural_certificate(dia)
+    assert (cert.ok, cert.mode, cert.cases, cert.relies_on) == (True, "structural", "diamond", ())
+    assert associativity_certificates(dia, 0) == [f"{dia.name}: structural diamond"]
+    pairs = certify_associative(diamond_algebra(p), "pairs")
+    assert pairs.ok and pairs.cases == f"{dia.dim ** 3} triples"

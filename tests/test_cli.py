@@ -350,14 +350,17 @@ def test_timing_is_stamped_per_check(monkeypatch):
 def test_timing_shows_certificate_provenance():
     _, out = run_cli("run", "duality", "--group", "Z2", "--json", "--timing")
     lines = {l["check"]: l for l in map(json.loads, out.splitlines())}
+    # maps out of a smash product are certified by its universal property:
+    # x#a = (x#1)(1#a) on 4x2 pairs, (1#a)(g#1) on 2 x Gen(R#A), and both
+    # restrictions multiplicative
+    kernel = "4x2 + 2x2 of 64 pairs, R 2x4 of 16 pairs, A 2x2 of 4 pairs"
     mult = lines["duality[K(Z2),C[Z2]]:multiplicative"]
-    assert mult["mode"] == "generators"
-    assert mult["cases"] == "3x8 of 64 pairs"
+    assert (mult["mode"], mult["cases"]) == ("universal", kernel)
     assert any("structural tensor" in r for r in mult["relies_on"])
     # no bismash certificate is read in this run, so each bismash rests on
     # its structural certificate
     iso = lines["coaction[Z2]:bismash-iso-R-tensor-A#B"]
-    assert (iso["mode"], iso["cases"]) == ("generators", "3x8 of 64 pairs")
+    assert (iso["mode"], iso["cases"]) == ("universal", kernel)
     assert mult["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),dual(C[Z2])): structural smash"
     assert iso["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),K(Z2)): structural smash"
     # a single-shot check records no provenance
@@ -418,6 +421,45 @@ def test_module_algebra_laws_record_generator_provenance():
     mult = lines["duality[K(S3),C[S3]]:multiplicative"]
     how = [r for r in mult["relies_on"] if r.startswith("dual(smash(K(S3),C[S3])): module algebra")]
     assert how and "module-algebra-law generators 6x3x36 of 7776 triples" in how[0]
+
+
+# the S3 lines whose mode, cases or provenance the structural certificates
+# changed; every other line of `run all --group S3 --json --timing`, without
+# its elapsed_s, is pinned below
+S3_STRUCTURAL = {
+    "smash[K(S3)#C[S3]]:associativity": ("structural", "smash"),
+    "smash[K(S3)#C[S3]]:twist-map-product": ("unital", "468 of 1296 pairs, unit laws on 12 keys"),
+    "rank-one[C[S3]]:gamma-multiplicative": (
+        "universal", "6x6 + 6x2 of 1296 pairs, R 2x6 of 36 pairs, A 6x6 of 36 pairs"
+    ),
+    "duality[K(S3),C[S3]]:multiplicative": (
+        "universal", "36x6 + 6x3 of 46656 pairs, R 3x36 of 1296 pairs, A 6x6 of 36 pairs"
+    ),
+    "duality[K(S3),C[S3]]:matrix-form-multiplicative": (
+        "universal", "36x6 + 6x3 of 46656 pairs, R 3x36 of 1296 pairs, A 6x6 of 36 pairs"
+    ),
+    "coaction[S3]:bismash-iso-R-tensor-A#B": (
+        "universal", "36x6 + 6x3 of 46656 pairs, R 3x36 of 1296 pairs, A 6x6 of 36 pairs"
+    ),
+}
+
+
+def test_s3_timing_changes_only_the_structural_lines():
+    _, out = run_cli("run", "all", "--group", "S3", "--json", "--timing")
+    lines = [json.loads(l) for l in out.splitlines()]
+    for line in lines:
+        del line["elapsed_s"]
+    changed = {l["check"]: l for l in lines if l["check"] in S3_STRUCTURAL}
+    assert {c: (l["mode"], l["cases"]) for c, l in changed.items()} == S3_STRUCTURAL
+    # each rests on the laws of an action, the premises of R#A's structural
+    # rule; statuses and witnesses are pinned by the default-output digest
+    for check, line in changed.items():
+        assert line["status"] == "pass" and "witness" not in line
+        assert any(": module algebra, " in r for r in line["relies_on"]), check
+    rest = [json.dumps(l, sort_keys=True) for l in lines if l["check"] not in S3_STRUCTURAL]
+    assert len(rest) == 132
+    digest = hashlib.sha1("\n".join(rest).encode()).hexdigest()
+    assert digest == "25c9a5b3841e4b2f3312d863f699d865ea1b2cfc"
 
 
 # checks made in one shot (a rank, a dimension, an existence, a summary of a

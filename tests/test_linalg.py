@@ -227,6 +227,24 @@ def test_zeroed_basis_element_is_a_radical():
     assert left == [e2] and right == [e2]
 
 
+def test_a_checked_identity_proves_both_radicals_zero(monkeypatch):
+    import mhopf.algebras
+
+    def cyclic(a, b):
+        return Element.basis("D", (a + b) % 2)
+
+    def zeroed(a, b):
+        return Element.zero("D") if 2 in (a, b) else cyclic(a, b)
+
+    unit = Element.basis("D", 0)
+    with monkeypatch.context() as m:
+        m.setattr(mhopf.algebras, "kernel", None)  # no kernel solve is made
+        assert radicals(Algebra("D", cyclic, basis=[0, 1], identity=unit)) == ([], [])
+    # e_0 is no identity once e_2 is added: the kernel solve finds e_2
+    e2 = Element.basis("D", 2)
+    assert radicals(Algebra("D", zeroed, basis=[0, 1, 2], identity=unit)) == ([e2], [e2])
+
+
 def test_sparse_eliminator_matches_dense_rank():
     vectors = [
         Element("D", {0: sc(1), 2: sc(1)}),

@@ -152,3 +152,58 @@ def test_corrupted_tables_are_malformed_where_they_enter(tmp_path, cz2, corrupt,
     path = tmp_path / "corrupted.json"
     path.write_text(json.dumps(blob))
     assert main(["run", "axioms", "--instance", str(path), "--json"]) == 2
+
+
+@pytest.mark.parametrize("table", ["coproduct", "counit", "antipode"])
+def test_incomplete_tables_are_malformed(tmp_path, kz3, table):
+    # before, a missing antipode entry raised KeyError, a missing coproduct
+    # entry failed a check of its own and a missing counit entry read as 0
+    blob = instance_to_json(kz3)
+    blob[table] = [entry for entry in blob[table] if entry[0] != 2]
+    with pytest.raises(MalformedSpec, match=rf"^{table}: no entry for 2$"):
+        instance_from_json(blob)
+    from mhopf.cli import main
+
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps(blob))
+    assert main(["run", "axioms", "--instance", str(path), "--json"]) == 2
+
+
+def _without_pair_1_1(entries):
+    return [e for e in entries if e[:2] != [1, 1]]
+
+
+def _image_with_key_7(entries):
+    return entries[:-1] + [[1, 1, {"domain": "C[Z2]", "terms": [[7, 1, 1, 0, 1]]}]]
+
+
+def _image_over_k_z2(entries):
+    return entries[:-1] + [[1, 1, {"domain": "K(Z2)", "terms": [[1, 1, 1, 0, 1]]}]]
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (_without_pair_1_1, r"^entries: no entry for \(1, 1\)$"),
+        (_image_with_key_7, r"^entries\[\(1, 1\)\] has the term key 7, not a basis key$"),
+        (_image_over_k_z2, r"^entries\[\(1, 1\)\] lies over 'K\(Z2\)', not 'C\[Z2\]'$"),
+    ],
+    ids=["missing-pair", "term-key", "image-domain"],
+)
+def test_corrupted_action_tables_are_malformed(tmp_path, cz2, corrupt, match):
+    # the trivial action of C[Z2] on C[Z2] as a table, with one entry broken
+    entries = [
+        [ka, kx, element_to_json(Element.basis(cz2.domain, kx))]
+        for ka in cz2.algebra.basis
+        for kx in cz2.algebra.basis
+    ]
+    blob = {"algebra_id": "C[Z2]", "space_id": "C[Z2]", "rule": "table"}
+    assert action_from_json({**blob, "entries": entries}).rule == "table"
+    blob["entries"] = corrupt(entries)
+    with pytest.raises(MalformedSpec, match=match):
+        action_from_json(blob)
+    from mhopf.cli import main
+
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(blob))
+    assert main(["smash", "--action", str(path), "--json"]) == 2

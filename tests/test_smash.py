@@ -18,7 +18,7 @@ from mhopf.actions import (
     covered_legs,
     verify_module_algebra,
 )
-from mhopf.algebras import Multiplier, algebra_generators, multiplier_product
+from mhopf.algebras import Algebra, Multiplier, algebra_generators, multiplier_product
 from mhopf.duality import (
     bismash,
     dual_action,
@@ -867,6 +867,55 @@ class TestCorruptedStructure:
         ]
         witness = (((0, 1, 2), (0, 2, 1)), ((0, 2, 1), (1, 0, 2)))
         assert (line.status, line.witness) == ("fail", witness)
+
+
+class TestUnitalTwistCheck:
+    """On a unital R#A certified by its structural rule, twist-map-product
+    runs on (1#a, y#1), (x#1, v) and (u, 1#b) only, when the unit laws
+    hold; a failure is re-found on every basis pair."""
+
+    @staticmethod
+    def _line(s, check="twist-map-product"):
+        return next(e for e in s.certificates.entries if e.check == check)
+
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3", "H4"])
+    def test_agrees_with_the_product_on_every_pair(self, name, request):
+        if name == "H4":
+            s = smash(adjoint_action(request.getfixturevalue("h4")))
+        else:
+            s = smash(translation_action(get_group(name)))
+        r, a, n = s.ralg.dim, s.mha.algebra.dim, s.algebra.dim
+        assert (self._line(s, "associativity").mode, self._line(s).mode) == ("structural", "unital")
+        assert self._line(s).cases == (
+            f"{r * a * (1 + r + a)} of {n * n} pairs, unit laws on {r + a} keys"
+        )
+        assert s.certificates.ok
+        TestTableProduct._agrees(s, s.algebra.basis)
+
+    def test_unit_laws_gate_the_reduction(self, s3):
+        # R with its identity field doubled: the product and the action are
+        # R's, so every basis pair passes, but 1x = x fails and the reduction,
+        # which rests on it, does not run
+        tr = translation_action(s3)
+        R = tr.ralg
+        doubled = Algebra(
+            R.domain, R.mul_basis, basis=R.basis, identity=R.identity.scale(sc(2)), name=R.name
+        )
+        s = smash(ActionSpec.build(tr.mha, doubled, tr.act, rule="translation"))
+        assert self._line(s, "associativity").mode == "structural"
+        line = self._line(s)
+        assert (line.status, line.mode, line.cases) == ("pass", "pairs", s.algebra.dim ** 2)
+
+    def test_corrupted_w_is_found_on_basis_pairs(self, s3):
+        # W(y (x) a), which the twist-map form reads, moved off the product
+        s = smash(translation_action(s3))
+        R, A = s.ralg, s.mha.algebra
+        key = (R.basis[2], A.basis[1])
+        s.w.table[key] = s.w.table[key] + s.algebra.basis_element(s.algebra.basis[0])
+        line = self._line(s)
+        assert (line.status, line.mode) == ("fail", "pairs")
+        (kx, ka), (ky, kb) = line.witness
+        assert (ky, ka) == key
 
 
 class TestLazyCertificates:
