@@ -40,10 +40,12 @@ class Algebra:
     ``mul_basis``, the product of basis keys; :meth:`mul` is its bilinear
     extension.  A construction over factor algebras (a smash, tensor or
     matrix product) passes ``rule`` instead: the product of two Elements,
-    read off the factors' own products.  Its basis table is that rule on
-    basis elements, memoised; :meth:`mul` reads the table when both
-    operands have one term and calls the rule otherwise, so a product of
-    dense elements never fills the table.
+    read off the factors' own products.  Over a finite basis its basis
+    table is that rule on basis elements, memoised; :meth:`mul` reads the
+    table when both operands have one term and calls the rule otherwise, so
+    a product of dense elements never fills the table.  Over an infinite
+    basis there is no table: sampled checks read almost every key pair
+    once, so :meth:`mul` and :meth:`mul_basis` call the rule directly.
     """
 
     def __init__(
@@ -61,8 +63,8 @@ class Algebra:
     ):
         self.domain = domain
         if rule is not None:
-            # each basis element is built once: sampled checks on an infinite
-            # construction miss the table on almost every key pair they read
+            # each basis element is built once: an infinite construction
+            # keeps no table, so its rule runs on every basis product read
             e = BasisMemo(lambda k: Element(domain, {k: ONE}, _canon=True))
 
             def mul_basis(k1, k2):
@@ -70,6 +72,7 @@ class Algebra:
 
         self.rule = rule
         self.product = BilinearMap(domain, domain, domain, mul_basis)
+        self._tabled = rule is None or basis is not None
         self.basis = list(basis) if basis is not None else None
         self.identity = identity
         self.local_unit_oracle = local_unit_oracle
@@ -117,10 +120,12 @@ class Algebra:
         return self.key_window(n)
 
     def mul_basis(self, k1, k2) -> Element:
-        return self.product.table[k1, k2]
+        if self._tabled:
+            return self.product.table[k1, k2]
+        return self.product.table.fn((k1, k2))  # the checked image, not kept
 
     def mul(self, x: Element, y: Element) -> Element:
-        if self.rule is None or len(x.coeffs) == 1 == len(y.coeffs):
+        if self.rule is None or (self._tabled and len(x.coeffs) == 1 == len(y.coeffs)):
             return self.product(x, y)
         if x.domain != self.domain or y.domain != self.domain:
             raise DomainMismatch(f"{(x.domain, y.domain)!r} vs {self.domain!r}")

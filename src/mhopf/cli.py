@@ -107,8 +107,16 @@ def build_suite(suite: str, args) -> list:
 
     gname = args.group
     g = get_group(gname)
-    mhas = [function_algebra(g), group_algebra(g)]
     finite = g.is_finite
+    # one construction per run: each object is built by the first check that
+    # reads it and shared by the rest; the next run builds its own
+    K, C = mhas = [function_algebra(g), group_algebra(g)]
+    aqg = cache(make_aqg)
+    translation = cache(lambda: translation_action(g, (K, C)))
+    adjoint = cache(lambda: adjoint_action(C))
+    pair = cache(lambda: canonical_pair(g, (K, C)))
+    aqg_pair = cache(lambda: pair_of_aqg(aqg(C)))
+    smashed = cache(lambda: smash(translation(), seed=args.seed))
 
     if suite in ("axioms", "all"):
         for h in mhas:
@@ -120,7 +128,7 @@ def build_suite(suite: str, args) -> list:
             for h in mhas:
                 add(
                     f"axioms[dual({h.name})]",
-                    lambda h=h: verify_mha_axioms(finite_dual(make_aqg(h)).base),
+                    lambda h=h: verify_mha_axioms(finite_dual(aqg(h)).base),
                 )
         for h in mhas:
             add(
@@ -133,9 +141,7 @@ def build_suite(suite: str, args) -> list:
             if finite or h.integral_oracle is not None:
                 add(
                     f"integrals[{h.name}]",
-                    lambda h=h: verify_integral(
-                        make_aqg(h), sample_range=args.sample_range
-                    ),
+                    lambda h=h: verify_integral(aqg(h), sample_range=args.sample_range),
                 )
         if finite:
             for h in mhas:
@@ -143,65 +149,58 @@ def build_suite(suite: str, args) -> list:
                 add(f"classify[{h.name}]", lambda h=h: _classify_report(h))
                 add(
                     f"double-dual[{h.name}]",
-                    lambda h=h: _double_dual_report(make_aqg(h)),
+                    lambda h=h: _double_dual_report(aqg(h)),
                 )
 
     if suite in ("actions", "all"):
         add(
             f"action[translation({gname})]",
-            lambda: verify_module_algebra(
-                translation_action(g), sample_range=args.sample_range
-            ),
+            lambda: verify_module_algebra(translation(), sample_range=args.sample_range),
         )
         add(
             f"action[grading({gname})]",
             lambda: verify_module_algebra(
-                grading_action(g), sample_range=args.sample_range
+                grading_action(g, (K, C)), sample_range=args.sample_range
             ),
         )
         add(
             f"action[adjoint(C[{gname}])]",
-            lambda: verify_module_algebra(
-                adjoint_action(group_algebra(g)), sample_range=args.sample_range
-            ),
+            lambda: verify_module_algebra(adjoint(), sample_range=args.sample_range),
         )
         if finite:
-            add(f"fixed-points[{gname}]", lambda: _fixed_point_report(g))
+            add(f"fixed-points[{gname}]", lambda: _fixed_point_report(g, adjoint()))
 
     if suite in ("smash", "all"):
-        add(f"smash[K({gname})#C[{gname}]]", lambda: _smash_report(g, args))
+        add(f"smash[K({gname})#C[{gname}]]", lambda: _smash_report(g, smashed()))
 
     if suite in ("pairing", "all"):
         add(
             f"pairing[{gname}]",
-            lambda: verify_pairing(canonical_pair(g), sample_range=args.sample_range),
+            lambda: verify_pairing(pair(), sample_range=args.sample_range),
         )
         add(
             f"heisenberg[{gname}]",
-            lambda: heisenberg_check(canonical_pair(g), sample_range=args.sample_range),
+            lambda: heisenberg_check(pair(), sample_range=args.sample_range),
         )
-        add(f"anti-isomorphism[{gname}]", lambda: anti_isomorphism(canonical_pair(g))[3])
+        add(f"anti-isomorphism[{gname}]", lambda: anti_isomorphism(pair())[3])
         if finite:
             add(
                 f"scalar-fixed-points[{gname}]",
-                lambda: scalar_fixed_points_check(canonical_pair(g)),
+                lambda: scalar_fixed_points_check(pair()),
             )
-            add(
-                f"rank-one[C[{gname}]]",
-                lambda: rank_one_realization(pair_of_aqg(make_aqg(group_algebra(g)))),
-            )
+            add(f"rank-one[C[{gname}]]", lambda: rank_one_realization(aqg_pair()))
 
     if suite in ("duality", "all"):
         if finite:
-            # one duality chain for both groups, built by the first check that needs it
-            dual = cache(lambda: dual_action(
-                pair_of_aqg(make_aqg(group_algebra(g))), smash(translation_action(g))
-            ))
+            dual = cache(lambda: dual_action(aqg_pair(), smashed()))
             iso = cache(lambda: duality_isomorphism(dual()))
             add(f"duality[K({gname}),C[{gname}]]", lambda: _duality_report(g, dual, iso))
-            add(f"coaction[{gname}]", lambda: _coaction_report(g, iso))
+            add(f"coaction[{gname}]", lambda: _coaction_report(g, pair(), iso))
         else:
-            add(f"w-conjugation[{gname}]", lambda: _w_sampled_report(g, args))
+            add(
+                f"w-conjugation[{gname}]",
+                lambda: _w_sampled_report(g, smashed(), pair(), args.sample_range),
+            )
 
     if suite in ("sweedler", "all"):
         for h in mhas:
@@ -285,9 +284,9 @@ def _double_dual_report(g) -> Report:
     return verify_mha_isomorphism(g.base, gdd.base, match)
 
 
-def _fixed_point_report(g) -> Report:
+def _fixed_point_report(g, adjoint) -> Report:
     rep = Report(instance=f"fixed[{g.name}]")
-    fp = fixed_points(adjoint_action(group_algebra(g)), "in_R")
+    fp = fixed_points(adjoint, "in_R")
     # conjugacy-class sums span the fixed points of the adjoint action
     n_classes = len({_conj_class(g, k) for k in g.elements})
     rep.add("adjoint-fixed-dim", len(fp) == n_classes, (len(fp), n_classes))
@@ -300,9 +299,8 @@ def _conj_class(g, k):
     )
 
 
-def _smash_report(g, args) -> Report:
-    tr = translation_action(g)
-    s = smash(tr, seed=args.seed)
+def _smash_report(g, s) -> Report:
+    tr = s.action
     rep = Report(instance=s.algebra.name)
     rep.extend(s.certificates)
     rep.extend(verify_pi_relations(s))
@@ -328,9 +326,8 @@ def _duality_report(g, dual, iso) -> Report:
     return rep
 
 
-def _coaction_report(g, iso) -> Report:
+def _coaction_report(g, p, iso) -> Report:
     rep = Report(instance=f"coaction[{g.name}]")
-    p = canonical_pair(g)
     co = delta_coaction(p.B)
     rep.extend(verify_coaction(co))
     induced = coaction_to_action(co, p)
@@ -345,13 +342,11 @@ def _coaction_report(g, iso) -> Report:
     return rep
 
 
-def _w_sampled_report(g, args) -> Report:
-    s = smash(translation_action(g), seed=args.seed)
-    p = canonical_pair(g)
+def _w_sampled_report(g, s, p, sample_range: int) -> Report:
     rep = Report(instance=f"w[{g.name}]")
     rep.extend(s.certificates)
     d = unverified_dual_action(p, s)
-    rep.extend(w_conjugation(d, sample_range=args.sample_range))
+    rep.extend(w_conjugation(d, sample_range=sample_range))
     return rep
 
 
@@ -404,7 +399,9 @@ def run_suite(suite: str, args) -> tuple[Report, int]:
             )
         results.append((name, rep))
         # each group leaves cyclic garbage (memo tables whose basis functions
-        # close over their owners); free it before the next group peaks
+        # close over their owners); free it before the next group peaks.  The
+        # run's shared constructions stay reachable from the thunks and live
+        # until the run ends
         gc.collect()
     gc.unfreeze()
 

@@ -18,7 +18,7 @@ only empirically on concrete instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product, starmap
 from typing import Callable
 
@@ -53,6 +53,7 @@ class DualAction:
     pair: DualPair
     smash: SmashProduct
     spec: ActionSpec  # the action of B on the smash algebra
+    _bismash: SmashProduct | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def act(self) -> Callable:
@@ -134,8 +135,11 @@ def fixed_point_theorem_check(d: DualAction) -> Report:
 
 
 def bismash(d: DualAction) -> SmashProduct:
-    """(R#A)#B via the generic smash constructor on the dual action."""
-    return smash(d.spec)
+    """(R#A)#B via the generic smash constructor on the dual action, built
+    once per dual action."""
+    if d._bismash is None:
+        d._bismash = smash(d.spec)
+    return d._bismash
 
 
 def bismash_faithful(d: DualAction) -> bool:

@@ -381,16 +381,16 @@ def tensor_algebra(r: Algebra, a: Algebra) -> Algebra:
 # -- group-derived module algebras ---------------------------------------------
 
 
-def translation_action(g: GroupSpec):
+def translation_action(g: GroupSpec, algebras: tuple | None = None):
     """CG acting on K(G) by right translation: lam_p . f = f(. p).
 
     The Hopf-algebra form of a group acting on an algebra by automorphisms;
-    matches the action induced by the canonical pairing.
+    matches the action induced by the canonical pairing.  ``algebras`` is
+    (K(G), C[G]) of the same g, used instead of building them again.
     """
     from .actions import ActionSpec
 
-    A = group_algebra(g)
-    R = function_algebra(g)
+    R, A = algebras or (function_algebra(g), group_algebra(g))
     return ActionSpec.build(
         A, R.algebra, _right_translation(g, A.domain, R.domain), rule="translation"
     )
@@ -417,12 +417,12 @@ def _grading(function_domain: str, group_domain: str) -> BilinearMap:
     )
 
 
-def grading_action(g: GroupSpec):
-    """K(G) acting on CG by grading projections: d_p picks the degree-p part."""
+def grading_action(g: GroupSpec, algebras: tuple | None = None):
+    """K(G) acting on CG by grading projections: d_p picks the degree-p part;
+    ``algebras`` as in :func:`translation_action`."""
     from .actions import ActionSpec
 
-    A = function_algebra(g)
-    R = group_algebra(g)
+    A, R = algebras or (function_algebra(g), group_algebra(g))
 
     def witness(v: Element):
         return [
@@ -438,8 +438,9 @@ def grading_action(g: GroupSpec):
 # -- canonical dual pair -------------------------------------------------------
 
 
-def canonical_pair(g: GroupSpec):
-    """The dual pair (A, B) = (CG, K(G)) with pairing <lam_p, f> = f(p).
+def canonical_pair(g: GroupSpec, algebras: tuple | None = None):
+    """The dual pair (A, B) = (CG, K(G)) with pairing <lam_p, f> = f(p);
+    ``algebras`` as in :func:`translation_action`.
 
     The pairing and all four induced module structures are basis maps:
 
@@ -451,8 +452,7 @@ def canonical_pair(g: GroupSpec):
     """
     from .pairing import DualPair
 
-    A = group_algebra(g)
-    B = function_algebra(g)
+    B, A = algebras or (function_algebra(g), group_algebra(g))
     mul = g.multiply
     inv = g.invert
 

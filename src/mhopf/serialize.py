@@ -283,11 +283,15 @@ def action_from_json(obj):
         return translation_action(group_of(algebra_id))
     if rule == "grading":
         return grading_action(group_of(algebra_id))
-    if rule == "adjoint":
+    if rule in ("adjoint", "trivial"):
         h = parse_instance_id(algebra_id)
+        if not isinstance(h, RegularMHA):
+            raise MalformedSpec(
+                f"rule {rule!r} needs a Hopf-type algebra, not {algebra_id!r}", field="algebra_id"
+            )
+    if rule == "adjoint":
         return adjoint_action(h)
     if rule == "trivial":
-        h = parse_instance_id(algebra_id)
         space_id = obj.get("space_id", "C")
         space = parse_instance_id(space_id)
         if isinstance(space, RegularMHA):

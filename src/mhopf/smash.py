@@ -126,8 +126,10 @@ def smash(action: ActionSpec, seed: int = 0) -> SmashProduct:
     R#A multiplies through its factors: for u = sum X_a # a with X_a in R,
     uv = sum c X_a (p y) # q over the terms c y#b of v and p (x) q of
     t1(a, b), read through A's t1 table, the action's table and ``R.mul``
-    (R's own rule when R is itself a smash product).  Its basis table is the
-    same rule on basis elements, so a dense factor never fills it.
+    (R's own rule when R is itself a smash product).  A finite R#A keeps a
+    basis table, the same rule on basis elements, so a dense factor never
+    fills it; an infinite one keeps none, since its sampled checks read
+    almost every basis pair once.
 
     The action is certified on first need: its stored module-algebra report
     is read, and made by verify_module_algebra when there is none yet.

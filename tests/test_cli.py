@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -390,6 +391,104 @@ def test_run_builds_the_duality_chain_once(monkeypatch, capsys):
     assert main(["run", "all", "--group", "Z2", "--json"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 138
     assert calls == {"duality_isomorphism": 1, "dual_action": 1}
+
+
+@pytest.mark.parametrize(
+    "group, expected",
+    [
+        (
+            "S3",
+            {
+                "adjoint(C[S3] on C[S3])": 1,
+                # two dual actions of that name: over (C[S3], K(S3)) and (C[S3], dual(C[S3]))
+                "dual(smash(K(S3),C[S3]))": 2,
+                "grading(K(S3) on C[S3])": 1,
+                "pair(C[S3],K(S3)):AonB": 1,
+                "pair(C[S3],K(S3)):BonA": 1,
+                "pair(C[S3],dual(C[S3])):BonA": 1,
+                "translation(C[S3] on K(S3))": 1,
+            },
+        ),
+        (
+            "Z",
+            {
+                "adjoint(C[Z] on C[Z])": 1,
+                "grading(K(Z) on C[Z])": 1,
+                "pair(C[Z],K(Z)):AonB": 1,
+                "pair(C[Z],K(Z)):BonA": 1,
+                "translation(C[Z] on K(Z))": 1,
+            },
+        ),
+    ],
+)
+def test_run_verifies_each_action_once(group, expected, monkeypatch, capsys):
+    # every check group reads the run's one translation, adjoint, pair and
+    # smash, so each action's stored report is made once and read after
+    import mhopf
+    from mhopf import actions
+
+    verified = []
+    real = actions.verify_module_algebra
+
+    def counted(spec, *args, **kwargs):
+        verified.append(spec)
+        return real(spec, *args, **kwargs)
+
+    for name in mhopf.__dict__:
+        module = getattr(mhopf, name)
+        if getattr(module, "verify_module_algebra", None) is real:
+            monkeypatch.setattr(module, "verify_module_algebra", counted)
+    assert main(["run", "all", "--group", group, "--json"]) == 0
+    capsys.readouterr()
+    assert len({id(spec) for spec in verified}) == len(verified)
+    assert Counter(spec.name for spec in verified) == expected
+
+
+def _reachable(roots, types) -> dict:
+    """Objects of ``types`` reachable from ``roots``, by id; module globals
+    and classes are not walked, so only what a run holds is seen."""
+    import gc
+
+    stop = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
+    seen, found, todo = set(), {}, list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or id(obj) in stop or isinstance(obj, (type, type(sys))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types):
+            found[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_runs_share_no_construction(capsys):
+    # the construction context is per run: a corrupted table of one run's
+    # object can never reach another run
+    from types import SimpleNamespace
+
+    from mhopf.actions import ActionSpec
+    from mhopf.algebras import Algebra
+    from mhopf.cli import build_suite
+    from mhopf.pairing import DualPair
+
+    args = SimpleNamespace(instance=None, group="Z2", sample_range=5, seed=0)
+    kinds = (Algebra, ActionSpec, DualPair)
+    held = []
+    for _ in range(2):
+        checks = build_suite("all", args)
+        assert all(thunk().ok for _, _, thunk in checks)
+        held.append(_reachable([checks], kinds))
+    first, second = held
+    for kind in kinds:
+        assert any(isinstance(o, kind) for o in first.values()), kind
+    assert not [first[i] for i in first.keys() & second.keys()]
+    outs = []
+    for _ in range(2):
+        assert main(["run", "all", "--group", "Z2", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert hashlib.sha1(outs[0].encode()).hexdigest().startswith("deb3bb3b")
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,25 @@ def test_unknown_action_rule():
         action_from_json({"algebra_id": "C[Z2]", "rule": "mystery"})
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [{"algebra_id": "M(2)", "rule": "adjoint"}, {"algebra_id": "C", "rule": "trivial"}],
+    ids=["adjoint-of-M(2)", "trivial-of-C"],
+)
+def test_plain_algebra_actions_are_malformed(tmp_path, capsys, blob):
+    # adjoint and trivial actions need a Hopf-type algebra; a plain one is a
+    # malformed file, named by its field, not a crash
+    with pytest.raises(MalformedSpec) as info:
+        action_from_json(blob)
+    assert info.value.field == "algebra_id"
+    from mhopf.cli import main
+
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(blob))
+    assert main(["smash", "--action", str(path), "--json"]) == 2
+    assert repr(blob["algebra_id"]) in capsys.readouterr().err
+
+
 def _without_product_entry(blob):
     blob["product"] = [e for e in blob["product"] if e[:2] != [1, 1]]
 

@@ -961,3 +961,33 @@ class TestLazyCertificates:
         last = s.certificates.entries[-1]
         assert (last.check, last.status) == ("pairing-product-display", status)
         assert len(certified) == 1
+
+
+def test_infinite_constructions_fill_no_product_table(zz, s3, monkeypatch):
+    # sampled checks read almost every basis pair of an infinite construction
+    # once, so only a construction over a finite basis keeps a product table
+    from mhopf.pairing import anti_isomorphism
+
+    built = []
+    init = Algebra.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Algebra, "__init__", recording)
+    s = smash(translation_action(zz))
+    assert s.certificates.ok and verify_pi_relations(s).ok
+    assert anti_isomorphism(canonical_pair(zz))[3].ok
+    infinite = [a for a in built if a.rule is not None and not a.is_finite]
+    assert len(infinite) >= 3, [a.name for a in infinite]
+    for a in infinite:
+        keys = a.sample_keys(2)
+        for k1, k2 in itertools.product(keys, keys):
+            x, y = a.basis_element(k1), a.basis_element(k2)
+            assert a.mul_basis(k1, k2) == a.mul(x, y) == a.rule(x, y)
+        assert len(a.product.table) == 0, a.name
+    finite = smash(translation_action(s3)).algebra
+    k = finite.basis[1]
+    assert finite.mul_basis(k, k) is finite.mul_basis(k, k)
+    assert len(finite.product.table) == 1
