@@ -209,7 +209,8 @@ def verify_module_algebra(
     if exhaustive:
         # non-degeneracy: act(a_i, x) = 0 for all i forces x = 0
         columns = {kx: stack([s.act(a, x) for a in A.values()]) for kx, x in X.items()}
-        rep.add("nondegenerate", not kernel(s.space_domain, columns))
+        killed = kernel(s.space_domain, columns)
+        rep.kernel("nondegenerate", len(killed), 0, len(columns), killed[:1])
     else:
         rep.skip("nondegenerate", "infinite-dimensional")
 
@@ -541,7 +542,9 @@ def verify_cocycle(c: CocycleData, act1: ActionSpec, act2: ActionSpec) -> Report
     gamma = c.gamma  # c.apply on a basis element is its image
 
     g1 = c.apply(alg, h.algebra.one())
-    rep.add("gamma-normalised", g1.equals_on(Multiplier.one(alg), sample))
+    rep.check(
+        "gamma-normalised", product(rkeys), lambda kx: g1.left(X[kx]) == X[kx] == g1.right(X[kx])
+    )
 
     # (i) gamma(a a') = sum gamma(a_(1)) (a_(2) |>1 gamma(a'))
     def condition_i(ka, kb):

@@ -209,13 +209,14 @@ def multiplier_product(m1: Multiplier, m2: Multiplier) -> Multiplier:
 # -- verification helpers ---------------------------------------------------
 
 
-def radicals(alg: Algebra) -> tuple[list[Element], list[Element]]:
-    """(vectors killed by left multiplication, by right multiplication).
+def radicals(alg: Algebra) -> tuple[list[Element], list[Element], str]:
+    """(vectors killed by left multiplication, by right multiplication, mode).
 
     Non-degeneracy of the product is exactly both lists being empty.  When
     ``alg.identity`` is checked a two-sided identity on every basis element
-    (2 dim products), both are empty: 1 x = x and x 1 = x.  Otherwise each is
-    the kernel of the stacked basis products.
+    (2 dim products), both are empty: 1 x = x and x 1 = x; the mode is
+    ``unit``.  Otherwise each is the kernel of the stacked basis products and
+    the mode is ``kernel``.
     """
     keys = alg.basis
     if keys is None:
@@ -224,11 +225,12 @@ def radicals(alg: Algebra) -> tuple[list[Element], list[Element]]:
     if one is not None and all(
         alg.mul(one, e) == e == alg.mul(e, one) for e in alg.basis_elements()
     ):
-        return [], []
+        return [], [], "unit"
     mul = alg.mul_basis
     return (
         kernel(alg.domain, {kj: stack([mul(ki, kj) for ki in keys]) for kj in keys}),
         kernel(alg.domain, {kj: stack([mul(kj, ki) for ki in keys]) for kj in keys}),
+        "kernel",
     )
 
 

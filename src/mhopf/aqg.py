@@ -42,6 +42,7 @@ class AlgebraicQuantumGroup:
     modular: LinearMap | None = None
     meta: dict = field(default_factory=dict)
     bridge: "DualBridge | None" = None
+    _dual: "AlgebraicQuantumGroup | None" = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -158,8 +159,8 @@ def verify_integral(g: AlgebraicQuantumGroup, sample_range: int = 5) -> Report:
     )
 
     if alg.is_finite:
-        rep.add("faithful", span_rank(integral_matrix(h, phi)) == alg.dim)
-        rep.add("uniqueness-dim-1", len(h.integral_solutions["left"]) == 1)
+        rep.rank("faithful", span_rank(integral_matrix(h, phi)), alg.dim)
+        rep.kernel("uniqueness-dim-1", len(h.integral_solutions["left"]), 1, alg.dim)
         if g.modular is not None:
             rep.check(
                 "kms-identity",
@@ -176,7 +177,7 @@ def verify_integral(g: AlgebraicQuantumGroup, sample_range: int = 5) -> Report:
 # -- cointegrals ----------------------------------------------------------------
 
 
-def _cointegral_solutions(h: RegularMHA, side: str) -> list[Element]:
+def cointegral_solutions(h: RegularMHA, side: str) -> list[Element]:
     alg = h.algebra
     keys = alg.basis
     mul = alg.mul_basis
@@ -203,8 +204,7 @@ def find_cointegral(h: RegularMHA, side: str = "left") -> Cointegral | None:
     if not alg.is_finite:
         if h.cointegral_oracle is None:
             raise InfiniteDimensional(f"{h.name}: no cointegral oracle")
-        value = _normalize_vector(h.cointegral_oracle)
-        sided = value
+        sided = _normalize_vector(h.cointegral_oracle)
         # oracle values are verified on a sample window
         for k in alg.sample_keys(4):
             a = Element.basis(h.domain, k)
@@ -212,42 +212,26 @@ def find_cointegral(h: RegularMHA, side: str = "left") -> Cointegral | None:
             if prod != sided.scale(h.counit(a)):
                 return None
         return Cointegral(sided, side)
-    sols = _cointegral_solutions(h, side)
+    sols = cointegral_solutions(h, side)
     if not sols:
         return None
     return Cointegral(_normalize_vector(sols[0]), side)
-
-
-def cointegral_solution_dim(h: RegularMHA, side: str = "left") -> int:
-    return len(_cointegral_solutions(h, side))
 
 
 def classify_type(h: RegularMHA) -> str:
     """discrete / compact / both / neither; Undecidable without oracles."""
     alg = h.algebra
     if alg.is_finite:
-        try:
-            find_integral(h, "left")
-            has_integrals = True
-        except Singular:
-            has_integrals = False
-        has_cointegrals = bool(_cointegral_solutions(h, "left"))
+        has_integrals = bool(h.integral_solutions["left"])
+        has_cointegrals = bool(cointegral_solutions(h, "left"))
     else:
-        if h.integral_oracle is None or (
-            h.cointegral_oracle is None and not h.has_identity
-        ):
+        if h.integral_oracle is None or (h.cointegral_oracle is None and not h.has_identity):
             raise Undecidable(f"{h.name}: no integral/cointegral oracles")
         has_integrals = h.integral_oracle is not None
         has_cointegrals = h.cointegral_oracle is not None
-    discrete = has_cointegrals
-    compact = h.has_identity and has_integrals
-    if discrete and compact:
-        return "both"
-    if discrete:
-        return "discrete"
-    if compact:
-        return "compact"
-    return "neither"
+    # discrete: with cointegrals; compact: unital with integrals
+    kinds = {(True, True): "both", (True, False): "discrete", (False, True): "compact"}
+    return kinds.get((has_cointegrals, h.has_identity and has_integrals), "neither")
 
 
 # -- modular automorphism ---------------------------------------------------------
@@ -324,10 +308,13 @@ class DualBridge:
 
 
 def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:
-    """The dual algebraic quantum group of a finite-dimensional one.
+    """The dual algebraic quantum group of a finite-dimensional one, built
+    once per ``g`` and kept on it.
 
     Basis keys are reused: key j stands for the functional phi(. a_j).
     """
+    if g._dual is not None:
+        return g._dual
     h = g.base
     alg = h.algebra
     if not alg.is_finite:
@@ -399,8 +386,8 @@ def finite_dual(g: AlgebraicQuantumGroup) -> AlgebraicQuantumGroup:
     dual_g = make_aqg(dual_h)
     dual_g.meta["dual_of"] = h.name
     dual_g.meta["integral_normalization"] = "first-nonzero-coordinate=1"
-    bridge = DualBridge(g, dual_g, F_inv)
-    dual_g.bridge = bridge
+    dual_g.bridge = DualBridge(g, dual_g, F_inv)
+    g._dual = dual_g
     return dual_g
 
 
@@ -467,10 +454,10 @@ def verify_mha_isomorphism(
     """
     rep = Report(instance=f"{src.name}->{dst.name}")
     skeys = src.algebra.basis
-    dkeys = dst.algebra.basis
-    rank = None if skeys is None else span_rank([iso.table[k] for k in skeys])
-    dim = None if dkeys is None else len(dkeys)
-    rep.add("bijective", rank is not None and rank == len(skeys) == dim, (rank, dim))
+    # the rank is at most both dimensions (InfiniteDimensional on an infinite
+    # instance): it reaches the larger one exactly when the map is bijective
+    dim = max(src.algebra.dim, dst.algebra.dim)
+    rep.rank("bijective", span_rank([iso.table[k] for k in skeys]), dim)
 
     rep.add_certificate("multiplicative", certify_algebra_map(iso, src.algebra, dst.algebra))
 

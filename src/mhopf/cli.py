@@ -26,7 +26,7 @@ from .actions import (
 )
 from .aqg import (
     classify_type,
-    cointegral_solution_dim,
+    cointegral_solutions,
     double_dual_matching,
     find_cointegral,
     finite_dual,
@@ -35,7 +35,7 @@ from .aqg import (
     verify_mha_isomorphism,
 )
 from .duality import (
-    bismash_faithful,
+    bismash_rank,
     delta_coaction,
     dual_action,
     duality_isomorphism,
@@ -223,7 +223,7 @@ def _local_units_report(h: RegularMHA, seed: int, finite: bool) -> Report:
     # them sampled-pass would change the byte-stable default output
     rep = Report(instance=h.name, exhaustive=finite)
     keys = h.algebra.sample_keys(5)
-    idempotent_ok = True
+    two_sided = []  # (items, local unit) of each two-sided case run
     discrete = h.meta.get("kind") == "function_algebra"
     sides = ["left", "right"] + (["two_sided"] if h.meta.get("aqg") else [])
 
@@ -237,31 +237,31 @@ def _local_units_report(h: RegularMHA, seed: int, finite: bool) -> Report:
             yield from ((side, items) for side in sides)
 
     def holds(side, items) -> bool:
-        nonlocal idempotent_ok
         e = find_local_units(h, items, side)
-        if discrete and side == "two_sided" and h.algebra.mul(e, e) != e:
-            idempotent_ok = False
+        if discrete and side == "two_sided":
+            two_sided.append((items, e))
         return all(
             (side == "right" or h.algebra.mul(e, a) == a)
             and (side == "left" or h.algebra.mul(a, e) == a)
             for a in items
         )
 
-    # a seeded random sample, so it is not a pairs check: no mode is recorded
-    witness, _ = first_failure(cases(), holds)
+    # a seeded random sample, so it is not a pairs check
+    witness, n = first_failure(cases(), holds)
     if witness is not None:
         witness = (witness[0], [str(a) for a in witness[1]])
-    rep.add("local-units-randomized", witness is None, witness)
+    rep.add("local-units-randomized", witness is None, witness, "seeded", n)
     if discrete:
-        rep.add("discrete-type-idempotent", idempotent_ok)
+        bad = [[str(a) for a in items] for items, e in two_sided if h.algebra.mul(e, e) != e]
+        rep.add("discrete-type-idempotent", not bad, bad[:1], "seeded", len(two_sided))
     return rep
 
 
 def _cointegral_report(h: RegularMHA) -> Report:
     rep = Report(instance=h.name)
     co = find_cointegral(h, "left")
-    rep.add("cointegral-exists", co is not None)
-    rep.add("cointegral-unique", cointegral_solution_dim(h, "left") == 1)
+    rep.add("cointegral-exists", co is not None, "no nonzero solution", "kernel", h.algebra.dim)
+    rep.kernel("cointegral-unique", len(cointegral_solutions(h, "left")), 1, h.algebra.dim)
     if co is not None:
         rep.check(
             "cointegral-defining-identity",
@@ -275,7 +275,7 @@ def _cointegral_report(h: RegularMHA) -> Report:
 def _classify_report(h: RegularMHA) -> Report:
     rep = Report(instance=h.name)
     kind = classify_type(h)
-    rep.add(f"classify:{kind}", kind in ("discrete", "compact", "both"), kind)
+    rep.add(f"classify:{kind}", kind != "neither", kind, "kernel", h.algebra.dim)
     return rep
 
 
@@ -289,7 +289,7 @@ def _fixed_point_report(g, adjoint) -> Report:
     fp = fixed_points(adjoint, "in_R")
     # conjugacy-class sums span the fixed points of the adjoint action
     n_classes = len({_conj_class(g, k) for k in g.elements})
-    rep.add("adjoint-fixed-dim", len(fp) == n_classes, (len(fp), n_classes))
+    rep.kernel("adjoint-fixed-dim", len(fp), n_classes, len(adjoint.space_basis))
     return rep
 
 
@@ -318,10 +318,10 @@ def _smash_report(g, s) -> Report:
 def _duality_report(g, dual, iso) -> Report:
     rep = Report(instance=f"duality[{g.name}]")
     d = dual()
-    rep.add("dual-action-certified", d.spec.certificates.ok)
+    rep.nested("dual-action-certified", d.spec.certificates)
     rep.extend(fixed_point_theorem_check(d))
     rep.extend(w_conjugation(d))
-    rep.add("bismash-faithful", bismash_faithful(d))
+    rep.rank("bismash-faithful", *bismash_rank(d))
     rep.extend(iso().report)
     return rep
 
@@ -373,7 +373,8 @@ def _confluence_report(h: RegularMHA, seed: int) -> Report:
         if a != b:
             witness = i
             break
-    rep.add("sweedler-confluence", witness is None and grounded > 0, witness)
+    ok = witness is None and grounded > 0
+    rep.add("sweedler-confluence", ok, witness if grounded else "none grounded", "seeded", grounded)
     return rep
 
 

@@ -46,25 +46,6 @@ class GroupSpec:
         return self.window(n)
 
 
-def validate_group(g: GroupSpec, n: int = 4) -> bool:
-    """Sampled group axioms; invert is checked as a two-sided inverse."""
-    keys = g.sample(n)
-    for p in keys:
-        if g.multiply(p, g.identity) != p or g.multiply(g.identity, p) != p:
-            return False
-        q = g.invert(p)
-        if g.multiply(p, q) != g.identity or g.multiply(q, p) != g.identity:
-            return False
-        if g.invert(q) != p:
-            return False
-    for p in keys:
-        for q in keys:
-            for r in keys:
-                if g.multiply(g.multiply(p, q), r) != g.multiply(p, g.multiply(q, r)):
-                    return False
-    return True
-
-
 # -- builtin groups ----------------------------------------------------------
 
 

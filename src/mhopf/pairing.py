@@ -24,7 +24,7 @@ from itertools import chain, product
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, covered_legs, fixed_points, verify_module_algebra
-from .algebras import Algebra, Multiplier, certify_algebra_map
+from .algebras import Algebra, certify_algebra_map, multiplier_space
 from .aqg import AlgebraicQuantumGroup, DualBridge, finite_dual
 from .elements import Element, cast, flip, map_leg, merge_legs, weight_leg
 from .errors import InfiniteDimensional, Singular
@@ -70,8 +70,8 @@ class DualPair:
         return self.B.algebra.one()
 
 
-def _pairing_full_rank(p: DualPair, akeys: Sequence, bkeys: Sequence) -> bool:
-    """Whether the pairing matrix <a_i, b_j> on the given keys has full rank."""
+def _pairing_rank(p: DualPair, akeys: Sequence, bkeys: Sequence) -> tuple[int, int]:
+    """(rank, full rank) of the pairing matrix <a_i, b_j> on the given keys."""
     rows = [
         Element(
             p.B.domain,
@@ -80,14 +80,15 @@ def _pairing_full_rank(p: DualPair, akeys: Sequence, bkeys: Sequence) -> bool:
         )
         for ka in akeys
     ]
-    return span_rank(rows) == min(len(akeys), len(bkeys))
+    return span_rank(rows), min(len(akeys), len(bkeys))
 
 
 def assert_nondegenerate(p: DualPair, window: int = 3) -> DualPair:
     """Reject degenerate pairings at construction (sampled window rank)."""
     akeys = p.A.algebra.sample_keys(window)
     bkeys = p.B.algebra.sample_keys(window)
-    if not _pairing_full_rank(p, akeys, bkeys):
+    rank, full = _pairing_rank(p, akeys, bkeys)
+    if rank != full:
         raise Singular(f"{p.name}: degenerate pairing")
     return p
 
@@ -145,7 +146,7 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
     rep = Report(instance=p.name, exhaustive=exhaustive)
 
     # non-degeneracy as full rank of the pairing matrix on the sample
-    rep.add("nondegenerate", _pairing_full_rank(p, akeys, bkeys))
+    rep.rank("nondegenerate", *_pairing_rank(p, akeys, bkeys))
 
     AE = {k: Element.basis(A.domain, k) for k in akeys}
     BE = {k: Element.basis(B.domain, k) for k in bkeys}
@@ -202,9 +203,9 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
     # unitality of the left actions (witness ranks on finite instances)
     if exhaustive:
         imgs = [p.act_AonB(AE[ka], BE[kb]) for ka in akeys for kb in bkeys]
-        rep.add("unital-A-on-B", span_rank(imgs) == len(bkeys))
+        rep.rank("unital-A-on-B", span_rank(imgs), len(bkeys))
         imgs = [p.act_BonA(BE[kb], AE[ka]) for ka in akeys for kb in bkeys]
-        rep.add("unital-B-on-A", span_rank(imgs) == len(akeys))
+        rep.rank("unital-B-on-A", span_rank(imgs), len(akeys))
     else:
         units = {
             "A-on-B": (BE, lambda _: A.algebra.one(), p.act_AonB),
@@ -225,8 +226,7 @@ def verify_pairing(p: DualPair, sample_range: int = 5) -> Report:
     # both left actions are module-algebra actions
     for side, which in (("A-on-B", "AonB"), ("B-on-A", "BonA")):
         rep_m = verify_module_algebra(pairing_action(p, which), sample_range=sample_range)
-        failed = [f.check for f in rep_m.failures()]
-        rep.add(f"module-algebra-{side}", not failed, failed or None)
+        rep.nested(f"module-algebra-{side}", rep_m)
     return rep
 
 
@@ -398,7 +398,7 @@ def anti_isomorphism(p: DualPair, sample_range: int = 4) -> tuple:
     rep.add_certificate("anti-multiplicative", cert)
     if finite:
         rank = span_rank([phi(sba.algebra.basis_element(k)) for k in sba.algebra.basis])
-        rep.add("bijective", rank == sba.algebra.dim, (rank, sba.algebra.dim))
+        rep.rank("bijective", rank, sba.algebra.dim)
     return phi, sba, sab, rep
 
 
@@ -487,11 +487,11 @@ def rank_one_realization(p: DualPair) -> Report:
     gmap = rank_one_gamma(p, sab, dia)
     rep.add_certificate("gamma-multiplicative", certify_smash_map(gmap, sab, dia))
     rank = span_rank([gmap.table[k] for k in sab.algebra.basis])
-    rep.add("gamma-bijective", rank == sab.algebra.dim, (rank, sab.algebra.dim))
+    rep.rank("gamma-bijective", rank, sab.algebra.dim)
 
     # standard action of A#A^ on A: (a#b)a' = a (b |> a'); full rank (dim A)^2
     rank = module_representation_rank(standard_module(sab))
-    rep.add("representation-rank", rank == A.algebra.dim ** 2, rank)
+    rep.rank("representation-rank", rank, A.algebra.dim ** 2)
 
     # the diamond algebra is the full matrix algebra: transport to matrix
     # units, the keys (i, j, ()) of M_n(C), and compare structure constants exactly
@@ -510,16 +510,16 @@ def rank_one_realization(p: DualPair) -> Report:
 def scalar_fixed_points_check(p: DualPair) -> Report:
     """Fixed points of the A-action on M(B) are multiples of the identity."""
     rep = Report(instance=p.name)
+    B = p.B.algebra
     ms = fixed_points(pairing_action(p, "AonB"), "in_M_R")
-    rep.add("fixed-multiplier-dim-1", len(ms) == 1, len(ms))
+    rep.kernel("fixed-multiplier-dim-1", len(ms), 1, len(multiplier_space(B)))
     if len(ms) == 1:
-        one = Multiplier.one(p.B.algebra)
-        sample = p.B.algebra.basis_elements()
-        m = ms[0]
-        # m is a scalar multiple of the identity iff m(x) = c x for one c
-        img = m.left(sample[0])
-        k0 = sample[0].support()[0]
-        c = img.coeff(k0)
-        ok = bool(c) and m.scale(c.inverse()).equals_on(one, sample)
-        rep.add("fixed-multiplier-scalar", ok)
+        m, E = ms[0], {k: B.basis_element(k) for k in B.basis}
+        # m is a scalar multiple of the identity iff m x = c x = x m for one c
+        c = m.left(E[B.basis[0]]).coeff(B.basis[0])
+        rep.check(
+            "fixed-multiplier-scalar",
+            product(E),
+            lambda k: bool(c) and m.left(E[k]) == E[k].scale(c) == m.right(E[k]),
+        )
     return rep

@@ -8,12 +8,14 @@ serialised elements) sufficient to reproduce the failure.
 Reports serialise to JSON lines, one check per line, in deterministic
 order.  Each check is stamped with the time since the report's previous
 entry (or its creation), and keeps how it was checked: its mode, the cases
-it covered and, for the certificate kernel, the associativity certificates
-it relied on; these are printed only on request so that default output is
-byte-stable across runs.
+it covered and the certificates or sub-lines it relied on; these are
+printed only on request so that default output is byte-stable across runs.
 
-Every identity checked case by case goes through one scan,
-:func:`first_failure`, which :meth:`Report.check` records.
+The report is the one place that knows the shape of the evidence: an
+identity checked case by case goes through :func:`first_failure` and
+:meth:`Report.check`, a rank through :meth:`Report.rank`, a kernel dimension
+through :meth:`Report.kernel` and a sub-report through :meth:`Report.nested`;
+any other verdict names its mode and cases.
 """
 
 from __future__ import annotations
@@ -70,13 +72,18 @@ class CheckResult:
     status: str  # pass | sampled-pass | fail | skipped
     witness: Any = None
     elapsed: float | None = None
-    mode: str | None = None  # pairs | generators | sampled | structural | universal | unital
+    mode: str | None = None  # how it was checked, e.g. pairs, sampled, rank, nested
     cases: str | int | None = None  # a count, or the kernel's description
     relies_on: tuple = ()
 
     @property
     def ok(self) -> bool:
         return self.status in ("pass", "sampled-pass", "skipped")
+
+    @property
+    def cited(self) -> str:
+        """How a line that relies on this one names it."""
+        return f"{self.check}: {self.status} {self.mode} {self.cases}"
 
     def to_json(self, timing: bool = False) -> str:
         payload = {
@@ -112,19 +119,36 @@ class Report:
     exhaustive: bool = True
     _mark: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
-    def _record(self, check: str, status: str, witness) -> None:
+    def _record(self, check: str, status: str, witness, *how) -> None:
         now = time.perf_counter()
-        self.entries.append(CheckResult(self.instance, check, status, witness, now - self._mark))
-        self._mark = now
+        elapsed, self._mark = now - self._mark, now
+        self.entries.append(CheckResult(self.instance, check, status, witness, elapsed, *how))
 
-    def _verdict(self, check: str, ok: bool, exhaustive: bool, witness) -> CheckResult:
+    def _verdict(self, check: str, ok: bool, exhaustive: bool, witness, *how) -> None:
         status = "fail" if not ok else "pass" if exhaustive else "sampled-pass"
-        self._record(check, status, None if ok else witness)
-        return self.entries[-1]
+        self._record(check, status, None if ok else witness, *how)
 
-    def add(self, check: str, ok: bool, witness=None) -> None:
-        """Record a verdict; the witness is kept only on a failure."""
-        self._verdict(check, ok, self.exhaustive, witness)
+    def add(self, check: str, ok: bool, witness=None, mode=None, cases=None, relies_on=()) -> None:
+        """Record a verdict reached in ``mode`` over ``cases``; the witness is
+        kept only on a failure."""
+        self._verdict(check, ok, self.exhaustive, witness, mode, cases, tuple(relies_on))
+
+    def rank(self, check: str, rank: int, dim: int) -> None:
+        """Whether an exact rank reaches ``dim``; witness ``(rank, dim)``."""
+        self.add(check, rank == dim, (rank, dim), "rank", dim)
+
+    def kernel(self, check: str, dim: int, expected: int, unknowns: int, witness=None) -> None:
+        """Whether a kernel solved for ``unknowns`` unknowns has dimension
+        ``expected``; witness ``(dim, expected)`` unless one is given."""
+        self.add(check, dim == expected, witness or (dim, expected), "kernel", unknowns)
+
+    def nested(self, check: str, sub: "Report") -> None:
+        """Whether no line of ``sub`` fails, citing each; witness the first
+        failing line's ``(check, witness)``."""
+        failed = next((e for e in sub.entries if not e.ok), None)
+        witness = failed and (failed.check, failed.witness)
+        cited = [e.cited for e in sub.entries]
+        self.add(check, failed is None, witness, "nested", len(sub.entries), cited)
 
     def check(self, check: str, cases: Iterable[tuple], holds: Callable) -> None:
         """Record whether ``holds`` passes on every case (see :func:`first_failure`).
@@ -133,8 +157,7 @@ class Report:
         otherwise; ``cases`` counts the cases run.
         """
         witness, n = first_failure(cases, holds)
-        entry = self._verdict(check, witness is None, self.exhaustive, witness)
-        entry.mode, entry.cases = ("pairs" if self.exhaustive else "sampled"), n
+        self.add(check, witness is None, witness, "pairs" if self.exhaustive else "sampled", n)
 
     def add_certificate(self, check: str, cert) -> None:
         """Record a certificate-kernel result together with its provenance.
@@ -142,8 +165,8 @@ class Report:
         A ``sampled`` certificate reads ``sampled-pass`` whatever the report
         says; every other mode checked every case.
         """
-        entry = self._verdict(check, cert.ok, cert.mode != "sampled", cert.witness)
-        entry.mode, entry.cases, entry.relies_on = cert.mode, cert.cases, cert.relies_on
+        how = cert.mode, cert.cases, cert.relies_on
+        self._verdict(check, cert.ok, cert.mode != "sampled", cert.witness, *how)
 
     def skip(self, check: str, reason: str = "") -> None:
         self._record(check, "skipped", reason or None)
@@ -170,7 +193,4 @@ class Report:
         return "\n".join(e.to_json(timing) for e in self.entries)
 
     def summary(self) -> str:
-        lines = []
-        for e in self.entries:
-            lines.append(f"[{e.status:>12}] {e.instance}: {e.check}")
-        return "\n".join(lines)
+        return "\n".join(f"[{e.status:>12}] {e.instance}: {e.check}" for e in self.entries)

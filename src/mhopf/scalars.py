@@ -164,6 +164,9 @@ class Scalar:
 
     @classmethod
     def from_tuple(cls, t) -> "Scalar":
+        """The inverse of :meth:`to_tuple`; anything but four integers is a ValueError."""
+        if len(t) != 4 or any(type(v) is not int for v in t):
+            raise ValueError(f"a scalar is four integers, not {t!r}")
         rn, rd, im_n, im_d = t
         return cls(Fraction(rn, rd), Fraction(im_n, im_d))
 

@@ -13,11 +13,12 @@ how deliberately corrupted instances enter the verification suites.
 from __future__ import annotations
 
 import json
+from typing import Callable
 
 from .algebras import Algebra
 from .elements import Element
 from .linalg import BilinearMap
-from .errors import MalformedSpec, UnknownInstance
+from .errors import MalformedSpec, Singular, UnknownInstance
 from .mha import RegularMHA
 from .scalars import Scalar
 
@@ -31,6 +32,8 @@ def key_to_json(key):
 def key_from_json(obj):
     if isinstance(obj, list):
         return tuple(key_from_json(k) for k in obj)
+    if isinstance(obj, dict):
+        raise TypeError(f"a key is a JSON scalar or list, not {obj!r}")
     return obj
 
 
@@ -47,7 +50,7 @@ def element_from_json(obj) -> Element:
         terms = []
         for t in obj["terms"]:
             key = key_from_json(t[0])
-            terms.append((key, Scalar.from_tuple(t[1:5])))
+            terms.append((key, Scalar.from_tuple(t[1:])))
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise MalformedSpec(f"bad element: {ex}", field="terms") from None
     return Element.from_terms(domain, terms)
@@ -91,10 +94,7 @@ def parse_instance_id(instance_id: str):
             n = int(n_str)
         except ValueError:
             raise UnknownInstance(instance_id) from None
-        coeff = parse_instance_id(rest) if rest else scalar_algebra()
-        if isinstance(coeff, RegularMHA):
-            coeff = coeff.algebra
-        return matrix_algebra(n, coeff)
+        return matrix_algebra(n, _plain(rest) if rest else scalar_algebra())
     if s.startswith("tensor(") and s.endswith(")"):
         body = s[7:-1]
         depth = 0
@@ -104,15 +104,14 @@ def parse_instance_id(instance_id: str):
             elif ch in ")]":
                 depth -= 1
             elif ch == "," and depth == 0:
-                left = parse_instance_id(body[:i])
-                right = parse_instance_id(body[i + 1 :])
-                if isinstance(left, RegularMHA):
-                    left = left.algebra
-                if isinstance(right, RegularMHA):
-                    right = right.algebra
-                return tensor_algebra(left, right)
-        raise UnknownInstance(instance_id)
+                return tensor_algebra(_plain(body[:i]), _plain(body[i + 1 :]))
     raise UnknownInstance(instance_id)
+
+
+def _plain(instance_id: str) -> Algebra:
+    """The algebra an id names, without its Hopf structure."""
+    h = parse_instance_id(instance_id)
+    return h.algebra if isinstance(h, RegularMHA) else h
 
 
 def instance_to_json(h: RegularMHA) -> dict:
@@ -154,50 +153,68 @@ def instance_from_json(obj) -> RegularMHA:
     from .aqg import from_hopf_data
     from .instances import function_algebra, get_group, group_algebra
 
+    if not isinstance(obj, dict):
+        raise MalformedSpec(f"an instance description is a JSON object, not {obj!r}")
     if "rule" in obj:
         rule = obj["rule"]
-        group = get_group(obj.get("group", ""))
+        group = _id(obj, "group", get_group, default="")
         if rule == "function_algebra":
             return function_algebra(group)
         if rule == "group_algebra":
             return group_algebra(group)
         raise MalformedSpec(f"unknown rule {rule!r}", field="rule")
-    try:
-        domain = obj["domain"]
-        basis = [key_from_json(k) for k in obj["basis"]]
-        product = {
-            (key_from_json(k1), key_from_json(k2)): element_from_json(e)
-            for k1, k2, e in obj["product"]
-        }
-        coproduct = {key_from_json(k): element_from_json(t) for k, t in obj["coproduct"]}
-        counit = {
-            key_from_json(k): Scalar.from_tuple(t[:4]) for k, t in obj["counit"]
-        }
-        antipode = {key_from_json(k): element_from_json(e) for k, e in obj["antipode"]}
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as ex:
-        raise MalformedSpec(f"bad instance description: {ex}") from None
+    domain = _id(obj, "domain", str)
+    basis = _read(obj, "basis", lambda v: [key_from_json(k) for k in v])
+    product, coproduct = _table(obj, "product", 2), _table(obj, "coproduct")
+    counit, antipode = _table(obj, "counit", read=Scalar.from_tuple), _table(obj, "antipode")
     _check_tables(domain, basis, product, coproduct, counit, antipode)
 
-    identity = None
     if "identity" in obj:
-        identity = element_from_json(obj["identity"])
+        identity = _read(obj, "identity", element_from_json)
     else:
         identity = _find_identity(domain, basis, product)
-    alg = Algebra(
-        domain,
-        lambda k1, k2: product[(k1, k2)],
-        basis=basis,
-        identity=identity,
-        name=domain,
-    )
-    return from_hopf_data(
-        alg,
-        lambda k: coproduct[k],
-        counit.__getitem__,
-        lambda k: antipode[k],
-        name=domain,
-        meta={"kind": "explicit"},
-    )
+    alg = Algebra(domain, lambda *k: product[k], basis=basis, identity=identity, name=domain)
+    try:
+        return from_hopf_data(
+            alg, coproduct.__getitem__, counit.__getitem__, antipode.__getitem__,
+            name=domain, meta={"kind": "explicit"},
+        )
+    except Singular as ex:  # a product without identity is no Hopf data
+        raise MalformedSpec(f"product: Singular: {ex}", field="product") from None
+
+
+def _read(obj: dict, name: str, read: Callable):
+    """``read(obj[name])``; a missing field or a shape error inside it raises
+    :class:`MalformedSpec` naming the field."""
+    try:
+        return read(obj[name])
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError, MalformedSpec) as ex:
+        raise MalformedSpec(f"{name}: {type(ex).__name__}: {ex}", field=name) from None
+
+
+def _table(obj: dict, name: str, arity: int = 1, read: Callable = element_from_json) -> dict:
+    """The table ``obj[name]``, a list of entries [*keys, value] (``arity``
+    keys), as {key or key tuple: ``read(value)``}; see :func:`_read`."""
+
+    def entry(e: list) -> tuple:
+        if not isinstance(e, list) or len(e) != arity + 1:
+            raise ValueError(f"an entry is {arity} key(s) and a value, not {e!r}")
+        keys = tuple(map(key_from_json, e[:arity]))
+        return keys if arity > 1 else keys[0], read(e[arity])
+
+    return _read(obj, name, lambda entries: dict(map(entry, entries)))
+
+
+def _id(obj: dict, name: str, parse: Callable = parse_instance_id, default=None):
+    """``parse`` of the id string ``obj[name]`` (or ``default``); a missing,
+    non-string or unknown id raises :class:`MalformedSpec` naming the field."""
+    value = obj.get(name, default)
+    if not isinstance(value, str):
+        raise MalformedSpec(f"{name}: an id is a string, not {value!r}", field=name)
+    try:
+        return parse(value)
+    except UnknownInstance as ex:
+        raise MalformedSpec(f"{name}: UnknownInstance: {ex}", field=name) from None
 
 
 def _check_tables(domain, basis, product, coproduct, counit, antipode) -> None:
@@ -216,9 +233,9 @@ def _check_table(name, table, space, table_keys, term_keys) -> None:
     and no other; each image lies over ``space`` and each of its term keys
     is in ``term_keys`` (``space`` None: the images are Scalars).  Raises
     :class:`MalformedSpec` naming the table otherwise."""
-    missing = next((k for k in table_keys if k not in table), None)
-    if missing is not None:
-        raise MalformedSpec(f"{name}: no entry for {missing!r}", field=name)
+    for k in table_keys:
+        if k not in table:
+            raise MalformedSpec(f"{name}: no entry for {k!r}", field=name)
     for k, img in table.items():
         if k not in table_keys:
             raise MalformedSpec(f"{name}: key {k!r} is not a basis key", field=name)
@@ -228,11 +245,11 @@ def _check_table(name, table, space, table_keys, term_keys) -> None:
             raise MalformedSpec(
                 f"{name}[{k!r}] lies over {img.domain!r}, not {space!r}", field=name
             )
-        bad = next((t for t in img.coeffs if t not in term_keys), None)
-        if bad is not None:
-            raise MalformedSpec(
-                f"{name}[{k!r}] has the term key {bad!r}, not a basis key", field=name
-            )
+        for t in img.coeffs:  # a null term key is a key like any other
+            if t not in term_keys:
+                raise MalformedSpec(
+                    f"{name}[{k!r}] has the term key {t!r}, not a basis key", field=name
+                )
 
 
 def _find_identity(domain, basis, product) -> Element | None:
@@ -264,60 +281,46 @@ def action_from_json(obj):
     from .instances import (
         get_group,
         grading_action,
-        scalar_algebra,
         translation_action,
     )
 
-    try:
-        rule = obj["rule"]
-        algebra_id = obj["algebra_id"]
-    except KeyError as ex:
-        raise MalformedSpec(f"action description missing {ex}") from None
+    if not isinstance(obj, dict):
+        raise MalformedSpec(f"an action description is a JSON object, not {obj!r}")
+    if "rule" not in obj:
+        raise MalformedSpec("action description missing 'rule'", field="rule")
+    rule = obj["rule"]
 
     def group_of(instance_id):
         if instance_id.startswith("K(") or instance_id.startswith("C["):
             return get_group(instance_id[2:-1])
-        raise MalformedSpec(f"cannot infer group from {instance_id!r}")
+        raise UnknownInstance(f"cannot infer group from {instance_id!r}")
 
     if rule == "translation":
-        return translation_action(group_of(algebra_id))
+        return translation_action(_id(obj, "algebra_id", group_of))
     if rule == "grading":
-        return grading_action(group_of(algebra_id))
-    if rule in ("adjoint", "trivial"):
-        h = parse_instance_id(algebra_id)
-        if not isinstance(h, RegularMHA):
-            raise MalformedSpec(
-                f"rule {rule!r} needs a Hopf-type algebra, not {algebra_id!r}", field="algebra_id"
-            )
+        return grading_action(_id(obj, "algebra_id", group_of))
+    if rule not in ("adjoint", "trivial", "table"):
+        raise MalformedSpec(f"unknown action rule {rule!r}", field="rule")
+    h = _id(obj, "algebra_id")
+    if not isinstance(h, RegularMHA):
+        raise MalformedSpec(
+            f"rule {rule!r} needs a Hopf-type algebra, not {obj['algebra_id']!r}",
+            field="algebra_id",
+        )
     if rule == "adjoint":
         return adjoint_action(h)
+    space = _id(obj, "space_id", _plain, default="C" if rule == "trivial" else None)
     if rule == "trivial":
-        space_id = obj.get("space_id", "C")
-        space = parse_instance_id(space_id)
-        if isinstance(space, RegularMHA):
-            space = space.algebra
         return trivial_action(h, space)
-    if rule == "table":
-        h = parse_instance_id(algebra_id)
-        try:
-            space = parse_instance_id(obj["space_id"])
-            table = {
-                (key_from_json(ka), key_from_json(kx)): element_from_json(e)
-                for ka, kx, e in obj["entries"]
-            }
-        except (KeyError, TypeError, ValueError) as ex:
-            raise MalformedSpec(f"bad action table: {ex}", field="entries") from None
-        if isinstance(space, RegularMHA):
-            space = space.algebra
-        if not isinstance(h, RegularMHA) or not (h.algebra.is_finite and space.is_finite):
-            raise MalformedSpec(
-                "a table action needs a finite Hopf-type algebra on a finite space", field="entries"
-            )
-        pairs = dict.fromkeys((ka, kx) for ka in h.algebra.basis for kx in space.basis)
-        _check_table("entries", table, space.domain, pairs, set(space.basis))
-        act = BilinearMap(h.domain, space.domain, space.domain, table)
-        return ActionSpec.build(h, space, act, rule="table")
-    raise MalformedSpec(f"unknown action rule {rule!r}", field="rule")
+    table = _table(obj, "entries", 2)
+    if not (h.algebra.is_finite and space.is_finite):
+        raise MalformedSpec(
+            "a table action needs a finite Hopf-type algebra on a finite space", field="entries"
+        )
+    pairs = dict.fromkeys((ka, kx) for ka in h.algebra.basis for kx in space.basis)
+    _check_table("entries", table, space.domain, pairs, set(space.basis))
+    act = BilinearMap(h.domain, space.domain, space.domain, table)
+    return ActionSpec.build(h, space, act, rule="table")
 
 
 def load_json(path: str):

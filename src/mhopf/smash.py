@@ -251,9 +251,9 @@ def _certify(s: SmashProduct) -> Report:
     if exhaustive:
         structural = structural_certificate(alg)
         rep.add_certificate("associativity", structural or certify_associative(alg))
-        lk, rk = radicals(alg)
-        rep.add("radical-left-zero", not lk, lk[:1] or None)
-        rep.add("radical-right-zero", not rk, rk[:1] or None)
+        lk, rk, mode = radicals(alg)
+        rep.add("radical-left-zero", not lk, lk[:1], mode, alg.dim)
+        rep.add("radical-right-zero", not rk, rk[:1], mode, alg.dim)
         pairs = product(alg.basis, alg.basis)
     else:
         keys = alg.sample_keys(4)
@@ -418,8 +418,8 @@ def verify_pi_relations(s: SmashProduct, sample_range: int = 4) -> Report:
     )
 
     if exhaustive:
-        rep.add("span-pi(R)pi(A)", span_rank(prods_xa) == alg.dim)
-        rep.add("span-pi(A)pi(R)", span_rank(prods_ax) == alg.dim)
+        rep.rank("span-pi(R)pi(A)", span_rank(prods_xa), alg.dim)
+        rep.rank("span-pi(A)pi(R)", span_rank(prods_ax), alg.dim)
     else:
         rep.skip("span-pi(R)pi(A)", "infinite-dimensional")
         rep.skip("span-pi(A)pi(R)", "infinite-dimensional")

@@ -364,8 +364,9 @@ def test_timing_shows_certificate_provenance():
     assert (iso["mode"], iso["cases"]) == ("universal", kernel)
     assert mult["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),dual(C[Z2])): structural smash"
     assert iso["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),K(Z2)): structural smash"
-    # a single-shot check records no provenance
-    assert "mode" not in lines["duality[K(Z2),C[Z2]]:bismash-faithful"]
+    # a rank says so, with the dimension it must reach
+    faithful = lines["duality[K(Z2),C[Z2]]:bismash-faithful"]
+    assert (faithful["mode"], faithful["cases"]) == ("rank", 8)
     _, plain = run_cli("run", "duality", "--group", "Z2", "--json")
     assert all("mode" not in json.loads(l) for l in plain.splitlines())
 
@@ -491,6 +492,26 @@ def test_runs_share_no_construction(capsys):
     assert hashlib.sha1(outs[0].encode()).hexdigest().startswith("deb3bb3b")
 
 
+def test_run_builds_each_finite_dual_once(monkeypatch, capsys):
+    # the dual's axioms, the double dual and the canonical pair (A, A^) read
+    # one dual per quantum group, kept on it by the first finite_dual
+    from mhopf import aqg
+
+    built = []
+    real = aqg.from_hopf_data
+
+    def counted(alg, *args, **kwargs):
+        built.append(kwargs["name"])
+        return real(alg, *args, **kwargs)
+
+    monkeypatch.setattr(aqg, "from_hopf_data", counted)
+    assert main(["run", "all", "--group", "S3", "--json"]) == 0
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest().startswith("032dd1bb")
+    assert sorted(built) == [
+        "dual(C[S3])", "dual(K(S3))", "dual(dual(C[S3]))", "dual(dual(K(S3)))"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv", [("run", "smash"), ("smash", "--action", "a.json"), ("pair", "--group", "Z2")]
 )
@@ -558,50 +579,8 @@ def test_s3_timing_changes_only_the_structural_lines():
     rest = [json.dumps(l, sort_keys=True) for l in lines if l["check"] not in S3_STRUCTURAL]
     assert len(rest) == 132
     digest = hashlib.sha1("\n".join(rest).encode()).hexdigest()
-    assert digest == "25c9a5b3841e4b2f3312d863f699d865ea1b2cfc"
-
-
-# checks made in one shot (a rank, a dimension, an existence, a summary of a
-# sub-report) and the two seeded random loops, keyed by suite and check name
-SINGLE_SHOT = {
-    "local-units:local-units-randomized",
-    "local-units:discrete-type-idempotent",
-    "sweedler-confluence:sweedler-confluence",
-    "integrals:faithful",
-    "integrals:uniqueness-dim-1",
-    "cointegral:cointegral-exists",
-    "cointegral:cointegral-unique",
-    "classify:classify:both",
-    "double-dual:bijective",
-    "action:nondegenerate",
-    "fixed-points:adjoint-fixed-dim",
-    "smash:radical-left-zero",
-    "smash:radical-right-zero",
-    "smash:span-pi(R)pi(A)",
-    "smash:span-pi(A)pi(R)",
-    "pairing:nondegenerate",
-    "pairing:unital-A-on-B",
-    "pairing:unital-B-on-A",
-    "pairing:module-algebra-A-on-B",
-    "pairing:module-algebra-B-on-A",
-    "anti-isomorphism:bijective",
-    "scalar-fixed-points:fixed-multiplier-dim-1",
-    "scalar-fixed-points:fixed-multiplier-scalar",
-    "rank-one:gamma-bijective",
-    "rank-one:representation-rank",
-    "duality:dual-action-certified",
-    "duality:fixed-dim",
-    "duality:fixed-equals-pi(M(R))",
-    "duality:bismash-faithful",
-    "duality:dimension",
-    "duality:bijective",
-    "duality:matrix-form-bijective",
-    "coaction:t1-injective",
-    "coaction:t4-injective",
-    "coaction:B-identified-with-dual",
-    "coaction:dual-side-duality",
-    "coaction:bismash-iso-bijective",
-}
+    # every one of them with its mode and cases, the rank, kernel and nested lines included
+    assert digest == "b6f25bea33f517008ca9d63b28310499c163f57d"
 
 
 # the (anti)homomorphism checks made by certify_algebra_map, with the cases
@@ -614,6 +593,13 @@ ALGEBRA_MAP_CASES = {
         "rank-one:diamond-is-matrix-algebra": "16 pairs",
         "coaction:homomorphism": "4 pairs",
     },
+    "S3": {
+        "axioms:counit-homomorphism": "36 pairs",
+        "axioms:antipode-antihomomorphism": "36 pairs",
+        "smash:pi-homomorphisms": "pi_A 36 pairs, pi_R 36 pairs",
+        "rank-one:diamond-is-matrix-algebra": "1296 pairs",
+        "coaction:homomorphism": "36 pairs",
+    },
     "Z": {
         "axioms:counit-homomorphism": "121 pairs",
         "axioms:antipode-antihomomorphism": "121 pairs",
@@ -622,15 +608,16 @@ ALGEBRA_MAP_CASES = {
 }
 
 
-@pytest.mark.parametrize("group", ["Z2", "Z"])
+@pytest.mark.parametrize("group", ["Z2", "S3", "Z"])
 def test_every_case_loop_check_records_provenance(group):
+    # every line that ran says how it was checked and on how many cases
     _, out = run_cli("run", "all", "--group", group, "--json", "--timing")
     missing = []
     routed = {}
     for line in map(json.loads, out.splitlines()):
         suite, check = line["check"].split(":", 1)
         key = f"{suite.split('[')[0]}:{check}"
-        if line["status"] != "skipped" and key not in SINGLE_SHOT:
+        if line["status"] != "skipped":
             if "mode" not in line or "cases" not in line:
                 missing.append(line["check"])
         if key in ALGEBRA_MAP_CASES[group]:
@@ -671,7 +658,6 @@ UNREACHED = {
     "errors.NotInner": "raised by inner_trivialization",
     "errors.NotUnitalHomomorphism": "raised by inner_action_from",
     # oracles of the tests
-    "instances.validate_group": "the sampled group axioms of the group tests",
     "linalg.in_span": "the span membership oracle of the linear algebra tests",
     # the writer of the instance format
     "serialize.instance_to_json": "writes the files instance_from_json reads; "

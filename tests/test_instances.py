@@ -12,7 +12,6 @@ from mhopf.instances import (
     matrix_algebra,
     scalar_algebra,
     tensor_algebra,
-    validate_group,
 )
 from mhopf.linalg import BilinearMap, LinearMap
 from mhopf.scalars import ONE, Scalar, sc
@@ -20,6 +19,25 @@ from mhopf.scalars import ONE, Scalar, sc
 
 def b(h, key):
     return Element.basis(h.domain, key)
+
+
+def validate_group(g, n: int = 4) -> bool:
+    """Sampled group axioms; invert is checked as a two-sided inverse."""
+    keys = g.sample(n)
+    for p in keys:
+        if g.multiply(p, g.identity) != p or g.multiply(g.identity, p) != p:
+            return False
+        q = g.invert(p)
+        if g.multiply(p, q) != g.identity or g.multiply(q, p) != g.identity:
+            return False
+        if g.invert(q) != p:
+            return False
+    for p in keys:
+        for q in keys:
+            for r in keys:
+                if g.multiply(g.multiply(p, q), r) != g.multiply(p, g.multiply(q, r)):
+                    return False
+    return True
 
 
 class TestGroups:

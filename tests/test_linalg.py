@@ -222,9 +222,9 @@ def test_zeroed_basis_element_is_a_radical():
         return Element.basis("D", (a + b) % 2)
 
     alg = Algebra("D", mul_basis, basis=[0, 1, 2])
-    left, right = radicals(alg)
+    left, right, mode = radicals(alg)
     e2 = Element.basis("D", 2)
-    assert left == [e2] and right == [e2]
+    assert left == [e2] and right == [e2] and mode == "kernel"
 
 
 def test_a_checked_identity_proves_both_radicals_zero(monkeypatch):
@@ -239,10 +239,10 @@ def test_a_checked_identity_proves_both_radicals_zero(monkeypatch):
     unit = Element.basis("D", 0)
     with monkeypatch.context() as m:
         m.setattr(mhopf.algebras, "kernel", None)  # no kernel solve is made
-        assert radicals(Algebra("D", cyclic, basis=[0, 1], identity=unit)) == ([], [])
+        assert radicals(Algebra("D", cyclic, basis=[0, 1], identity=unit)) == ([], [], "unit")
     # e_0 is no identity once e_2 is added: the kernel solve finds e_2
     e2 = Element.basis("D", 2)
-    assert radicals(Algebra("D", zeroed, basis=[0, 1, 2], identity=unit)) == ([e2], [e2])
+    assert radicals(Algebra("D", zeroed, basis=[0, 1, 2], identity=unit)) == ([e2], [e2], "kernel")
 
 
 def test_sparse_eliminator_matches_dense_rank():

@@ -115,3 +115,67 @@ def test_only_reports_turns_a_verdict_into_a_status():
         if pattern.search(line)
     ]
     assert hits and {h.split(":")[0] for h in hits} == {"reports.py"}
+
+
+def test_a_failing_rank_line_carries_its_rank_and_dimension():
+    rep = Report(instance="t")
+    rep.rank("bijective", 3, 3)
+    rep.rank("injective", 1, 2)
+    assert [(e.status, e.mode, e.cases, e.witness) for e in rep.entries] == [
+        ("pass", "rank", 3, None),
+        ("fail", "rank", 2, (1, 2)),
+    ]
+
+
+def test_a_failing_kernel_line_carries_its_dimension_or_its_vector():
+    rep = Report(instance="t", exhaustive=False)
+    rep.kernel("uniqueness-dim-1", 1, 1, 6)
+    rep.kernel("cointegral-unique", 2, 1, 6)
+    rep.kernel("nondegenerate", 1, 0, 4, [Element.basis("D", 3)])
+    assert [(e.status, e.mode, e.cases, e.witness) for e in rep.entries] == [
+        ("sampled-pass", "kernel", 6, None),
+        ("fail", "kernel", 6, (2, 1)),
+        ("fail", "kernel", 4, [Element.basis("D", 3)]),
+    ]
+
+
+def test_a_nested_line_names_its_first_failing_sub_line():
+    sub = Report(instance="sub", exhaustive=False)
+    sub.check("law", product([0, 1]), lambda k: True)
+    sub.skip("window", "infinite-dimensional")
+    sub.check("broken", product([0, 1]), lambda k: k == 0)
+    sub.rank("bijective", 1, 2)
+    rep = Report(instance="t")
+    rep.nested("certified", sub)
+    rep.nested("law-only", Report(instance="sub", entries=sub.entries[:2]))
+    failed, passed = rep.entries
+    assert (failed.status, failed.mode, failed.cases) == ("fail", "nested", 4)
+    assert failed.witness == ("broken", 1)
+    assert failed.relies_on == (
+        "law: sampled-pass sampled 2",
+        "window: skipped None None",
+        "broken: fail sampled 2",
+        "bijective: fail rank 2",
+    )
+    # the status is the outer report's: a sampled sub-line does not relabel it
+    assert (passed.status, passed.witness, passed.cases) == ("pass", None, 2)
+    assert json.loads(passed.to_json(timing=True))["relies_on"][0] == "law: sampled-pass sampled 2"
+
+
+def test_every_report_add_in_src_names_its_mode():
+    # Report.add(check, ok, witness, mode, cases): a verdict that does not say
+    # how it was checked cannot be written in src/mhopf.  Other .add calls
+    # (SparseEliminator.add, set.add) take one argument
+    import ast
+
+    bare, seen = [], 0
+    for path in sorted(Path(mhopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr != "add" or len(node.args) + len(node.keywords) < 2:
+                continue
+            seen += 1
+            if len(node.args) < 4 and "mode" not in {k.arg for k in node.keywords}:
+                bare.append(f"{path.name}:{node.lineno}")
+    assert seen and bare == []

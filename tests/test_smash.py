@@ -830,8 +830,9 @@ class TestCorruptedStructure:
         "S3": {
             "pi-products": ("pi(a)pi(x)", (0, 1, 2), (1, 0, 2)),
             "pi-homomorphisms": ("pi_A", (0, 2, 1), (0, 2, 1)),
-            "span-pi(R)pi(A)": None,
-            "span-pi(A)pi(R)": None,
+            # the products gathered before pi-products' first failure: (rank, dim)
+            "span-pi(R)pi(A)": (2, 36),
+            "span-pi(A)pi(R)": (2, 36),
             "w-bijection": ((1, 0, 2), (0, 2, 1)),
             "conjugated-smash-formula": ((0, 1, 2), (1, 0, 2), (1, 2, 0), (0, 2, 1)),
             "conjugated-dual-action": ((0, 2, 1), (1, 0, 2), (0, 2, 1)),
