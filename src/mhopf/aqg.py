@@ -177,12 +177,13 @@ def verify_integral(g: AlgebraicQuantumGroup, sample_range: int = 5) -> Report:
 # -- cointegrals ----------------------------------------------------------------
 
 
-def cointegral_solutions(h: RegularMHA, side: str) -> list[Element]:
+def solve_cointegral_equations(h: RegularMHA, side: str) -> list[Element]:
+    """Basis of the solutions of a x = eps(a) x (left) or x a = eps(a) x
+    (right) for every basis a; ``h.cointegral_solutions`` keeps it per side."""
     alg = h.algebra
     keys = alg.basis
     mul = alg.mul_basis
 
-    # a x = eps(a) x for every basis a (left), x a = eps(a) x (right)
     def column(kj) -> Element:
         x = Element.basis(h.domain, kj)
         return stack(
@@ -212,7 +213,7 @@ def find_cointegral(h: RegularMHA, side: str = "left") -> Cointegral | None:
             if prod != sided.scale(h.counit(a)):
                 return None
         return Cointegral(sided, side)
-    sols = cointegral_solutions(h, side)
+    sols = h.cointegral_solutions[side]
     if not sols:
         return None
     return Cointegral(_normalize_vector(sols[0]), side)
@@ -223,7 +224,7 @@ def classify_type(h: RegularMHA) -> str:
     alg = h.algebra
     if alg.is_finite:
         has_integrals = bool(h.integral_solutions["left"])
-        has_cointegrals = bool(cointegral_solutions(h, "left"))
+        has_cointegrals = bool(h.cointegral_solutions["left"])
     else:
         if h.integral_oracle is None or (h.cointegral_oracle is None and not h.has_identity):
             raise Undecidable(f"{h.name}: no integral/cointegral oracles")
@@ -441,6 +442,12 @@ def from_hopf_data(
 
 
 # -- structure-preserving map verification ------------------------------------------
+
+
+# the lines of verify_mha_isomorphism, in order
+ISOMORPHISM_CHECKS = (
+    "bijective", "multiplicative", "comultiplicative", "counit-compatible", "antipode-compatible"
+)
 
 
 def verify_mha_isomorphism(

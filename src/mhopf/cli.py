@@ -26,7 +26,6 @@ from .actions import (
 )
 from .aqg import (
     classify_type,
-    cointegral_solutions,
     double_dual_matching,
     find_cointegral,
     finite_dual,
@@ -261,7 +260,7 @@ def _cointegral_report(h: RegularMHA) -> Report:
     rep = Report(instance=h.name)
     co = find_cointegral(h, "left")
     rep.add("cointegral-exists", co is not None, "no nonzero solution", "kernel", h.algebra.dim)
-    rep.kernel("cointegral-unique", len(cointegral_solutions(h, "left")), 1, h.algebra.dim)
+    rep.kernel("cointegral-unique", len(h.cointegral_solutions["left"]), 1, h.algebra.dim)
     if co is not None:
         rep.check(
             "cointegral-defining-identity",
@@ -423,7 +422,7 @@ def main(argv=None) -> int:
 
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("suite", choices=SUITES)
-    run.add_argument("--group", default="Z2", help="builtin group id (Z1..Z4, S3, Z)")
+    run.add_argument("--group", default="Z2", help="builtin group id (Z1..Z4, S3, D4, Z)")
     run.add_argument("--instance", help="instance file (.json) or builtin id")
     run.add_argument("--sample-range", type=int, default=5)
     run.add_argument("--json", action="store_true")

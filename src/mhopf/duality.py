@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product, starmap
 from typing import Callable
 
-from .actions import ActionSpec, action_certificates
+from .actions import ActionSpec, action_certificates, transport_certificates
 from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
 from .elements import Element, cast, map_leg, merge_legs, tensor, weight_leg
 from .errors import AlgebraMismatch, CoactionInvalid, InfiniteDimensional
@@ -143,11 +143,18 @@ def bismash(d: DualAction) -> SmashProduct:
     return d._bismash
 
 
-def bismash_rank(d: DualAction) -> tuple[int, int]:
-    """(operator rank, dimension) of the bismash acting on R#A by
-    ((x#a)#b) v = (x#a)(b v); it acts faithfully iff the two are equal."""
+def bismash_rank(d: DualAction) -> tuple[int, int, str]:
+    """(operator rank, dimension, vectors ranked on) of the bismash acting on
+    R#A by ((x#a)#b) v = (x#a)(b v); it acts faithfully iff the first two
+    are equal.  When R is unital the rank is read first on the dim A vectors
+    1#a (see :func:`smash.module_representation_rank`)."""
+    s = d.smash
     mod = standard_module(bismash(d))
-    return module_representation_rank(mod), mod.algebra.dim
+    probe = None
+    if s.ralg.identity is not None:
+        probe = [s.element(s.ralg.identity, a) for a in s.mha.algebra.basis_elements()]
+    rank, n = module_representation_rank(mod, probe)
+    return rank, mod.algebra.dim, f"{n} of {len(mod.space_basis)} vectors"
 
 
 # -- the W-conjugated picture -------------------------------------------------------
@@ -426,6 +433,19 @@ def coaction_to_action(c: Coaction, p: DualPair) -> ActionSpec:
     )
 
 
+def dual_identification(p: DualPair, pd: DualPair) -> LinearMap:
+    """J: B -> A^ with <a, J(b)> = <a, b>, for a pair (A, B) and the pair
+    ``pd`` = (A, A^) of its finite A."""
+    A, B = p.A, p.B
+    table = {}
+    for kb in B.algebra.basis:
+        b = Element.basis(B.domain, kb)
+        table[kb] = pd.bridge.from_values(
+            {ka: p.pair(Element.basis(A.domain, ka), b) for ka in A.algebra.basis}
+        )
+    return LinearMap(B.domain, pd.B.domain, table)
+
+
 def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) -> Report:
     """Empirical form of the general duality statement for a concrete pair.
 
@@ -439,8 +459,11 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
 
     ``dual-side-duality`` holds when ``r_spec`` acts as the action under ``iso``
     on every basis pair (a, x) and ``iso.report`` has no failing line; its
-    witness is the first differing pair or failing line.  On a differing
+    witness is the first differing pair, or the first failing line's
+    ``(check, witness)`` as :meth:`Report.nested` gives it.  On a differing
     pair the composite lines are skipped: they would be about another action.
+    Otherwise the dual action of B on R#A is certified by transport from
+    ``iso``'s dual action through J (:func:`actions.transport_certificates`).
     """
     from .aqg import verify_mha_isomorphism
     from .pairing import rank_one_gamma
@@ -451,24 +474,16 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
         raise InfiniteDimensional(p.name)
 
     pd, s = iso.dual.pair, iso.dual.smash
-    bridge = pd.bridge
-
-    # identify B with A^ through the pairing: J(b) has <a, b> = <a, J(b)>
-    table = {}
-    for kb in B.algebra.basis:
-        b = Element.basis(B.domain, kb)
-        table[kb] = bridge.from_values(
-            {ka: p.pair(Element.basis(A.domain, ka), b) for ka in A.algebra.basis}
-        )
-    J = LinearMap(B.domain, pd.B.domain, table)
-    rep.nested("B-identified-with-dual", verify_mha_isomorphism(B, pd.B, J))
+    J = dual_identification(p, pd)
+    j_report = verify_mha_isomorphism(B, pd.B, J)
+    rep.nested("B-identified-with-dual", j_report)
     J_inv = J.inverse_on(B.algebra.basis, pd.B.algebra.basis)
 
     act, certified = r_spec.act.table, s.action.act.table
     mismatch, n = first_failure(
         product(s.mha.algebra.basis, s.ralg.basis), lambda ka, kx: act[ka, kx] == certified[ka, kx]
     )
-    failed = next((e.check for e in iso.report.failures()), None)
+    failed = next(((e.check, e.witness) for e in iso.report.failures()), None)
     cited = [e.cited for e in iso.report.entries]
     ok = mismatch is None and failed is None
     rep.add("dual-side-duality", ok, mismatch or failed, "pairs", n, cited)
@@ -476,7 +491,10 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
         for check in ("bismash-iso-R-tensor-A#B", "bismash-iso-bijective"):
             rep.skip(check, f"{r_spec.name} is not the action under the certified duality")
         return rep
-    d_b = dual_action(p, s)
+    # B acts on R#A as A^ does through J, so its module-algebra laws are
+    # carried over from the certified dual action, not verified again
+    d_b = unverified_dual_action(p, s)
+    transport_certificates(d_b.spec, iso.dual.spec, J, j_report)
     bis_b = bismash(d_b)
 
     sab_hat = pairing_smash(pd, "AB")

@@ -105,12 +105,31 @@ def symmetric_group_3() -> GroupSpec:
     )
 
 
+def permutation_group(name: str, generators: Sequence[tuple]) -> GroupSpec:
+    """The permutations generated by ``generators`` (one-line notation),
+    elements sorted."""
+    identity = tuple(range(len(generators[0])))
+    elems, todo = {identity}, [identity]
+    while todo:
+        p = todo.pop()
+        for q in generators:
+            r = _perm_mul(p, q)
+            if r not in elems:
+                elems.add(r)
+                todo.append(r)
+    return GroupSpec(
+        name=name, identity=identity, multiply=_perm_mul, invert=_perm_inv, elements=sorted(elems)
+    )
+
+
 BUILTIN_GROUPS: dict[str, Callable[[], GroupSpec]] = {
     "Z1": trivial_group,
     "Z2": lambda: cyclic_group(2),
     "Z3": lambda: cyclic_group(3),
     "Z4": lambda: cyclic_group(4),
     "S3": symmetric_group_3,
+    # the symmetries of a square, on its corners 0..3
+    "D4": lambda: permutation_group("D4", [(1, 2, 3, 0), (0, 3, 2, 1)]),
     "Z": integer_group,
 }
 

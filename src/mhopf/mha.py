@@ -93,6 +93,14 @@ class RegularMHA:
 
         return BasisMemo(partial(solve_integral_equations, self))
 
+    @cached_property
+    def cointegral_solutions(self) -> BasisMemo:
+        """side -> basis of the solutions of that side's cointegral
+        equations, solved on first use."""
+        from .aqg import solve_cointegral_equations
+
+        return BasisMemo(partial(solve_cointegral_equations, self))
+
     # -- covering maps ------------------------------------------------------
 
     def cover_key(self, variant: int, ka, kb) -> Element:

@@ -490,7 +490,7 @@ def rank_one_realization(p: DualPair) -> Report:
     rep.rank("gamma-bijective", rank, sab.algebra.dim)
 
     # standard action of A#A^ on A: (a#b)a' = a (b |> a'); full rank (dim A)^2
-    rank = module_representation_rank(standard_module(sab))
+    rank, _ = module_representation_rank(standard_module(sab))
     rep.rank("representation-rank", rank, A.algebra.dim ** 2)
 
     # the diamond algebra is the full matrix algebra: transport to matrix

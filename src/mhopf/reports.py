@@ -133,9 +133,10 @@ class Report:
         kept only on a failure."""
         self._verdict(check, ok, self.exhaustive, witness, mode, cases, tuple(relies_on))
 
-    def rank(self, check: str, rank: int, dim: int) -> None:
-        """Whether an exact rank reaches ``dim``; witness ``(rank, dim)``."""
-        self.add(check, rank == dim, (rank, dim), "rank", dim)
+    def rank(self, check: str, rank: int, dim: int, cases=None) -> None:
+        """Whether an exact rank reaches ``dim``; witness ``(rank, dim)``.
+        The cases are ``dim`` unless given."""
+        self.add(check, rank == dim, (rank, dim), "rank", dim if cases is None else cases)
 
     def kernel(self, check: str, dim: int, expected: int, unknowns: int, witness=None) -> None:
         """Whether a kernel solved for ``unknowns`` unknowns has dimension

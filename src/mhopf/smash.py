@@ -59,7 +59,7 @@ from .errors import (
     NotInner,
     UnverifiedAction,
 )
-from .linalg import BasisMemo, BilinearMap, LinearMap, span_rank
+from .linalg import BasisMemo, BilinearMap, LinearMap, span_rank, stack
 from .mha import RegularMHA
 from .reports import Report, first_failure
 
@@ -686,14 +686,26 @@ def module_to_covariant(m: PlainModule, s: SmashProduct) -> CovariantModule:
     )
 
 
-def module_representation_rank(m: PlainModule) -> int:
-    """Rank of the representation algebra -> End(V); faithful iff = dim."""
+def module_representation_rank(m: PlainModule, probe: list | None = None) -> tuple[int, int]:
+    """(rank, vectors): the rank of the representation rho: algebra -> End(V),
+    which is faithful iff the rank is dim(algebra), and the number of
+    vectors of V it was read on.
+
+    Given a ``probe`` list P of vectors of V, the map e -> (e v) for v in P
+    is ranked first.  It is rho followed by the linear map T -> (T v) for v
+    in P, so its rank is at most rank(rho) <= dim(algebra); when it reaches
+    dim(algebra), rho is injective and that is its rank.  Short of it, the
+    rank is read again on every basis vector of V, so it is rank(rho)
+    either way.
+    """
+    E = m.algebra.basis_elements()
+    if probe is not None:
+        rank = span_rank([stack([m.act(e, v) for v in probe]) for e in E])
+        if rank == m.algebra.dim:
+            return rank, len(probe)
     V = m.space_domain
-    ops = [
-        operator_element(V, m.space_basis, lambda v, e=e: m.act(e, v), f"op({V})")
-        for e in m.algebra.basis_elements()
-    ]
-    return span_rank(ops)
+    ops = [operator_element(V, m.space_basis, lambda v, e=e: m.act(e, v), f"op({V})") for e in E]
+    return span_rank(ops), len(m.space_basis)
 
 
 # -- structural isomorphisms -----------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from mhopf.aqg import (
     AlgebraicQuantumGroup,
     classify_type,
-    cointegral_solutions,
     compute_modular_automorphism,
     double_dual_matching,
     find_cointegral,
@@ -72,7 +71,7 @@ class TestCointegrals:
 
     def test_uniqueness(self, kz2, cz2, cs3, ks3, kz3, cz3):
         for h in (kz2, cz2, cs3, ks3, kz3, cz3):
-            assert len(cointegral_solutions(h, "left")) == 1
+            assert len(h.cointegral_solutions["left"]) == 1
 
 
 class TestClassification:

@@ -151,6 +151,8 @@ def test_duality_command_with_action_file(tmp_path):
         ("Z4", "b6222a9368b7a70d8559113f25adcb3ee785bfe2"),
         # the largest exhaustive run: bismash of dimension 216
         ("S3", "032dd1bb33e56774bd1c61c0e751b6ba9f160163"),
+        # the symmetries of the square: bismash of dimension 512
+        ("D4", "1c6146cec38a953f3eb969d6c78d48ef0869dc4b"),
         # K(Z) and C[Z]: the infinite-domain path, checked on sampled key windows
         ("Z", "5dc544e568f0cbac0a8e01436f333c2689ff466d"),
     ],
@@ -364,9 +366,16 @@ def test_timing_shows_certificate_provenance():
     assert (iso["mode"], iso["cases"]) == ("universal", kernel)
     assert mult["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),dual(C[Z2])): structural smash"
     assert iso["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),K(Z2)): structural smash"
-    # a rank says so, with the dimension it must reach
+    # the dual action of K(Z2) is carried over from that of dual(C[Z2])
+    # through the identification J, on its 2x4 basis pairs
+    assert iso["relies_on"][1] == (
+        "dual(smash(K(Z2),C[Z2])): module algebra, module-algebra-law transport 2x4 pairs, "
+        "covered-left-form transport 2x4 pairs, covered-right-form transport 2x4 pairs"
+    )
+    # a rank says so, with the vectors it was read on: the dim A vectors 1#a
+    # of the 4-dimensional R#A decide
     faithful = lines["duality[K(Z2),C[Z2]]:bismash-faithful"]
-    assert (faithful["mode"], faithful["cases"]) == ("rank", 8)
+    assert (faithful["mode"], faithful["cases"]) == ("rank", "2 of 4 vectors")
     _, plain = run_cli("run", "duality", "--group", "Z2", "--json")
     assert all("mode" not in json.loads(l) for l in plain.splitlines())
 
@@ -401,8 +410,9 @@ def test_run_builds_the_duality_chain_once(monkeypatch, capsys):
             "S3",
             {
                 "adjoint(C[S3] on C[S3])": 1,
-                # two dual actions of that name: over (C[S3], K(S3)) and (C[S3], dual(C[S3]))
-                "dual(smash(K(S3),C[S3]))": 2,
+                # over (C[S3], dual(C[S3])); the one over (C[S3], K(S3)) of
+                # the same name is carried over from it, not verified
+                "dual(smash(K(S3),C[S3]))": 1,
                 "grading(K(S3) on C[S3])": 1,
                 "pair(C[S3],K(S3)):AonB": 1,
                 "pair(C[S3],K(S3)):BonA": 1,
@@ -576,11 +586,16 @@ def test_s3_timing_changes_only_the_structural_lines():
     for check, line in changed.items():
         assert line["status"] == "pass" and "witness" not in line
         assert any(": module algebra, " in r for r in line["relies_on"]), check
+    iso = changed["coaction[S3]:bismash-iso-R-tensor-A#B"]
+    assert any("module-algebra-law transport 6x36 pairs" in r for r in iso["relies_on"])
     rest = [json.dumps(l, sort_keys=True) for l in lines if l["check"] not in S3_STRUCTURAL]
     assert len(rest) == 132
     digest = hashlib.sha1("\n".join(rest).encode()).hexdigest()
-    # every one of them with its mode and cases, the rank, kernel and nested lines included
-    assert digest == "b6f25bea33f517008ca9d63b28310499c163f57d"
+    # every one of them with its mode and cases, the rank, kernel and nested
+    # lines included; the faithfulness rank is read on the 6 vectors 1#a
+    faithful = next(l for l in lines if l["check"] == "duality[K(S3),C[S3]]:bismash-faithful")
+    assert (faithful["mode"], faithful["cases"]) == ("rank", "6 of 36 vectors")
+    assert digest == "770eda6d5d888ef003b76edbfb474f6687c82ba2"
 
 
 # the (anti)homomorphism checks made by certify_algebra_map, with the cases

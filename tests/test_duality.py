@@ -3,9 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from mhopf.actions import adjoint_action, trivial_action
+from mhopf.actions import (
+    adjoint_action,
+    transport_certificates,
+    trivial_action,
+    verify_module_algebra,
+)
 from mhopf.algebras import Algebra
-from mhopf.aqg import make_aqg
+from mhopf.aqg import make_aqg, verify_mha_isomorphism
 from mhopf.duality import (
     Coaction,
     bismash,
@@ -13,19 +18,29 @@ from mhopf.duality import (
     coaction_to_action,
     delta_coaction,
     dual_action,
+    dual_identification,
     duality_isomorphism,
     empirical_duality_check,
     fixed_point_theorem_check,
     rl_condition_check,
+    unverified_dual_action,
     verify_coaction,
     w_conjugation,
 )
 from mhopf.elements import Element
 from mhopf.errors import InfiniteDimensional
-from mhopf.instances import group_algebra, scalar_algebra, translation_action, trivial_group
+from mhopf.instances import (
+    canonical_pair,
+    function_algebra,
+    get_group,
+    group_algebra,
+    scalar_algebra,
+    translation_action,
+    trivial_group,
+)
 from mhopf.pairing import pair_of_aqg, pairing_action, pairing_smash
 from mhopf.reports import Report
-from mhopf.smash import pi_R, smash, standard_module
+from mhopf.smash import module_representation_rank, pi_R, smash, standard_module
 from mhopf.scalars import sc
 
 
@@ -132,8 +147,8 @@ class TestBismash:
         assert bis.algebra.dim == 8
 
     def test_faithful(self, dual_z2, dual_trivial_c):
-        assert bismash_rank(dual_z2) == (8, 8)
-        assert bismash_rank(dual_trivial_c) == (4, 4)
+        assert bismash_rank(dual_z2) == (8, 8, "2 of 4 vectors")
+        assert bismash_rank(dual_trivial_c) == (4, 4, "2 of 2 vectors")
 
     def test_trivial_r_reduces_to_pair_smash(self, dual_trivial_c, dual_pair_cz2):
         # ((1 # a) # b) multiplies exactly like a # b in A#B
@@ -310,7 +325,7 @@ class TestCoactions:
             w_conjugation(d),
         ):
             assert {e.status for e in rep.entries} == {"pass"}, rep.summary()
-        rank, dim = bismash_rank(d)
+        rank, dim, _ = bismash_rank(d)
         assert rank == dim
 
     def test_infinite_delta_coaction_sampled(self, pair_z):
@@ -399,7 +414,7 @@ class TestEmpiricalDuality:
         failing = replace(iso_z2, report=Report(iso_z2.report.instance, entries))
         induced = coaction_to_action(delta_coaction(pair_z2.B), pair_z2)
         lines = self.lines(empirical_duality_check(pair_z2, induced, failing))
-        assert lines["dual-side-duality"] == ("fail", "multiplicative")
+        assert lines["dual-side-duality"] == ("fail", ("multiplicative", (0, 0)))
 
     def test_singular_composite_fails_bijective_with_its_rank(self, pair_z2, dual_z2):
         # one image of the certified Θ zeroed after its report was written
@@ -410,3 +425,101 @@ class TestEmpiricalDuality:
         lines = self.lines(empirical_duality_check(pair_z2, induced, iso))
         assert lines["dual-side-duality"] == ("pass", None)
         assert lines["bismash-iso-bijective"] == ("fail", (7, 8))
+
+
+def _chain(name: str):
+    """The objects of a run's duality chain on fresh instances of a group:
+    (the pair (C[G], K(G)), the pair (C[G], dual(C[G])), K(G)#C[G])."""
+    g = get_group(name)
+    K, C = function_algebra(g), group_algebra(g)
+    return canonical_pair(g, (K, C)), pair_of_aqg(make_aqg(C)), smash(translation_action(g, (K, C)))
+
+
+def _b_side(name: str):
+    """(the dual action of K(G) on K(G)#C[G], not yet certified, the
+    certified one of dual(C[G]), J: K(G) -> dual(C[G]), J's report)."""
+    p, pd, s = _chain(name)
+    J = dual_identification(p, pd)
+    source = dual_action(pd, s).spec
+    return unverified_dual_action(p, s).spec, source, J, verify_mha_isomorphism(p.B, pd.B, J)
+
+
+class TestTransport:
+    """The dual action of B is carried over from that of A^ through J only
+    when every premise holds; otherwise it is verified as before."""
+
+    @staticmethod
+    def lines(rep):
+        return [(e.check, e.status, e.witness, e.mode, e.cases) for e in rep.entries]
+
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "S3"])
+    def test_transport_reads_as_the_verification(self, name):
+        spec, source, J, iso = _b_side(name)
+        rep = transport_certificates(spec, source, J, iso)
+        assert spec.certificates is rep
+        pairs = f"{spec.mha.algebra.dim}x{len(spec.space_basis)} pairs"
+        assert {(e.mode, e.cases) for e in rep.entries} == {("transport", pairs)}
+        for e, cited in zip(rep.entries, source.certificates.entries):
+            assert e.relies_on[0] == f"{source.name}: {cited.cited}"
+            assert len(e.relies_on) == 1 + len(iso.entries)
+        full = verify_module_algebra(spec)
+        assert [(e.check, e.status) for e in rep.entries] == [
+            (e.check, e.status) for e in full.entries
+        ]
+
+    def test_changed_action_entry_is_verified(self):
+        spec, source, J, iso = _b_side("Z2")
+        key = next(k for k in itertools.product(spec.mha.algebra.basis, spec.space_basis)
+                   if not spec.act.table[k].is_zero())
+        spec.act.table[key] = spec.act.table[key].scale(sc(2))
+        rep = transport_certificates(spec, source, J, iso)
+        assert not rep.ok and "transport" not in {e.mode for e in rep.entries}
+        assert self.lines(rep) == self.lines(verify_module_algebra(spec))
+
+    def test_changed_identification_is_verified(self):
+        spec, source, J, _ = _b_side("Z2")
+        kb = spec.mha.algebra.basis[0]
+        J.table[kb] = J.table[kb].scale(sc(2))
+        iso = verify_mha_isomorphism(spec.mha, source.mha, J)
+        assert not iso.ok
+        rep = transport_certificates(spec, source, J, iso)
+        assert rep.ok and "transport" not in {e.mode for e in rep.entries}
+        assert self.lines(rep) == self.lines(verify_module_algebra(spec))
+
+    def test_changed_cover_of_b_is_verified(self):
+        # J's lines read B's product, coproduct t1, counit and antipode; the
+        # module-algebra law reads t3, so a changed t3 is caught by premise 5
+        spec, source, J, iso = _b_side("Z2")
+        t3 = spec.mha._covers[3].table
+        t3[0, 0] = t3[0, 0].scale(sc(2))
+        rep = transport_certificates(spec, source, J, iso)
+        assert "transport" not in {e.mode for e in rep.entries}
+        assert self.lines(rep) == self.lines(verify_module_algebra(spec))
+        assert not rep.ok
+
+
+class TestFaithfulProbe:
+    """bismash-faithful reads the rank on the vectors 1#a first."""
+
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3", "D4"])
+    def test_probe_rank_is_the_full_rank(self, name):
+        _, pd, s = _chain(name)
+        d = dual_action(pd, s)
+        n, dim_v = s.mha.algebra.dim, s.algebra.dim
+        assert bismash_rank(d) == (n * dim_v, n * dim_v, f"{n} of {dim_v} vectors")
+        assert module_representation_rank(standard_module(bismash(d))) == (n * dim_v, dim_v)
+
+    def test_unfaithful_action_fails_with_the_full_rank(self):
+        # the first basis element b of B acts as zero after R#A#B was built,
+        # so the operators of u#b vanish for the 4 basis elements u of R#A
+        _, pd, s = _chain("Z2")
+        d = dual_action(pd, s)
+        bismash(d)
+        kb = pd.B.algebra.basis[0]
+        for kv in s.algebra.basis:
+            d.spec.act.table[kb, kv] = Element.zero(s.algebra.domain)
+        rank, dim, cases = bismash_rank(d)
+        assert (rank, dim, cases) == (4, 8, "4 of 4 vectors")
+        rep = Report()
+        rep.rank("bismash-faithful", rank, dim, cases)
+        assert (rep.entries[0].status, rep.entries[0].witness) == ("fail", (4, 8))

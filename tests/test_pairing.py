@@ -131,7 +131,7 @@ class TestStandardModule:
     def test_faithful(self, pair_z2, pair_z3, pair_s3):
         for p in (pair_z2, pair_z3, pair_s3):
             mod = standard_module(pairing_smash(p))
-            assert module_representation_rank(mod) == mod.algebra.dim
+            assert module_representation_rank(mod) == (mod.algebra.dim, len(mod.space_basis))
 
     def test_identity_like_action(self, pair_z2):
         s = pairing_smash(pair_z2)

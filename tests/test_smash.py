@@ -736,7 +736,7 @@ class TestStandardModule:
             lambda u, x: _std_act(s, u, x),
             name="std",
         )
-        assert module_representation_rank(mod) == s.algebra.dim
+        assert module_representation_rank(mod) == (s.algebra.dim, len(mod.space_basis))
 
     @staticmethod
     def _matches_reference(s):
@@ -751,7 +751,7 @@ class TestStandardModule:
         tr = translation_action(s3)
         assert verify_module_algebra(tr).ok
         mod = self._matches_reference(smash(tr))
-        assert module_representation_rank(mod) == mod.algebra.dim
+        assert module_representation_rank(mod) == (mod.algebra.dim, len(mod.space_basis))
 
     def test_bismash_z2(self, z2):
         tr = translation_action(z2)
