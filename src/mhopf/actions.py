@@ -28,7 +28,6 @@ from .algebras import (
     multiplier_product,
     multiplier_space,
 )
-from .aqg import ISOMORPHISM_CHECKS
 from .elements import Element, cast, map_leg, merge_legs
 from .errors import (
     AlgebraMismatch,
@@ -38,7 +37,7 @@ from .errors import (
     NotUnitalHomomorphism,
     UnverifiedAction,
 )
-from .linalg import BilinearMap, LinearMap, kernel, linear_solve, stack
+from .linalg import BilinearMap, kernel, linear_solve, stack
 from .mha import RegularMHA
 from .reports import Report, first_failure
 
@@ -115,25 +114,6 @@ class ActionSpec(ModuleSpec):
 # -- covered evaluation ------------------------------------------------------------
 
 
-def _sweedler_form(h: RegularMHA, a: Element, form: str) -> tuple[Callable, int, Callable]:
-    """(cover, acting leg, unary) of ``form`` for ``a``; see :func:`covered_legs`."""
-    if form == "id":
-        return (lambda b: h.t3(a, b)), 0, (lambda k: Element.basis(h.domain, k))
-    if form == "Sinv":
-        return (lambda b: h.t2(h.antipode(b), a)), 0, h.antipode_inv_key
-    if form == "S":
-        return (lambda b: h.t4(a, h.antipode_inv(b))), 1, h.antipode_key
-    raise ValueError(f"form {form!r}")
-
-
-def covered_sweedler(h: RegularMHA, a: Element, b: Element, form: str) -> Element:
-    """The tensor over (A, A) that :func:`covered_legs` reads for ``a`` and the
-    cover ``b``, with the unary applied to its acting leg: a_(1) b (x) a_(2),
-    S^-1(a_(1)) b (x) a_(2) or a_(1) (x) S(a_(2)) b."""
-    cover, leg, unary = _sweedler_form(h, a, form)
-    return map_leg(cover(b), leg, unary)
-
-
 def covered_legs(m: ModuleSpec, a: Element, v: Element, form: str = "id") -> Element:
     """The covered Sweedler sum of ``a`` against ``v``, grounded through m.witness(v).
 
@@ -150,7 +130,14 @@ def covered_legs(m: ModuleSpec, a: Element, v: Element, form: str = "id") -> Ele
     "Sinv", and (A, space) for "S".
     """
     h = m.mha
-    cover, leg, unary = _sweedler_form(h, a, form)
+    if form == "id":
+        cover, leg, unary = (lambda b: h.t3(a, b)), 0, (lambda k: Element.basis(h.domain, k))
+    elif form == "Sinv":
+        cover, leg, unary = (lambda b: h.t2(h.antipode(b), a)), 0, h.antipode_inv_key
+    elif form == "S":
+        cover, leg, unary = (lambda b: h.t4(a, h.antipode_inv(b))), 1, h.antipode_key
+    else:
+        raise ValueError(f"form {form!r}")
     terms = [
         map_leg(cover(b), leg, lambda k: m.act(unary(k), z), m.space_domain)
         for b, z in m.witness(v)
@@ -289,93 +276,6 @@ def action_certificates(s: ActionSpec) -> Report:
     if not rep.ok:
         raise UnverifiedAction(f"{s.name}: {', '.join(f.check for f in rep.failures())}")
     return rep
-
-
-def transport_certificates(s: ActionSpec, source: ActionSpec, J: LinearMap, iso: Report) -> Report:
-    """The module-algebra report of ``s``, carried over from the certified
-    ``source`` through J: B -> B' (mode ``transport``), and stored on
-    ``s.certificates``.  When a premise fails it is verify_module_algebra's
-    report instead, so a failing line keeps its witness.
-
-    Write b.x for the action s of B on R and c.'x for the action source of
-    B' on R.  The premises, each checked here:
-
-    1. B is finite and unital, s and source act on the same finite algebra R,
-       and both witness unitality by the identity: w(x) = [(1, x)];
-    2. every line of ``source.certificates`` is ``pass``;
-    3. ``iso`` is aqg.verify_mha_isomorphism(B, B', J) and every line is
-       ``pass``: J is a bijective algebra map;
-    4. b.x = J(b).'x for every basis b of B and x of R: |B| dim R pairs;
-    5. J(1) = 1', and (J (x) J) U_f(b) = U'_f(J(b)) for every basis b and
-       each form f of :func:`covered_sweedler`, with U_f(b) its tensor of b
-       covered by 1.
-
-    verify_module_algebra reads every Sweedler sum through covered_legs,
-    which under (1) is U_f(b) with one leg acting, so (5) carries the sums
-    it computes for b onto those for J(b); on Hopf algebras (5) follows from
-    the comultiplicative and antipode lines of (3), but it is checked on the
-    tensors that are read.  Each line then follows from the source's line of
-    the same name, for basis b, b2 of B and x, y of R (each law is linear
-    in its element of B'):
-
-    * module-associativity: (b b2).x = J(b b2).'x = (J(b) J(b2)).'x =
-      J(b).'(J(b2).'x) = b.(b2.x), by (4), (3), the source line and (4);
-    * unitality-witnesses: 1.x = J(1).'x = 1'.'x = x, by (4), (5) and the
-      source line;
-    * nondegenerate: b.x = J(b).'x = 0 for every basis b gives c.'x = 0
-      for every c in J(B) = B' (3), so x = 0;
-    * module-algebra-law: b.(xy) = J(b).'(xy) = sum (J(b)_(1).'x)(J(b)_(2).'y)
-      = sum (J(b_(1)).'x)(J(b_(2)).'y) = sum (b_(1).x)(b_(2).y), by (4), the
-      source law at J(b), (5) with f = id, that is (J (x) J)Delta = Delta' J,
-      and (4);
-    * covered-left-form: (b.x)y = (J(b).'x)y = sum J(b)_(1).'(x(S'(J(b)_(2)).'y))
-      = sum b_(1).(x(S(b_(2)).y)), the same way with f = S;
-    * covered-right-form: x(b.y) = sum J(b)_(2).'((S'^-1(J(b)_(1)).'x)y)
-      = sum b_(2).((S^-1(b_(1)).x)y), with f = Sinv.
-
-    Each line cites the source line and J's lines.
-    """
-    if not _transports(s, source, J, iso):
-        return verify_module_algebra(s)
-    rep = Report(instance=s.name)
-    cases = f"{s.mha.algebra.dim}x{len(s.space_basis)} pairs"
-    via = [f"{iso.instance}: {e.cited}" for e in iso.entries]
-    for e in source.certificates.entries:
-        rep.add(e.check, True, None, "transport", cases, [f"{source.name}: {e.cited}", *via])
-    s.certificates = rep
-    return rep
-
-
-def _transports(s: ActionSpec, source: ActionSpec, J: LinearMap, iso: Report) -> bool:
-    """Premises (1) to (5) of :func:`transport_certificates`, cheapest first."""
-    h, h2 = s.mha, source.mha
-
-    def passes(rep: Report | None, checks: tuple) -> bool:
-        return rep is not None and [(e.check, e.status) for e in rep.entries] == [
-            (c, "pass") for c in checks
-        ]
-
-    if not (
-        s.is_finite() and h.algebra.is_finite and h.has_identity and h2.has_identity
-        and s.ralg is source.ralg
-        and passes(source.certificates, CHECKS) and passes(iso, ISOMORPHISM_CHECKS)
-    ):
-        return False
-    one, one2, image = h.algebra.one(), h2.algebra.one(), J.table.__getitem__
-    X = {kx: Element.basis(s.space_domain, kx) for kx in s.space_basis}
-
-    def carried(kb, form) -> bool:
-        t = covered_sweedler(h, Element.basis(h.domain, kb), one, form)
-        t = map_leg(map_leg(t, 0, image, h2.domain), 1, image, h2.domain)
-        return t == covered_sweedler(h2, image(kb), one2, form)
-
-    act, act2 = s.act.table, source.act
-    return (
-        J(one) == one2
-        and all(s.witness(x) == [(one, x)] and source.witness(x) == [(one2, x)] for x in X.values())
-        and all(carried(kb, f) for kb in h.algebra.basis for f in ("id", "S", "Sinv"))
-        and all(act[kb, kx] == act2(image(kb), X[kx]) for kb in h.algebra.basis for kx in X)
-    )
 
 
 # -- builtin actions ---------------------------------------------------------------

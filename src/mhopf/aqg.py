@@ -444,12 +444,6 @@ def from_hopf_data(
 # -- structure-preserving map verification ------------------------------------------
 
 
-# the lines of verify_mha_isomorphism, in order
-ISOMORPHISM_CHECKS = (
-    "bijective", "multiplicative", "comultiplicative", "counit-compatible", "antipode-compatible"
-)
-
-
 def verify_mha_isomorphism(
     src: RegularMHA, dst: RegularMHA, iso: LinearMap
 ) -> Report:

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from itertools import product, starmap
 from typing import Callable
 
-from .actions import ActionSpec, action_certificates, transport_certificates
-from .algebras import Algebra, Multiplier, certify_algebra_map, operator_element
+from .actions import CHECKS, ActionSpec, action_certificates, verify_module_algebra
+from .algebras import Algebra, Multiplier, certify_algebra_map
 from .elements import Element, cast, map_leg, merge_legs, tensor, weight_leg
-from .errors import AlgebraMismatch, CoactionInvalid, InfiniteDimensional
+from .errors import AlgebraMismatch, CoactionInvalid, InfiniteDimensional, UnverifiedAction
 from .instances import matrix_algebra, tensor_algebra
 from .linalg import BasisMemo, LinearMap, SparseEliminator, span_rank, spans_same, stack
 from .mha import RegularMHA, verify_mha_axioms
@@ -33,6 +33,7 @@ from .pairing import (
     DualPair,
     diamond_algebra,
     diamond_matrix_units,
+    pairing_action,
     pairing_smash,
 )
 from .reports import Report, first_failure
@@ -88,10 +89,102 @@ def unverified_dual_action(p: DualPair, s: SmashProduct) -> DualAction:
 
 def dual_action(p: DualPair, s: SmashProduct) -> DualAction:
     """Construct and certify the dual action (Prop-7.2-style certificate:
-    it makes R#A a B-module algebra)."""
+    it makes R#A a B-module algebra), lifted from the pair's action of B on
+    A by :func:`lift_certificates`."""
     d = unverified_dual_action(p, s)
+    lift_certificates(d)
     action_certificates(d.spec)
     return d
+
+
+def lift_certificates(d: DualAction) -> Report:
+    """The dual action's module-algebra report, lifted from the pair's
+    certified action b |> a of B on A (mode ``lift``) and stored on
+    ``d.spec.certificates``; verify_module_algebra's report when a premise
+    fails, so a failing line keeps its witness.
+
+    Write src for ``pairing_action(p, "BonA")``, b.u for the dual action and
+    Delta(c) = t1(c, 1).  The premises, checked cheapest first:
+
+    1. A, B and R#A are finite, A, B and R unital, src acts on the A of R#A,
+       and d and src witness unitality by the identity: w(v) = [(1, v)];
+    2. every line of src's report, verified on first need, is ``pass``;
+    3. b.(x#a) = x # (b |> a) on basis pairs: |B| dim(R#A) pairs;
+    4. A's t1, which the product of R#A reads, is t1(c, c') =
+       Delta(c)(1 (x) c') on basis pairs: dim A^2 pairs.  So
+       (x#a)(y#a') = sum x(a_(1) y) # a_(2) a';
+    5. Delta(b |> a) = sum a_(1) (x) (b |> a_(2)) on basis pairs: |B| dim A
+       pairs.
+
+    Each line follows from src's line of the same name, for u = x#a and
+    v = y#a':
+
+    * module-associativity, unitality-witnesses: (b b').u =
+      x # b |> (b' |> a) = b.(b'.u) and 1.u = x # (1 |> a) = u, by (3);
+    * nondegenerate: write u = sum_r e_r # u_r over a basis e_r of R.  By
+      (3), b.u = 0 for every b forces b |> u_r = 0 for every b and r, so
+      u = 0;
+    * module-algebra-law: (3) and (4) give b.(uv) = sum x(a_(1) y) #
+      b |> (a_(2) a').  Src's law turns this into sum x(a_(1) y) #
+      (b_(1) |> a_(2))(b_(2) |> a'), which is (b_(1).u)(b_(2).v) by (4)
+      and (5);
+    * covered-left-form: (b.u)v = sum x(a_(1) y) # (b |> a_(2)) a' by (3)
+      to (5).  Src's left form turns this into sum x(a_(1) y) #
+      b_(1) |> (a_(2)(S(b_(2)) |> a')) = sum b_(1).(u(S(b_(2)).v));
+    * covered-right-form: u(b.v) = sum x(a_(1) y) # a_(2)(b |> a') by (3)
+      and (4).  Src's right form turns this into sum x(a_(1) y) #
+      b_(2) |> ((S^-1(b_(1)) |> a_(2)) a'), which is
+      sum b_(2).((S^-1(b_(1)).u)v) by (5) for S^-1(b_(1)) |> a.
+
+    B's covers need no premise: under (1) covered_legs reads the same
+    tensor of B for d as for src, so each lifted law reads the b-legs of
+    src's.  Each line cites src's line; its cases count the pairs of (3) to
+    (5).
+    """
+    src = pairing_action(d.pair, "BonA")
+    if not _lifts(d, src):
+        return verify_module_algebra(d.spec)
+    nb, na, n = d.pair.B.algebra.dim, d.pair.A.algebra.dim, d.smash.algebra.dim
+    cases = f"action {nb}x{n}, t1 {na}x{na}, coproduct {nb}x{na} pairs"
+    rep = Report(instance=d.spec.name)
+    for e in src.certificates.entries:
+        rep.add(e.check, True, None, "lift", cases, [f"{src.name}: {e.cited}"])
+    d.spec.certificates = rep
+    return rep
+
+
+def _lifts(d: DualAction, src: ActionSpec) -> bool:
+    """Premises (1) to (5) of :func:`lift_certificates`, cheapest first."""
+    s, h, B = d.smash, d.smash.mha, d.pair.B.algebra
+    A, R, one = h.algebra, s.ralg, B.identity
+    if not (
+        s.algebra.is_finite and B.is_finite and None not in (A.identity, one, R.identity)
+        and src.ralg is A
+        and all(d.spec.witness(u) == [(one, u)] for u in s.algebra.basis_elements())
+        and all(src.witness(a) == [(one, a)] for a in A.basis_elements())
+    ):
+        return False
+    try:
+        lines = action_certificates(src).entries
+    except UnverifiedAction:
+        return False
+    act, lifted = d.spec.act.table, src.act.table
+    delta = {k: h.delta(A.basis_element(k)) for k in A.basis}
+    return (
+        [(e.check, e.status) for e in lines] == [(c, "pass") for c in CHECKS]
+        and all(
+            act[kb, (kx, ka)] == s.element(R.basis_element(kx), lifted[kb, ka])
+            for kb, (kx, ka) in product(B.basis, s.algebra.basis)
+        )
+        and all(
+            h.cover_key(1, c, c2) == map_leg(delta[c], 1, lambda k: A.mul_basis(k, c2))
+            for c, c2 in product(A.basis, A.basis)
+        )
+        and all(
+            h.delta(lifted[kb, ka]) == map_leg(delta[ka], 1, lambda k: lifted[kb, k])
+            for kb, ka in product(B.basis, A.basis)
+        )
+    )
 
 
 # -- fixed points of the dual action --------------------------------------------
@@ -462,8 +555,10 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
     witness is the first differing pair, or the first failing line's
     ``(check, witness)`` as :meth:`Report.nested` gives it.  On a differing
     pair the composite lines are skipped: they would be about another action.
-    Otherwise the dual action of B on R#A is certified by transport from
-    ``iso``'s dual action through J (:func:`actions.transport_certificates`).
+    Otherwise the dual action of B on R#A is built and certified as that of
+    A^ is, by lifting the pair's certified action of B on A
+    (:func:`lift_certificates`); J and J^-1 are read only by
+    ``B-identified-with-dual`` and the composite.
     """
     from .aqg import verify_mha_isomorphism
     from .pairing import rank_one_gamma
@@ -475,8 +570,7 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
 
     pd, s = iso.dual.pair, iso.dual.smash
     J = dual_identification(p, pd)
-    j_report = verify_mha_isomorphism(B, pd.B, J)
-    rep.nested("B-identified-with-dual", j_report)
+    rep.nested("B-identified-with-dual", verify_mha_isomorphism(B, pd.B, J))
     J_inv = J.inverse_on(B.algebra.basis, pd.B.algebra.basis)
 
     act, certified = r_spec.act.table, s.action.act.table
@@ -491,11 +585,7 @@ def empirical_duality_check(p: DualPair, r_spec: ActionSpec, iso: DualityIso) ->
         for check in ("bismash-iso-R-tensor-A#B", "bismash-iso-bijective"):
             rep.skip(check, f"{r_spec.name} is not the action under the certified duality")
         return rep
-    # B acts on R#A as A^ does through J, so its module-algebra laws are
-    # carried over from the certified dual action, not verified again
-    d_b = unverified_dual_action(p, s)
-    transport_certificates(d_b.spec, iso.dual.spec, J, j_report)
-    bis_b = bismash(d_b)
+    bis_b = bismash(dual_action(p, s))
 
     sab_hat = pairing_smash(pd, "AB")
     gmap = rank_one_gamma(pd, sab_hat, iso.diamond)
@@ -538,27 +628,31 @@ def rl_condition_check(p: DualPair) -> Report:
         raise InfiniteDimensional(p.name)
     sab = pairing_smash(p, "AB")  # verifies the action b |> a
     mod = standard_module(sab)
-    enddom = f"end({A.domain})"
+    E = A.algebra.basis_elements()
 
-    def flat(op: Callable) -> dict:
-        return operator_element(A.domain, A.algebra.basis, op, enddom).coeffs
+    def operator(images) -> LinearMap:  # the operator on A with these basis images
+        return LinearMap(A.domain, A.domain, dict(zip(A.algebra.basis, images)))
 
-    def standard_op(k) -> Callable:  # a' -> a (b |> a') for k = (a, b)
-        u = sab.algebra.basis_element(k)
-        return lambda x: mod.act(u, x)
+    def flat(op: LinearMap) -> dict:  # op over (out-key, in-key) pairs
+        return {(k2, k): c for k, img in op.table.items() for k2, c in img.coeffs.items()}
+
+    # the standard operators a' -> a (b |> a') of k = (a, b), and T = (. <| b)
+    AB = sab.algebra
+    Q = {k: operator(mod.act(AB.basis_element(k), x) for x in E) for k in AB.basis}
+    T = {
+        k: operator(p.ract_BonA(x, B.algebra.basis_element(k)) for x in E) for k in B.algebra.basis
+    }
 
     # image algebra Q0 = span of the standard operators
     elim = SparseEliminator()
-    for k in sab.algebra.basis:
-        elim.add(flat(standard_op(k)))
+    for q in Q.values():
+        elim.add(flat(q))
 
-    # multiplier condition: T Q0 and Q0 T stay inside Q0, for T = (. <| b)
+    # multiplier condition: T Q0 and Q0 T stay inside Q0
     def in_multipliers(kb, ka, kb2) -> bool:
-        b = Element.basis(B.domain, kb)
-        q = standard_op((ka, kb2))
-        return elim.contains(flat(lambda x: p.ract_BonA(q(x), b))) and elim.contains(
-            flat(lambda x: q(p.ract_BonA(x, b)))
-        )
+        q, t = Q[ka, kb2], T[kb]
+        composites = (operator(map(f, g.table.values())) for f, g in ((t, q), (q, t)))
+        return all(elim.contains(flat(op)) for op in composites)
 
     rep.check(
         "right-action-in-multiplier-algebra",

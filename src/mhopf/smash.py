@@ -629,16 +629,23 @@ def verify_covariant(c: CovariantModule, sample_range: int = 4) -> Report:
 
 
 def covariant_to_module(c: CovariantModule, s: SmashProduct) -> PlainModule:
-    """(x#a) v = x (a v); the induced unital R#A-module."""
+    """(x#a) v = x (a v); the induced unital R#A-module.  a v is formed once
+    per basis a and vector v of several terms (a probe vector), not per x#a."""
     if s.action.name != c.action.name or s.ralg.domain != c.action.ralg.domain:
         raise AlgebraMismatch("covariant data built over a different action")
+    acted: dict = {}  # (a-key, v) -> a v
+
+    def a_act(ka, v: Element) -> Element:
+        if len(v.coeffs) < 2:  # a basis vector: the A-action's own memo
+            return c.a_act(Element.basis(s.mha.domain, ka), v)
+        if (ka, v) not in acted:
+            acted[ka, v] = c.a_act(Element.basis(s.mha.domain, ka), v)
+        return acted[ka, v]
 
     def act(u: Element, v: Element) -> Element:
         return merge_legs(
             s.legs(u), 0, 1,
-            lambda kx, ka: c.r_act(
-                Element.basis(s.ralg.domain, kx), c.a_act(Element.basis(s.mha.domain, ka), v)
-            ),
+            lambda kx, ka: c.r_act(Element.basis(s.ralg.domain, kx), a_act(ka, v)),
             c.space_domain,
         )
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mhopf.actions import CHECKS
 from mhopf.cli import main
 from mhopf.mha import verify_mha_axioms
 from mhopf.scalars import Scalar
@@ -366,11 +367,12 @@ def test_timing_shows_certificate_provenance():
     assert (iso["mode"], iso["cases"]) == ("universal", kernel)
     assert mult["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),dual(C[Z2])): structural smash"
     assert iso["relies_on"][0] == "smash(smash(K(Z2),C[Z2]),K(Z2)): structural smash"
-    # the dual action of K(Z2) is carried over from that of dual(C[Z2])
-    # through the identification J, on its 2x4 basis pairs
+    # the dual action of K(Z2) is lifted from the pair's certified action of
+    # K(Z2) on C[Z2], on 2x4 action pairs, 2x2 t1 pairs and 2x2 coproduct pairs
+    lifted = "lift action 2x4, t1 2x2, coproduct 2x2 pairs"
     assert iso["relies_on"][1] == (
-        "dual(smash(K(Z2),C[Z2])): module algebra, module-algebra-law transport 2x4 pairs, "
-        "covered-left-form transport 2x4 pairs, covered-right-form transport 2x4 pairs"
+        f"dual(smash(K(Z2),C[Z2])): module algebra, module-algebra-law {lifted}, "
+        f"covered-left-form {lifted}, covered-right-form {lifted}"
     )
     # a rank says so, with the vectors it was read on: the dim A vectors 1#a
     # of the 4-dimensional R#A decide
@@ -410,9 +412,6 @@ def test_run_builds_the_duality_chain_once(monkeypatch, capsys):
             "S3",
             {
                 "adjoint(C[S3] on C[S3])": 1,
-                # over (C[S3], dual(C[S3])); the one over (C[S3], K(S3)) of
-                # the same name is carried over from it, not verified
-                "dual(smash(K(S3),C[S3]))": 1,
                 "grading(K(S3) on C[S3])": 1,
                 "pair(C[S3],K(S3)):AonB": 1,
                 "pair(C[S3],K(S3)):BonA": 1,
@@ -430,11 +429,23 @@ def test_run_builds_the_duality_chain_once(monkeypatch, capsys):
                 "translation(C[Z] on K(Z))": 1,
             },
         ),
+        (
+            "D4",
+            {
+                "adjoint(C[D4] on C[D4])": 1,
+                "grading(K(D4) on C[D4])": 1,
+                "pair(C[D4],K(D4)):AonB": 1,
+                "pair(C[D4],K(D4)):BonA": 1,
+                "pair(C[D4],dual(C[D4])):BonA": 1,
+                "translation(C[D4] on K(D4))": 1,
+            },
+        ),
     ],
 )
 def test_run_verifies_each_action_once(group, expected, monkeypatch, capsys):
     # every check group reads the run's one translation, adjoint, pair and
-    # smash, so each action's stored report is made once and read after
+    # smash, so each action's stored report is made once and read after; both
+    # dual actions are lifted from their pair's action of B on A, not verified
     import mhopf
     from mhopf import actions
 
@@ -550,7 +561,7 @@ def test_module_algebra_laws_record_generator_provenance():
     # the bismash rests on the dual action and names how it was certified
     mult = lines["duality[K(S3),C[S3]]:multiplicative"]
     how = [r for r in mult["relies_on"] if r.startswith("dual(smash(K(S3),C[S3])): module algebra")]
-    assert how and "module-algebra-law generators 6x3x36 of 7776 triples" in how[0]
+    assert how and "module-algebra-law lift action 6x36, t1 6x6, coproduct 6x6 pairs" in how[0]
 
 
 # the S3 lines whose mode, cases or provenance the structural certificates
@@ -586,8 +597,9 @@ def test_s3_timing_changes_only_the_structural_lines():
     for check, line in changed.items():
         assert line["status"] == "pass" and "witness" not in line
         assert any(": module algebra, " in r for r in line["relies_on"]), check
+    lifted = "lift action 6x36, t1 6x6, coproduct 6x6 pairs"
     iso = changed["coaction[S3]:bismash-iso-R-tensor-A#B"]
-    assert any("module-algebra-law transport 6x36 pairs" in r for r in iso["relies_on"])
+    assert any(f"module-algebra-law {lifted}" in r for r in iso["relies_on"])
     rest = [json.dumps(l, sort_keys=True) for l in lines if l["check"] not in S3_STRUCTURAL]
     assert len(rest) == 132
     digest = hashlib.sha1("\n".join(rest).encode()).hexdigest()
@@ -595,7 +607,10 @@ def test_s3_timing_changes_only_the_structural_lines():
     # lines included; the faithfulness rank is read on the 6 vectors 1#a
     faithful = next(l for l in lines if l["check"] == "duality[K(S3),C[S3]]:bismash-faithful")
     assert (faithful["mode"], faithful["cases"]) == ("rank", "6 of 36 vectors")
-    assert digest == "770eda6d5d888ef003b76edbfb474f6687c82ba2"
+    # the dual action's six lines are lifted from the pair's action of K(S3)
+    certified = next(l for l in lines if l["check"] == "duality[K(S3),C[S3]]:dual-action-certified")
+    assert certified["relies_on"] == [f"{check}: pass {lifted}" for check in CHECKS]
+    assert digest == "373b03b4e40a5b11fbda3e53af766a8f52df8f49"
 
 
 # the (anti)homomorphism checks made by certify_algebra_map, with the cases

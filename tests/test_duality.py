@@ -4,13 +4,13 @@ from dataclasses import replace
 import pytest
 
 from mhopf.actions import (
+    action_certificates,
     adjoint_action,
-    transport_certificates,
     trivial_action,
     verify_module_algebra,
 )
 from mhopf.algebras import Algebra
-from mhopf.aqg import make_aqg, verify_mha_isomorphism
+from mhopf.aqg import make_aqg
 from mhopf.duality import (
     Coaction,
     bismash,
@@ -18,10 +18,10 @@ from mhopf.duality import (
     coaction_to_action,
     delta_coaction,
     dual_action,
-    dual_identification,
     duality_isomorphism,
     empirical_duality_check,
     fixed_point_theorem_check,
+    lift_certificates,
     rl_condition_check,
     unverified_dual_action,
     verify_coaction,
@@ -435,67 +435,93 @@ def _chain(name: str):
     return canonical_pair(g, (K, C)), pair_of_aqg(make_aqg(C)), smash(translation_action(g, (K, C)))
 
 
-def _b_side(name: str):
-    """(the dual action of K(G) on K(G)#C[G], not yet certified, the
-    certified one of dual(C[G]), J: K(G) -> dual(C[G]), J's report)."""
-    p, pd, s = _chain(name)
-    J = dual_identification(p, pd)
-    source = dual_action(pd, s).spec
-    return unverified_dual_action(p, s).spec, source, J, verify_mha_isomorphism(p.B, pd.B, J)
+def _lift_case(name: str):
+    """(the dual action of dual(C[G]) on K(G)#C[G], not yet certified, the
+    pair's action of dual(C[G]) on C[G]), on fresh instances of a group."""
+    _, pd, s = _chain(name)
+    return unverified_dual_action(pd, s), pairing_action(pd, "BonA")
 
 
-class TestTransport:
-    """The dual action of B is carried over from that of A^ through J only
-    when every premise holds; otherwise it is verified as before."""
+class TestLift:
+    """The dual action's report is lifted from the pair's action of B on A
+    only when every premise holds; otherwise it is verified as before."""
 
     @staticmethod
     def lines(rep):
         return [(e.check, e.status, e.witness, e.mode, e.cases) for e in rep.entries]
 
-    @pytest.mark.parametrize("name", ["Z2", "Z3", "S3"])
-    def test_transport_reads_as_the_verification(self, name):
-        spec, source, J, iso = _b_side(name)
-        rep = transport_certificates(spec, source, J, iso)
-        assert spec.certificates is rep
-        pairs = f"{spec.mha.algebra.dim}x{len(spec.space_basis)} pairs"
-        assert {(e.mode, e.cases) for e in rep.entries} == {("transport", pairs)}
-        for e, cited in zip(rep.entries, source.certificates.entries):
-            assert e.relies_on[0] == f"{source.name}: {cited.cited}"
-            assert len(e.relies_on) == 1 + len(iso.entries)
-        full = verify_module_algebra(spec)
+    @pytest.mark.parametrize("rule", ["adjoint", "AonB"])
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3", "D4", "H4"])
+    def test_lift_reads_as_the_verification(self, name, rule, h4):
+        A = h4 if name == "H4" else group_algebra(get_group(name))
+        pd = pair_of_aqg(make_aqg(A))
+        spec = adjoint_action(A) if rule == "adjoint" else pairing_action(pd, "AonB")
+        d = unverified_dual_action(pd, smash(spec))
+        rep = lift_certificates(d)
+        assert d.spec.certificates is rep
+        nb, na, n = pd.B.algebra.dim, A.algebra.dim, d.smash.algebra.dim
+        cases = f"action {nb}x{n}, t1 {na}x{na}, coproduct {nb}x{na} pairs"
+        assert {(e.mode, e.cases) for e in rep.entries} == {("lift", cases)}
+        src = pairing_action(pd, "BonA").certificates
+        assert [e.relies_on for e in rep.entries] == [
+            (f"{pd.name}:BonA: {e.cited}",) for e in src.entries
+        ]
+        full = verify_module_algebra(d.spec)
         assert [(e.check, e.status) for e in rep.entries] == [
             (e.check, e.status) for e in full.entries
         ]
 
-    def test_changed_action_entry_is_verified(self):
-        spec, source, J, iso = _b_side("Z2")
-        key = next(k for k in itertools.product(spec.mha.algebra.basis, spec.space_basis)
-                   if not spec.act.table[k].is_zero())
-        spec.act.table[key] = spec.act.table[key].scale(sc(2))
-        rep = transport_certificates(spec, source, J, iso)
-        assert not rep.ok and "transport" not in {e.mode for e in rep.entries}
-        assert self.lines(rep) == self.lines(verify_module_algebra(spec))
+    def refuses(self, d):
+        rep = lift_certificates(d)
+        assert "lift" not in {e.mode for e in rep.entries}
+        assert self.lines(rep) == self.lines(verify_module_algebra(d.spec))
+        return rep
 
-    def test_changed_identification_is_verified(self):
-        spec, source, J, _ = _b_side("Z2")
-        kb = spec.mha.algebra.basis[0]
-        J.table[kb] = J.table[kb].scale(sc(2))
-        iso = verify_mha_isomorphism(spec.mha, source.mha, J)
-        assert not iso.ok
-        rep = transport_certificates(spec, source, J, iso)
-        assert rep.ok and "transport" not in {e.mode for e in rep.entries}
-        assert self.lines(rep) == self.lines(verify_module_algebra(spec))
+    def test_changed_b_on_a_entry_is_verified(self):
+        # doubled after the pair's action is certified: premise 3 sees it
+        d, src = _lift_case("Z2")
+        action_certificates(src)
+        key = next(k for k in itertools.product(src.mha.algebra.basis, src.space_basis)
+                   if not src.act.table[k].is_zero())
+        src.act.table[key] = src.act.table[key].scale(sc(2))
+        assert self.refuses(d).ok
 
-    def test_changed_cover_of_b_is_verified(self):
-        # J's lines read B's product, coproduct t1, counit and antipode; the
-        # module-algebra law reads t3, so a changed t3 is caught by premise 5
-        spec, source, J, iso = _b_side("Z2")
-        t3 = spec.mha._covers[3].table
+    def test_coproduct_of_a_changed_throughout_t1_is_verified(self):
+        # both actions are formed first, so premises 2 and 3 hold; then
+        # Delta(g) = g (x) 1 with t1(g, c) = Delta(g)(1 (x) c) for every c, so
+        # premise 4 holds, and Delta(b |> g) = <g, b> g (x) 1 differs from
+        # g (x) (b |> 1) = <1, b> g (x) 1 for b the dual basis element of g
+        d, src = _lift_case("Z2")
+        action_certificates(src)
+        for key in itertools.product(d.spec.mha.algebra.basis, d.spec.space_basis):
+            d.spec.act.table[key]
+        t1 = d.smash.mha._covers[1].table
+        for c in (0, 1):
+            t1[1, c] = Element.basis(t1[1, c].domain, (1, c))
+        self.refuses(d)
+
+    def test_changed_dual_action_entry_is_verified(self):
+        d, _ = _lift_case("Z2")
+        key = next(k for k in itertools.product(d.spec.mha.algebra.basis, d.spec.space_basis)
+                   if not d.spec.act.table[k].is_zero())
+        d.spec.act.table[key] = d.spec.act.table[key].scale(sc(2))
+        assert not self.refuses(d).ok
+
+    def test_changed_t1_of_a_is_verified(self):
+        # the product of R#A reads t1 of A: premise 4 sees it
+        d, _ = _lift_case("Z2")
+        t1 = d.smash.mha._covers[1].table
+        t1[1, 1] = t1[1, 1].scale(sc(2))
+        self.refuses(d)
+
+    def test_changed_t3_of_b_before_certification_is_verified(self):
+        # the pair's action then fails its law, so premise 2 refuses
+        d, src = _lift_case("Z2")
+        assert src.certificates is None
+        t3 = d.pair.B._covers[3].table
         t3[0, 0] = t3[0, 0].scale(sc(2))
-        rep = transport_certificates(spec, source, J, iso)
-        assert "transport" not in {e.mode for e in rep.entries}
-        assert self.lines(rep) == self.lines(verify_module_algebra(spec))
-        assert not rep.ok
+        assert not self.refuses(d).ok
+        assert not src.certificates.ok
 
 
 class TestFaithfulProbe:
